@@ -20,6 +20,13 @@ ALL_OUTPUTS = ("path", "t1", "t2", "identities", "remarks", "bounds", "convergen
 
 _KEYS = ("t_max", "n_steps", "x0", "a", "sigma", "u", "psi", "seeds", "outputs", "output_dir")
 
+def _check_seeds(seeds: tuple[int, ...], line: int | None = None) -> tuple[int, ...]:
+    """Reject seeds outside [0, 2**128), the key range of the Philox generator."""
+    for seed in seeds:
+        if not 0 <= seed < 2**128:
+            raise ConfigurationError(f"seed {seed} outside [0, 2**128)", line)
+    return seeds
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -42,7 +49,7 @@ class ExperimentConfig:
     def with_overrides(self, seeds=None, output_dir=None) -> "ExperimentConfig":
         cfg = self
         if seeds is not None:
-            cfg = replace(cfg, seeds=tuple(int(s) for s in seeds))
+            cfg = replace(cfg, seeds=_check_seeds(tuple(int(s) for s in seeds)))
         if output_dir is not None:
             cfg = replace(cfg, output_dir=str(output_dir))
         return cfg
@@ -163,6 +170,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         raise ConfigurationError(f"invalid seed list {seeds_text!r}", seeds_line) from exc
     if not seeds:
         raise ConfigurationError("seeds must be a nonempty list", seeds_line)
+    _check_seeds(seeds, seeds_line)
 
     outputs_text, outputs_line = take("outputs")
     if outputs_text is None:

@@ -36,6 +36,8 @@ from .verification import (
 
 BOUND_TOLERANCE_UNIT = 1e-9
 ORACLE_TOLERANCE_UNIT = 1e-10
+# rows formatted per write in _write_csv; bounds the text held in memory
+CSV_CHUNK_ROWS = 8192
 
 
 def _fmt(value: float) -> str:
@@ -83,13 +85,21 @@ class ExperimentManifest:
 
 
 def _write_csv(directory: Path, name: str, header: str, columns: list[np.ndarray]) -> Path:
+    """Write ``header`` and one row of ``_fmt`` cells per index of ``columns``.
+
+    Rows are formatted CSV_CHUNK_ROWS at a time with a single ``%`` over the
+    chunk's values, which spells every float exactly as ``_fmt`` does.
+    """
     directory.mkdir(parents=True, exist_ok=True)
     target = directory / name
     length = len(columns[0])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(target, "w", newline="\n") as handle:
         handle.write(header + "\n")
-        for i in range(length):
-            handle.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        for start in range(0, length, CSV_CHUNK_ROWS):
+            stop = min(start + CSV_CHUNK_ROWS, length)
+            block = np.column_stack([col[start:stop] for col in columns])
+            handle.write((row * (stop - start)) % tuple(block.ravel().tolist()))
     return target
 
 
@@ -335,7 +345,8 @@ def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int)
     n = path.grid.n_steps
     if n <= ceiling:
         return path
-    for factor in range(-(-n // ceiling), n + 1):
+    # factor n would leave a one-step path, which checks nothing
+    for factor in range(-(-n // ceiling), n):
         if n % factor == 0:
             break
     else:

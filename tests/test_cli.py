@@ -54,6 +54,21 @@ def test_bad_config_is_configuration_error(tmp_path, capsys):
     assert "n_steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra_args, seeds",
+    [(["--seed-override", "-1"], "1"), ([], "-3"), ([], str(2**128))],
+)
+def test_seed_outside_philox_key_range_exits_1(tmp_path, capsys, extra_args, seeds):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL.replace("seeds=1", f"seeds={seeds}") + f"output_dir={tmp_path / 'out'}\n")
+    assert cli.main(["run", str(cfg), *extra_args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "outside [0, 2**128)" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")

@@ -73,6 +73,16 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="seeds"):
             parse_config(text)
 
+    @pytest.mark.parametrize("seeds", ["-3", "1,-1", str(2**128)])
+    def test_seed_outside_philox_key_range(self, seeds):
+        text = PAPER_TEXT.replace("seeds=1", f"seeds={seeds}")
+        with pytest.raises(ConfigurationError, match=r"line 6: seed .* outside \[0, 2\*\*128\)"):
+            parse_config(text)
+
+    def test_seed_range_endpoints_accepted(self):
+        cfg = parse_config(PAPER_TEXT.replace("seeds=1", f"seeds=0,{2**128 - 1}"))
+        assert cfg.seeds == (0, 2**128 - 1)
+
     def test_missing_required_keys(self):
         with pytest.raises(ConfigurationError, match="t_max"):
             parse_config("n_steps=10\n")
@@ -89,6 +99,11 @@ class TestParseConfig:
         cfg = parse_config(PAPER_TEXT).with_overrides(seeds=[9], output_dir="elsewhere")
         assert cfg.seeds == (9,)
         assert cfg.output_dir == "elsewhere"
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_override_seed_outside_philox_key_range(self, seed):
+        with pytest.raises(ConfigurationError, match="outside"):
+            parse_config(PAPER_TEXT).with_overrides(seeds=[seed])
 
 
 class TestParseCoefficient:

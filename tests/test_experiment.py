@@ -209,3 +209,9 @@ class TestVerifySuite:
         oracle_checks = [c for c in summary.checks if c.name.startswith("oracle")]
         assert oracle_checks
         assert all("n=3200" in c.name for c in oracle_checks)
+
+    def test_oracle_skipped_for_prime_steps_above_ceiling(self):
+        cfg = parse_config(SMALL.replace("n_steps=500", "n_steps=4001"))
+        summary = verify_suite(cfg, oracle_ceiling=4000)
+        assert not any(c.name.startswith("oracle") for c in summary.checks)
+        assert "oracle seed=1: no divisor fits under ceiling, skipped" in summary.notes
