@@ -15,6 +15,9 @@ import numpy as np
 from .errors import ConfigurationError
 
 COEFFICIENT_KINDS = ("const", "sin", "state", "samples")
+# steps per chunk of the state-dependent loop in simulate_path; bounds the
+# Python-float lists held beside the float64 arrays
+STATE_CHUNK_STEPS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,20 +105,15 @@ class CoefficientSpec:
         """True when the value at a node does not depend on the state x."""
         return self.kind != "state"
 
-    def at(self, k: int, t: float, x: float) -> float:
-        if self.kind == "const":
-            return self.params[0]
-        if self.kind == "sin":
-            c0, c1, omega = self.params
-            return c0 + c1 * np.sin(omega * t)
-        if self.kind == "state":
-            return self.params[0] / (1.0 + x * x)
-        values = self.samples
-        if k >= len(values):
-            raise ConfigurationError(
-                f"samples coefficient has {len(values)} entries, need index {k}"
-            )
-        return values[k]
+    def coarsened(self, factor: int) -> "CoefficientSpec":
+        """This coefficient on a grid `factor` times coarser over the same horizon.
+
+        Samples are decimated to the coarse left nodes (every `factor`-th
+        entry); the other kinds are functions of t and x and stay as they are.
+        """
+        if self.kind != "samples" or factor == 1:
+            return self
+        return CoefficientSpec.from_samples(self.samples[::factor])
 
     def sample_series(self, grid: TimeGrid, x_left: np.ndarray | None = None) -> np.ndarray:
         """Values at the left nodes t_0 .. t_{N-1}; state kind needs x at those nodes."""
@@ -196,22 +194,60 @@ def simulate_path(
         steps[1:] = a * dt + sigma * dw
         x = np.cumsum(steps)
     else:
-        x = np.empty(n + 1)
-        x[0] = x0
-        a = np.empty(n)
-        sigma = np.empty(n)
-        nodes = grid.nodes
-        for k in range(n):
-            ak = a_spec.at(k, nodes[k], x[k])
-            sk = sigma_spec.at(k, nodes[k], x[k])
-            a[k] = ak
-            sigma[k] = sk
-            x[k + 1] = x[k] + (ak * dt + sk * dw[k])
+        x = _state_dependent_x(a_spec, sigma_spec, grid, dw, x0)
+        a = a_spec.sample_series(grid, x_left=x[:-1])
+        sigma = sigma_spec.sample_series(grid, x_left=x[:-1])
 
     u = np.ascontiguousarray(u_spec.sample_series(grid, x_left=x[:-1]), dtype=np.float64)
     for arr in (x, a, sigma, u):
         arr.setflags(write=False)
     return PathRecord(grid=grid, x=x, dw=dw, a=a, sigma=sigma, u=u, seed=seed)
+
+
+def _state_dependent_x(
+    a_spec: CoefficientSpec,
+    sigma_spec: CoefficientSpec,
+    grid: TimeGrid,
+    dw: np.ndarray,
+    x0: float,
+) -> np.ndarray:
+    """x for a path whose a or sigma depends on the state, one step at a time.
+
+    Each step is x + (a*dt + sigma*dw) with a state coefficient c / (1 + x*x),
+    evaluated on Python floats in that association. Every operation is one
+    correctly rounded IEEE operation, so x satisfies the step recurrence bit
+    for bit with the a and sigma that sample_series gives on it. Inputs are
+    converted to Python floats STATE_CHUNK_STEPS at a time.
+    """
+    n = grid.n_steps
+    dt = grid.dt
+    a_dt = a_spec.sample_series(grid) * dt if a_spec.time_only else None
+    sigma_t = sigma_spec.sample_series(grid) if sigma_spec.time_only else None
+    x = np.empty(n + 1)
+    x[0] = xk = x0
+    for k0 in range(0, n, STATE_CHUNK_STEPS):
+        k1 = min(k0 + STATE_CHUNK_STEPS, n)
+        dwc = dw[k0:k1].tolist()
+        out = []
+        if a_dt is None and sigma_t is None:
+            ca = a_spec.params[0]
+            cs = sigma_spec.params[0]
+            for dwk in dwc:
+                q = 1.0 + xk * xk
+                xk = xk + (ca / q * dt + cs / q * dwk)
+                out.append(xk)
+        elif a_dt is None:
+            ca = a_spec.params[0]
+            for sk, dwk in zip(sigma_t[k0:k1].tolist(), dwc):
+                xk = xk + (ca / (1.0 + xk * xk) * dt + sk * dwk)
+                out.append(xk)
+        else:
+            cs = sigma_spec.params[0]
+            for adt, dwk in zip(a_dt[k0:k1].tolist(), dwc):
+                xk = xk + (adt + cs / (1.0 + xk * xk) * dwk)
+                out.append(xk)
+        x[k0 + 1 : k1 + 1] = out
+    return x
 
 
 def simulate_seeded(

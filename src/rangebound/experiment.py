@@ -341,7 +341,10 @@ class VerificationSummary:
 
 
 def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int) -> PathRecord | None:
-    """A cheaper path on the same noise when the config grid is above the ceiling."""
+    """A cheaper path on the same noise when the config grid is above the ceiling.
+
+    Sampled coefficients are decimated to the coarse grid's left nodes.
+    """
     n = path.grid.n_steps
     if n <= ceiling:
         return path
@@ -354,16 +357,16 @@ def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int)
     grid = build_grid(config.t_max, n // factor)
     u_spec = config.u_spec if config.u_spec is not None else config.psi_spec
     coarse = simulate_path(
-        config.a_spec,
-        config.sigma_spec,
-        u_spec,
+        config.a_spec.coarsened(factor),
+        config.sigma_spec.coarsened(factor),
+        u_spec.coarsened(factor),
         grid,
         coarsen_increments(path.dw, factor),
         config.x0,
         path.seed,
     )
     if config.uses_discounted_u:
-        psi = config.psi_spec.sample_series(grid, x_left=coarse.x[:-1])
+        psi = config.psi_spec.coarsened(factor).sample_series(grid, x_left=coarse.x[:-1])
         coarse = coarse.with_u(variance_discounted_u(psi, coarse.sigma, grid))
     return coarse
 

@@ -132,7 +132,8 @@ def estimate_order(
 
     The finest increment count must be divisible by 2**(refinement_levels-1);
     every coarser grid reuses the fine noise through pairwise coarsening, so
-    residual decay reflects discretization error only.
+    residual decay reflects discretization error only. Sampled coefficients
+    are decimated to each coarse grid's left nodes.
     """
     fine = np.asarray(fine_increments, dtype=np.float64)
     if refinement_levels < 3:
@@ -148,7 +149,8 @@ def estimate_order(
         factor = 2**level
         n = len(fine) // factor
         grid = build_grid(t_max, n)
-        path = simulate_path(a_spec, sigma_spec, u_spec, grid, coarsen_increments(fine, factor), x0)
+        specs = (spec.coarsened(factor) for spec in (a_spec, sigma_spec, u_spec))
+        path = simulate_path(*specs, grid, coarsen_increments(fine, factor), x0)
         sizes.append(n)
         norms.append(identity_residual(path, identity))
     orders = orders_from_residuals(norms)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rangebound import cli
+from rangebound import cli, experiment, verification
 from rangebound.experiment import VerificationCheck, VerificationSummary
 
 SMALL = "t_max=5\nn_steps=512\na=const:2\nsigma=const:1\nu=const:1\nseeds=1\n"
@@ -91,3 +91,49 @@ def test_levels_flag_reaches_convergence(config_file, capsys):
     assert cli.main(["verify", str(config_file), "--levels", "3"]) == 0
     out = capsys.readouterr().out
     assert "convergence[bounded]" in out
+
+
+# name -> (n_steps, coefficient lines, coefficients read from files); 8000
+# steps puts the grid above the oracle ceiling, so the oracle coarsens by 2
+FILE_CONFIGS = {
+    "file_drift_state_noise": (1000, "a=file:a.txt\nsigma=state:1.5\nu=const:1\n", ("a",)),
+    "file_integrand": (1000, "a=const:2\nsigma=const:1\nu=file:u.txt\n", ("u",)),
+    "file_above_oracle_ceiling": (8000, "a=file:a.txt\nsigma=const:1\nu=file:u.txt\n", ("a", "u")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_CONFIGS))
+def test_file_coefficients_are_decimated_on_coarse_grids(tmp_path, monkeypatch, capsys, name):
+    n_steps, coefficients, sampled = FILE_CONFIGS[name]
+    rng = np.random.default_rng(5)
+    samples = {}
+    for coefficient in sampled:
+        samples[coefficient] = rng.uniform(-2.0, 2.0, n_steps)
+        np.savetxt(tmp_path / f"{coefficient}.txt", samples[coefficient], fmt="%.17g")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"t_max=5\nn_steps={n_steps}\n{coefficients}seeds=1\noutput_dir={tmp_path / 'out'}\n"
+    )
+
+    paths = []
+    for module in (experiment, verification):
+        original = module.simulate_path
+
+        def recording(*args, _original=original, **kwargs):
+            paths.append(_original(*args, **kwargs))
+            return paths[-1]
+
+        monkeypatch.setattr(module, "simulate_path", recording)
+
+    assert cli.main(["run", str(cfg)]) == 0
+    assert cli.main(["verify", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "PASS" in out
+    assert {p.grid.n_steps for p in paths} - {n_steps}
+    if n_steps > 4000:
+        # the oracle path is the only coarse one that carries the seed
+        assert any(p.grid.n_steps == n_steps // 2 and p.seed == 1 for p in paths)
+    for path in paths:
+        factor = n_steps // path.grid.n_steps
+        for coefficient in sampled:
+            assert np.array_equal(getattr(path, coefficient), samples[coefficient][::factor])

@@ -118,7 +118,7 @@ class TestParseCoefficient:
     def test_state(self):
         spec = parse_coefficient("state:2")
         assert spec.kind == "state"
-        assert spec.at(0, 0.0, 1.0) == 1.0
+        assert spec.sample_series(rb.build_grid(1.0, 1), x_left=np.array([1.0]))[0] == 1.0
 
     def test_file_samples(self, tmp_path):
         target = tmp_path / "u.txt"

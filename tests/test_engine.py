@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,52 @@ from rangebound import CoefficientSpec
 from rangebound.errors import ConfigurationError
 
 const = CoefficientSpec.constant
+CHUNK = rb.engine.STATE_CHUNK_STEPS
+
+
+def reference_state_path(a_spec, sigma_spec, grid, dw, x0):
+    """x, a, sigma from one Euler step per iteration on numpy scalars.
+
+    The engine's state-dependent branch must reproduce these bits.
+    """
+
+    def coefficient(spec, k, t, x):
+        if spec.kind == "const":
+            return spec.params[0]
+        if spec.kind == "sin":
+            c0, c1, omega = spec.params
+            return c0 + c1 * np.sin(omega * t)
+        if spec.kind == "state":
+            return spec.params[0] / (1.0 + x * x)
+        return spec.samples[k]
+
+    n = grid.n_steps
+    x = np.empty(n + 1)
+    x[0] = x0
+    a = np.empty(n)
+    sigma = np.empty(n)
+    for k in range(n):
+        ak = coefficient(a_spec, k, grid.nodes[k], x[k])
+        sk = coefficient(sigma_spec, k, grid.nodes[k], x[k])
+        a[k] = ak
+        sigma[k] = sk
+        x[k + 1] = x[k] + (ak * grid.dt + sk * dw[k])
+    return x, a, sigma
+
+
+signed = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
+
+
+@st.composite
+def coefficient_specs(draw, kind, n_steps):
+    if kind == "const":
+        return const(draw(signed))
+    if kind == "sin":
+        return CoefficientSpec.sinusoid(draw(signed), draw(signed), draw(signed))
+    if kind == "state":
+        return CoefficientSpec.state_bounded(draw(signed))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return CoefficientSpec.from_samples(np.random.default_rng(seed).uniform(-8.0, 8.0, n_steps))
 
 
 class TestBuildGrid:
@@ -90,6 +137,43 @@ class TestSimulatePath:
         assert np.array_equal(path.a, 2.0 / (1.0 + path.x[:-1] ** 2))
         expected = path.x[:-1] + (path.a * grid.dt + path.sigma * path.dw)
         assert np.array_equal(path.x[1:], expected)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        data=st.data(),
+        kinds=st.sampled_from(
+            [("state", other) for other in ("const", "sin", "state", "samples")]
+            + [(other, "state") for other in ("const", "sin", "samples")]
+        ),
+        n_steps=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
+        x0=st.one_of(
+            st.sampled_from([0.0, 1e200, -1e200]),
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        ),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_state_dependent_loop_matches_reference_bitwise(self, data, kinds, n_steps, x0, seed):
+        a_spec = data.draw(coefficient_specs(kinds[0], n_steps))
+        sigma_spec = data.draw(coefficient_specs(kinds[1], n_steps))
+        grid = rb.build_grid(2.0, n_steps)
+        dw = rb.sample_wiener(grid, seed)
+        with np.errstate(over="ignore"):
+            path = rb.simulate_path(a_spec, sigma_spec, const(1), grid, dw, x0)
+            expected = reference_state_path(a_spec, sigma_spec, grid, dw, x0)
+        for got, want in zip((path.x, path.a, path.sigma), expected):
+            assert got.tobytes() == want.tobytes()
+
+    def test_state_dependent_loop_memory_is_flat(self):
+        n = 200_000
+        grid = rb.build_grid(5.0, n)
+        dw = rb.sample_wiener(grid, 1)
+        tracemalloc.start()
+        try:
+            rb.simulate_path(const(0), CoefficientSpec.state_bounded(1.5), const(1), grid, dw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * n * 8
 
     def test_series_lengths(self):
         grid = rb.build_grid(1.0, 17)
