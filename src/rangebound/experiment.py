@@ -8,13 +8,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_echo_lines
-from .engine import PathRecord, build_grid, coarsen_increments, sample_wiener, simulate_path
+from .engine import (
+    PathRecord,
+    TimeGrid,
+    build_grid,
+    coarsen_increments,
+    sample_wiener,
+    simulate_path,
+)
 from .errors import OracleCostError
 from .quadrature import ito_cumsum, riemann_cumsum
 from .transforms import (
@@ -30,7 +38,9 @@ from .verification import (
     DEFAULT_ORACLE_CEILING,
     check_envelope,
     compare_oracle,
-    estimate_order,
+    convergence_ladder,
+    estimate_order,  # noqa: F401  (perfbench/tracer.py patches this name here)
+    identity_residual,
     residual_norm,
 )
 
@@ -103,18 +113,31 @@ def _write_csv(directory: Path, name: str, header: str, columns: list[np.ndarray
     return target
 
 
-def prepare_path(config: ExperimentConfig, seed: int) -> PathRecord:
-    """Simulate one seed's path, applying the variance discount when psi is set."""
-    grid = build_grid(config.t_max, config.n_steps)
-    increments = sample_wiener(grid, seed)
-    u_spec = config.u_spec if config.u_spec is not None else config.psi_spec
-    path = simulate_path(
-        config.a_spec, config.sigma_spec, u_spec, grid, increments, config.x0, seed
-    )
+def build_path(
+    config: ExperimentConfig,
+    grid: TimeGrid,
+    dw: np.ndarray,
+    factor: int = 1,
+    seed: int | None = None,
+) -> PathRecord:
+    """The config's path on ``grid``, driven by the increments ``dw``.
+
+    ``grid`` is ``factor`` times coarser than the config grid; sampled
+    coefficients are decimated to its left nodes. When psi is set, u is the
+    variance-discounted psi.
+    """
+    u_spec = config.psi_spec if config.uses_discounted_u else config.u_spec
+    specs = (spec.coarsened(factor) for spec in (config.a_spec, config.sigma_spec, u_spec))
+    path = simulate_path(*specs, grid, dw, config.x0, seed)
     if config.uses_discounted_u:
-        psi = config.psi_spec.sample_series(grid, x_left=path.x[:-1])
-        path = path.with_u(variance_discounted_u(psi, path.sigma, grid))
+        path = path.with_u(variance_discounted_u(path.u, path.sigma, grid))
     return path
+
+
+def prepare_path(config: ExperimentConfig, seed: int) -> PathRecord:
+    """Simulate one seed's path on the config grid."""
+    grid = build_grid(config.t_max, config.n_steps)
+    return build_path(config, grid, sample_wiener(grid, seed), seed=seed)
 
 
 def integrand_envelope(config: ExperimentConfig, path: PathRecord):
@@ -139,6 +162,21 @@ def _oracle_tolerance(path: PathRecord, which: str) -> float:
         total_variance = float(np.sum(path.sigma * path.sigma) * path.grid.dt)
         scale *= float(np.exp(0.5 * total_variance))
     return ORACLE_TOLERANCE_UNIT * (1.0 + scale)
+
+
+def _seed_ladder(config, path, levels, residuals, ts1=None, ts2=None):
+    """The seed's convergence reports; None when n_steps does not support ``levels``.
+
+    The finest rung is ``path`` itself. Its identity residuals come from
+    ``residuals``, or else from the transforms ``ts1`` and ``ts2``.
+    """
+    if levels < 3 or path.grid.n_steps % 2 ** (levels - 1) != 0:
+        return None
+    for identity, ts in (("bounded", ts1), ("weighted", ts2)):
+        if identity not in residuals:
+            residuals[identity] = identity_residual(path, identity, ts)
+    rung = partial(build_path, config)
+    return convergence_ladder(path.dw, config.t_max, rung, levels, finest=residuals)
 
 
 def run_experiment(
@@ -166,6 +204,9 @@ def run_experiment(
         written: list[str] = []
         summaries: list[tuple[str, str]] = []
 
+        def emit(name: str, header: str, columns: list[np.ndarray]) -> None:
+            written.append(_write_csv(seed_dir, name, header, columns).name)
+
         ts1 = ts2 = None
         if {"t1", "identities", "bounds"} & config.outputs:
             ts1 = bounded_transform_recursive(path)
@@ -175,25 +216,23 @@ def run_experiment(
             ts2 = weighted_transform_recursive(path)
 
         if "path" in config.outputs:
-            written.append(_write_csv(seed_dir, "x.csv", "t,x", [t, path.x]).name)
+            emit("x.csv", "t,x", [t, path.x])
         if "t1" in config.outputs:
-            written.append(_write_csv(seed_dir, "t1.csv", "t,X,Y", [t, ts1.X, ts1.Y]).name)
+            emit("t1.csv", "t,X,Y", [t, ts1.X, ts1.Y])
         if "t2" in config.outputs:
-            written.append(_write_csv(seed_dir, "t2.csv", "t,X,Y", [t, ts2.X, ts2.Y]).name)
+            emit("t2.csv", "t,X,Y", [t, ts2.X, ts2.Y])
 
+        # identity -> residual on this seed's path, the finest convergence rung
+        residuals: dict[str, float] = {}
         if "identities" in config.outputs:
             lhs1, rhs1 = bounded_identity_sides(path, ts1)
-            written.append(
-                _write_csv(
-                    seed_dir, "identity_t1.csv", "t,lhs,rhs", [t, lhs1.values, rhs1.values]
-                ).name
-            )
-            summaries.append(("identity_t1.residual", _fmt(residual_norm(lhs1, rhs1))))
+            emit("identity_t1.csv", "t,lhs,rhs", [t, lhs1.values, rhs1.values])
+            residuals["bounded"] = residual_norm(lhs1, rhs1)
+            summaries.append(("identity_t1.residual", _fmt(residuals["bounded"])))
             lhs2, rhs2 = weighted_identity_sides(path, ts2)
-            written.append(
-                _write_csv(seed_dir, "identity_t2.csv", "t,lhs,rhs", [t, lhs2.values, rhs2]).name
-            )
-            summaries.append(("identity_t2.residual", _fmt(residual_norm(lhs2, rhs2))))
+            emit("identity_t2.csv", "t,lhs,rhs", [t, lhs2.values, rhs2])
+            residuals["weighted"] = residual_norm(lhs2, rhs2)
+            summaries.append(("identity_t2.residual", _fmt(residuals["weighted"])))
             if path.grid.n_steps <= oracle_ceiling:
                 for which in ("bounded", "weighted"):
                     summaries.append(
@@ -211,16 +250,8 @@ def run_experiment(
             else:
                 rot1 = unit_rotation_identity(path)
                 rot2 = scaled_rotation_identity(path)
-                written.append(
-                    _write_csv(
-                        seed_dir, "rotation_unit.csv", "t,re,im", [t, rot1.U.real, rot1.U.imag]
-                    ).name
-                )
-                written.append(
-                    _write_csv(
-                        seed_dir, "rotation_scaled.csv", "t,re,im", [t, rot2.U.real, rot2.U.imag]
-                    ).name
-                )
+                emit("rotation_unit.csv", "t,re,im", [t, rot1.U.real, rot1.U.imag])
+                emit("rotation_scaled.csv", "t,re,im", [t, rot2.U.real, rot2.U.imag])
                 summaries.append(("rotation_unit.rhs_abs", _fmt(abs(rot1.rhs))))
                 summaries.append(("rotation_unit.bound", _fmt(rot1.bound)))
                 summaries.append(("rotation_unit.residual", _fmt(abs(rot1.lhs - rot1.rhs))))
@@ -231,38 +262,21 @@ def run_experiment(
             target = ts2 if config.uses_discounted_u else ts1
             label = "bound_t2" if config.uses_discounted_u else "bound_t1"
             report = check_envelope(target, envelope, bound_tolerance(envelope))
-            written.append(
-                _write_csv(
-                    seed_dir,
-                    f"{label}.csv",
-                    "t,modulus,envelope",
-                    [t, target.modulus(), envelope.values],
-                ).name
-            )
+            emit(f"{label}.csv", "t,modulus,envelope", [t, target.modulus(), envelope.values])
             summaries.append((f"{label}.max_violation", _fmt(report.max_violation)))
             summaries.append((f"{label}.violation_index", str(report.violation_index)))
             summaries.append((f"{label}.tolerance", _fmt(report.tolerance_used)))
             summaries.append((f"{label}.passed", str(report.passed).lower()))
 
         if "convergence" in config.outputs:
-            span = 2 ** (convergence_levels - 1)
-            if convergence_levels < 3 or path.grid.n_steps % span != 0:
+            reports = _seed_ladder(config, path, convergence_levels, residuals, ts1, ts2)
+            if reports is None:
                 warnings.append(
                     f"seed {seed}: convergence skipped: n_steps {path.grid.n_steps} does not "
                     f"support {convergence_levels} refinement levels"
                 )
             else:
-                for identity in ("bounded", "weighted"):
-                    report = estimate_order(
-                        path.dw,
-                        t_max=config.t_max,
-                        a_spec=config.a_spec,
-                        sigma_spec=config.sigma_spec,
-                        u_spec=config.u_spec if config.u_spec is not None else config.psi_spec,
-                        x0=config.x0,
-                        refinement_levels=convergence_levels,
-                        identity=identity,
-                    )
+                for identity, report in reports.items():
                     key = f"convergence.{identity}"
                     summaries.append((f"{key}.grids", ",".join(str(g) for g in report.grid_sizes)))
                     summaries.append(
@@ -343,32 +357,26 @@ class VerificationSummary:
 def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int) -> PathRecord | None:
     """A cheaper path on the same noise when the config grid is above the ceiling.
 
-    Sampled coefficients are decimated to the coarse grid's left nodes.
+    The coarse grid is the finest one of at most ``ceiling`` steps that evenly
+    divides the config grid; None when it would have fewer than
+    ``ceiling // 2`` steps (and never fewer than 2), too few to check much.
     """
     n = path.grid.n_steps
     if n <= ceiling:
         return path
-    # factor n would leave a one-step path, which checks nothing
-    for factor in range(-(-n // ceiling), n):
+    for factor in range(-(-n // ceiling), n // max(ceiling // 2, 2) + 1):
         if n % factor == 0:
             break
     else:
         return None
     grid = build_grid(config.t_max, n // factor)
-    u_spec = config.u_spec if config.u_spec is not None else config.psi_spec
-    coarse = simulate_path(
-        config.a_spec.coarsened(factor),
-        config.sigma_spec.coarsened(factor),
-        u_spec.coarsened(factor),
-        grid,
-        coarsen_increments(path.dw, factor),
-        config.x0,
-        path.seed,
-    )
-    if config.uses_discounted_u:
-        psi = config.psi_spec.coarsened(factor).sample_series(grid, x_left=coarse.x[:-1])
-        coarse = coarse.with_u(variance_discounted_u(psi, coarse.sigma, grid))
-    return coarse
+    return build_path(config, grid, coarsen_increments(path.dw, factor), factor, path.seed)
+
+
+def _bound_check(name: str, ts, envelope) -> VerificationCheck:
+    report = check_envelope(ts, envelope, bound_tolerance(envelope))
+    detail = f"max_violation={report.max_violation:.3e} tolerance={report.tolerance_used:.3e}"
+    return VerificationCheck(name, report.passed, detail)
 
 
 def verify_suite(
@@ -387,25 +395,12 @@ def verify_suite(
 
         u_envelope = riemann_cumsum(np.abs(path.u), path.grid)
         ts1 = bounded_transform_recursive(path)
-        report = check_envelope(ts1, u_envelope, bound_tolerance(u_envelope))
-        summary.checks.append(
-            VerificationCheck(
-                f"bound[t1] seed={seed}",
-                report.passed,
-                f"max_violation={report.max_violation:.3e} tolerance={report.tolerance_used:.3e}",
-            )
-        )
+        summary.checks.append(_bound_check(f"bound[t1] seed={seed}", ts1, u_envelope))
+        ts2 = None
         if config.uses_discounted_u:
             envelope = integrand_envelope(config, path)
             ts2 = weighted_transform_recursive(path)
-            report2 = check_envelope(ts2, envelope, bound_tolerance(envelope))
-            summary.checks.append(
-                VerificationCheck(
-                    f"bound[t2] seed={seed}",
-                    report2.passed,
-                    f"max_violation={report2.max_violation:.3e} tolerance={report2.tolerance_used:.3e}",
-                )
-            )
+            summary.checks.append(_bound_check(f"bound[t2] seed={seed}", ts2, envelope))
 
         if np.all(path.a == 0.0):
             rot = unit_rotation_identity(path)
@@ -438,25 +433,19 @@ def verify_suite(
                     )
                 )
 
-        for identity in ("bounded", "weighted"):
-            summary.notes.append(
-                f"identity[{identity}] seed={seed}: residual="
-                f"{residual_norm(*_identity_sides_for(path, identity)):.6e}"
-            )
+        # a u config's weighted transform is built only here, after the oracle,
+        # and both transforms are dropped once their residuals are taken
+        residuals = {
+            "bounded": identity_residual(path, "bounded", ts1),
+            "weighted": identity_residual(path, "weighted", ts2),
+        }
+        del ts1, ts2
+        for identity, residual in residuals.items():
+            summary.notes.append(f"identity[{identity}] seed={seed}: residual={residual:.6e}")
 
-        span = 2 ** (convergence_levels - 1)
-        if convergence_levels >= 3 and path.grid.n_steps % span == 0:
-            for identity in ("bounded", "weighted"):
-                report = estimate_order(
-                    path.dw,
-                    t_max=config.t_max,
-                    a_spec=config.a_spec,
-                    sigma_spec=config.sigma_spec,
-                    u_spec=config.u_spec if config.u_spec is not None else config.psi_spec,
-                    x0=config.x0,
-                    refinement_levels=convergence_levels,
-                    identity=identity,
-                )
+        reports = _seed_ladder(config, path, convergence_levels, residuals)
+        if reports is not None:
+            for identity, report in reports.items():
                 summary.notes.append(
                     f"convergence[{identity}] seed={seed}: median_order="
                     f"{report.median_order:.3f} residuals="
@@ -468,10 +457,3 @@ def verify_suite(
                 f"support {convergence_levels} levels"
             )
     return summary
-
-
-def _identity_sides_for(path: PathRecord, identity: str):
-    if identity == "bounded":
-        return bounded_identity_sides(path, bounded_transform_recursive(path))
-    lhs, rhs = weighted_identity_sides(path, weighted_transform_recursive(path))
-    return lhs, rhs

@@ -86,19 +86,20 @@ def residual_norm(lhs, rhs) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def identity_residual(path: PathRecord, identity: str) -> float:
+def identity_residual(path: PathRecord, identity: str, ts: TransformSeries | None = None) -> float:
     """Max-norm residual of the selected identity on one path.
 
     Every identity is checked over the whole grid, rotations included: the
     claims hold for every horizon, so the residual is the max-norm of the
-    running lhs/rhs series, not an endpoint difference.
+    running lhs/rhs series, not an endpoint difference. A caller that already
+    holds the path's bounded or weighted transform passes it as ``ts``.
     """
     if identity == "bounded":
-        lhs, rhs = bounded_identity_sides(path, bounded_transform_recursive(path))
-        return residual_norm(lhs, rhs)
+        ts = ts if ts is not None else bounded_transform_recursive(path)
+        return residual_norm(*bounded_identity_sides(path, ts))
     if identity == "weighted":
-        lhs, rhs = weighted_identity_sides(path, weighted_transform_recursive(path))
-        return residual_norm(lhs, rhs)
+        ts = ts if ts is not None else weighted_transform_recursive(path)
+        return residual_norm(*weighted_identity_sides(path, ts))
     if identity == "unit_rotation":
         return residual_norm(*unit_rotation_running_sides(path))
     if identity == "scaled_rotation":
@@ -116,6 +117,46 @@ def orders_from_residuals(residual_norms) -> list[float]:
     return orders
 
 
+def convergence_ladder(
+    fine_increments,
+    t_max: float,
+    build_rung,
+    refinement_levels: int = 4,
+    identities: tuple[str, ...] = ("bounded", "weighted"),
+    finest: dict[str, float] | None = None,
+) -> dict[str, ConvergenceReport]:
+    """Track how each identity's residual shrinks on a ladder of coarsened grids.
+
+    The finest increment count must be divisible by 2**(refinement_levels-1).
+    Every coarser rung reuses the fine noise through pairwise coarsening, so
+    residual decay reflects discretization error only. Each rung's path is
+    ``build_rung(grid, increments, factor)`` and is built once for all
+    identities. When ``finest`` maps every identity to its residual on the
+    path of the fine increments, the finest rung is taken from it instead.
+    """
+    fine = np.asarray(fine_increments, dtype=np.float64)
+    if refinement_levels < 3:
+        raise ValueError(f"refinement_levels must be >= 3, got {refinement_levels}")
+    span = 2 ** (refinement_levels - 1)
+    if len(fine) % span != 0:
+        raise ValueError(f"finest increment count {len(fine)} is not divisible by {span}")
+    sizes = tuple(len(fine) >> level for level in reversed(range(refinement_levels)))
+    rungs = []  # identity -> residual, coarse to fine
+    for n in sizes:
+        factor = len(fine) // n
+        if factor == 1 and finest is not None:
+            rungs.append(finest)
+            continue
+        path = build_rung(build_grid(t_max, n), coarsen_increments(fine, factor), factor)
+        rungs.append({identity: identity_residual(path, identity) for identity in identities})
+    reports = {}
+    for identity in identities:
+        norms = tuple(rung[identity] for rung in rungs)
+        orders = tuple(orders_from_residuals(norms))
+        reports[identity] = ConvergenceReport(sizes, norms, orders, float(np.median(orders)))
+    return reports
+
+
 def estimate_order(
     fine_increments,
     *,
@@ -127,39 +168,13 @@ def estimate_order(
     refinement_levels: int = 4,
     identity: str = "bounded",
 ) -> ConvergenceReport:
-    """Re-simulate the same Wiener path on a ladder of coarsened grids and
-    track how the selected identity's residual shrinks.
+    """One identity's convergence ladder; file samples are decimated on every rung."""
 
-    The finest increment count must be divisible by 2**(refinement_levels-1);
-    every coarser grid reuses the fine noise through pairwise coarsening, so
-    residual decay reflects discretization error only. Sampled coefficients
-    are decimated to each coarse grid's left nodes.
-    """
-    fine = np.asarray(fine_increments, dtype=np.float64)
-    if refinement_levels < 3:
-        raise ValueError(f"refinement_levels must be >= 3, got {refinement_levels}")
-    span = 2 ** (refinement_levels - 1)
-    if len(fine) % span != 0:
-        raise ValueError(
-            f"finest increment count {len(fine)} is not divisible by {span}"
-        )
-    sizes = []
-    norms = []
-    for level in reversed(range(refinement_levels)):
-        factor = 2**level
-        n = len(fine) // factor
-        grid = build_grid(t_max, n)
+    def rung(grid, increments, factor):
         specs = (spec.coarsened(factor) for spec in (a_spec, sigma_spec, u_spec))
-        path = simulate_path(*specs, grid, coarsen_increments(fine, factor), x0)
-        sizes.append(n)
-        norms.append(identity_residual(path, identity))
-    orders = orders_from_residuals(norms)
-    return ConvergenceReport(
-        grid_sizes=tuple(sizes),
-        residual_norms=tuple(norms),
-        estimated_orders=tuple(orders),
-        median_order=float(np.median(orders)),
-    )
+        return simulate_path(*specs, grid, increments, x0)
+
+    return convergence_ladder(fine_increments, t_max, rung, refinement_levels, (identity,))[identity]
 
 
 def compare_oracle(

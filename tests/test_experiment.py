@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rangebound as rb
+from rangebound import experiment, verification
 from rangebound.config import parse_config
 from rangebound.experiment import (
     FIGURE_NAMES,
@@ -215,3 +216,78 @@ class TestVerifySuite:
         summary = verify_suite(cfg, oracle_ceiling=4000)
         assert not any(c.name.startswith("oracle") for c in summary.checks)
         assert "oracle seed=1: no divisor fits under ceiling, skipped" in summary.notes
+
+    def test_oracle_skipped_when_coarse_grid_under_half_the_ceiling(self):
+        # 8006 = 2 * 4003: the only divisor under the ceiling leaves a two-step path
+        cfg = parse_config(SMALL.replace("n_steps=500", "n_steps=8006"))
+        summary = verify_suite(cfg, oracle_ceiling=4000)
+        assert not any(c.name.startswith("oracle") for c in summary.checks)
+        assert "oracle seed=1: no divisor fits under ceiling, skipped" in summary.notes
+
+
+PSI_LADDER = "t_max=5\nn_steps=1024\na=const:2\nsigma=const:1\npsi=sin:1,0.5,2\nseeds=1\n"
+SINE_LADDER = "t_max=5\nn_steps=4096\nx0=0.3\na=sin:1,2,3\nsigma=sin:2,1,1\nu=const:1\nseeds=1\n"
+
+
+def _note_value(notes, prefix, key):
+    (note,) = [n for n in notes if n.startswith(prefix)]
+    return note.split(f"{key}=")[1].split()[0]
+
+
+class TestConvergenceLadder:
+    """The ladder's finest rung is the seed's own path, and each rung is simulated once."""
+
+    def test_psi_verify_finest_rung_is_the_identity_residual(self):
+        notes = verify_suite(parse_config(PSI_LADDER)).notes
+        for identity in ("bounded", "weighted"):
+            residual = float(_note_value(notes, f"identity[{identity}] seed=1", "residual"))
+            ladder = _note_value(notes, f"convergence[{identity}] seed=1", "residuals")
+            assert ladder.split(",")[-1] == f"{residual:.3e}"
+
+    def test_psi_run_finest_rung_is_the_identity_residual(self, tmp_path):
+        manifest = run_experiment(parse_config(PSI_LADDER), out_dir=tmp_path)
+        for identity, name in (("bounded", "identity_t1"), ("weighted", "identity_t2")):
+            ladder = manifest.get(f"seed.1.convergence.{identity}.residuals").split(",")
+            assert ladder[-1] == manifest.get(f"seed.1.{name}.residual")
+
+    @pytest.fixture
+    def simulated_steps(self, monkeypatch):
+        steps = []
+        for module in (experiment, verification):
+            original = module.simulate_path
+
+            def counting(*args, _original=original, **kwargs):
+                path = _original(*args, **kwargs)
+                steps.append(path.grid.n_steps)
+                return path
+
+            monkeypatch.setattr(module, "simulate_path", counting)
+        return steps
+
+    def test_verify_simulates_each_rung_once(self, simulated_steps):
+        cfg = parse_config(SINE_LADDER)
+        # a ceiling at n keeps the oracle on the seed's own path
+        summary = verify_suite(cfg, convergence_levels=4, oracle_ceiling=4096)
+        assert sum(simulated_steps) == 4096 + 2048 + 1024 + 512
+        dw = prepare_path(cfg, 1).dw
+        for identity in ("bounded", "weighted"):
+            report = rb.estimate_order(
+                dw,
+                t_max=cfg.t_max,
+                a_spec=cfg.a_spec,
+                sigma_spec=cfg.sigma_spec,
+                u_spec=cfg.u_spec,
+                x0=cfg.x0,
+                refinement_levels=4,
+                identity=identity,
+            )
+            expected = (
+                f"convergence[{identity}] seed=1: median_order={report.median_order:.3f} "
+                "residuals=" + ",".join(f"{r:.3e}" for r in report.residual_norms)
+            )
+            assert f"NOTE {expected}" in summary.lines()
+
+    def test_run_simulates_each_rung_once(self, simulated_steps, tmp_path):
+        manifest = run_experiment(parse_config(SINE_LADDER), out_dir=tmp_path, convergence_levels=4)
+        assert sum(simulated_steps) == 4096 + 2048 + 1024 + 512
+        assert manifest.get("seed.1.convergence.weighted.grids") == "512,1024,2048,4096"
