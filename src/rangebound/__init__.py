@@ -28,7 +28,6 @@ from .experiment import (
 )
 from .quadrature import CumulativeSeries, ito_cumsum, riemann_cumsum
 from .transforms import (
-    PhasorAccumulator,
     RotationIdentity,
     TransformSeries,
     bounded_identity_sides,
@@ -36,6 +35,8 @@ from .transforms import (
     bounded_transform_recursive,
     scaled_rotation_identity,
     scaled_rotation_running_sides,
+    transform_pair_direct,
+    transform_pair_recursive,
     unit_rotation_identity,
     unit_rotation_running_sides,
     variance_discounted_u,
@@ -49,6 +50,7 @@ from .verification import (
     ConvergenceReport,
     check_envelope,
     compare_oracle,
+    compare_oracle_pair,
     estimate_order,
     identity_residual,
     orders_from_residuals,
@@ -67,7 +69,6 @@ __all__ = [
     "ExperimentManifest",
     "OracleCostError",
     "PathRecord",
-    "PhasorAccumulator",
     "RotationIdentity",
     "TimeGrid",
     "TransformSeries",
@@ -78,6 +79,7 @@ __all__ = [
     "check_envelope",
     "coarsen_increments",
     "compare_oracle",
+    "compare_oracle_pair",
     "emit_figures",
     "estimate_order",
     "identity_residual",
@@ -94,6 +96,8 @@ __all__ = [
     "scaled_rotation_running_sides",
     "simulate_path",
     "simulate_seeded",
+    "transform_pair_direct",
+    "transform_pair_recursive",
     "unit_rotation_identity",
     "unit_rotation_running_sides",
     "variance_discounted_u",

@@ -23,21 +23,22 @@ from .engine import (
     sample_wiener,
     simulate_path,
 )
-from .errors import OracleCostError
 from .quadrature import ito_cumsum, riemann_cumsum
 from .transforms import (
     bounded_identity_sides,
     bounded_transform_recursive,
     scaled_rotation_identity,
+    transform_pair_recursive,
     unit_rotation_identity,
     variance_discounted_u,
     weighted_identity_sides,
-    weighted_transform_recursive,
+    weighted_transform_recursive,  # noqa: F401  (perfbench/tracer.py patches this name here)
 )
 from .verification import (
     DEFAULT_ORACLE_CEILING,
     check_envelope,
-    compare_oracle,
+    compare_oracle,  # noqa: F401  (perfbench/tracer.py patches this name here)
+    compare_oracle_pair,
     convergence_ladder,
     estimate_order,  # noqa: F401  (perfbench/tracer.py patches this name here)
     identity_residual,
@@ -160,7 +161,8 @@ def _oracle_tolerance(path: PathRecord, which: str) -> float:
     scale = float(np.sum(np.abs(path.u)) * path.grid.dt)
     if which == "weighted":
         total_variance = float(np.sum(path.sigma * path.sigma) * path.grid.dt)
-        scale *= float(np.exp(0.5 * total_variance))
+        with np.errstate(over="ignore"):
+            scale *= float(np.exp(0.5 * total_variance))
     return ORACLE_TOLERANCE_UNIT * (1.0 + scale)
 
 
@@ -207,13 +209,12 @@ def run_experiment(
         def emit(name: str, header: str, columns: list[np.ndarray]) -> None:
             written.append(_write_csv(seed_dir, name, header, columns).name)
 
-        ts1 = ts2 = None
-        if {"t1", "identities", "bounds"} & config.outputs:
-            ts1 = bounded_transform_recursive(path)
-        if {"t2", "identities"} & config.outputs or (
-            "bounds" in config.outputs and config.uses_discounted_u
-        ):
-            ts2 = weighted_transform_recursive(path)
+        ts1, ts2 = transform_pair_recursive(
+            path,
+            bounded=bool({"t1", "identities", "bounds", "convergence"} & config.outputs),
+            weighted=bool({"t2", "identities", "convergence"} & config.outputs)
+            or ("bounds" in config.outputs and config.uses_discounted_u),
+        )
 
         if "path" in config.outputs:
             emit("x.csv", "t,x", [t, path.x])
@@ -234,10 +235,14 @@ def run_experiment(
             residuals["weighted"] = residual_norm(lhs2, rhs2)
             summaries.append(("identity_t2.residual", _fmt(residuals["weighted"])))
             if path.grid.n_steps <= oracle_ceiling:
-                for which in ("bounded", "weighted"):
-                    summaries.append(
-                        (f"oracle.{which}.deviation", _fmt(compare_oracle(path, which, oracle_ceiling)))
-                    )
+                deviations = compare_oracle_pair(path, oracle_ceiling, (ts1, ts2))
+                for which, deviation in deviations.items():
+                    if deviation is None:
+                        warnings.append(
+                            f"seed {seed}: {which} direct oracle skipped: its scale leaves double range"
+                        )
+                    else:
+                        summaries.append((f"oracle.{which}.deviation", _fmt(deviation)))
             else:
                 warnings.append(
                     f"seed {seed}: direct oracle skipped ({path.grid.n_steps} steps exceeds "
@@ -393,14 +398,21 @@ def verify_suite(
     for seed in config.seeds:
         path = prepare_path(config, seed)
 
+        ts1, ts2 = transform_pair_recursive(path)
         u_envelope = riemann_cumsum(np.abs(path.u), path.grid)
-        ts1 = bounded_transform_recursive(path)
         summary.checks.append(_bound_check(f"bound[t1] seed={seed}", ts1, u_envelope))
-        ts2 = None
         if config.uses_discounted_u:
             envelope = integrand_envelope(config, path)
-            ts2 = weighted_transform_recursive(path)
             summary.checks.append(_bound_check(f"bound[t2] seed={seed}", ts2, envelope))
+        residuals = {
+            "bounded": identity_residual(path, "bounded", ts1),
+            "weighted": identity_residual(path, "weighted", ts2),
+        }
+        # the transforms are dropped before the rotation check and the oracle,
+        # unless the oracle runs on this very path
+        oracle_path = _oracle_scale_path(config, path, oracle_ceiling)
+        fast = (ts1, ts2) if oracle_path is path else None
+        del ts1, ts2
 
         if np.all(path.a == 0.0):
             rot = unit_rotation_identity(path)
@@ -414,17 +426,17 @@ def verify_suite(
                 )
             )
 
-        oracle_path = _oracle_scale_path(config, path, oracle_ceiling)
         if oracle_path is None:
             summary.notes.append(f"oracle seed={seed}: no divisor fits under ceiling, skipped")
         else:
-            for which in ("bounded", "weighted"):
-                try:
-                    deviation = compare_oracle(oracle_path, which, oracle_ceiling)
-                except OracleCostError:
-                    summary.notes.append(f"oracle[{which}] seed={seed}: refused, skipped")
-                    continue
+            deviations = compare_oracle_pair(oracle_path, oracle_ceiling, fast)
+            for which, deviation in deviations.items():
                 otol = _oracle_tolerance(oracle_path, which)
+                if deviation is None or not np.isfinite(otol):
+                    summary.notes.append(
+                        f"oracle[{which}] seed={seed}: scale leaves double range, skipped"
+                    )
+                    continue
                 summary.checks.append(
                     VerificationCheck(
                         f"oracle[{which}] seed={seed} n={oracle_path.grid.n_steps}",
@@ -433,13 +445,6 @@ def verify_suite(
                     )
                 )
 
-        # a u config's weighted transform is built only here, after the oracle,
-        # and both transforms are dropped once their residuals are taken
-        residuals = {
-            "bounded": identity_residual(path, "bounded", ts1),
-            "weighted": identity_residual(path, "weighted", ts2),
-        }
-        del ts1, ts2
         for identity, residual in residuals.items():
             summary.notes.append(f"identity[{identity}] seed={seed}: residual={residual:.6e}")
 

@@ -11,7 +11,10 @@ Each variant ships in two implementations with identical contracts: a direct
 O(N^2) convolution (the reference) and an O(N) recurrence that exploits the
 separability e^{i(x_k - x_j)} = e^{i x_k} * e^{-i x_j}. The weighted
 recurrence rebases its accumulator periodically so the split exponentials
-never leave double range even when the sigma^2 integral is large.
+never leave double range even when the sigma^2 integral is large. Both
+variants share their kernel, so one pass over a path evaluates it once for
+both: transform_pair_recursive and transform_pair_direct; the single-variant
+functions are views of those passes.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ TWO_PI = 2.0 * np.pi
 RESCALE_THRESHOLD = 345.0
 
 _DIRECT_ROW_BLOCK = 256
+# rows of a direct block evaluated at once; bounds the direct pass's scratch
+_DIRECT_SUB_ROWS = 64
 
 # The O(N) recurrences run block by block so their scratch stays cache
 # resident; per-element cost is then flat from 1e4 to 1e7 nodes.
@@ -48,22 +53,6 @@ class TransformSeries:
         return np.hypot(self.X, self.Y)
 
 
-@dataclass(frozen=True)
-class PhasorAccumulator:
-    """Carry state of the O(N) recurrence at a rebase boundary.
-
-    C and S hold the accumulated cos/sin sums of e^{-(half_I_j - scale_exponent)}
-    * trig(x_j) * u_j * dt; I is the sigma^2 left-sum consumed so far.
-    Shifting scale_exponent rescales C and S without changing any
-    reconstructed value beyond roundoff.
-    """
-
-    C: float = 0.0
-    S: float = 0.0
-    I: float = 0.0
-    scale_exponent: float = 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class RotationIdentity:
     """Driftless rotation check: integrand series U, both sides of the
@@ -79,9 +68,29 @@ def _half_variance_sum(path: PathRecord) -> np.ndarray:
     return 0.5 * riemann_cumsum(path.sigma * path.sigma, path.grid).values
 
 
+def _series(grid: TimeGrid, X: np.ndarray, Y: np.ndarray, weighted: bool) -> TransformSeries:
+    for arr in (X, Y):
+        arr.setflags(write=False)
+    return TransformSeries(grid=grid, X=X, Y=Y, weighted=weighted)
+
+
+def _reduce_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x mod 2pi into ``out``, bit-identical to np.mod(x, TWO_PI).
+
+    fmod is exact; a negative remainder is lifted by 2pi and a zero one made
+    +0.0, the same fix-up numpy's own float remainder applies for a positive
+    divisor. It beats np.mod while |x| stays below about 1000; fmod's time
+    grows with the exponent gap between x and 2pi.
+    """
+    np.fmod(x, TWO_PI, out=out)
+    np.add(out, TWO_PI, out=out, where=out < 0)
+    out += 0.0
+    return out
+
+
 def bounded_transform_direct(path: PathRecord) -> TransformSeries:
     """O(N^2) reference: X_k = sum_{j<k} cos(x_k - x_j) u_j dt, Y_k likewise with sin."""
-    return _direct(path, weighted=False)
+    return _direct(path, bounded=True, weighted=False)[0]
 
 
 def weighted_transform_direct(path: PathRecord) -> TransformSeries:
@@ -91,39 +100,66 @@ def weighted_transform_direct(path: PathRecord) -> TransformSeries:
     X slot: the same sum with -sin. Weights are evaluated from exponent
     differences entry by entry, independently of the separated recurrence.
     """
-    return _direct(path, weighted=True)
+    return _direct(path, bounded=False, weighted=True)[1]
 
 
-def _direct(path: PathRecord, weighted: bool) -> TransformSeries:
+def transform_pair_direct(path: PathRecord) -> tuple[TransformSeries, TransformSeries | None]:
+    """Both direct references from one evaluation of cos/sin(x_k - x_j).
+
+    The weighted one is None when e^{I_N/2} is not finite: its weights
+    e^{(I_k - I_j)/2} would leave double range and its sums turn to nan.
+    """
+    with np.errstate(over="ignore"):
+        in_range = bool(np.isfinite(np.exp(_half_variance_sum(path)[-1])))
+    return _direct(path, bounded=True, weighted=in_range)
+
+
+def _direct(
+    path: PathRecord, bounded: bool, weighted: bool
+) -> tuple[TransformSeries | None, TransformSeries | None]:
+    """The requested direct sums, sharing each row's cos/sin(x_k - x_j).
+
+    A block of _DIRECT_ROW_BLOCK rows sums over the columns j < r1 - 1 of its
+    last row. A row's pairwise sum depends on that extent, so it is kept while
+    the block is worked through _DIRECT_SUB_ROWS rows at a time.
+    """
     n = path.grid.n_steps
     x = path.x
     udt = path.u * path.grid.dt
     half_i = _half_variance_sum(path) if weighted else None
-    cos_part = np.zeros(n + 1)
-    sin_part = np.zeros(n + 1)
+    # (weighted, cos sums, sin sums); the weighted variant goes last because
+    # it scales the shared terms in place
+    parts = [
+        (flag, np.zeros(n + 1), np.zeros(n + 1))
+        for flag in (False, True)
+        if (weighted if flag else bounded)
+    ]
     cols = np.arange(n)
     for r0 in range(1, n + 1, _DIRECT_ROW_BLOCK):
         r1 = min(r0 + _DIRECT_ROW_BLOCK, n + 1)
         j_hi = r1 - 1
-        diff = x[r0:r1, None] - x[None, :j_hi]
-        terms = udt[None, :j_hi] * (cols[None, :j_hi] < np.arange(r0, r1)[:, None])
-        if weighted:
-            terms = terms * np.exp(half_i[r0:r1, None] - half_i[None, :j_hi])
-        cos_part[r0:r1] = (np.cos(diff) * terms).sum(axis=1)
-        sin_part[r0:r1] = (np.sin(diff) * terms).sum(axis=1)
-    if weighted:
-        X, Y = -sin_part, cos_part
-    else:
-        X, Y = cos_part, sin_part
-    for arr in (X, Y):
-        arr.setflags(write=False)
-    return TransformSeries(grid=path.grid, X=X, Y=Y, weighted=weighted)
+        for s0 in range(r0, r1, _DIRECT_SUB_ROWS):
+            s1 = min(s0 + _DIRECT_SUB_ROWS, r1)
+            sin_d = x[s0:s1, None] - x[None, :j_hi]
+            cos_d = np.cos(sin_d)
+            np.sin(sin_d, out=sin_d)
+            terms = udt[None, :j_hi] * (cols[None, :j_hi] < np.arange(s0, s1)[:, None])
+            for flag, cos_part, sin_part in parts:
+                if flag:
+                    w = half_i[s0:s1, None] - half_i[None, :j_hi]
+                    terms *= np.exp(w, out=w)
+                cos_part[s0:s1] = (cos_d * terms).sum(axis=1)
+                sin_part[s0:s1] = (sin_d * terms).sum(axis=1)
+    series = {}
+    for flag, cos_part, sin_part in parts:
+        X, Y = (-sin_part, cos_part) if flag else (cos_part, sin_part)
+        series[flag] = _series(path.grid, X, Y, flag)
+    return series.get(False), series.get(True)
 
 
 def bounded_transform_recursive(path: PathRecord) -> TransformSeries:
     """O(N) evaluation of the same sums as bounded_transform_direct."""
-    X, Y = _recurrence(path, half_i=None, rescale_threshold=RESCALE_THRESHOLD)
-    return TransformSeries(grid=path.grid, X=X, Y=Y, weighted=False)
+    return transform_pair_recursive(path, weighted=False)[0]
 
 
 def weighted_transform_recursive(
@@ -136,95 +172,130 @@ def weighted_transform_recursive(
     the reconstruction factor can overflow no matter how large the variance
     integral gets.
     """
-    half_i = _half_variance_sum(path)
-    X, Y = _recurrence(path, half_i=half_i, rescale_threshold=rescale_threshold)
-    return TransformSeries(grid=path.grid, X=X, Y=Y, weighted=True)
+    return transform_pair_recursive(path, bounded=False, rescale_threshold=rescale_threshold)[1]
 
 
-def _recurrence(
-    path: PathRecord, half_i: np.ndarray | None, rescale_threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared separable-kernel recurrence, evaluated block by block.
+class _Chain:
+    """One transform's state in the shared recurrence loop.
 
-    Each block consumes terms e^{-i x_j} w_j u_j dt into the running phasor
-    sums and reconstructs the block's nodes from them; w_j is 1 in the
-    unweighted case and e^{-(h_j - scale)} in the weighted one, with the
-    scale rebased between blocks so no intermediate can overflow.
+    The chain runs in blocks: the bounded one every _RECURRENCE_BLOCK nodes,
+    the weighted one also whenever its scale must be rebased. A block starts
+    its running sum from the carried sum ``acc`` times the scale change; a
+    segment inside a block continues the block's cumulative sum from
+    ``partial``, so splitting a block does not change a single bit.
+    """
+
+    def __init__(self, n_nodes: int, terms: np.ndarray, weighted: bool):
+        self.weighted = weighted
+        self.X = np.empty(n_nodes)
+        self.Y = np.empty(n_nodes)
+        # the segment's terms sit at [1:]; slot 0 seeds a continued cumsum
+        self.terms = terms
+        self.end = 0  # first node of the next block
+        self.scale = 0.0
+        self.acc = complex(0.0, -0.0)  # C - iS of the empty sums C = S = 0
+        self.rebased = 0j
+        self.partial = None  # None at the first segment of a block
+
+
+def transform_pair_recursive(
+    path: PathRecord,
+    bounded: bool = True,
+    weighted: bool = True,
+    rescale_threshold: float = RESCALE_THRESHOLD,
+) -> tuple[TransformSeries | None, TransformSeries | None]:
+    """Both O(N) recurrences from one evaluation of e^{i x_k} per node.
+
+    Returns (bounded, weighted); a variant not asked for is None. Each series
+    is the one bounded_transform_recursive or weighted_transform_recursive
+    returns, bit for bit.
+
+    Nodes are visited in segments that end wherever either transform starts a
+    block. Each segment forms the phasors once and feeds the terms
+    e^{-i x_j} w_j u_j dt into both running sums, w_j being 1 for the bounded
+    transform and e^{-(h_j - scale)} for the weighted one, whose scale is
+    rebased between its blocks so no intermediate can overflow.
     """
     n_nodes = path.grid.n_steps + 1
     x = path.x
     u = path.u
     dt = path.grid.dt
-    weighted = half_i is not None
+    half_i = _half_variance_sum(path) if weighted else None
 
-    out_x = np.empty(n_nodes)
-    out_y = np.empty(n_nodes)
     size = min(_RECURRENCE_BLOCK, n_nodes)
     phase = np.empty(size)
     rot = np.empty(size, dtype=np.complex128)
-    terms = np.empty(size, dtype=np.complex128)
+    base = np.empty(size + 1, dtype=np.complex128)
     run = np.empty(size + 1, dtype=np.complex128)
     z = np.empty(size, dtype=np.complex128)
     decay = np.empty(size) if weighted else None
+    chains = [_Chain(n_nodes, base, weighted=False)] if bounded else []
+    if weighted:
+        chains.append(_Chain(n_nodes, np.empty(size + 1, dtype=np.complex128), weighted=True))
 
-    carry = PhasorAccumulator()
     k0 = 0
-    while k0 < n_nodes:
-        if weighted:
-            scale = half_i[k0]
-            k1 = int(np.searchsorted(half_i, scale + rescale_threshold, side="right"))
-            k1 = max(min(k1, k0 + _RECURRENCE_BLOCK), k0 + 1)
-        else:
-            scale = 0.0
-            k1 = min(k0 + _RECURRENCE_BLOCK, n_nodes)
+    while chains and k0 < n_nodes:
+        for chain in chains:
+            if chain.end != k0:
+                continue
+            if chain.weighted:
+                scale = half_i[k0]
+                k1 = int(np.searchsorted(half_i, scale + rescale_threshold, side="right"))
+                chain.end = max(min(k1, k0 + _RECURRENCE_BLOCK), k0 + 1)
+                factor = np.exp(scale - chain.scale)
+            else:
+                scale, factor = 0.0, 1.0
+                chain.end = min(k0 + _RECURRENCE_BLOCK, n_nodes)
+            # stored sums carry a factor e^{scale}; raising the scale multiplies
+            # them up, and the reconstruction factor e^{h_k - scale} stays within
+            # [1, e^threshold] so it can never overflow on its own
+            chain.rebased = complex(chain.acc) * factor
+            chain.scale = scale
+            chain.partial = None
+        k1 = min(chain.end for chain in chains)
         m = k1 - k0
         j_hi = min(k1, n_nodes - 1)
         mj = j_hi - k0
 
-        ph = np.mod(x[k0:k1], TWO_PI, out=phase[:m])
+        ph = _reduce_phase(x[k0:k1], phase[:m])
         rot_blk = rot[:m]
         np.cos(ph, out=rot_blk.real)
         np.sin(ph, out=rot_blk.imag)
+        np.conjugate(rot_blk[:mj], out=base[1 : mj + 1])
+        base[1 : mj + 1] *= u[k0:j_hi]
+        base[1 : mj + 1] *= dt
 
-        np.conjugate(rot_blk[:mj], out=terms[:mj])
-        terms[:mj] *= u[k0:j_hi]
-        terms[:mj] *= dt
-        if weighted:
-            w = np.subtract(half_i[k0:j_hi], scale, out=decay[:mj])
-            np.negative(w, out=w)
-            np.exp(w, out=w)
-            terms[:mj] *= w
+        for chain in chains:
+            terms = chain.terms
+            if chain.weighted:
+                w = np.subtract(half_i[k0:j_hi], chain.scale, out=decay[:mj])
+                np.negative(w, out=w)
+                np.exp(w, out=w)
+                np.multiply(base[1 : mj + 1], w, out=terms[1 : mj + 1])
+            if chain.partial is None:
+                run[0] = chain.rebased
+                np.cumsum(terms[1 : mj + 1], out=run[1 : mj + 1])
+                first = 1
+            else:
+                terms[0] = chain.partial
+                np.cumsum(terms[: mj + 1], out=run[: mj + 1])
+                first = 0
+            chain.partial = run[mj]
+            run[first : mj + 1] += chain.rebased
+            chain.acc = run[mj]
 
-        # stored sums carry a factor e^{scale}; raising the scale multiplies
-        # them up, and the reconstruction factor e^{h_k - scale} stays within
-        # [1, e^threshold] so it can never overflow on its own
-        rebased = complex(carry.C, -carry.S) * (
-            np.exp(scale - carry.scale_exponent) if weighted else 1.0
-        )
-        run[0] = rebased
-        np.cumsum(terms[:mj], out=run[1 : mj + 1])
-        run[1 : mj + 1] += rebased
-
-        z_blk = np.multiply(rot_blk, run[:m], out=z[:m])
-        if weighted:
-            lift = np.subtract(half_i[k0:k1], scale, out=phase[:m])
-            np.exp(lift, out=lift)
-            z_blk *= lift
-            z_blk *= 1j
-        out_x[k0:k1] = z_blk.real
-        out_y[k0:k1] = z_blk.imag
-
-        carry = PhasorAccumulator(
-            C=run[mj].real,
-            S=-run[mj].imag,
-            I=2.0 * half_i[j_hi] if weighted else 0.0,
-            scale_exponent=scale,
-        )
+            z_blk = np.multiply(rot_blk, run[:m], out=z[:m])
+            if chain.weighted:
+                lift = np.subtract(half_i[k0:k1], chain.scale, out=phase[:m])
+                np.exp(lift, out=lift)
+                z_blk *= lift
+                z_blk *= 1j
+            chain.X[k0:k1] = z_blk.real
+            chain.Y[k0:k1] = z_blk.imag
         k0 = k1
 
-    for arr in (out_x, out_y):
-        arr.setflags(write=False)
-    return out_x, out_y
+    series = {c.weighted: _series(path.grid, c.X, c.Y, c.weighted) for c in chains}
+    return series.get(False), series.get(True)
 
 
 def bounded_identity_sides(
@@ -284,17 +355,28 @@ def _complex_prefix(terms: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit_rotation(path: PathRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    _require_driftless(path)
+    U = np.exp(1j * (path.x - path.x[0]))
+    lhs = 1j * _complex_prefix(path.sigma * U[:-1] * path.dw)
+    rhs = U - 1.0 + 0.5 * _complex_prefix(path.sigma * path.sigma * U[:-1] * path.grid.dt)
+    return U, lhs, rhs
+
+
+def _scaled_rotation(path: PathRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    _require_driftless(path)
+    F = np.exp(1j * (path.x - path.x[0]) + _half_variance_sum(path))
+    lhs = _complex_prefix(path.sigma * (1j * F[:-1]) * path.dw)
+    return F, lhs, F - 1.0
+
+
 def unit_rotation_running_sides(path: PathRecord) -> tuple[np.ndarray, np.ndarray]:
     """Running lhs/rhs series of the unit rotation identity over every horizon.
 
     lhs_k = i * sum_{j<k} sigma_j U_j dw_j with U_j = e^{i(x_j - x_0)};
     rhs_k = U_k - 1 + 0.5 * sum_{j<k} sigma_j^2 U_j dt.
     """
-    _require_driftless(path)
-    U = np.exp(1j * (path.x - path.x[0]))
-    lhs = 1j * _complex_prefix(path.sigma * U[:-1] * path.dw)
-    rhs = U - 1.0 + 0.5 * _complex_prefix(path.sigma * path.sigma * U[:-1] * path.grid.dt)
-    return lhs, rhs
+    return _unit_rotation(path)[1:]
 
 
 def scaled_rotation_running_sides(path: PathRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -303,11 +385,7 @@ def scaled_rotation_running_sides(path: PathRecord) -> tuple[np.ndarray, np.ndar
     lhs_k = sum_{j<k} sigma_j (i F_j) dw_j with F_j = e^{i(x_j - x_0) + I_j/2};
     rhs_k = F_k - 1.
     """
-    _require_driftless(path)
-    half_i = _half_variance_sum(path)
-    F = np.exp(1j * (path.x - path.x[0]) + half_i)
-    lhs = _complex_prefix(path.sigma * (1j * F[:-1]) * path.dw)
-    return lhs, F - 1.0
+    return _scaled_rotation(path)[1:]
 
 
 def unit_rotation_identity(path: PathRecord) -> RotationIdentity:
@@ -316,8 +394,7 @@ def unit_rotation_identity(path: PathRecord) -> RotationIdentity:
     U_k = e^{i(x_k - x_0)}, and |rhs| never exceeds
     bound = 2 + 0.5 * sum sigma_k^2 dt.
     """
-    lhs, rhs = unit_rotation_running_sides(path)
-    U = np.exp(1j * (path.x - path.x[0]))
+    U, lhs, rhs = _unit_rotation(path)
     U.setflags(write=False)
     bound = 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt
     return RotationIdentity(U=U, lhs=complex(lhs[-1]), rhs=complex(rhs[-1]), bound=float(bound))
@@ -329,8 +406,8 @@ def scaled_rotation_identity(path: PathRecord) -> RotationIdentity:
     U_k = i F_k with F_k = e^{i(x_k - x_0)} e^{I_k / 2}, so |U_k| grows like
     the half-variance exponential.
     """
-    lhs, rhs = scaled_rotation_running_sides(path)
-    half_i = _half_variance_sum(path)
-    U = 1j * np.exp(1j * (path.x - path.x[0]) + half_i)
+    F, lhs, rhs = _scaled_rotation(path)
+    U = 1j * F
+    del F
     U.setflags(write=False)
     return RotationIdentity(U=U, lhs=complex(lhs[-1]), rhs=complex(rhs[-1]), bound=None)

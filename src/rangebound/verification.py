@@ -23,6 +23,8 @@ from .transforms import (
     bounded_transform_direct,
     bounded_transform_recursive,
     scaled_rotation_running_sides,
+    transform_pair_direct,
+    transform_pair_recursive,
     unit_rotation_running_sides,
     weighted_identity_sides,
     weighted_transform_direct,
@@ -117,6 +119,14 @@ def orders_from_residuals(residual_norms) -> list[float]:
     return orders
 
 
+def _rung_residuals(path: PathRecord, identities: tuple[str, ...]) -> dict[str, float]:
+    pair = transform_pair_recursive(
+        path, bounded="bounded" in identities, weighted="weighted" in identities
+    )
+    held = dict(zip(TRANSFORM_PAIRS, pair))
+    return {identity: identity_residual(path, identity, held.get(identity)) for identity in identities}
+
+
 def convergence_ladder(
     fine_increments,
     t_max: float,
@@ -131,8 +141,9 @@ def convergence_ladder(
     Every coarser rung reuses the fine noise through pairwise coarsening, so
     residual decay reflects discretization error only. Each rung's path is
     ``build_rung(grid, increments, factor)`` and is built once for all
-    identities. When ``finest`` maps every identity to its residual on the
-    path of the fine increments, the finest rung is taken from it instead.
+    identities, its two transforms coming from one recurrence pass. When
+    ``finest`` maps every identity to its residual on the path of the fine
+    increments, the finest rung is taken from it instead.
     """
     fine = np.asarray(fine_increments, dtype=np.float64)
     if refinement_levels < 3:
@@ -148,7 +159,7 @@ def convergence_ladder(
             rungs.append(finest)
             continue
         path = build_rung(build_grid(t_max, n), coarsen_increments(fine, factor), factor)
-        rungs.append({identity: identity_residual(path, identity) for identity in identities})
+        rungs.append(_rung_residuals(path, identities))
     reports = {}
     for identity in identities:
         norms = tuple(rung[identity] for rung in rungs)
@@ -177,6 +188,21 @@ def estimate_order(
     return convergence_ladder(fine_increments, t_max, rung, refinement_levels, (identity,))[identity]
 
 
+def _refuse_above(path: PathRecord, ceiling: int) -> None:
+    n = path.grid.n_steps
+    if n > ceiling:
+        raise OracleCostError(
+            f"direct reference refused: {n} steps exceeds the ceiling of {ceiling}"
+        )
+
+
+def _deviation(direct: TransformSeries, fast: TransformSeries) -> float:
+    return max(
+        float(np.max(np.abs(direct.X - fast.X))),
+        float(np.max(np.abs(direct.Y - fast.Y))),
+    )
+
+
 def compare_oracle(
     path: PathRecord, which: str = "bounded", ceiling: int = DEFAULT_ORACLE_CEILING
 ) -> float:
@@ -186,15 +212,26 @@ def compare_oracle(
     """
     if which not in TRANSFORM_PAIRS:
         raise ValueError(f"unknown transform {which!r}, expected one of {tuple(TRANSFORM_PAIRS)}")
-    n = path.grid.n_steps
-    if n > ceiling:
-        raise OracleCostError(
-            f"direct reference refused: {n} steps exceeds the ceiling of {ceiling}"
-        )
+    _refuse_above(path, ceiling)
     direct_fn, recursive_fn = TRANSFORM_PAIRS[which]
-    direct = direct_fn(path)
-    fast = recursive_fn(path)
-    return max(
-        float(np.max(np.abs(direct.X - fast.X))),
-        float(np.max(np.abs(direct.Y - fast.Y))),
-    )
+    return _deviation(direct_fn(path), recursive_fn(path))
+
+
+def compare_oracle_pair(
+    path: PathRecord,
+    ceiling: int = DEFAULT_ORACLE_CEILING,
+    fast: tuple[TransformSeries, TransformSeries] | None = None,
+) -> dict[str, float | None]:
+    """compare_oracle for both transforms, from one direct and one recursive pass.
+
+    ``fast`` is the path's (bounded, weighted) recurrence pair when the caller
+    already holds it. The weighted deviation is None when its direct reference
+    is skipped because its weights leave double range.
+    """
+    _refuse_above(path, ceiling)
+    direct = transform_pair_direct(path)
+    fast = fast if fast is not None else transform_pair_recursive(path)
+    return {
+        which: None if ref is None else _deviation(ref, ts)
+        for which, ref, ts in zip(TRANSFORM_PAIRS, direct, fast)
+    }

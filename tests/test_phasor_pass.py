@@ -1,0 +1,417 @@
+"""One phasor evaluation per path serves both transforms.
+
+The fused recurrence and the fused direct pass are compared bit for bit with
+reference copies of the one-transform-per-pass implementations they replaced,
+and the commands are checked to evaluate each path's phasor once.
+"""
+
+import tracemalloc
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rangebound as rb
+from rangebound import transforms
+from rangebound.config import parse_config
+from rangebound.experiment import run_experiment, verify_suite
+from rangebound.transforms import (
+    RESCALE_THRESHOLD,
+    TWO_PI,
+    _half_variance_sum,
+    _reduce_phase,
+    transform_pair_direct,
+    transform_pair_recursive,
+)
+
+const = rb.CoefficientSpec.constant
+B = transforms._RECURRENCE_BLOCK
+
+
+# ---------------------------------------------------------------------------
+# Reference copies: one transform per pass, np.mod phase reduction.
+
+
+@dataclass(frozen=True)
+class _Carry:
+    C: float = 0.0
+    S: float = 0.0
+    I: float = 0.0
+    scale_exponent: float = 0.0
+
+
+def reference_recurrence(path, half_i, rescale_threshold):
+    n_nodes = path.grid.n_steps + 1
+    x = path.x
+    u = path.u
+    dt = path.grid.dt
+    weighted = half_i is not None
+    block = transforms._RECURRENCE_BLOCK
+
+    out_x = np.empty(n_nodes)
+    out_y = np.empty(n_nodes)
+    size = min(block, n_nodes)
+    phase = np.empty(size)
+    rot = np.empty(size, dtype=np.complex128)
+    terms = np.empty(size, dtype=np.complex128)
+    run = np.empty(size + 1, dtype=np.complex128)
+    z = np.empty(size, dtype=np.complex128)
+    decay = np.empty(size) if weighted else None
+
+    carry = _Carry()
+    k0 = 0
+    while k0 < n_nodes:
+        if weighted:
+            scale = half_i[k0]
+            k1 = int(np.searchsorted(half_i, scale + rescale_threshold, side="right"))
+            k1 = max(min(k1, k0 + block), k0 + 1)
+        else:
+            scale = 0.0
+            k1 = min(k0 + block, n_nodes)
+        m = k1 - k0
+        j_hi = min(k1, n_nodes - 1)
+        mj = j_hi - k0
+
+        ph = np.mod(x[k0:k1], TWO_PI, out=phase[:m])
+        rot_blk = rot[:m]
+        np.cos(ph, out=rot_blk.real)
+        np.sin(ph, out=rot_blk.imag)
+
+        np.conjugate(rot_blk[:mj], out=terms[:mj])
+        terms[:mj] *= u[k0:j_hi]
+        terms[:mj] *= dt
+        if weighted:
+            w = np.subtract(half_i[k0:j_hi], scale, out=decay[:mj])
+            np.negative(w, out=w)
+            np.exp(w, out=w)
+            terms[:mj] *= w
+
+        rebased = complex(carry.C, -carry.S) * (
+            np.exp(scale - carry.scale_exponent) if weighted else 1.0
+        )
+        run[0] = rebased
+        np.cumsum(terms[:mj], out=run[1 : mj + 1])
+        run[1 : mj + 1] += rebased
+
+        z_blk = np.multiply(rot_blk, run[:m], out=z[:m])
+        if weighted:
+            lift = np.subtract(half_i[k0:k1], scale, out=phase[:m])
+            np.exp(lift, out=lift)
+            z_blk *= lift
+            z_blk *= 1j
+        out_x[k0:k1] = z_blk.real
+        out_y[k0:k1] = z_blk.imag
+
+        carry = _Carry(
+            C=run[mj].real,
+            S=-run[mj].imag,
+            I=2.0 * half_i[j_hi] if weighted else 0.0,
+            scale_exponent=scale,
+        )
+        k0 = k1
+    return out_x, out_y
+
+
+def reference_direct(path, weighted):
+    n = path.grid.n_steps
+    x = path.x
+    udt = path.u * path.grid.dt
+    half_i = _half_variance_sum(path) if weighted else None
+    cos_part = np.zeros(n + 1)
+    sin_part = np.zeros(n + 1)
+    cols = np.arange(n)
+    for r0 in range(1, n + 1, 256):
+        r1 = min(r0 + 256, n + 1)
+        j_hi = r1 - 1
+        diff = x[r0:r1, None] - x[None, :j_hi]
+        terms = udt[None, :j_hi] * (cols[None, :j_hi] < np.arange(r0, r1)[:, None])
+        if weighted:
+            terms = terms * np.exp(half_i[r0:r1, None] - half_i[None, :j_hi])
+        cos_part[r0:r1] = (np.cos(diff) * terms).sum(axis=1)
+        sin_part[r0:r1] = (np.sin(diff) * terms).sum(axis=1)
+    if weighted:
+        return -sin_part, cos_part
+    return cos_part, sin_part
+
+
+def same_bits(ts, reference):
+    X, Y = reference
+    return ts.X.tobytes() == X.tobytes() and ts.Y.tobytes() == Y.tobytes()
+
+
+def assert_recurrences_match(path, threshold=RESCALE_THRESHOLD):
+    half_i = _half_variance_sum(path)
+    ref_bounded = reference_recurrence(path, None, threshold)
+    ref_weighted = reference_recurrence(path, half_i, threshold)
+    bounded, weighted = transform_pair_recursive(path, rescale_threshold=threshold)
+    assert same_bits(bounded, ref_bounded)
+    assert same_bits(weighted, ref_weighted)
+    assert same_bits(rb.bounded_transform_recursive(path), ref_bounded)
+    assert same_bits(rb.weighted_transform_recursive(path, threshold), ref_weighted)
+
+
+def with_zero_stretches(path, rng):
+    """u with runs of exact +0.0 and -0.0, which expose signed-zero slips."""
+    u = np.array(path.u)
+    n = len(u)
+    for _ in range(4):
+        start = int(rng.integers(0, n))
+        u[start : start + int(rng.integers(1, max(2, n // 3)))] = rng.choice([0.0, -0.0])
+    return path.with_u(u)
+
+
+# ---------------------------------------------------------------------------
+# Phase reduction.
+
+SPECIAL_PHASES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e300, -1e300, TWO_PI, -TWO_PI, 3 * TWO_PI, -7 * TWO_PI, np.pi, -np.pi, 1e-17, -1e-17,
+    np.nextafter(TWO_PI, 0.0), np.nextafter(-TWO_PI, 0.0), 2.0**53, -(2.0**60),
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from(SPECIAL_PHASES), st.floats(allow_nan=True, allow_infinity=True)),
+        min_size=1,
+        max_size=64,
+    ),
+    multiples=st.lists(st.integers(-(10**6), 10**6), max_size=8),
+)
+def test_phase_reduction_matches_np_mod(values, multiples):
+    x = np.array(values + [k * TWO_PI for k in multiples], dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        expected = np.mod(x, TWO_PI)
+        got = _reduce_phase(x, np.empty_like(x))
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_phase_reduction_matches_np_mod_on_a_long_path():
+    x = np.cumsum(np.random.default_rng(5).normal(size=100_000)) * 3.0
+    assert _reduce_phase(x, np.empty_like(x)).tobytes() == np.mod(x, TWO_PI).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Fused recurrence against the one-transform reference.
+
+
+@pytest.mark.parametrize("threshold", [5.0, 20.0, 100.0, 1e9])
+@pytest.mark.parametrize(
+    "t_max, n_steps, a, sigma, u, seed",
+    [(1436.0, 2000, 0.0, 1.0, 1e-6, 3), (50.0, 500, 0.5, 3.0, 1.0, 7)],
+)
+def test_pair_recurrence_matches_reference_on_rebasing_paths(
+    t_max, n_steps, a, sigma, u, seed, threshold
+):
+    path = rb.simulate_seeded(const(a), const(sigma), const(u), rb.build_grid(t_max, n_steps), seed)
+    # without rebasing (threshold 1e9) the 1436 path overflows, identically in both
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_recurrences_match(path, threshold)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, B - 2, B - 1, B, B + 1, 2 * B + 3])
+def test_pair_recurrence_matches_reference_at_block_edges(n_steps):
+    # sigma 4 over t_max 40 rebases inside the bounded blocks
+    grid = rb.build_grid(40.0, n_steps)
+    path = rb.simulate_seeded(
+        rb.CoefficientSpec.sinusoid(1, 2, 3), const(4), rb.CoefficientSpec.sinusoid(1, 1, 2),
+        grid, seed=n_steps,
+    )
+    assert_recurrences_match(path)
+    assert_recurrences_match(with_zero_stretches(path, np.random.default_rng(n_steps)), 20.0)
+
+
+def test_pair_recurrence_matches_reference_with_zero_integrand():
+    path = rb.simulate_seeded(const(0), const(1), const(0), rb.build_grid(5.0, 2 * B + 3), 1)
+    assert_recurrences_match(path)
+    assert_recurrences_match(path.with_u(-path.u), 5.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    block=st.integers(1, 40),
+    n_steps=st.integers(1, 200),
+    sigma=st.floats(0.0, 6.0),
+    threshold=st.sampled_from([0.5, 5.0, 20.0, 1e9]),
+    seed=st.integers(0, 2**32),
+    zeros=st.booleans(),
+)
+def test_pair_recurrence_matches_reference_on_dense_block_splits(
+    block, n_steps, sigma, threshold, seed, zeros
+):
+    # small blocks make the bounded and weighted block starts interleave densely
+    path = rb.simulate_seeded(
+        const(1.5), const(sigma), rb.CoefficientSpec.sinusoid(0, 1, 7), rb.build_grid(20.0, n_steps),
+        seed,
+    )
+    if zeros:
+        path = with_zero_stretches(path, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "_RECURRENCE_BLOCK", block)
+        assert_recurrences_match(path, threshold)
+
+
+def test_pair_recurrence_returns_only_what_is_asked():
+    path = rb.simulate_seeded(const(1), const(1), const(1), rb.build_grid(1.0, 50), 1)
+    bounded, weighted = transform_pair_recursive(path, weighted=False)
+    assert weighted is None and not bounded.weighted
+    bounded, weighted = transform_pair_recursive(path, bounded=False)
+    assert bounded is None and weighted.weighted
+    assert transform_pair_recursive(path, bounded=False, weighted=False) == (None, None)
+
+
+# ---------------------------------------------------------------------------
+# Fused direct pass against the one-transform reference.
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 63, 64, 65, 255, 256, 257, 600])
+def test_pair_direct_matches_reference(n_steps):
+    grid = rb.build_grid(50.0, n_steps)
+    path = rb.simulate_seeded(const(0.5), const(3), rb.CoefficientSpec.sinusoid(1, 1, 2), grid, 7)
+    path = with_zero_stretches(path, np.random.default_rng(n_steps))
+    bounded, weighted = transform_pair_direct(path)
+    assert same_bits(bounded, reference_direct(path, weighted=False))
+    assert same_bits(weighted, reference_direct(path, weighted=True))
+    assert same_bits(rb.bounded_transform_direct(path), reference_direct(path, weighted=False))
+    assert same_bits(rb.weighted_transform_direct(path), reference_direct(path, weighted=True))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_direct_at_the_ceiling_is_exact_and_no_larger_than_one_reference():
+    grid = rb.build_grid(5.0, rb.DEFAULT_ORACLE_CEILING)
+    path = rb.simulate_seeded(const(2), const(1), const(1), grid, 1)
+    reference, reference_peak = _peak_bytes(lambda: reference_direct(path, weighted=True))
+    (bounded, weighted), peak = _peak_bytes(lambda: transform_pair_direct(path))
+    assert same_bits(weighted, reference)
+    assert same_bits(bounded, reference_direct(path, weighted=False))
+    assert peak <= reference_peak
+
+
+def test_pair_direct_skips_weighted_when_its_weights_overflow():
+    # the half-variance total reaches 718, beyond log(DBL_MAX) = 709.78
+    path = rb.simulate_seeded(const(0), const(1), const(1e-6), rb.build_grid(1436.0, 2000), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounded, weighted = transform_pair_direct(path)
+        deviations = rb.compare_oracle_pair(path)
+    assert weighted is None
+    assert same_bits(bounded, reference_direct(path, weighted=False))
+    assert deviations["weighted"] is None
+    assert deviations["bounded"] == rb.compare_oracle(path, "bounded")
+
+
+# ---------------------------------------------------------------------------
+# The commands evaluate each path's phasor once.
+
+LADDER = "t_max=5\nn_steps=4096\na=sin:1,2,3\nsigma=sin:2,1,1\nu=const:1\nseeds=1\n"
+
+
+@pytest.fixture
+def phasor_counts(monkeypatch):
+    """Nodes reduced per path array, and the direct passes made."""
+    reduced, directs = [], []
+    reduce_phase, direct = transforms._reduce_phase, transforms._direct
+
+    def counting_reduce(x, out):
+        reduced.append((x.base if x.base is not None else x, len(x)))
+        return reduce_phase(x, out)
+
+    def counting_direct(path, bounded, weighted):
+        directs.append((path.grid.n_steps, bounded, weighted))
+        return direct(path, bounded, weighted)
+
+    monkeypatch.setattr(transforms, "_reduce_phase", counting_reduce)
+    monkeypatch.setattr(transforms, "_direct", counting_direct)
+
+    def per_path():
+        # the list keeps every array alive, so no id is reused
+        totals = {}
+        for base, m in reduced:
+            totals[id(base)] = totals.get(id(base), 0) + m
+        return sorted(totals.values())
+
+    return per_path, directs
+
+
+@pytest.mark.parametrize("ceiling, oracle_n", [(4096, 4096), (4000, 2048)])
+def test_verify_evaluates_each_phasor_once(phasor_counts, ceiling, oracle_n):
+    per_path, directs = phasor_counts
+    summary = verify_suite(parse_config(LADDER), convergence_levels=4, oracle_ceiling=ceiling)
+    assert not summary.failed
+    nodes = [513, 1025, 2049, 4097]
+    if oracle_n != 4096:
+        nodes = sorted(nodes + [oracle_n + 1])
+    assert per_path() == nodes
+    assert directs == [(oracle_n, True, True)]
+
+
+def test_run_evaluates_each_phasor_once(phasor_counts, tmp_path):
+    per_path, directs = phasor_counts
+    cfg = parse_config(LADDER.replace("4096", "4000"))
+    run_experiment(cfg, out_dir=tmp_path, convergence_levels=4)
+    assert per_path() == [501, 1001, 2001, 4001]
+    assert directs == [(4000, True, True)]
+
+
+# ---------------------------------------------------------------------------
+# The weighted oracle is skipped, not failed, once its scale leaves double range.
+
+OVERFLOW = "t_max=1436\nn_steps=2000\na=const:0\nsigma=const:1\nu=const:1e-6\nseeds=3\n"
+
+
+def test_verify_skips_weighted_oracle_beyond_double_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = verify_suite(parse_config(OVERFLOW))
+    assert not summary.failed
+    assert "oracle[weighted] seed=3: scale leaves double range, skipped" in summary.notes
+    assert [c.name for c in summary.checks if c.name.startswith("oracle")] == [
+        "oracle[bounded] seed=3 n=2000"
+    ]
+
+
+def test_verify_skips_weighted_oracle_with_an_infinite_tolerance():
+    # e^{I/2} = e^709 is finite, but times the integral of |u| it is not
+    cfg = parse_config("t_max=1418\nn_steps=500\na=const:0\nsigma=const:1\nu=const:1e3\nseeds=1\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = verify_suite(cfg)
+    assert "oracle[weighted] seed=1: scale leaves double range, skipped" in summary.notes
+    assert not any(c.name.startswith("oracle[weighted]") for c in summary.checks)
+
+
+def test_run_records_a_warning_instead_of_a_nan_deviation(tmp_path):
+    cfg = parse_config(OVERFLOW + "outputs=identities\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest = run_experiment(cfg, out_dir=tmp_path)
+    assert manifest.get("seed.3.oracle.weighted.deviation") is None
+    assert manifest.get("seed.3.oracle.bounded.deviation") is not None
+    assert (
+        "seed 3: weighted direct oracle skipped: its scale leaves double range"
+        in manifest.warnings
+    )
+
+
+# ---------------------------------------------------------------------------
+# The rotation series is the one its running sides were built from.
+
+
+def test_rotation_series_are_bit_exact():
+    path = rb.simulate_seeded(const(0), const(1.3), const(1), rb.build_grid(5.0, 1000), 4)
+    phase = 1j * (path.x - path.x[0])
+    unit = rb.unit_rotation_identity(path)
+    assert unit.U.tobytes() == np.exp(phase).tobytes()
+    scaled = rb.scaled_rotation_identity(path)
+    assert scaled.U.tobytes() == (1j * np.exp(phase + _half_variance_sum(path))).tobytes()
