@@ -70,11 +70,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "run":
             manifest = run_experiment(config, convergence_levels=args.levels)
             for warning in manifest.warnings:

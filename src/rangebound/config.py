@@ -21,10 +21,12 @@ ALL_OUTPUTS = ("path", "t1", "t2", "identities", "remarks", "bounds", "convergen
 _KEYS = ("t_max", "n_steps", "x0", "a", "sigma", "u", "psi", "seeds", "outputs", "output_dir")
 
 def _check_seeds(seeds: tuple[int, ...], line: int | None = None) -> tuple[int, ...]:
-    """Reject seeds outside [0, 2**128), the key range of the Philox generator."""
-    for seed in seeds:
+    """Reject repeated seeds and seeds outside [0, 2**128), the Philox generator's key range."""
+    for index, seed in enumerate(seeds):
         if not 0 <= seed < 2**128:
             raise ConfigurationError(f"seed {seed} outside [0, 2**128)", line)
+        if seed in seeds[:index]:
+            raise ConfigurationError(f"duplicate seed {seed}", line)
     return seeds
 
 
@@ -112,36 +114,24 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     def take(key):
         return raw.pop(key, (None, None))
 
-    t_max_text, t_max_line = take("t_max")
-    if t_max_text is None:
-        raise ConfigurationError("missing required key 't_max'")
-    try:
-        t_max = _number(t_max_text)
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid value for t_max: {t_max_text!r}", t_max_line) from exc
+    def scalar(key, convert, default=None):
+        text, line = take(key)
+        if text is None:
+            if default is None:
+                raise ConfigurationError(f"missing required key {key!r}")
+            return default, line
+        try:
+            return convert(text), line
+        except ValueError as exc:
+            raise ConfigurationError(f"invalid value for {key}: {text!r}", line) from exc
+
+    t_max, t_max_line = scalar("t_max", _number)
     if t_max <= 0:
         raise ConfigurationError("t_max must be > 0", t_max_line)
-
-    n_steps_text, n_steps_line = take("n_steps")
-    if n_steps_text is None:
-        raise ConfigurationError("missing required key 'n_steps'")
-    try:
-        n_steps = int(n_steps_text)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"invalid value for n_steps: {n_steps_text!r}", n_steps_line
-        ) from exc
+    n_steps, n_steps_line = scalar("n_steps", int)
     if n_steps < 1:
         raise ConfigurationError("n_steps must be >= 1", n_steps_line)
-
-    x0_text, x0_line = take("x0")
-    if x0_text is None:
-        x0 = 0.0
-    else:
-        try:
-            x0 = _number(x0_text)
-        except ValueError as exc:
-            raise ConfigurationError(f"invalid value for x0: {x0_text!r}", x0_line) from exc
+    x0, _ = scalar("x0", _number, default=0.0)
 
     specs: dict[str, CoefficientSpec | None] = {}
     spec_lines: dict[str, int | None] = {}
@@ -149,10 +139,9 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         token, line = take(key)
         spec_lines[key] = line
         specs[key] = None if token is None else parse_coefficient(token, base_dir, line)
-    if specs["a"] is None:
-        raise ConfigurationError("missing required key 'a'")
-    if specs["sigma"] is None:
-        raise ConfigurationError("missing required key 'sigma'")
+    for key in ("a", "sigma"):
+        if specs[key] is None:
+            raise ConfigurationError(f"missing required key {key!r}")
     if specs["u"] is not None and specs["psi"] is not None:
         raise ConfigurationError(
             "keys 'u' and 'psi' conflict: give exactly one",
@@ -184,8 +173,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
             )
         outputs = frozenset(tokens)
 
-    output_dir_text, _ = take("output_dir")
-    output_dir = output_dir_text if output_dir_text is not None else "out"
+    output_dir, _ = scalar("output_dir", str, default="out")
 
     return ExperimentConfig(
         t_max=t_max,

@@ -23,7 +23,7 @@ from .engine import (
     sample_wiener,
     simulate_path,
 )
-from .quadrature import ito_cumsum, riemann_cumsum
+from .quadrature import _as_values, ito_cumsum, riemann_cumsum
 from .transforms import (
     bounded_identity_sides,
     bounded_transform_recursive,
@@ -32,16 +32,15 @@ from .transforms import (
     unit_rotation_identity,
     variance_discounted_u,
     weighted_identity_sides,
-    weighted_transform_recursive,  # noqa: F401  (perfbench/tracer.py patches this name here)
+    weighted_scale,
 )
 from .verification import (
     DEFAULT_ORACLE_CEILING,
+    BoundReport,
+    ConvergenceReport,
     check_envelope,
-    compare_oracle,  # noqa: F401  (perfbench/tracer.py patches this name here)
     compare_oracle_pair,
     convergence_ladder,
-    estimate_order,  # noqa: F401  (perfbench/tracer.py patches this name here)
-    identity_residual,
     residual_norm,
 )
 
@@ -65,13 +64,7 @@ class ExperimentManifest:
         self.entries.append((key, str(value)))
 
     def get(self, key: str) -> str | None:
-        for k, v in self.entries:
-            if k == key:
-                return v
-        return None
-
-    def values(self, key: str) -> list[str]:
-        return [v for k, v in self.entries if k == key]
+        return next((v for k, v in self.entries if k == key), None)
 
     @property
     def files(self) -> list[str]:
@@ -79,7 +72,7 @@ class ExperimentManifest:
 
     @property
     def warnings(self) -> list[str]:
-        return self.values("warning")
+        return [v for k, v in self.entries if k == "warning"]
 
     def to_text(self) -> str:
         return "".join(f"{k} = {v}\n" for k, v in self.entries)
@@ -157,28 +150,134 @@ def bound_tolerance(envelope) -> float:
     return BOUND_TOLERANCE_UNIT * (1.0 + float(envelope.values[-1]))
 
 
-def _oracle_tolerance(path: PathRecord, which: str) -> float:
-    scale = float(np.sum(np.abs(path.u)) * path.grid.dt)
-    if which == "weighted":
-        total_variance = float(np.sum(path.sigma * path.sigma) * path.grid.dt)
-        with np.errstate(over="ignore"):
-            scale *= float(np.exp(0.5 * total_variance))
-    return ORACLE_TOLERANCE_UNIT * (1.0 + scale)
+@dataclass
+class SeedRecord:
+    """One seed's checks as scalars (None out of double range) and its emitted series."""
+
+    files: list[str] = field(default_factory=list)
+    bounds: dict[str, BoundReport] = field(default_factory=dict)  # by label t1, t2
+    residuals: dict[str, float] = field(default_factory=dict)
+    # |rhs|, bound, |lhs - rhs|; None with drift
+    rotation_unit: tuple[float, float, float] | None = None
+    rotation_scaled: float | None = None  # |lhs - rhs|
+    oracle_steps: int | None = None  # None when no oracle path fits
+    oracle: dict[str, tuple[float, float] | None] = field(default_factory=dict)
+    convergence: dict[str, ConvergenceReport] | None = None
 
 
-def _seed_ladder(config, path, levels, residuals, ts1=None, ts2=None):
-    """The seed's convergence reports; None when n_steps does not support ``levels``.
+def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int) -> PathRecord | None:
+    """A cheaper path on the same noise for a config grid above the ceiling.
 
-    The finest rung is ``path`` itself. Its identity residuals come from
-    ``residuals``, or else from the transforms ``ts1`` and ``ts2``.
+    The coarse grid is the finest one of at most ``ceiling`` steps that evenly
+    divides the config grid; None when it would have fewer than
+    ``ceiling // 2`` steps (and never fewer than 2), too few to check much.
     """
-    if levels < 3 or path.grid.n_steps % 2 ** (levels - 1) != 0:
+    n = path.grid.n_steps
+    for factor in range(-(-n // ceiling), n // max(ceiling // 2, 2) + 1):
+        if n % factor == 0:
+            break
+    else:
         return None
-    for identity, ts in (("bounded", ts1), ("weighted", ts2)):
-        if identity not in residuals:
-            residuals[identity] = identity_residual(path, identity, ts)
-    rung = partial(build_path, config)
-    return convergence_ladder(path.dw, config.t_max, rung, levels, finest=residuals)
+    grid = build_grid(config.t_max, n // factor)
+    return build_path(config, grid, coarsen_increments(path.dw, factor), factor, path.seed)
+
+
+def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None) -> SeedRecord:
+    """Simulate one seed and evaluate the series and checks ``wanted`` names.
+
+    ``wanted`` holds output names (path, t1, t2, identities, convergence) and
+    check names (bound_t1, bound_t2, rotation_unit, rotation_scaled). The
+    identities bring the direct oracle on the path or, above the ceiling, on
+    ``coarse_path(config, path, ceiling)``; series go to ``emit``, if given.
+    """
+    path = prepare_path(config, seed)
+    record = SeedRecord()
+
+    def send(name, header, *columns):
+        if emit is not None:
+            emit(name, header, [path.grid.nodes, *columns])
+            record.files.append(name)
+
+    labels = [label for label in ("t1", "t2") if f"bound_{label}" in wanted]
+    if not config.uses_discounted_u and "t2" in labels:
+        labels.remove("t2")  # the integrand envelope bounds t2 once u is discounted
+    sides = bool({"identities", "convergence"} & wanted)
+    ts1, ts2 = transform_pair_recursive(
+        path,
+        bounded=sides or "t1" in wanted or "t1" in labels,
+        weighted=sides or "t2" in wanted or "t2" in labels,
+    )
+    if "path" in wanted:
+        send("x.csv", "t,x", path.x)
+    if "t1" in wanted:
+        send("t1.csv", "t,X,Y", ts1.X, ts1.Y)
+    if "t2" in wanted:
+        send("t2.csv", "t,X,Y", ts2.X, ts2.Y)
+
+    for label in labels:
+        if label == "t1":
+            ts, envelope = ts1, riemann_cumsum(np.abs(path.u), path.grid)
+        else:
+            ts, envelope = ts2, integrand_envelope(config, path)
+        record.bounds[label] = check_envelope(ts, envelope, bound_tolerance(envelope))
+        if emit is not None:
+            send(f"bound_{label}.csv", "t,modulus,envelope", ts.modulus(), envelope.values)
+        del ts, envelope
+
+    if sides:
+        for label, ts, sides_of in (
+            ("t1", ts1, bounded_identity_sides),
+            ("t2", ts2, weighted_identity_sides),
+        ):
+            lhs, rhs = sides_of(path, ts)
+            record.residuals["weighted" if ts.weighted else "bounded"] = residual_norm(lhs, rhs)
+            if "identities" in wanted:
+                send(f"identity_{label}.csv", "t,lhs,rhs", _as_values(lhs), _as_values(rhs))
+            del ts, lhs, rhs
+
+    # dropping the transforms before the rotation, the oracle and the ladder
+    # keeps them out of the peak; the oracle on this very path reuses them
+    checked = None
+    if "identities" in wanted and path.grid.n_steps <= ceiling:
+        checked = path
+    elif "identities" in wanted and coarse_path is not None:
+        checked = coarse_path(config, path, ceiling)
+    fast = (ts1, ts2) if checked is path else None
+    del ts1, ts2
+
+    driftless = not np.any(path.a != 0.0)
+    if driftless and "rotation_unit" in wanted:
+        rot = unit_rotation_identity(path)
+        send("rotation_unit.csv", "t,re,im", rot.U.real, rot.U.imag)
+        record.rotation_unit = (abs(rot.rhs), rot.bound, abs(rot.lhs - rot.rhs))
+        del rot
+    if driftless and "rotation_scaled" in wanted:
+        # this scale bounds the series, both sides of its identity and their gap
+        if weighted_scale(path, 1.0 + float(np.sum(path.sigma * np.abs(path.dw)))) is not None:
+            rot = scaled_rotation_identity(path)
+            send("rotation_scaled.csv", "t,re,im", rot.U.real, rot.U.imag)
+            record.rotation_scaled = abs(rot.lhs - rot.rhs)
+            del rot
+
+    if checked is not None:
+        # tolerances scale with the total of |u| dt, times e^{I_N/2} when weighted
+        integral = float(np.sum(np.abs(checked.u)) * checked.grid.dt)
+        scales = {"bounded": integral, "weighted": weighted_scale(checked, integral)}
+        deviations = compare_oracle_pair(checked, ceiling, fast)
+        record.oracle_steps = checked.grid.n_steps
+        for which, scale in scales.items():
+            record.oracle[which] = (
+                None if scale is None else (deviations[which], ORACLE_TOLERANCE_UNIT * (1 + scale))
+            )
+    del checked, fast
+
+    if "convergence" in wanted and levels >= 3 and path.grid.n_steps % 2 ** (levels - 1) == 0:
+        # the finest rung is this path, whose residuals are known
+        rung = partial(build_path, config)
+        record.convergence = convergence_ladder(
+            path.dw, config.t_max, rung, levels, finest=record.residuals
+        )
+    return record
 
 
 def run_experiment(
@@ -198,101 +297,66 @@ def run_experiment(
         key, _, value = line.partition(" = ")
         manifest.add(key, value)
 
+    outputs = config.outputs
+    wanted = set(outputs - {"bounds", "remarks"})
+    if "bounds" in outputs:
+        wanted.add("bound_t2" if config.uses_discounted_u else "bound_t1")
+    if "remarks" in outputs:
+        wanted |= {"rotation_unit", "rotation_scaled"}
+
     warnings: list[str] = []
     for seed in config.seeds:
-        seed_dir = root / f"seed{seed}"
-        path = prepare_path(config, seed)
-        t = path.grid.nodes
-        written: list[str] = []
-        summaries: list[tuple[str, str]] = []
-
-        def emit(name: str, header: str, columns: list[np.ndarray]) -> None:
-            written.append(_write_csv(seed_dir, name, header, columns).name)
-
-        ts1, ts2 = transform_pair_recursive(
-            path,
-            bounded=bool({"t1", "identities", "bounds", "convergence"} & config.outputs),
-            weighted=bool({"t2", "identities", "convergence"} & config.outputs)
-            or ("bounds" in config.outputs and config.uses_discounted_u),
-        )
-
-        if "path" in config.outputs:
-            emit("x.csv", "t,x", [t, path.x])
-        if "t1" in config.outputs:
-            emit("t1.csv", "t,X,Y", [t, ts1.X, ts1.Y])
-        if "t2" in config.outputs:
-            emit("t2.csv", "t,X,Y", [t, ts2.X, ts2.Y])
-
-        # identity -> residual on this seed's path, the finest convergence rung
-        residuals: dict[str, float] = {}
-        if "identities" in config.outputs:
-            lhs1, rhs1 = bounded_identity_sides(path, ts1)
-            emit("identity_t1.csv", "t,lhs,rhs", [t, lhs1.values, rhs1.values])
-            residuals["bounded"] = residual_norm(lhs1, rhs1)
-            summaries.append(("identity_t1.residual", _fmt(residuals["bounded"])))
-            lhs2, rhs2 = weighted_identity_sides(path, ts2)
-            emit("identity_t2.csv", "t,lhs,rhs", [t, lhs2.values, rhs2])
-            residuals["weighted"] = residual_norm(lhs2, rhs2)
-            summaries.append(("identity_t2.residual", _fmt(residuals["weighted"])))
-            if path.grid.n_steps <= oracle_ceiling:
-                deviations = compare_oracle_pair(path, oracle_ceiling, (ts1, ts2))
-                for which, deviation in deviations.items():
-                    if deviation is None:
-                        warnings.append(
-                            f"seed {seed}: {which} direct oracle skipped: its scale leaves double range"
-                        )
-                    else:
-                        summaries.append((f"oracle.{which}.deviation", _fmt(deviation)))
-            else:
-                warnings.append(
-                    f"seed {seed}: direct oracle skipped ({path.grid.n_steps} steps exceeds "
-                    f"ceiling {oracle_ceiling}); identities checked recursive-only"
-                )
-
-        if "remarks" in config.outputs:
-            if np.any(path.a != 0.0):
-                warnings.append(f"seed {seed}: remarks skipped: drift is not identically zero")
-            else:
-                rot1 = unit_rotation_identity(path)
-                rot2 = scaled_rotation_identity(path)
-                emit("rotation_unit.csv", "t,re,im", [t, rot1.U.real, rot1.U.imag])
-                emit("rotation_scaled.csv", "t,re,im", [t, rot2.U.real, rot2.U.imag])
-                summaries.append(("rotation_unit.rhs_abs", _fmt(abs(rot1.rhs))))
-                summaries.append(("rotation_unit.bound", _fmt(rot1.bound)))
-                summaries.append(("rotation_unit.residual", _fmt(abs(rot1.lhs - rot1.rhs))))
-                summaries.append(("rotation_scaled.residual", _fmt(abs(rot2.lhs - rot2.rhs))))
-
-        if "bounds" in config.outputs:
-            envelope = integrand_envelope(config, path)
-            target = ts2 if config.uses_discounted_u else ts1
-            label = "bound_t2" if config.uses_discounted_u else "bound_t1"
-            report = check_envelope(target, envelope, bound_tolerance(envelope))
-            emit(f"{label}.csv", "t,modulus,envelope", [t, target.modulus(), envelope.values])
-            summaries.append((f"{label}.max_violation", _fmt(report.max_violation)))
-            summaries.append((f"{label}.violation_index", str(report.violation_index)))
-            summaries.append((f"{label}.tolerance", _fmt(report.tolerance_used)))
-            summaries.append((f"{label}.passed", str(report.passed).lower()))
-
-        if "convergence" in config.outputs:
-            reports = _seed_ladder(config, path, convergence_levels, residuals, ts1, ts2)
-            if reports is None:
-                warnings.append(
-                    f"seed {seed}: convergence skipped: n_steps {path.grid.n_steps} does not "
-                    f"support {convergence_levels} refinement levels"
-                )
-            else:
-                for identity, report in reports.items():
-                    key = f"convergence.{identity}"
-                    summaries.append((f"{key}.grids", ",".join(str(g) for g in report.grid_sizes)))
-                    summaries.append(
-                        (f"{key}.residuals", ",".join(_fmt(r) for r in report.residual_norms))
-                    )
-                    summaries.append((f"{key}.median_order", _fmt(report.median_order)))
-
-        for name in sorted(written):
+        csv = partial(_write_csv, root / f"seed{seed}")
+        record = _evaluate_seed(config, seed, wanted, convergence_levels, oracle_ceiling, None, csv)
+        for name in sorted(record.files):
             manifest.add(f"seed.{seed}.file", f"seed{seed}/{name}")
-        for key, value in summaries:
-            manifest.add(f"seed.{seed}.{key}", value)
+
+        def add(key: str, text: str) -> None:
+            manifest.add(f"seed.{seed}.{key}", text)
+
+        def warn(text: str) -> None:
+            warnings.append(f"seed {seed}: {text}")
+
+        if "identities" in outputs:
+            add("identity_t1.residual", _fmt(record.residuals["bounded"]))
+            add("identity_t2.residual", _fmt(record.residuals["weighted"]))
+            if record.oracle_steps is None:
+                warn(
+                    f"direct oracle skipped ({config.n_steps} steps exceeds ceiling "
+                    f"{oracle_ceiling}); identities checked recursive-only"
+                )
+            for which, row in record.oracle.items():
+                if row is None:
+                    warn(f"{which} direct oracle skipped: its scale leaves double range")
+                else:
+                    add(f"oracle.{which}.deviation", _fmt(row[0]))
+
+        if "remarks" in outputs:
+            if record.rotation_unit is None:
+                warn("remarks skipped: drift is not identically zero")
+            else:
+                for key, value in zip(("rhs_abs", "bound", "residual"), record.rotation_unit):
+                    add(f"rotation_unit.{key}", _fmt(value))
+                if record.rotation_scaled is None:
+                    warn("scaled rotation skipped: its scale leaves double range")
+                else:
+                    add("rotation_scaled.residual", _fmt(record.rotation_scaled))
+
+        for label, report in record.bounds.items():
+            add(f"bound_{label}.max_violation", _fmt(report.max_violation))
+            add(f"bound_{label}.violation_index", str(report.violation_index))
+            add(f"bound_{label}.tolerance", _fmt(report.tolerance_used))
+            add(f"bound_{label}.passed", str(report.passed).lower())
+
+        if "convergence" in outputs and record.convergence is None:
+            warn(
+                f"convergence skipped: n_steps {config.n_steps} does not support "
+                f"{convergence_levels} refinement levels"
+            )
+        for identity, report in (record.convergence or {}).items():
+            add(f"convergence.{identity}.grids", ",".join(str(g) for g in report.grid_sizes))
+            add(f"convergence.{identity}.residuals", ",".join(map(_fmt, report.residual_norms)))
+            add(f"convergence.{identity}.median_order", _fmt(report.median_order))
 
     for warning in warnings:
         manifest.add("warning", warning)
@@ -352,36 +416,11 @@ class VerificationSummary:
         return any(not c.passed for c in self.checks)
 
     def lines(self) -> list[str]:
-        out = [
-            f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in self.checks
-        ]
-        out.extend(f"NOTE {n}" for n in self.notes)
-        return out
+        checks = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in self.checks]
+        return checks + [f"NOTE {n}" for n in self.notes]
 
 
-def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int) -> PathRecord | None:
-    """A cheaper path on the same noise when the config grid is above the ceiling.
-
-    The coarse grid is the finest one of at most ``ceiling`` steps that evenly
-    divides the config grid; None when it would have fewer than
-    ``ceiling // 2`` steps (and never fewer than 2), too few to check much.
-    """
-    n = path.grid.n_steps
-    if n <= ceiling:
-        return path
-    for factor in range(-(-n // ceiling), n // max(ceiling // 2, 2) + 1):
-        if n % factor == 0:
-            break
-    else:
-        return None
-    grid = build_grid(config.t_max, n // factor)
-    return build_path(config, grid, coarsen_increments(path.dw, factor), factor, path.seed)
-
-
-def _bound_check(name: str, ts, envelope) -> VerificationCheck:
-    report = check_envelope(ts, envelope, bound_tolerance(envelope))
-    detail = f"max_violation={report.max_violation:.3e} tolerance={report.tolerance_used:.3e}"
-    return VerificationCheck(name, report.passed, detail)
+VERIFY_WANTED = frozenset({"bound_t1", "bound_t2", "identities", "rotation_unit", "convergence"})
 
 
 def verify_suite(
@@ -395,70 +434,41 @@ def verify_suite(
     estimated orders are reported as notes since their size is grid-dependent.
     """
     summary = VerificationSummary()
+    note = summary.notes.append
+
+    def check(name: str, value: float, tolerance: float, what: str) -> None:
+        detail = f"{what}={value:.3e} tolerance={tolerance:.3e}"
+        summary.checks.append(VerificationCheck(name, value <= tolerance, detail))
+
     for seed in config.seeds:
-        path = prepare_path(config, seed)
+        record = _evaluate_seed(
+            config, seed, VERIFY_WANTED, convergence_levels, oracle_ceiling, _oracle_scale_path
+        )
+        for label, r in record.bounds.items():
+            check(f"bound[{label}] seed={seed}", r.max_violation, r.tolerance_used, "max_violation")
+        if record.rotation_unit is not None:
+            rhs_abs, bound, _ = record.rotation_unit
+            tolerance = BOUND_TOLERANCE_UNIT * (1.0 + bound)
+            check(f"bound[rotation] seed={seed}", rhs_abs - bound, tolerance, "|rhs|-bound")
+        if record.oracle_steps is None:
+            note(f"oracle seed={seed}: no divisor fits under ceiling, skipped")
+        for which, row in record.oracle.items():
+            if row is None:
+                note(f"oracle[{which}] seed={seed}: scale leaves double range, skipped")
+            else:
+                check(f"oracle[{which}] seed={seed} n={record.oracle_steps}", *row, "deviation")
 
-        ts1, ts2 = transform_pair_recursive(path)
-        u_envelope = riemann_cumsum(np.abs(path.u), path.grid)
-        summary.checks.append(_bound_check(f"bound[t1] seed={seed}", ts1, u_envelope))
-        if config.uses_discounted_u:
-            envelope = integrand_envelope(config, path)
-            summary.checks.append(_bound_check(f"bound[t2] seed={seed}", ts2, envelope))
-        residuals = {
-            "bounded": identity_residual(path, "bounded", ts1),
-            "weighted": identity_residual(path, "weighted", ts2),
-        }
-        # the transforms are dropped before the rotation check and the oracle,
-        # unless the oracle runs on this very path
-        oracle_path = _oracle_scale_path(config, path, oracle_ceiling)
-        fast = (ts1, ts2) if oracle_path is path else None
-        del ts1, ts2
-
-        if np.all(path.a == 0.0):
-            rot = unit_rotation_identity(path)
-            margin = abs(rot.rhs) - rot.bound
-            rot_tol = BOUND_TOLERANCE_UNIT * (1.0 + rot.bound)
-            summary.checks.append(
-                VerificationCheck(
-                    f"bound[rotation] seed={seed}",
-                    margin <= rot_tol,
-                    f"|rhs|-bound={margin:.3e} tolerance={rot_tol:.3e}",
-                )
-            )
-
-        if oracle_path is None:
-            summary.notes.append(f"oracle seed={seed}: no divisor fits under ceiling, skipped")
-        else:
-            deviations = compare_oracle_pair(oracle_path, oracle_ceiling, fast)
-            for which, deviation in deviations.items():
-                otol = _oracle_tolerance(oracle_path, which)
-                if deviation is None or not np.isfinite(otol):
-                    summary.notes.append(
-                        f"oracle[{which}] seed={seed}: scale leaves double range, skipped"
-                    )
-                    continue
-                summary.checks.append(
-                    VerificationCheck(
-                        f"oracle[{which}] seed={seed} n={oracle_path.grid.n_steps}",
-                        deviation <= otol,
-                        f"deviation={deviation:.3e} tolerance={otol:.3e}",
-                    )
-                )
-
-        for identity, residual in residuals.items():
-            summary.notes.append(f"identity[{identity}] seed={seed}: residual={residual:.6e}")
-
-        reports = _seed_ladder(config, path, convergence_levels, residuals)
-        if reports is not None:
-            for identity, report in reports.items():
-                summary.notes.append(
-                    f"convergence[{identity}] seed={seed}: median_order="
-                    f"{report.median_order:.3f} residuals="
-                    + ",".join(f"{r:.3e}" for r in report.residual_norms)
-                )
-        else:
-            summary.notes.append(
-                f"convergence seed={seed}: skipped, n_steps {path.grid.n_steps} does not "
+        for identity, residual in record.residuals.items():
+            note(f"identity[{identity}] seed={seed}: residual={residual:.6e}")
+        if record.convergence is None:
+            note(
+                f"convergence seed={seed}: skipped, n_steps {config.n_steps} does not "
                 f"support {convergence_levels} levels"
+            )
+        for identity, report in (record.convergence or {}).items():
+            residuals = ",".join(f"{r:.3e}" for r in report.residual_norms)
+            note(
+                f"convergence[{identity}] seed={seed}: "
+                f"median_order={report.median_order:.3f} residuals={residuals}"
             )
     return summary

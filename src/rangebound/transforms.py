@@ -103,15 +103,25 @@ def weighted_transform_direct(path: PathRecord) -> TransformSeries:
     return _direct(path, bounded=False, weighted=True)[1]
 
 
+def weighted_scale(path: PathRecord, factor: float = 1.0) -> float | None:
+    """factor * e^{I_N/2}, I_N being the total of sigma^2 dt; None once it leaves double range.
+
+    Terms weighted by at most e^{I_N/2} and summing to ``factor`` unweighted
+    stay finite in every partial sum while this scale does.
+    """
+    with np.errstate(over="ignore"):
+        scale = factor * float(np.exp(_half_variance_sum(path)[-1]))
+    return scale if np.isfinite(scale) else None
+
+
 def transform_pair_direct(path: PathRecord) -> tuple[TransformSeries, TransformSeries | None]:
     """Both direct references from one evaluation of cos/sin(x_k - x_j).
 
-    The weighted one is None when e^{I_N/2} is not finite: its weights
-    e^{(I_k - I_j)/2} would leave double range and its sums turn to nan.
+    The weighted one is None when its weighted_scale over the total of
+    |u| dt leaves double range: its sums would turn to inf or nan.
     """
-    with np.errstate(over="ignore"):
-        in_range = bool(np.isfinite(np.exp(_half_variance_sum(path)[-1])))
-    return _direct(path, bounded=True, weighted=in_range)
+    integral = float(np.sum(np.abs(path.u)) * path.grid.dt)
+    return _direct(path, bounded=True, weighted=weighted_scale(path, integral) is not None)
 
 
 def _direct(

@@ -35,12 +35,6 @@ DEFAULT_ORACLE_CEILING = 4000
 
 IDENTITY_NAMES = ("bounded", "weighted", "unit_rotation", "scaled_rotation")
 
-TRANSFORM_PAIRS = {
-    "bounded": (bounded_transform_direct, bounded_transform_recursive),
-    "weighted": (weighted_transform_direct, weighted_transform_recursive),
-}
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Worst node-wise excess of the transform modulus over its envelope."""
@@ -123,7 +117,7 @@ def _rung_residuals(path: PathRecord, identities: tuple[str, ...]) -> dict[str, 
     pair = transform_pair_recursive(
         path, bounded="bounded" in identities, weighted="weighted" in identities
     )
-    held = dict(zip(TRANSFORM_PAIRS, pair))
+    held = dict(zip(("bounded", "weighted"), pair))
     return {identity: identity_residual(path, identity, held.get(identity)) for identity in identities}
 
 
@@ -210,11 +204,12 @@ def compare_oracle(
 
     Refuses paths longer than the ceiling: the direct reference is O(N^2).
     """
-    if which not in TRANSFORM_PAIRS:
-        raise ValueError(f"unknown transform {which!r}, expected one of {tuple(TRANSFORM_PAIRS)}")
+    if which not in ("bounded", "weighted"):
+        raise ValueError(f"unknown transform {which!r}, expected 'bounded' or 'weighted'")
     _refuse_above(path, ceiling)
-    direct_fn, recursive_fn = TRANSFORM_PAIRS[which]
-    return _deviation(direct_fn(path), recursive_fn(path))
+    if which == "bounded":
+        return _deviation(bounded_transform_direct(path), bounded_transform_recursive(path))
+    return _deviation(weighted_transform_direct(path), weighted_transform_recursive(path))
 
 
 def compare_oracle_pair(
@@ -226,12 +221,12 @@ def compare_oracle_pair(
 
     ``fast`` is the path's (bounded, weighted) recurrence pair when the caller
     already holds it. The weighted deviation is None when its direct reference
-    is skipped because its weights leave double range.
+    is skipped because its scale leaves double range.
     """
     _refuse_above(path, ceiling)
     direct = transform_pair_direct(path)
     fast = fast if fast is not None else transform_pair_recursive(path)
     return {
         which: None if ref is None else _deviation(ref, ts)
-        for which, ref, ts in zip(TRANSFORM_PAIRS, direct, fast)
+        for which, ref, ts in zip(("bounded", "weighted"), direct, fast)
     }

@@ -69,6 +69,17 @@ def test_seed_outside_philox_key_range_exits_1(tmp_path, capsys, extra_args, see
     assert not (tmp_path / "out").exists()
 
 
+def test_repeated_seed_exits_1_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL.replace("seeds=1", "seeds=1,1") + f"output_dir={tmp_path / 'out'}\n")
+    for command in ("run", "verify"):
+        assert cli.main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: line 6: duplicate seed 1\n"
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")

@@ -83,6 +83,12 @@ class TestParseConfig:
         cfg = parse_config(PAPER_TEXT.replace("seeds=1", f"seeds=0,{2**128 - 1}"))
         assert cfg.seeds == (0, 2**128 - 1)
 
+    @pytest.mark.parametrize("seeds", ["1,1", "2,1,2", "1, 01"])
+    def test_repeated_seed_rejected_with_line(self, seeds):
+        text = PAPER_TEXT.replace("seeds=1", f"seeds={seeds}")
+        with pytest.raises(ConfigurationError, match=r"line 6: duplicate seed [12]$"):
+            parse_config(text)
+
     def test_missing_required_keys(self):
         with pytest.raises(ConfigurationError, match="t_max"):
             parse_config("n_steps=10\n")

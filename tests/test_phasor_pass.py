@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import rangebound as rb
 from rangebound import transforms
 from rangebound.config import parse_config
-from rangebound.experiment import run_experiment, verify_suite
+from rangebound.experiment import prepare_path, run_experiment, verify_suite
 from rangebound.transforms import (
     RESCALE_THRESHOLD,
     TWO_PI,
@@ -402,6 +402,36 @@ def test_run_records_a_warning_instead_of_a_nan_deviation(tmp_path):
         "seed 3: weighted direct oracle skipped: its scale leaves double range"
         in manifest.warnings
     )
+
+
+def test_run_records_a_warning_when_the_weighted_oracle_tolerance_overflows(tmp_path):
+    # e^{I/2} = e^709 is finite, but times the integral of |u| it is not; the
+    # weighted identity sides overflow here too, which this test does not cover
+    cfg = parse_config(
+        "t_max=1418\nn_steps=500\na=const:0\nsigma=const:1\nu=const:1e3\nseeds=1\n"
+        "outputs=identities\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        manifest = run_experiment(cfg, out_dir=tmp_path)
+    assert manifest.get("seed.1.oracle.weighted.deviation") is None
+    assert manifest.get("seed.1.oracle.bounded.deviation") is not None
+    assert manifest.warnings == [
+        "seed 1: weighted direct oracle skipped: its scale leaves double range"
+    ]
+
+
+def test_run_skips_the_scaled_rotation_beyond_double_range(tmp_path):
+    cfg = parse_config(OVERFLOW + "outputs=remarks\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest = run_experiment(cfg, out_dir=tmp_path)
+    assert manifest.files == ["seed3/rotation_unit.csv"]
+    assert not (tmp_path / "seed3" / "rotation_scaled.csv").exists()
+    assert manifest.get("seed.3.rotation_scaled.residual") is None
+    assert manifest.warnings == ["seed 3: scaled rotation skipped: its scale leaves double range"]
+    unit = rb.unit_rotation_identity(prepare_path(cfg, 3))
+    assert manifest.get("seed.3.rotation_unit.rhs_abs") == format(abs(unit.rhs), ".17g")
+    assert manifest.get("seed.3.rotation_unit.residual") == format(abs(unit.lhs - unit.rhs), ".17g")
 
 
 # ---------------------------------------------------------------------------
