@@ -49,10 +49,8 @@ from .verification import (
     BoundReport,
     ConvergenceReport,
     check_envelope,
-    compare_oracle,
     compare_oracle_pair,
-    estimate_order,
-    identity_residual,
+    convergence_ladder,
     orders_from_residuals,
     residual_norm,
 )
@@ -78,11 +76,9 @@ __all__ = [
     "build_grid",
     "check_envelope",
     "coarsen_increments",
-    "compare_oracle",
     "compare_oracle_pair",
+    "convergence_ladder",
     "emit_figures",
-    "estimate_order",
-    "identity_residual",
     "ito_cumsum",
     "orders_from_residuals",
     "parse_coefficient",

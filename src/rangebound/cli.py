@@ -5,8 +5,8 @@ Commands:
   figures <config>  emit the six reference series for the first seed
   verify <config>   run envelope / identity / equivalence / convergence suites
 
-Exit codes: 0 success, 1 configuration error, 2 verification failure,
-3 I/O error.
+Exit codes: 0 success, 1 configuration error (a grid too large to allocate
+included), 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
         for line in summary.lines():
             print(line)
         return EXIT_VERIFICATION if summary.failed else EXIT_OK
-    except ConfigurationError as exc:
+    except (ConfigurationError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -114,14 +114,16 @@ def weighted_scale(path: PathRecord, factor: float = 1.0) -> float | None:
     return scale if np.isfinite(scale) else None
 
 
-def transform_pair_direct(path: PathRecord) -> tuple[TransformSeries, TransformSeries | None]:
+def transform_pair_direct(
+    path: PathRecord, bounded: bool = True, weighted: bool = True
+) -> tuple[TransformSeries | None, TransformSeries | None]:
     """Both direct references from one evaluation of cos/sin(x_k - x_j).
 
-    The weighted one is None when its weighted_scale over the total of
-    |u| dt leaves double range: its sums would turn to inf or nan.
+    Returns (bounded, weighted); a variant not asked for is None. The weighted
+    sums turn to inf or nan once its weighted_scale over the total of |u| dt
+    leaves double range; compare_oracle_pair does not ask for them then.
     """
-    integral = float(np.sum(np.abs(path.u)) * path.grid.dt)
-    return _direct(path, bounded=True, weighted=weighted_scale(path, integral) is not None)
+    return _direct(path, bounded, weighted)
 
 
 def _direct(
@@ -174,13 +176,13 @@ def bounded_transform_recursive(path: PathRecord) -> TransformSeries:
 
 def weighted_transform_recursive(
     path: PathRecord, rescale_threshold: float = RESCALE_THRESHOLD
-) -> TransformSeries:
+) -> TransformSeries | None:
     """O(N) evaluation of the same sums as weighted_transform_direct.
 
     The accumulator is rebased whenever the sigma^2 half-sum has grown by
     rescale_threshold since the last rebase, so neither the decayed terms nor
     the reconstruction factor can overflow no matter how large the variance
-    integral gets.
+    integral gets. None when the series' own values leave double range.
     """
     return transform_pair_recursive(path, bounded=False, rescale_threshold=rescale_threshold)[1]
 
@@ -216,9 +218,10 @@ def transform_pair_recursive(
 ) -> tuple[TransformSeries | None, TransformSeries | None]:
     """Both O(N) recurrences from one evaluation of e^{i x_k} per node.
 
-    Returns (bounded, weighted); a variant not asked for is None. Each series
-    is the one bounded_transform_recursive or weighted_transform_recursive
-    returns, bit for bit.
+    Returns (bounded, weighted); a variant not asked for is None, and so is
+    a weighted series whose values leave double range. Each series is the one
+    bounded_transform_recursive or weighted_transform_recursive returns, bit
+    for bit.
 
     Nodes are visited in segments that end wherever either transform starts a
     block. Each segment forms the phasors once and feeds the terms
@@ -294,14 +297,23 @@ def transform_pair_recursive(
             run[first : mj + 1] += chain.rebased
             chain.acc = run[mj]
 
-            z_blk = np.multiply(rot_blk, run[:m], out=z[:m])
+            z_blk = z[:m]
             if chain.weighted:
                 lift = np.subtract(half_i[k0:k1], chain.scale, out=phase[:m])
-                np.exp(lift, out=lift)
-                z_blk *= lift
-                z_blk *= 1j
+                # past double range the values turn inf or nan; the chain then stops
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.multiply(rot_blk, run[:m], out=z_blk)
+                    np.exp(lift, out=lift)
+                    z_blk *= lift
+                    z_blk *= 1j
+                if not np.isfinite(z_blk).all():
+                    chain.X = None
+                    continue
+            else:
+                np.multiply(rot_blk, run[:m], out=z_blk)
             chain.X[k0:k1] = z_blk.real
             chain.Y[k0:k1] = z_blk.imag
+        chains = [c for c in chains if c.X is not None]
         k0 = k1
 
     series = {c.weighted: _series(path.grid, c.X, c.Y, c.weighted) for c in chains}

@@ -8,32 +8,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    CoefficientSpec,
-    PathRecord,
-    build_grid,
-    coarsen_increments,
-    simulate_path,
-)
+from .engine import PathRecord, build_grid, coarsen_increments
 from .errors import OracleCostError
 from .quadrature import _as_values
 from .transforms import (
     TransformSeries,
     bounded_identity_sides,
-    bounded_transform_direct,
-    bounded_transform_recursive,
-    scaled_rotation_running_sides,
     transform_pair_direct,
     transform_pair_recursive,
-    unit_rotation_running_sides,
     weighted_identity_sides,
-    weighted_transform_direct,
-    weighted_transform_recursive,
+    weighted_scale,
 )
 
 DEFAULT_ORACLE_CEILING = 4000
-
-IDENTITY_NAMES = ("bounded", "weighted", "unit_rotation", "scaled_rotation")
+ORACLE_TOLERANCE_UNIT = 1e-10
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -82,27 +70,6 @@ def residual_norm(lhs, rhs) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def identity_residual(path: PathRecord, identity: str, ts: TransformSeries | None = None) -> float:
-    """Max-norm residual of the selected identity on one path.
-
-    Every identity is checked over the whole grid, rotations included: the
-    claims hold for every horizon, so the residual is the max-norm of the
-    running lhs/rhs series, not an endpoint difference. A caller that already
-    holds the path's bounded or weighted transform passes it as ``ts``.
-    """
-    if identity == "bounded":
-        ts = ts if ts is not None else bounded_transform_recursive(path)
-        return residual_norm(*bounded_identity_sides(path, ts))
-    if identity == "weighted":
-        ts = ts if ts is not None else weighted_transform_recursive(path)
-        return residual_norm(*weighted_identity_sides(path, ts))
-    if identity == "unit_rotation":
-        return residual_norm(*unit_rotation_running_sides(path))
-    if identity == "scaled_rotation":
-        return residual_norm(*scaled_rotation_running_sides(path))
-    raise ValueError(f"unknown identity {identity!r}, expected one of {IDENTITY_NAMES}")
-
-
 def orders_from_residuals(residual_norms) -> list[float]:
     """log2 decay rate per refinement pair, coarse to fine."""
     norms = list(residual_norms)
@@ -113,12 +80,13 @@ def orders_from_residuals(residual_norms) -> list[float]:
     return orders
 
 
-def _rung_residuals(path: PathRecord, identities: tuple[str, ...]) -> dict[str, float]:
-    pair = transform_pair_recursive(
-        path, bounded="bounded" in identities, weighted="weighted" in identities
-    )
-    held = dict(zip(("bounded", "weighted"), pair))
-    return {identity: identity_residual(path, identity, held.get(identity)) for identity in identities}
+def _rung_residuals(path: PathRecord) -> dict[str, float | None]:
+    """Both identity residuals from one recurrence pass; weighted None out of double range."""
+    ts1, ts2 = transform_pair_recursive(path)
+    return {
+        "bounded": residual_norm(*bounded_identity_sides(path, ts1)),
+        "weighted": None if ts2 is None else residual_norm(*weighted_identity_sides(path, ts2)),
+    }
 
 
 def convergence_ladder(
@@ -126,18 +94,18 @@ def convergence_ladder(
     t_max: float,
     build_rung,
     refinement_levels: int = 4,
-    identities: tuple[str, ...] = ("bounded", "weighted"),
-    finest: dict[str, float] | None = None,
+    finest: dict[str, float | None] | None = None,
 ) -> dict[str, ConvergenceReport]:
     """Track how each identity's residual shrinks on a ladder of coarsened grids.
 
     The finest increment count must be divisible by 2**(refinement_levels-1).
     Every coarser rung reuses the fine noise through pairwise coarsening, so
     residual decay reflects discretization error only. Each rung's path is
-    ``build_rung(grid, increments, factor)`` and is built once for all
+    ``build_rung(grid, increments, factor)`` and is built once for both
     identities, its two transforms coming from one recurrence pass. When
-    ``finest`` maps every identity to its residual on the path of the fine
-    increments, the finest rung is taken from it instead.
+    ``finest`` maps both identities to their residuals on the path of the fine
+    increments, the finest rung is taken from it instead. An identity whose
+    residual is None on some rung, its values out of double range, gets no report.
     """
     fine = np.asarray(fine_increments, dtype=np.float64)
     if refinement_levels < 3:
@@ -153,80 +121,48 @@ def convergence_ladder(
             rungs.append(finest)
             continue
         path = build_rung(build_grid(t_max, n), coarsen_increments(fine, factor), factor)
-        rungs.append(_rung_residuals(path, identities))
+        rungs.append(_rung_residuals(path))
     reports = {}
-    for identity in identities:
+    for identity in ("bounded", "weighted"):
         norms = tuple(rung[identity] for rung in rungs)
+        if None in norms:
+            continue
         orders = tuple(orders_from_residuals(norms))
         reports[identity] = ConvergenceReport(sizes, norms, orders, float(np.median(orders)))
     return reports
-
-
-def estimate_order(
-    fine_increments,
-    *,
-    t_max: float,
-    a_spec: CoefficientSpec,
-    sigma_spec: CoefficientSpec,
-    u_spec: CoefficientSpec,
-    x0: float = 0.0,
-    refinement_levels: int = 4,
-    identity: str = "bounded",
-) -> ConvergenceReport:
-    """One identity's convergence ladder; file samples are decimated on every rung."""
-
-    def rung(grid, increments, factor):
-        specs = (spec.coarsened(factor) for spec in (a_spec, sigma_spec, u_spec))
-        return simulate_path(*specs, grid, increments, x0)
-
-    return convergence_ladder(fine_increments, t_max, rung, refinement_levels, (identity,))[identity]
-
-
-def _refuse_above(path: PathRecord, ceiling: int) -> None:
-    n = path.grid.n_steps
-    if n > ceiling:
-        raise OracleCostError(
-            f"direct reference refused: {n} steps exceeds the ceiling of {ceiling}"
-        )
-
-
-def _deviation(direct: TransformSeries, fast: TransformSeries) -> float:
-    return max(
-        float(np.max(np.abs(direct.X - fast.X))),
-        float(np.max(np.abs(direct.Y - fast.Y))),
-    )
-
-
-def compare_oracle(
-    path: PathRecord, which: str = "bounded", ceiling: int = DEFAULT_ORACLE_CEILING
-) -> float:
-    """Max |direct - recursive| over both components and all nodes.
-
-    Refuses paths longer than the ceiling: the direct reference is O(N^2).
-    """
-    if which not in ("bounded", "weighted"):
-        raise ValueError(f"unknown transform {which!r}, expected 'bounded' or 'weighted'")
-    _refuse_above(path, ceiling)
-    if which == "bounded":
-        return _deviation(bounded_transform_direct(path), bounded_transform_recursive(path))
-    return _deviation(weighted_transform_direct(path), weighted_transform_recursive(path))
 
 
 def compare_oracle_pair(
     path: PathRecord,
     ceiling: int = DEFAULT_ORACLE_CEILING,
     fast: tuple[TransformSeries, TransformSeries] | None = None,
-) -> dict[str, float | None]:
-    """compare_oracle for both transforms, from one direct and one recursive pass.
+) -> dict[str, tuple[float, float] | None]:
+    """Each transform's max |direct - recursive| over both components and all
+    nodes, with its tolerance, from one direct and one recursive pass.
 
-    ``fast`` is the path's (bounded, weighted) recurrence pair when the caller
-    already holds it. The weighted deviation is None when its direct reference
-    is skipped because its scale leaves double range.
+    Refuses paths longer than the ceiling: the direct reference is O(N^2).
+    The tolerance is ORACLE_TOLERANCE_UNIT * (1 + scale), the scale being the
+    total of |u| dt, times e^{I_N/2} for the weighted transform; the weighted
+    row is None, and its direct reference skipped, once that scale leaves
+    double range. ``fast`` is the path's (bounded, weighted) recurrence pair
+    when the caller already holds it.
     """
-    _refuse_above(path, ceiling)
-    direct = transform_pair_direct(path)
-    fast = fast if fast is not None else transform_pair_recursive(path)
-    return {
-        which: None if ref is None else _deviation(ref, ts)
-        for which, ref, ts in zip(("bounded", "weighted"), direct, fast)
-    }
+    n = path.grid.n_steps
+    if n > ceiling:
+        raise OracleCostError(
+            f"direct reference refused: {n} steps exceeds the ceiling of {ceiling}"
+        )
+    integral = float(np.sum(np.abs(path.u)) * path.grid.dt)
+    scales = (integral, weighted_scale(path, integral))
+    in_range = scales[1] is not None
+    direct = transform_pair_direct(path, weighted=in_range)
+    fast = fast if fast is not None else transform_pair_recursive(path, weighted=in_range)
+    rows = {}
+    for which, scale, ref, ts in zip(("bounded", "weighted"), scales, direct, fast):
+        rows[which] = None
+        if ref is not None:
+            deviation = max(
+                float(np.max(np.abs(ref.X - ts.X))), float(np.max(np.abs(ref.Y - ts.Y)))
+            )
+            rows[which] = (deviation, ORACLE_TOLERANCE_UNIT * (1 + scale))
+    return rows

@@ -12,6 +12,7 @@ shrink under one doubling; criteria 5 and 6 gate on net decay across the
 whole refinement ladder per seed.
 """
 
+import functools
 import math
 import time
 from pathlib import Path
@@ -113,7 +114,7 @@ def test_criterion_03_oracle_equivalence():
     for i in range(200):
         path = random_instance(rng, n_lo=100, n_hi=2000)
         which = "bounded" if i % 2 == 0 else "weighted"
-        deviation = rb.compare_oracle(path, which)
+        deviation = rb.compare_oracle_pair(path)[which][0]
         scale = 1.0 + float(np.sum(np.abs(path.u)) * path.grid.dt)
         if which == "weighted":
             scale = 1.0 + float(
@@ -147,20 +148,24 @@ def test_criterion_04_closed_form_degenerate():
     assert err_y <= 5 * grid.dt
 
 
+@functools.lru_cache(maxsize=1)
+def _refinement_ladders():
+    """Both identities' 4-level ladders for seeds 1..20, shared by criteria 5 and 6."""
+
+    def rung(grid, increments, factor):
+        return rb.simulate_path(const(2), const(1), const(1), grid, increments)
+
+    grid = rb.build_grid(5.0, 2**16)
+    return [
+        rb.convergence_ladder(rb.sample_wiener(grid, seed), 5.0, rung, 4) for seed in range(1, 21)
+    ]
+
+
 def _refinement_study(identity: str):
     decayed = 0
     orders = []
-    for seed in range(1, 21):
-        grid = rb.build_grid(5.0, 2**16)
-        rep = rb.estimate_order(
-            rb.sample_wiener(grid, seed),
-            t_max=5.0,
-            a_spec=const(2),
-            sigma_spec=const(1),
-            u_spec=const(1),
-            refinement_levels=4,
-            identity=identity,
-        )
+    for reports in _refinement_ladders():
+        rep = reports[identity]
         decayed += rep.residual_norms[0] > rep.residual_norms[-1]
         orders.extend(rep.estimated_orders)
     return decayed, float(np.median(orders))
@@ -192,7 +197,7 @@ def test_criterion_06_identity_convergence_weighted():
     assert 0.4 <= median_order <= 1.6
 
 
-def _rotation_doubling_study(identity: str):
+def _rotation_doubling_study(running_sides):
     fine_grid = rb.build_grid(5.0, 8192)
     coarse_grid = rb.build_grid(5.0, 4096)
     fine_residuals = []
@@ -204,15 +209,15 @@ def _rotation_doubling_study(identity: str):
         coarse = rb.simulate_path(
             const(0), const(1), const(1), coarse_grid, rb.coarsen_increments(dw, 2)
         )
-        fine_residuals.append(rb.identity_residual(fine, identity))
-        coarse_residuals.append(rb.identity_residual(coarse, identity))
+        fine_residuals.append(rb.residual_norm(*running_sides(fine)))
+        coarse_residuals.append(rb.residual_norm(*running_sides(coarse)))
         fine_records.append(fine)
     per_seed = int(np.sum(np.array(fine_residuals) < np.array(coarse_residuals)))
     return float(np.median(fine_residuals)), float(np.median(coarse_residuals)), per_seed, fine_records
 
 
 def test_criterion_07_unit_rotation():
-    med_fine, med_coarse, per_seed, records = _rotation_doubling_study("unit_rotation")
+    med_fine, med_coarse, per_seed, records = _rotation_doubling_study(rb.unit_rotation_running_sides)
     worst_margin = -math.inf
     for path in records:
         rot = rb.unit_rotation_identity(path)
@@ -231,7 +236,7 @@ def test_criterion_07_unit_rotation():
 
 
 def test_criterion_08_scaled_rotation():
-    med_fine, med_coarse, per_seed, records = _rotation_doubling_study("scaled_rotation")
+    med_fine, med_coarse, per_seed, records = _rotation_doubling_study(rb.scaled_rotation_running_sides)
     worst_rel = 0.0
     for path in records:
         rot = rb.scaled_rotation_identity(path)
@@ -291,7 +296,7 @@ def test_criterion_09_linear_scaling():
     guard = rb.simulate_seeded(const(2), const(1), const(1), rb.build_grid(5.0, 4001), seed=1)
     refused = False
     try:
-        rb.compare_oracle(guard, "bounded")
+        rb.compare_oracle_pair(guard)
     except OracleCostError:
         refused = True
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rangebound import cli, experiment, verification
+from rangebound import cli, experiment
 from rangebound.experiment import VerificationCheck, VerificationSummary
 
 SMALL = "t_max=5\nn_steps=512\na=const:2\nsigma=const:1\nu=const:1\nseeds=1\n"
@@ -80,6 +80,23 @@ def test_repeated_seed_exits_1_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "figures", "verify"])
+def test_grid_too_large_to_allocate_exits_1_with_one_line(tmp_path, capsys, command):
+    # 10**17 + 1 float64 nodes take 8e17 bytes, more than any 64-bit address
+    # space maps, so the grid's first allocation fails before memory is touched
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        SMALL.replace("n_steps=512", "n_steps=100000000000000000")
+        + f"output_dir={tmp_path / 'out'}\n"
+    )
+    assert cli.main([command, str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert "allocate" in captured.err and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
@@ -127,14 +144,13 @@ def test_file_coefficients_are_decimated_on_coarse_grids(tmp_path, monkeypatch, 
     )
 
     paths = []
-    for module in (experiment, verification):
-        original = module.simulate_path
+    original = experiment.simulate_path
 
-        def recording(*args, _original=original, **kwargs):
-            paths.append(_original(*args, **kwargs))
-            return paths[-1]
+    def recording(*args, **kwargs):
+        paths.append(original(*args, **kwargs))
+        return paths[-1]
 
-        monkeypatch.setattr(module, "simulate_path", recording)
+    monkeypatch.setattr(experiment, "simulate_path", recording)
 
     assert cli.main(["run", str(cfg)]) == 0
     assert cli.main(["verify", str(cfg)]) == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rangebound as rb
-from rangebound import experiment, verification
+from rangebound import experiment
 from rangebound.config import parse_config
 from rangebound.experiment import (
     FIGURE_NAMES,
@@ -253,15 +253,14 @@ class TestConvergenceLadder:
     @pytest.fixture
     def simulated_steps(self, monkeypatch):
         steps = []
-        for module in (experiment, verification):
-            original = module.simulate_path
+        original = experiment.simulate_path
 
-            def counting(*args, _original=original, **kwargs):
-                path = _original(*args, **kwargs)
-                steps.append(path.grid.n_steps)
-                return path
+        def counting(*args, **kwargs):
+            path = original(*args, **kwargs)
+            steps.append(path.grid.n_steps)
+            return path
 
-            monkeypatch.setattr(module, "simulate_path", counting)
+        monkeypatch.setattr(experiment, "simulate_path", counting)
         return steps
 
     def test_verify_simulates_each_rung_once(self, simulated_steps):
@@ -269,18 +268,14 @@ class TestConvergenceLadder:
         # a ceiling at n keeps the oracle on the seed's own path
         summary = verify_suite(cfg, convergence_levels=4, oracle_ceiling=4096)
         assert sum(simulated_steps) == 4096 + 2048 + 1024 + 512
-        dw = prepare_path(cfg, 1).dw
+
+        def rung(grid, increments, factor):
+            specs = (spec.coarsened(factor) for spec in (cfg.a_spec, cfg.sigma_spec, cfg.u_spec))
+            return rb.simulate_path(*specs, grid, increments, cfg.x0)
+
+        reports = rb.convergence_ladder(prepare_path(cfg, 1).dw, cfg.t_max, rung, 4)
         for identity in ("bounded", "weighted"):
-            report = rb.estimate_order(
-                dw,
-                t_max=cfg.t_max,
-                a_spec=cfg.a_spec,
-                sigma_spec=cfg.sigma_spec,
-                u_spec=cfg.u_spec,
-                x0=cfg.x0,
-                refinement_levels=4,
-                identity=identity,
-            )
+            report = reports[identity]
             expected = (
                 f"convergence[{identity}] seed=1: median_order={report.median_order:.3f} "
                 "residuals=" + ",".join(f"{r:.3e}" for r in report.residual_norms)

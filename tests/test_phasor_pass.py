@@ -148,9 +148,14 @@ def assert_recurrences_match(path, threshold=RESCALE_THRESHOLD):
     ref_weighted = reference_recurrence(path, half_i, threshold)
     bounded, weighted = transform_pair_recursive(path, rescale_threshold=threshold)
     assert same_bits(bounded, ref_bounded)
-    assert same_bits(weighted, ref_weighted)
     assert same_bits(rb.bounded_transform_recursive(path), ref_bounded)
-    assert same_bits(rb.weighted_transform_recursive(path, threshold), ref_weighted)
+    if np.isfinite(ref_weighted).all():
+        assert same_bits(weighted, ref_weighted)
+        assert same_bits(rb.weighted_transform_recursive(path, threshold), ref_weighted)
+    else:
+        # values past double range: the fused pass gives no weighted series
+        assert weighted is None
+        assert rb.weighted_transform_recursive(path, threshold) is None
 
 
 def with_zero_stretches(path, rng):
@@ -208,7 +213,8 @@ def test_pair_recurrence_matches_reference_on_rebasing_paths(
     t_max, n_steps, a, sigma, u, seed, threshold
 ):
     path = rb.simulate_seeded(const(a), const(sigma), const(u), rb.build_grid(t_max, n_steps), seed)
-    # without rebasing (threshold 1e9) the 1436 path overflows, identically in both
+    # without rebasing (threshold 1e9) the 1436 path overflows: the reference
+    # copy warns and turns inf, the fused pass returns None
     with np.errstate(over="ignore", invalid="ignore"):
         assert_recurrences_match(path, threshold)
 
@@ -299,17 +305,22 @@ def test_pair_direct_at_the_ceiling_is_exact_and_no_larger_than_one_reference():
     assert peak <= reference_peak
 
 
-def test_pair_direct_skips_weighted_when_its_weights_overflow():
+def test_oracle_pair_skips_weighted_direct_when_its_weights_overflow(phasor_counts):
     # the half-variance total reaches 718, beyond log(DBL_MAX) = 709.78
     path = rb.simulate_seeded(const(0), const(1), const(1e-6), rb.build_grid(1436.0, 2000), 3)
+    _, directs = phasor_counts
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bounded, weighted = transform_pair_direct(path)
-        deviations = rb.compare_oracle_pair(path)
+        rows = rb.compare_oracle_pair(path)
+        bounded, weighted = transform_pair_direct(path, weighted=False)
+    assert directs == [(2000, True, False), (2000, True, False)]
     assert weighted is None
     assert same_bits(bounded, reference_direct(path, weighted=False))
-    assert deviations["weighted"] is None
-    assert deviations["bounded"] == rb.compare_oracle(path, "bounded")
+    assert rows["weighted"] is None
+    fast = rb.bounded_transform_recursive(path)
+    deviation = max(np.max(np.abs(bounded.X - fast.X)), np.max(np.abs(bounded.Y - fast.Y)))
+    integral = np.sum(np.abs(path.u)) * path.grid.dt
+    assert rows["bounded"] == (deviation, 1e-10 * (1 + integral))
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +393,30 @@ def test_verify_skips_weighted_oracle_beyond_double_range():
     ]
 
 
+# e^{I/2} = e^709 is finite, but times the integral of |u| it is not, and
+# neither are the weighted transform's own values
+WEIGHTED_OVERFLOW = "t_max=1418\nn_steps=500\na=const:0\nsigma=const:1\nu=const:1e3\nseeds=1\n"
+
+
+def test_pair_recurrence_gives_no_weighted_series_beyond_double_range():
+    path = prepare_path(parse_config(WEIGHTED_OVERFLOW), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounded, weighted = transform_pair_recursive(path)
+        alone = rb.weighted_transform_recursive(path)
+    assert weighted is None and alone is None
+    assert same_bits(bounded, reference_recurrence(path, None, RESCALE_THRESHOLD))
+
+
 def test_verify_skips_weighted_oracle_with_an_infinite_tolerance():
-    # e^{I/2} = e^709 is finite, but times the integral of |u| it is not
-    cfg = parse_config("t_max=1418\nn_steps=500\na=const:0\nsigma=const:1\nu=const:1e3\nseeds=1\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        summary = verify_suite(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = verify_suite(parse_config(WEIGHTED_OVERFLOW))
+    assert not summary.failed
     assert "oracle[weighted] seed=1: scale leaves double range, skipped" in summary.notes
     assert not any(c.name.startswith("oracle[weighted]") for c in summary.checks)
+    assert "identity[weighted] seed=1: values leave double range, skipped" in summary.notes
+    assert not any("nan" in line for line in summary.lines())
 
 
 def test_run_records_a_warning_instead_of_a_nan_deviation(tmp_path):
@@ -405,19 +433,56 @@ def test_run_records_a_warning_instead_of_a_nan_deviation(tmp_path):
 
 
 def test_run_records_a_warning_when_the_weighted_oracle_tolerance_overflows(tmp_path):
-    # e^{I/2} = e^709 is finite, but times the integral of |u| it is not; the
-    # weighted identity sides overflow here too, which this test does not cover
-    cfg = parse_config(
-        "t_max=1418\nn_steps=500\na=const:0\nsigma=const:1\nu=const:1e3\nseeds=1\n"
-        "outputs=identities\n"
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
+    cfg = parse_config(WEIGHTED_OVERFLOW + "outputs=identities\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         manifest = run_experiment(cfg, out_dir=tmp_path)
     assert manifest.get("seed.1.oracle.weighted.deviation") is None
     assert manifest.get("seed.1.oracle.bounded.deviation") is not None
     assert manifest.warnings == [
-        "seed 1: weighted direct oracle skipped: its scale leaves double range"
+        "seed 1: weighted transform skipped: its values leave double range",
+        "seed 1: weighted direct oracle skipped: its scale leaves double range",
     ]
+
+
+def test_run_skips_the_weighted_series_beyond_double_range(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest = run_experiment(parse_config(WEIGHTED_OVERFLOW), out_dir=tmp_path)
+    assert sorted(manifest.files) == [
+        f"seed1/{name}.csv"
+        for name in ("bound_t1", "identity_t1", "rotation_unit", "t1", "x")
+    ]
+    assert not (tmp_path / "seed1" / "t2.csv").exists()
+    assert manifest.get("seed.1.identity_t2.residual") is None
+    assert manifest.get("seed.1.identity_t1.residual") is not None
+    assert "seed 1: weighted transform skipped: its values leave double range" in manifest.warnings
+    assert "nan" not in manifest.to_text()
+
+
+def test_weighted_convergence_is_skipped_beyond_double_range(tmp_path):
+    cfg = parse_config(WEIGHTED_OVERFLOW.replace("n_steps=500", "n_steps=512"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest = run_experiment(cfg, out_dir=tmp_path)
+        summary = verify_suite(cfg)
+    assert manifest.get("seed.1.convergence.bounded.grids") == "64,128,256,512"
+    assert not [key for key, _ in manifest.entries if key.startswith("seed.1.convergence.weighted")]
+    assert any(note.startswith("convergence[bounded] seed=1") for note in summary.notes)
+    assert not any(note.startswith("convergence[weighted]") for note in summary.notes)
+    assert "identity[weighted] seed=1: values leave double range, skipped" in summary.notes
+
+
+def test_verify_skips_the_discounted_envelope_check_beyond_double_range():
+    # psi dt sums past DBL_MAX on a path that barely turns; the bounded sums
+    # overflow as well, which this test does not cover
+    cfg = parse_config(
+        "t_max=5\nn_steps=512\na=const:0\nsigma=const:0.01\npsi=const:1e308\nseeds=1\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = verify_suite(cfg)
+    assert not any(c.name.startswith("bound[t2]") for c in summary.checks)
+    assert "identity[weighted] seed=1: values leave double range, skipped" in summary.notes
 
 
 def test_run_skips_the_scaled_rotation_beyond_double_range(tmp_path):

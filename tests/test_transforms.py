@@ -37,6 +37,10 @@ def weighted_scale(path):
     return math.exp(0.5 * total_variance) * u_scale(path)
 
 
+def oracle_deviation(path, which):
+    return rb.compare_oracle_pair(path)[which][0]
+
+
 class TestBoundedTransform:
     def test_zero_integrand_gives_zero_series(self):
         grid = rb.build_grid(5.0, 400)
@@ -75,7 +79,7 @@ class TestBoundedTransform:
         a, sigma, u = random_specs(rng)
         grid = rb.build_grid(rng.uniform(1.0, 8.0), int(rng.integers(200, 2000)))
         path = rb.simulate_seeded(a, sigma, u, grid, seed=seed)
-        deviation = rb.compare_oracle(path, "bounded")
+        deviation = oracle_deviation(path, "bounded")
         assert deviation <= 1e-10 * (1 + u_scale(path))
 
     def test_first_node_is_origin(self):
@@ -118,13 +122,13 @@ class TestWeightedTransform:
         a, sigma, u = random_specs(rng)
         grid = rb.build_grid(rng.uniform(1.0, 6.0), int(rng.integers(200, 1500)))
         path = rb.simulate_seeded(a, sigma, u, grid, seed=seed)
-        deviation = rb.compare_oracle(path, "weighted")
+        deviation = oracle_deviation(path, "weighted")
         assert deviation <= 1e-10 * (1 + weighted_scale(path))
 
     def test_large_variance_stress_matches_direct(self):
         grid = rb.build_grid(50.0, 500)
         path = rb.simulate_seeded(const(0.5), const(3), const(1), grid, seed=7)
-        deviation = rb.compare_oracle(path, "weighted")
+        deviation = oracle_deviation(path, "weighted")
         assert np.isfinite(deviation)
         assert deviation <= 1e-10 * (1 + weighted_scale(path))
 
@@ -200,8 +204,10 @@ class TestIdentities:
         coarse = rb.simulate_path(
             const(2), const(1), const(1), coarse_grid, rb.coarsen_increments(dw, 2)
         )
-        r_coarse = rb.identity_residual(coarse, "bounded")
-        r_fine = rb.identity_residual(fine, "bounded")
+        r_coarse, r_fine = (
+            rb.residual_norm(*rb.bounded_identity_sides(p, rb.bounded_transform_recursive(p)))
+            for p in (coarse, fine)
+        )
         assert 0.0 < r_fine < r_coarse
 
 
@@ -311,6 +317,6 @@ class TestRotationIdentities:
             p_coarse = rb.simulate_path(
                 const(0), const(1), const(1), coarse_grid, rb.coarsen_increments(dw, 2)
             )
-            fine.append(rb.identity_residual(p_fine, "unit_rotation"))
-            coarse.append(rb.identity_residual(p_coarse, "unit_rotation"))
+            fine.append(rb.residual_norm(*rb.unit_rotation_running_sides(p_fine)))
+            coarse.append(rb.residual_norm(*rb.unit_rotation_running_sides(p_coarse)))
         assert np.median(fine) < np.median(coarse)

@@ -9,6 +9,19 @@ from rangebound.transforms import TransformSeries
 const = CoefficientSpec.constant
 
 
+def bounded_residual(path):
+    return rb.residual_norm(*rb.bounded_identity_sides(path, rb.bounded_transform_recursive(path)))
+
+
+def ladder(dw, t_max, a_spec, sigma_spec, u_spec, refinement_levels):
+    """convergence_ladder on paths of constant coefficients."""
+
+    def rung(grid, increments, factor):
+        return rb.simulate_path(a_spec, sigma_spec, u_spec, grid, increments)
+
+    return rb.convergence_ladder(dw, t_max, rung, refinement_levels)
+
+
 def make_series(grid, X, Y, weighted=False):
     return TransformSeries(grid=grid, X=np.asarray(X, float), Y=np.asarray(Y, float), weighted=weighted)
 
@@ -69,8 +82,8 @@ class TestResidualNorm:
         coarse = rb.simulate_path(
             const(2), const(1), const(1), rb.build_grid(5.0, 10_000), rb.coarsen_increments(dw, 2)
         )
-        r_coarse = rb.identity_residual(coarse, "bounded")
-        r_fine = rb.identity_residual(fine, "bounded")
+        r_coarse = bounded_residual(coarse)
+        r_fine = bounded_residual(fine)
         assert 0.0 < r_fine < r_coarse
 
 
@@ -81,96 +94,53 @@ class TestOrders:
     def test_stagnation(self):
         assert rb.orders_from_residuals([0.3, 0.3, 0.3]) == pytest.approx([0.0, 0.0])
 
-    def test_estimate_order_end_to_end(self):
+    def test_convergence_ladder_end_to_end(self):
         grid = rb.build_grid(5.0, 2**12)
-        report = rb.estimate_order(
-            rb.sample_wiener(grid, 1),
-            t_max=5.0,
-            a_spec=const(2),
-            sigma_spec=const(1),
-            u_spec=const(1),
-            refinement_levels=4,
-            identity="bounded",
-        )
+        report = ladder(rb.sample_wiener(grid, 1), 5.0, const(2), const(1), const(1), 4)["bounded"]
         assert report.grid_sizes == (512, 1024, 2048, 4096)
         assert all(r > 0 for r in report.residual_norms)
         assert len(report.estimated_orders) == 3
         assert np.isfinite(report.median_order)
         assert report.residual_norms[0] > report.residual_norms[-1]
 
-    def test_estimate_order_rotation_identity(self):
-        report = rb.estimate_order(
-            rb.sample_wiener(rb.build_grid(5.0, 2**12), 2),
-            t_max=5.0,
-            a_spec=const(0),
-            sigma_spec=const(1),
-            u_spec=const(1),
-            refinement_levels=3,
-            identity="unit_rotation",
-        )
-        assert len(report.residual_norms) == 3
-        assert all(np.isfinite(r) for r in report.residual_norms)
-
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
-            rb.estimate_order(
-                np.zeros(1002),
-                t_max=1.0,
-                a_spec=const(0),
-                sigma_spec=const(1),
-                u_spec=const(1),
-                refinement_levels=4,
-            )
+            ladder(np.zeros(1002), 1.0, const(0), const(1), const(1), 4)
 
     def test_minimum_levels(self):
         with pytest.raises(ValueError):
-            rb.estimate_order(
-                np.zeros(1024),
-                t_max=1.0,
-                a_spec=const(0),
-                sigma_spec=const(1),
-                u_spec=const(1),
-                refinement_levels=2,
-            )
+            ladder(np.zeros(1024), 1.0, const(0), const(1), const(1), 2)
 
-    def test_unknown_identity(self):
-        grid = rb.build_grid(1.0, 16)
-        path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=1)
-        with pytest.raises(ValueError):
-            rb.identity_residual(path, "nope")
+
+def deviation(path, which, **kwargs):
+    return rb.compare_oracle_pair(path, **kwargs)[which][0]
 
 
 class TestCompareOracle:
     def test_zero_integrand(self):
         grid = rb.build_grid(5.0, 500)
         path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=1)
-        assert rb.compare_oracle(path, "bounded") == 0.0
-        assert rb.compare_oracle(path, "weighted") == 0.0
+        assert deviation(path, "bounded") == 0.0
+        assert deviation(path, "weighted") == 0.0
 
     def test_random_instance_within_tolerance(self):
         grid = rb.build_grid(5.0, 2000)
         path = rb.simulate_seeded(const(-7), const(1.2), const(1), grid, seed=5)
         scale = 1 + np.sum(np.abs(path.u)) * grid.dt
-        assert rb.compare_oracle(path, "bounded") <= 1e-10 * scale
+        assert deviation(path, "bounded") <= 1e-10 * scale
 
     def test_ceiling_refusal(self):
         grid = rb.build_grid(5.0, 4001)
         path = rb.simulate_seeded(const(1), const(1), const(1), grid, seed=1)
         with pytest.raises(OracleCostError):
-            rb.compare_oracle(path, "bounded")
-        assert rb.compare_oracle(path, "bounded", ceiling=5000) >= 0.0
+            deviation(path, "bounded")
+        assert deviation(path, "bounded", ceiling=5000) >= 0.0
 
     def test_stress_weighted_finite(self):
         grid = rb.build_grid(50.0, 500)
         path = rb.simulate_seeded(const(0.5), const(3), const(1), grid, seed=7)
-        deviation = rb.compare_oracle(path, "weighted")
+        found = deviation(path, "weighted")
         total_variance = np.sum(path.sigma**2) * grid.dt
         scale = 1 + np.exp(0.5 * total_variance) * np.sum(np.abs(path.u)) * grid.dt
-        assert np.isfinite(deviation)
-        assert deviation <= 1e-10 * scale
-
-    def test_unknown_transform_name(self):
-        grid = rb.build_grid(1.0, 16)
-        path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=1)
-        with pytest.raises(ValueError):
-            rb.compare_oracle(path, "fancy")
+        assert np.isfinite(found)
+        assert found <= 1e-10 * scale
