@@ -28,21 +28,15 @@ from .experiment import (
 )
 from .quadrature import CumulativeSeries, ito_cumsum, riemann_cumsum
 from .transforms import (
-    RotationIdentity,
     TransformSeries,
     bounded_identity_sides,
-    bounded_transform_direct,
     bounded_transform_recursive,
     scaled_rotation_identity,
-    scaled_rotation_running_sides,
     transform_pair_direct,
     transform_pair_recursive,
     unit_rotation_identity,
-    unit_rotation_running_sides,
     variance_discounted_u,
     weighted_identity_sides,
-    weighted_transform_direct,
-    weighted_transform_recursive,
 )
 from .verification import (
     DEFAULT_ORACLE_CEILING,
@@ -67,11 +61,9 @@ __all__ = [
     "ExperimentManifest",
     "OracleCostError",
     "PathRecord",
-    "RotationIdentity",
     "TimeGrid",
     "TransformSeries",
     "bounded_identity_sides",
-    "bounded_transform_direct",
     "bounded_transform_recursive",
     "build_grid",
     "check_envelope",
@@ -89,17 +81,13 @@ __all__ = [
     "run_experiment",
     "sample_wiener",
     "scaled_rotation_identity",
-    "scaled_rotation_running_sides",
     "simulate_path",
     "simulate_seeded",
     "transform_pair_direct",
     "transform_pair_recursive",
     "unit_rotation_identity",
-    "unit_rotation_running_sides",
     "variance_discounted_u",
     "verify_suite",
     "weighted_identity_sides",
-    "weighted_transform_direct",
-    "weighted_transform_recursive",
     "__version__",
 ]

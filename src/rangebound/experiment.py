@@ -23,6 +23,7 @@ from .engine import (
     sample_wiener,
     simulate_path,
 )
+from .errors import ConfigurationError
 from .quadrature import _as_values, ito_cumsum, riemann_cumsum
 from .transforms import (
     bounded_identity_sides,
@@ -154,8 +155,9 @@ class SeedRecord:
     """One seed's checks as scalars (None out of double range) and its emitted series."""
 
     files: list[str] = field(default_factory=list)
-    weighted_skipped: bool = False  # the weighted transform left double range
-    bounds: dict[str, BoundReport] = field(default_factory=dict)  # by label t1, t2
+    skipped: list[str] = field(default_factory=list)  # transforms out of double range
+    # by label t1, t2; None when the envelope leaves double range
+    bounds: dict[str, BoundReport | None] = field(default_factory=dict)
     residuals: dict[str, float | None] = field(default_factory=dict)
     # |rhs|, bound, |lhs - rhs|; None with drift
     rotation_unit: tuple[float, float, float] | None = None
@@ -202,25 +204,28 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
     if not config.uses_discounted_u and "t2" in labels:
         labels.remove("t2")  # the integrand envelope bounds t2 once u is discounted
     sides = bool({"identities", "convergence"} & wanted)
-    weighted = sides or "t2" in wanted or "t2" in labels
-    ts1, ts2 = transform_pair_recursive(
-        path, bounded=sides or "t1" in wanted or "t1" in labels, weighted=weighted
-    )
-    record.weighted_skipped = weighted and ts2 is None
-    if record.weighted_skipped and "t2" in labels:
-        labels.remove("t2")
+    asked = {label: sides or label in wanted or label in labels for label in ("t1", "t2")}
+    ts1, ts2 = transform_pair_recursive(path, bounded=asked["t1"], weighted=asked["t2"])
+    pairs = (("t1", "bounded", ts1), ("t2", "weighted", ts2))
+    record.skipped = [which for label, which, ts in pairs if asked[label] and ts is None]
+    labels = [label for label, _, ts in pairs if label in labels and ts is not None]
     if "path" in wanted:
         send("x.csv", "t,x", path.x)
-    if "t1" in wanted:
+    if "t1" in wanted and ts1 is not None:
         send("t1.csv", "t,X,Y", ts1.X, ts1.Y)
     if "t2" in wanted and ts2 is not None:
         send("t2.csv", "t,X,Y", ts2.X, ts2.Y)
 
     for label in labels:
-        if label == "t1":
-            ts, envelope = ts1, riemann_cumsum(np.abs(path.u), path.grid)
-        else:
-            ts, envelope = ts2, integrand_envelope(config, path)
+        with np.errstate(over="ignore"):
+            if label == "t1":
+                ts, envelope = ts1, riemann_cumsum(np.abs(path.u), path.grid)
+            else:
+                ts, envelope = ts2, integrand_envelope(config, path)
+        # past double range the envelope bounds nothing and its tolerance is inf
+        if not np.isfinite(envelope.values[-1]):
+            record.bounds[label] = None
+            continue
         record.bounds[label] = check_envelope(ts, envelope, bound_tolerance(envelope))
         if emit is not None:
             send(f"bound_{label}.csv", "t,modulus,envelope", ts.modulus(), envelope.values)
@@ -248,21 +253,25 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
     elif "identities" in wanted and coarse_path is not None:
         checked = coarse_path(config, path, ceiling)
     fast = (ts1, ts2) if checked is path else None
-    del ts1, ts2
+    del ts1, ts2, pairs
+
+    def rotation(identity, name) -> tuple[complex, complex]:
+        """Both sides at the horizon; the running sides go before U is written."""
+        U, lhs, rhs = identity(path)
+        lhs, rhs = complex(lhs[-1]), complex(rhs[-1])
+        send(name, "t,re,im", U.real, U.imag)
+        return lhs, rhs
 
     driftless = not np.any(path.a != 0.0)
     if driftless and "rotation_unit" in wanted:
-        rot = unit_rotation_identity(path)
-        send("rotation_unit.csv", "t,re,im", rot.U.real, rot.U.imag)
-        record.rotation_unit = (abs(rot.rhs), rot.bound, abs(rot.lhs - rot.rhs))
-        del rot
+        lhs, rhs = rotation(unit_rotation_identity, "rotation_unit.csv")
+        bound = 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt
+        record.rotation_unit = (abs(rhs), float(bound), abs(lhs - rhs))
     if driftless and "rotation_scaled" in wanted:
         # this scale bounds the series, both sides of its identity and their gap
         if weighted_scale(path, 1.0 + float(np.sum(path.sigma * np.abs(path.dw)))) is not None:
-            rot = scaled_rotation_identity(path)
-            send("rotation_scaled.csv", "t,re,im", rot.U.real, rot.U.imag)
-            record.rotation_scaled = abs(rot.lhs - rot.rhs)
-            del rot
+            lhs, rhs = rotation(scaled_rotation_identity, "rotation_scaled.csv")
+            record.rotation_scaled = abs(lhs - rhs)
 
     if checked is not None:
         record.oracle = compare_oracle_pair(checked, ceiling, fast)
@@ -315,8 +324,8 @@ def run_experiment(
         def warn(text: str) -> None:
             warnings.append(f"seed {seed}: {text}")
 
-        if record.weighted_skipped:
-            warn("weighted transform skipped: its values leave double range")
+        for which in record.skipped:
+            warn(f"{which} transform skipped: its values leave double range")
         if "identities" in outputs:
             for label, identity in (("t1", "bounded"), ("t2", "weighted")):
                 if record.residuals[identity] is not None:
@@ -344,6 +353,9 @@ def run_experiment(
                     add("rotation_scaled.residual", _fmt(record.rotation_scaled))
 
         for label, report in record.bounds.items():
+            if report is None:
+                warn(f"bound_{label} skipped: its envelope leaves double range")
+                continue
             add(f"bound_{label}.max_violation", _fmt(report.max_violation))
             add(f"bound_{label}.violation_index", str(report.violation_index))
             add(f"bound_{label}.tolerance", _fmt(report.tolerance_used))
@@ -384,12 +396,13 @@ def emit_figures(config: ExperimentConfig, out_dir: str | Path | None = None) ->
     fig5 the modulus; fig6 the running integral of X against dx.
     """
     root = Path(out_dir if out_dir is not None else config.output_dir)
-    root.mkdir(parents=True, exist_ok=True)
     path = prepare_path(config, config.seeds[0])
     ts = bounded_transform_recursive(path)
+    if ts is None:
+        raise ConfigurationError(f"seed {path.seed}: the bounded transform leaves double range")
     t = path.grid.nodes
     running = ito_cumsum(ts.X[:-1], path)
-    files = [
+    return [
         _write_csv(root, FIGURE_NAMES[0], "t,value", [t, path.x]),
         _write_csv(root, FIGURE_NAMES[1], "t,value", [t, ts.X]),
         _write_csv(root, FIGURE_NAMES[2], "t,value", [t, ts.Y]),
@@ -397,7 +410,6 @@ def emit_figures(config: ExperimentConfig, out_dir: str | Path | None = None) ->
         _write_csv(root, FIGURE_NAMES[4], "t,value", [t, ts.modulus()]),
         _write_csv(root, FIGURE_NAMES[5], "t,value", [t, running.values]),
     ]
-    return files
 
 
 @dataclass(frozen=True)
@@ -446,7 +458,11 @@ def verify_suite(
             config, seed, VERIFY_WANTED, convergence_levels, oracle_ceiling, _oracle_scale_path
         )
         for label, r in record.bounds.items():
-            check(f"bound[{label}] seed={seed}", r.max_violation, r.tolerance_used, "max_violation")
+            name = f"bound[{label}] seed={seed}"
+            if r is None:
+                note(f"{name}: envelope leaves double range, skipped")
+            else:
+                check(name, r.max_violation, r.tolerance_used, "max_violation")
         if record.rotation_unit is not None:
             rhs_abs, bound, _ = record.rotation_unit
             tolerance = BOUND_TOLERANCE_UNIT * (1.0 + bound)

@@ -7,14 +7,13 @@ Two variants are built from the same kernel e^{i(x_k - x_j)}:
 * the weighted transform, which carries an extra exp(0.5 * (I_k - I_j))
   factor, I being the running left-sum of sigma^2.
 
-Each variant ships in two implementations with identical contracts: a direct
-O(N^2) convolution (the reference) and an O(N) recurrence that exploits the
-separability e^{i(x_k - x_j)} = e^{i x_k} * e^{-i x_j}. The weighted
-recurrence rebases its accumulator periodically so the split exponentials
-never leave double range even when the sigma^2 integral is large. Both
-variants share their kernel, so one pass over a path evaluates it once for
-both: transform_pair_recursive and transform_pair_direct; the single-variant
-functions are views of those passes.
+Both variants share their kernel, so one pass over a path evaluates it once
+for both, in two implementations with identical contracts: the direct O(N^2)
+convolution transform_pair_direct (the reference) and the O(N) recurrence
+transform_pair_recursive, which exploits the separability
+e^{i(x_k - x_j)} = e^{i x_k} * e^{-i x_j}. The weighted recurrence rebases
+its accumulator periodically so the split exponentials never leave double
+range even when the sigma^2 integral is large.
 """
 
 from __future__ import annotations
@@ -53,17 +52,6 @@ class TransformSeries:
         return np.hypot(self.X, self.Y)
 
 
-@dataclass(frozen=True, eq=False)
-class RotationIdentity:
-    """Driftless rotation check: integrand series U, both sides of the
-    stochastic-integral identity, and the a-priori range bound when one exists."""
-
-    U: np.ndarray
-    lhs: complex
-    rhs: complex
-    bound: float | None = None
-
-
 def _half_variance_sum(path: PathRecord) -> np.ndarray:
     return 0.5 * riemann_cumsum(path.sigma * path.sigma, path.grid).values
 
@@ -88,21 +76,6 @@ def _reduce_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def bounded_transform_direct(path: PathRecord) -> TransformSeries:
-    """O(N^2) reference: X_k = sum_{j<k} cos(x_k - x_j) u_j dt, Y_k likewise with sin."""
-    return _direct(path, bounded=True, weighted=False)[0]
-
-
-def weighted_transform_direct(path: PathRecord) -> TransformSeries:
-    """O(N^2) reference for the exp-weighted variant.
-
-    Y slot: sum_{j<k} cos(x_k - x_j) e^{(I_k - I_j)/2} u_j dt;
-    X slot: the same sum with -sin. Weights are evaluated from exponent
-    differences entry by entry, independently of the separated recurrence.
-    """
-    return _direct(path, bounded=False, weighted=True)[1]
-
-
 def weighted_scale(path: PathRecord, factor: float = 1.0) -> float | None:
     """factor * e^{I_N/2}, I_N being the total of sigma^2 dt; None once it leaves double range.
 
@@ -117,19 +90,17 @@ def weighted_scale(path: PathRecord, factor: float = 1.0) -> float | None:
 def transform_pair_direct(
     path: PathRecord, bounded: bool = True, weighted: bool = True
 ) -> tuple[TransformSeries | None, TransformSeries | None]:
-    """Both direct references from one evaluation of cos/sin(x_k - x_j).
+    """O(N^2) references of both transforms from one evaluation of cos/sin(x_k - x_j).
 
-    Returns (bounded, weighted); a variant not asked for is None. The weighted
-    sums turn to inf or nan once its weighted_scale over the total of |u| dt
-    leaves double range; compare_oracle_pair does not ask for them then.
-    """
-    return _direct(path, bounded, weighted)
+    Bounded: X_k = sum_{j<k} cos(x_k - x_j) u_j dt, Y_k likewise with sin.
+    Weighted: Y_k = sum_{j<k} cos(x_k - x_j) e^{(I_k - I_j)/2} u_j dt, X_k the
+    same sum with -sin; its weights are evaluated from exponent differences
+    entry by entry, independently of the separated recurrence.
 
-
-def _direct(
-    path: PathRecord, bounded: bool, weighted: bool
-) -> tuple[TransformSeries | None, TransformSeries | None]:
-    """The requested direct sums, sharing each row's cos/sin(x_k - x_j).
+    Returns (bounded, weighted); a variant not asked for is None. The sums turn
+    to inf or nan once their scale leaves double range: the total of |u| dt,
+    times e^{I_N/2} for the weighted ones (weighted_scale); compare_oracle_pair
+    does not ask for them then.
 
     A block of _DIRECT_ROW_BLOCK rows sums over the columns j < r1 - 1 of its
     last row. A row's pairwise sum depends on that extent, so it is kept while
@@ -169,22 +140,9 @@ def _direct(
     return series.get(False), series.get(True)
 
 
-def bounded_transform_recursive(path: PathRecord) -> TransformSeries:
-    """O(N) evaluation of the same sums as bounded_transform_direct."""
+def bounded_transform_recursive(path: PathRecord) -> TransformSeries | None:
+    """The bounded series of transform_pair_recursive alone."""
     return transform_pair_recursive(path, weighted=False)[0]
-
-
-def weighted_transform_recursive(
-    path: PathRecord, rescale_threshold: float = RESCALE_THRESHOLD
-) -> TransformSeries | None:
-    """O(N) evaluation of the same sums as weighted_transform_direct.
-
-    The accumulator is rebased whenever the sigma^2 half-sum has grown by
-    rescale_threshold since the last rebase, so neither the decayed terms nor
-    the reconstruction factor can overflow no matter how large the variance
-    integral gets. None when the series' own values leave double range.
-    """
-    return transform_pair_recursive(path, bounded=False, rescale_threshold=rescale_threshold)[1]
 
 
 class _Chain:
@@ -218,10 +176,9 @@ def transform_pair_recursive(
 ) -> tuple[TransformSeries | None, TransformSeries | None]:
     """Both O(N) recurrences from one evaluation of e^{i x_k} per node.
 
-    Returns (bounded, weighted); a variant not asked for is None, and so is
-    a weighted series whose values leave double range. Each series is the one
-    bounded_transform_recursive or weighted_transform_recursive returns, bit
-    for bit.
+    Returns (bounded, weighted); a variant not asked for is None, and so is a
+    series whose values leave double range. Each series is the one the pass
+    returns for that variant alone, bit for bit.
 
     Nodes are visited in segments that end wherever either transform starts a
     block. Each segment forms the phasors once and feeds the terms
@@ -247,74 +204,70 @@ def transform_pair_recursive(
         chains.append(_Chain(n_nodes, np.empty(size + 1, dtype=np.complex128), weighted=True))
 
     k0 = 0
-    while chains and k0 < n_nodes:
-        for chain in chains:
-            if chain.end != k0:
-                continue
-            if chain.weighted:
-                scale = half_i[k0]
-                k1 = int(np.searchsorted(half_i, scale + rescale_threshold, side="right"))
-                chain.end = max(min(k1, k0 + _RECURRENCE_BLOCK), k0 + 1)
-                factor = np.exp(scale - chain.scale)
-            else:
-                scale, factor = 0.0, 1.0
-                chain.end = min(k0 + _RECURRENCE_BLOCK, n_nodes)
-            # stored sums carry a factor e^{scale}; raising the scale multiplies
-            # them up, and the reconstruction factor e^{h_k - scale} stays within
-            # [1, e^threshold] so it can never overflow on its own
-            chain.rebased = complex(chain.acc) * factor
-            chain.scale = scale
-            chain.partial = None
-        k1 = min(chain.end for chain in chains)
-        m = k1 - k0
-        j_hi = min(k1, n_nodes - 1)
-        mj = j_hi - k0
+    # past double range the values turn inf or nan; a chain then stops
+    with np.errstate(over="ignore", invalid="ignore"):
+        while chains and k0 < n_nodes:
+            for chain in chains:
+                if chain.end != k0:
+                    continue
+                if chain.weighted:
+                    scale = half_i[k0]
+                    k1 = int(np.searchsorted(half_i, scale + rescale_threshold, side="right"))
+                    chain.end = max(min(k1, k0 + _RECURRENCE_BLOCK), k0 + 1)
+                    factor = np.exp(scale - chain.scale)
+                else:
+                    scale, factor = 0.0, 1.0
+                    chain.end = min(k0 + _RECURRENCE_BLOCK, n_nodes)
+                # stored sums carry a factor e^{scale}; raising the scale multiplies
+                # them up, and the reconstruction factor e^{h_k - scale} stays within
+                # [1, e^threshold] so it can never overflow on its own
+                chain.rebased = complex(chain.acc) * factor
+                chain.scale = scale
+                chain.partial = None
+            k1 = min(chain.end for chain in chains)
+            m = k1 - k0
+            j_hi = min(k1, n_nodes - 1)
+            mj = j_hi - k0
 
-        ph = _reduce_phase(x[k0:k1], phase[:m])
-        rot_blk = rot[:m]
-        np.cos(ph, out=rot_blk.real)
-        np.sin(ph, out=rot_blk.imag)
-        np.conjugate(rot_blk[:mj], out=base[1 : mj + 1])
-        base[1 : mj + 1] *= u[k0:j_hi]
-        base[1 : mj + 1] *= dt
+            ph = _reduce_phase(x[k0:k1], phase[:m])
+            rot_blk = rot[:m]
+            np.cos(ph, out=rot_blk.real)
+            np.sin(ph, out=rot_blk.imag)
+            np.conjugate(rot_blk[:mj], out=base[1 : mj + 1])
+            base[1 : mj + 1] *= u[k0:j_hi]
+            base[1 : mj + 1] *= dt
 
-        for chain in chains:
-            terms = chain.terms
-            if chain.weighted:
-                w = np.subtract(half_i[k0:j_hi], chain.scale, out=decay[:mj])
-                np.negative(w, out=w)
-                np.exp(w, out=w)
-                np.multiply(base[1 : mj + 1], w, out=terms[1 : mj + 1])
-            if chain.partial is None:
-                run[0] = chain.rebased
-                np.cumsum(terms[1 : mj + 1], out=run[1 : mj + 1])
-                first = 1
-            else:
-                terms[0] = chain.partial
-                np.cumsum(terms[: mj + 1], out=run[: mj + 1])
-                first = 0
-            chain.partial = run[mj]
-            run[first : mj + 1] += chain.rebased
-            chain.acc = run[mj]
+            for chain in chains:
+                terms = chain.terms
+                if chain.weighted:
+                    w = np.subtract(half_i[k0:j_hi], chain.scale, out=decay[:mj])
+                    np.negative(w, out=w)
+                    np.exp(w, out=w)
+                    np.multiply(base[1 : mj + 1], w, out=terms[1 : mj + 1])
+                if chain.partial is None:
+                    run[0] = chain.rebased
+                    np.cumsum(terms[1 : mj + 1], out=run[1 : mj + 1])
+                    first = 1
+                else:
+                    terms[0] = chain.partial
+                    np.cumsum(terms[: mj + 1], out=run[: mj + 1])
+                    first = 0
+                chain.partial = run[mj]
+                run[first : mj + 1] += chain.rebased
+                chain.acc = run[mj]
 
-            z_blk = z[:m]
-            if chain.weighted:
-                lift = np.subtract(half_i[k0:k1], chain.scale, out=phase[:m])
-                # past double range the values turn inf or nan; the chain then stops
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.multiply(rot_blk, run[:m], out=z_blk)
-                    np.exp(lift, out=lift)
-                    z_blk *= lift
+                z_blk = np.multiply(rot_blk, run[:m], out=z[:m])
+                if chain.weighted:
+                    lift = np.subtract(half_i[k0:k1], chain.scale, out=phase[:m])
+                    z_blk *= np.exp(lift, out=lift)
                     z_blk *= 1j
                 if not np.isfinite(z_blk).all():
                     chain.X = None
                     continue
-            else:
-                np.multiply(rot_blk, run[:m], out=z_blk)
-            chain.X[k0:k1] = z_blk.real
-            chain.Y[k0:k1] = z_blk.imag
-        chains = [c for c in chains if c.X is not None]
-        k0 = k1
+                chain.X[k0:k1] = z_blk.real
+                chain.Y[k0:k1] = z_blk.imag
+            chains = [c for c in chains if c.X is not None]
+            k0 = k1
 
     series = {c.weighted: _series(path.grid, c.X, c.Y, c.weighted) for c in chains}
     return series.get(False), series.get(True)
@@ -377,59 +330,32 @@ def _complex_prefix(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit_rotation(path: PathRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def unit_rotation_identity(path: PathRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Running series (U, lhs, rhs) of the unit rotation identity on a driftless path.
+
+    U_k = e^{i(x_k - x_0)}; lhs_k = i * sum_{j<k} sigma_j U_j dw_j and
+    rhs_k = U_k - 1 + 0.5 * sum_{j<k} sigma_j^2 U_j dt agree up to the
+    scheme's error, and |rhs_k| never exceeds 2 + 0.5 * sum_j sigma_j^2 dt.
+    """
     _require_driftless(path)
     U = np.exp(1j * (path.x - path.x[0]))
     lhs = 1j * _complex_prefix(path.sigma * U[:-1] * path.dw)
     rhs = U - 1.0 + 0.5 * _complex_prefix(path.sigma * path.sigma * U[:-1] * path.grid.dt)
+    U.setflags(write=False)
     return U, lhs, rhs
 
 
-def _scaled_rotation(path: PathRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    _require_driftless(path)
-    F = np.exp(1j * (path.x - path.x[0]) + _half_variance_sum(path))
-    lhs = _complex_prefix(path.sigma * (1j * F[:-1]) * path.dw)
-    return F, lhs, F - 1.0
-
-
-def unit_rotation_running_sides(path: PathRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Running lhs/rhs series of the unit rotation identity over every horizon.
-
-    lhs_k = i * sum_{j<k} sigma_j U_j dw_j with U_j = e^{i(x_j - x_0)};
-    rhs_k = U_k - 1 + 0.5 * sum_{j<k} sigma_j^2 U_j dt.
-    """
-    return _unit_rotation(path)[1:]
-
-
-def scaled_rotation_running_sides(path: PathRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Running lhs/rhs series of the scaled rotation identity over every horizon.
-
-    lhs_k = sum_{j<k} sigma_j (i F_j) dw_j with F_j = e^{i(x_j - x_0) + I_j/2};
-    rhs_k = F_k - 1.
-    """
-    return _scaled_rotation(path)[1:]
-
-
-def unit_rotation_identity(path: PathRecord) -> RotationIdentity:
-    """Unit-modulus rotation check on a driftless path.
-
-    U_k = e^{i(x_k - x_0)}, and |rhs| never exceeds
-    bound = 2 + 0.5 * sum sigma_k^2 dt.
-    """
-    U, lhs, rhs = _unit_rotation(path)
-    U.setflags(write=False)
-    bound = 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt
-    return RotationIdentity(U=U, lhs=complex(lhs[-1]), rhs=complex(rhs[-1]), bound=float(bound))
-
-
-def scaled_rotation_identity(path: PathRecord) -> RotationIdentity:
-    """Exponentially scaled rotation check on a driftless path.
+def scaled_rotation_identity(path: PathRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Running series (U, lhs, rhs) of the scaled rotation identity on a driftless path.
 
     U_k = i F_k with F_k = e^{i(x_k - x_0)} e^{I_k / 2}, so |U_k| grows like
-    the half-variance exponential.
+    the half-variance exponential; lhs_k = sum_{j<k} sigma_j U_j dw_j and
+    rhs_k = F_k - 1.
     """
-    F, lhs, rhs = _scaled_rotation(path)
-    U = 1j * F
-    del F
+    _require_driftless(path)
+    F = np.exp(1j * (path.x - path.x[0]) + _half_variance_sum(path))
+    rhs = F - 1.0
+    U = np.multiply(F, 1j, out=F)
+    lhs = _complex_prefix(path.sigma * U[:-1] * path.dw)
     U.setflags(write=False)
-    return RotationIdentity(U=U, lhs=complex(lhs[-1]), rhs=complex(rhs[-1]), bound=None)
+    return U, lhs, rhs

@@ -81,10 +81,10 @@ def orders_from_residuals(residual_norms) -> list[float]:
 
 
 def _rung_residuals(path: PathRecord) -> dict[str, float | None]:
-    """Both identity residuals from one recurrence pass; weighted None out of double range."""
+    """Both identity residuals from one recurrence pass; each None out of double range."""
     ts1, ts2 = transform_pair_recursive(path)
     return {
-        "bounded": residual_norm(*bounded_identity_sides(path, ts1)),
+        "bounded": None if ts1 is None else residual_norm(*bounded_identity_sides(path, ts1)),
         "weighted": None if ts2 is None else residual_norm(*weighted_identity_sides(path, ts2)),
     }
 
@@ -135,32 +135,33 @@ def convergence_ladder(
 def compare_oracle_pair(
     path: PathRecord,
     ceiling: int = DEFAULT_ORACLE_CEILING,
-    fast: tuple[TransformSeries, TransformSeries] | None = None,
+    fast: tuple[TransformSeries | None, TransformSeries | None] | None = None,
 ) -> dict[str, tuple[float, float] | None]:
     """Each transform's max |direct - recursive| over both components and all
     nodes, with its tolerance, from one direct and one recursive pass.
 
     Refuses paths longer than the ceiling: the direct reference is O(N^2).
     The tolerance is ORACLE_TOLERANCE_UNIT * (1 + scale), the scale being the
-    total of |u| dt, times e^{I_N/2} for the weighted transform; the weighted
-    row is None, and its direct reference skipped, once that scale leaves
-    double range. ``fast`` is the path's (bounded, weighted) recurrence pair
-    when the caller already holds it.
+    total of |u| dt, times e^{I_N/2} for the weighted transform; a row is None,
+    and its direct reference skipped, once its scale leaves double range (or
+    its recurrence did). ``fast`` is the path's (bounded, weighted) recurrence
+    pair when the caller already holds it.
     """
     n = path.grid.n_steps
     if n > ceiling:
         raise OracleCostError(
             f"direct reference refused: {n} steps exceeds the ceiling of {ceiling}"
         )
-    integral = float(np.sum(np.abs(path.u)) * path.grid.dt)
-    scales = (integral, weighted_scale(path, integral))
-    in_range = scales[1] is not None
-    direct = transform_pair_direct(path, weighted=in_range)
-    fast = fast if fast is not None else transform_pair_recursive(path, weighted=in_range)
+    with np.errstate(over="ignore"):
+        integral = float(np.sum(np.abs(path.u)) * path.grid.dt)
+    scales = (integral if np.isfinite(integral) else None, weighted_scale(path, integral))
+    in_range = [scale is not None for scale in scales]
+    direct = transform_pair_direct(path, *in_range) if any(in_range) else (None, None)
+    fast = fast if fast is not None else transform_pair_recursive(path, *in_range)
     rows = {}
     for which, scale, ref, ts in zip(("bounded", "weighted"), scales, direct, fast):
         rows[which] = None
-        if ref is not None:
+        if ref is not None and ts is not None:
             deviation = max(
                 float(np.max(np.abs(ref.X - ts.X))), float(np.max(np.abs(ref.Y - ts.Y)))
             )

@@ -100,7 +100,7 @@ def test_criterion_02_discounted_envelope():
     for seed in range(1, 51):
         path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=seed)
         path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
-        ts = rb.weighted_transform_recursive(path)
+        ts = rb.transform_pair_recursive(path, bounded=False)[1]
         worst = max(worst, float(np.max(ts.modulus() - target)))
     ok = worst <= 1e-9
     report(2, ok, f"max margin over log(1+t) envelope {worst:.3e} (<=1e-9), 50 seeds")
@@ -197,7 +197,7 @@ def test_criterion_06_identity_convergence_weighted():
     assert 0.4 <= median_order <= 1.6
 
 
-def _rotation_doubling_study(running_sides):
+def _rotation_doubling_study(identity):
     fine_grid = rb.build_grid(5.0, 8192)
     coarse_grid = rb.build_grid(5.0, 4096)
     fine_residuals = []
@@ -209,19 +209,20 @@ def _rotation_doubling_study(running_sides):
         coarse = rb.simulate_path(
             const(0), const(1), const(1), coarse_grid, rb.coarsen_increments(dw, 2)
         )
-        fine_residuals.append(rb.residual_norm(*running_sides(fine)))
-        coarse_residuals.append(rb.residual_norm(*running_sides(coarse)))
+        fine_residuals.append(rb.residual_norm(*identity(fine)[1:]))
+        coarse_residuals.append(rb.residual_norm(*identity(coarse)[1:]))
         fine_records.append(fine)
     per_seed = int(np.sum(np.array(fine_residuals) < np.array(coarse_residuals)))
     return float(np.median(fine_residuals)), float(np.median(coarse_residuals)), per_seed, fine_records
 
 
 def test_criterion_07_unit_rotation():
-    med_fine, med_coarse, per_seed, records = _rotation_doubling_study(rb.unit_rotation_running_sides)
+    med_fine, med_coarse, per_seed, records = _rotation_doubling_study(rb.unit_rotation_identity)
     worst_margin = -math.inf
     for path in records:
-        rot = rb.unit_rotation_identity(path)
-        worst_margin = max(worst_margin, abs(rot.rhs) - rot.bound)
+        _, _, rhs = rb.unit_rotation_identity(path)
+        bound = 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt
+        worst_margin = max(worst_margin, abs(complex(rhs[-1])) - bound)
     bound_ok = worst_margin <= 1e-9
     ok = bound_ok and med_fine < med_coarse
     report(
@@ -236,11 +237,11 @@ def test_criterion_07_unit_rotation():
 
 
 def test_criterion_08_scaled_rotation():
-    med_fine, med_coarse, per_seed, records = _rotation_doubling_study(rb.scaled_rotation_running_sides)
+    med_fine, med_coarse, per_seed, records = _rotation_doubling_study(rb.scaled_rotation_identity)
     worst_rel = 0.0
     for path in records:
-        rot = rb.scaled_rotation_identity(path)
-        worst_rel = max(worst_rel, abs(abs(rot.U[-1]) - math.exp(2.5)) / math.exp(2.5))
+        U, _, _ = rb.scaled_rotation_identity(path)
+        worst_rel = max(worst_rel, abs(abs(U[-1]) - math.exp(2.5)) / math.exp(2.5))
     modulus_ok = worst_rel <= 1e-6
     ok = modulus_ok and med_fine < med_coarse
     report(

@@ -1,0 +1,136 @@
+"""Checks whose values or scales leave double range are skipped, never passed
+on an infinite tolerance or written as inf and nan rows.
+
+Config A keeps both transforms finite but sums psi dt past DBL_MAX, so every
+envelope and oracle scale overflows. Config B's u dt sums overflow in the
+bounded transform itself.
+"""
+
+import warnings
+
+import pytest
+
+import rangebound as rb
+from rangebound import cli
+from rangebound.config import parse_config
+from rangebound.experiment import prepare_path
+
+CONFIG_A = "t_max=5\nn_steps=512\na=const:2\nsigma=const:1\npsi=const:1e308\nseeds=1\n"
+CONFIG_B = "t_max=5\nn_steps=512\na=const:0\nsigma=const:1\nu=const:1e308\nseeds=1\n"
+
+
+@pytest.fixture
+def command(tmp_path, capsys):
+    """Run one CLI command on a config with every warning an error; return
+    (exit code, stdout lines, stderr, output directory)."""
+
+    def invoke(name, text):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([name, str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        return code, captured.out.splitlines(), captured.err, out
+
+    return invoke
+
+
+def assert_finite_rows(out):
+    written = list(out.rglob("*.csv"))
+    for csv in written:
+        text = csv.read_text()
+        assert "inf" not in text and "nan" not in text, csv.name
+    return sorted(str(csv.relative_to(out)) for csv in written)
+
+
+def seed_entries(out):
+    """The manifest's per-seed entries and warnings, without the config echo."""
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return "\n".join(line for line in lines if not line.startswith(("config.", "created_utc")))
+
+
+def assert_nothing_unbounded(lines):
+    assert not any("tolerance=inf" in line or "nan" in line for line in lines)
+
+
+def test_config_a_run_skips_the_envelope_and_oracles_and_figures_stay_finite(command):
+    code, lines, err, out = command("run", CONFIG_A)
+    assert code == 0 and err == ""
+    assert lines[:-1] == [
+        "warning: seed 1: bounded direct oracle skipped: its scale leaves double range",
+        "warning: seed 1: weighted direct oracle skipped: its scale leaves double range",
+        "warning: seed 1: remarks skipped: drift is not identically zero",
+        "warning: seed 1: bound_t2 skipped: its envelope leaves double range",
+    ]
+    manifest = seed_entries(out)
+    assert "seed.1.bound_" not in manifest and "nan" not in manifest and "inf" not in manifest
+    assert assert_finite_rows(out) == [
+        f"seed1/{name}.csv" for name in ("identity_t1", "identity_t2", "t1", "t2", "x")
+    ]
+
+    code, lines, err, out = command("figures", CONFIG_A)
+    assert code == 0 and err == ""
+    assert len(assert_finite_rows(out)) == 6
+
+
+def test_config_a_verify_notes_the_unbounded_checks_instead_of_passing_them(command):
+    code, lines, err, _ = command("verify", CONFIG_A)
+    assert code == 0 and err == ""
+    for note in (
+        "NOTE bound[t1] seed=1: envelope leaves double range, skipped",
+        "NOTE bound[t2] seed=1: envelope leaves double range, skipped",
+        "NOTE oracle[bounded] seed=1: scale leaves double range, skipped",
+        "NOTE oracle[weighted] seed=1: scale leaves double range, skipped",
+    ):
+        assert note in lines
+    assert not any(line.startswith(("PASS", "FAIL")) for line in lines)
+    assert_nothing_unbounded(lines)
+
+
+def test_config_b_run_skips_the_bounded_outputs(command):
+    code, lines, err, out = command("run", CONFIG_B)
+    assert code == 0 and err == ""
+    assert lines[:-1] == [
+        "warning: seed 1: bounded transform skipped: its values leave double range",
+        "warning: seed 1: weighted transform skipped: its values leave double range",
+        "warning: seed 1: bounded direct oracle skipped: its scale leaves double range",
+        "warning: seed 1: weighted direct oracle skipped: its scale leaves double range",
+    ]
+    manifest = seed_entries(out)
+    assert "seed.1.bound_" not in manifest and "seed.1.identity_" not in manifest
+    assert "convergence" not in manifest and "nan" not in manifest
+    assert assert_finite_rows(out) == [
+        f"seed1/{name}.csv" for name in ("rotation_scaled", "rotation_unit", "x")
+    ]
+
+
+def test_config_b_verify_skips_the_bounded_checks(command):
+    code, lines, err, _ = command("verify", CONFIG_B)
+    assert code == 0 and err == ""
+    assert lines == [
+        "PASS bound[rotation] seed=1: |rhs|-bound=-3.331e+00 tolerance=5.500e-09",
+        "NOTE oracle[bounded] seed=1: scale leaves double range, skipped",
+        "NOTE oracle[weighted] seed=1: scale leaves double range, skipped",
+        "NOTE identity[bounded] seed=1: values leave double range, skipped",
+        "NOTE identity[weighted] seed=1: values leave double range, skipped",
+    ]
+    assert_nothing_unbounded(lines)
+
+
+def test_config_b_figures_is_a_configuration_error(command):
+    code, lines, err, out = command("figures", CONFIG_B)
+    assert code == 1 and lines == []
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "double range" in err and "Traceback" not in err
+    assert not list(out.rglob("*.csv"))
+
+
+def test_config_b_recurrence_and_oracle_give_no_bounded_series():
+    path = prepare_path(parse_config(CONFIG_B), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rb.transform_pair_recursive(path) == (None, None)
+        assert rb.bounded_transform_recursive(path) is None
+        assert rb.compare_oracle_pair(path) == {"bounded": None, "weighted": None}

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rangebound as rb
-from rangebound import transforms
+from rangebound import transforms, verification
 from rangebound.config import parse_config
 from rangebound.experiment import prepare_path, run_experiment, verify_suite
 from rangebound.transforms import (
@@ -151,11 +151,15 @@ def assert_recurrences_match(path, threshold=RESCALE_THRESHOLD):
     assert same_bits(rb.bounded_transform_recursive(path), ref_bounded)
     if np.isfinite(ref_weighted).all():
         assert same_bits(weighted, ref_weighted)
-        assert same_bits(rb.weighted_transform_recursive(path, threshold), ref_weighted)
+        assert same_bits(weighted_alone(path, threshold), ref_weighted)
     else:
         # values past double range: the fused pass gives no weighted series
         assert weighted is None
-        assert rb.weighted_transform_recursive(path, threshold) is None
+        assert weighted_alone(path, threshold) is None
+
+
+def weighted_alone(path, threshold=RESCALE_THRESHOLD):
+    return transform_pair_recursive(path, bounded=False, rescale_threshold=threshold)[1]
 
 
 def with_zero_stretches(path, rng):
@@ -282,8 +286,10 @@ def test_pair_direct_matches_reference(n_steps):
     bounded, weighted = transform_pair_direct(path)
     assert same_bits(bounded, reference_direct(path, weighted=False))
     assert same_bits(weighted, reference_direct(path, weighted=True))
-    assert same_bits(rb.bounded_transform_direct(path), reference_direct(path, weighted=False))
-    assert same_bits(rb.weighted_transform_direct(path), reference_direct(path, weighted=True))
+    alone = transform_pair_direct(path, weighted=False)[0]
+    assert same_bits(alone, reference_direct(path, weighted=False))
+    alone = transform_pair_direct(path, bounded=False)[1]
+    assert same_bits(alone, reference_direct(path, weighted=True))
 
 
 def _peak_bytes(fn):
@@ -312,7 +318,7 @@ def test_oracle_pair_skips_weighted_direct_when_its_weights_overflow(phasor_coun
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = rb.compare_oracle_pair(path)
-        bounded, weighted = transform_pair_direct(path, weighted=False)
+        bounded, weighted = transforms.transform_pair_direct(path, weighted=False)
     assert directs == [(2000, True, False), (2000, True, False)]
     assert weighted is None
     assert same_bits(bounded, reference_direct(path, weighted=False))
@@ -331,20 +337,22 @@ LADDER = "t_max=5\nn_steps=4096\na=sin:1,2,3\nsigma=sin:2,1,1\nu=const:1\nseeds=
 
 @pytest.fixture
 def phasor_counts(monkeypatch):
-    """Nodes reduced per path array, and the direct passes made."""
+    """Nodes reduced per path array, and the direct passes made through the
+    names compare_oracle_pair and ``transforms`` look them up by."""
     reduced, directs = [], []
-    reduce_phase, direct = transforms._reduce_phase, transforms._direct
+    reduce_phase, direct = transforms._reduce_phase, transforms.transform_pair_direct
 
     def counting_reduce(x, out):
         reduced.append((x.base if x.base is not None else x, len(x)))
         return reduce_phase(x, out)
 
-    def counting_direct(path, bounded, weighted):
+    def counting_direct(path, bounded=True, weighted=True):
         directs.append((path.grid.n_steps, bounded, weighted))
         return direct(path, bounded, weighted)
 
     monkeypatch.setattr(transforms, "_reduce_phase", counting_reduce)
-    monkeypatch.setattr(transforms, "_direct", counting_direct)
+    for module in (transforms, verification):
+        monkeypatch.setattr(module, "transform_pair_direct", counting_direct)
 
     def per_path():
         # the list keeps every array alive, so no id is reused
@@ -403,7 +411,7 @@ def test_pair_recurrence_gives_no_weighted_series_beyond_double_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bounded, weighted = transform_pair_recursive(path)
-        alone = rb.weighted_transform_recursive(path)
+        alone = weighted_alone(path)
     assert weighted is None and alone is None
     assert same_bits(bounded, reference_recurrence(path, None, RESCALE_THRESHOLD))
 
@@ -475,11 +483,12 @@ def test_weighted_convergence_is_skipped_beyond_double_range(tmp_path):
 
 def test_verify_skips_the_discounted_envelope_check_beyond_double_range():
     # psi dt sums past DBL_MAX on a path that barely turns; the bounded sums
-    # overflow as well, which this test does not cover
+    # overflow as well (tests/test_double_range.py covers them)
     cfg = parse_config(
         "t_max=5\nn_steps=512\na=const:0\nsigma=const:0.01\npsi=const:1e308\nseeds=1\n"
     )
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         summary = verify_suite(cfg)
     assert not any(c.name.startswith("bound[t2]") for c in summary.checks)
     assert "identity[weighted] seed=1: values leave double range, skipped" in summary.notes
@@ -494,9 +503,10 @@ def test_run_skips_the_scaled_rotation_beyond_double_range(tmp_path):
     assert not (tmp_path / "seed3" / "rotation_scaled.csv").exists()
     assert manifest.get("seed.3.rotation_scaled.residual") is None
     assert manifest.warnings == ["seed 3: scaled rotation skipped: its scale leaves double range"]
-    unit = rb.unit_rotation_identity(prepare_path(cfg, 3))
-    assert manifest.get("seed.3.rotation_unit.rhs_abs") == format(abs(unit.rhs), ".17g")
-    assert manifest.get("seed.3.rotation_unit.residual") == format(abs(unit.lhs - unit.rhs), ".17g")
+    _, lhs, rhs = rb.unit_rotation_identity(prepare_path(cfg, 3))
+    lhs, rhs = complex(lhs[-1]), complex(rhs[-1])
+    assert manifest.get("seed.3.rotation_unit.rhs_abs") == format(abs(rhs), ".17g")
+    assert manifest.get("seed.3.rotation_unit.residual") == format(abs(lhs - rhs), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +516,7 @@ def test_run_skips_the_scaled_rotation_beyond_double_range(tmp_path):
 def test_rotation_series_are_bit_exact():
     path = rb.simulate_seeded(const(0), const(1.3), const(1), rb.build_grid(5.0, 1000), 4)
     phase = 1j * (path.x - path.x[0])
-    unit = rb.unit_rotation_identity(path)
-    assert unit.U.tobytes() == np.exp(phase).tobytes()
-    scaled = rb.scaled_rotation_identity(path)
-    assert scaled.U.tobytes() == (1j * np.exp(phase + _half_variance_sum(path))).tobytes()
+    unit, _, _ = rb.unit_rotation_identity(path)
+    assert unit.tobytes() == np.exp(phase).tobytes()
+    scaled, _, _ = rb.scaled_rotation_identity(path)
+    assert scaled.tobytes() == (1j * np.exp(phase + _half_variance_sum(path))).tobytes()

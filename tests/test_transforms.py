@@ -7,10 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rangebound as rb
-from rangebound import CoefficientSpec
-from rangebound.transforms import weighted_transform_recursive
+from rangebound import CoefficientSpec, experiment
+from rangebound.config import parse_config
+from rangebound.transforms import RESCALE_THRESHOLD
 
 const = CoefficientSpec.constant
+
+
+def bounded_direct(path):
+    return rb.transform_pair_direct(path, weighted=False)[0]
+
+
+def weighted_recursive(path, rescale_threshold=RESCALE_THRESHOLD):
+    return rb.transform_pair_recursive(path, bounded=False, rescale_threshold=rescale_threshold)[1]
+
+
+def rotation_record(sigma, n_steps, seed):
+    """The rotation scalars run and verify record for the driftless path
+    simulate_seeded(const(0), const(sigma), const(1), build_grid(5.0, n_steps), seed).
+
+    rotation_unit is (|rhs|, bound, |lhs - rhs|), rotation_scaled |lhs - rhs|.
+    """
+    cfg = parse_config(
+        f"t_max=5\nn_steps={n_steps}\na=const:0\nsigma=const:{sigma}\nu=const:1\nseeds={seed}\n"
+    )
+    wanted = {"rotation_unit", "rotation_scaled"}
+    return experiment._evaluate_seed(cfg, seed, wanted, 4, 4000, None)
 
 
 def random_specs(rng):
@@ -45,7 +67,7 @@ class TestBoundedTransform:
     def test_zero_integrand_gives_zero_series(self):
         grid = rb.build_grid(5.0, 400)
         path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=1)
-        for ts in (rb.bounded_transform_direct(path), rb.bounded_transform_recursive(path)):
+        for ts in (bounded_direct(path), rb.bounded_transform_recursive(path)):
             assert np.all(ts.X == 0.0)
             assert np.all(ts.Y == 0.0)
             assert not ts.weighted
@@ -53,7 +75,7 @@ class TestBoundedTransform:
     def test_deterministic_drift_closed_form(self):
         grid = rb.build_grid(5.0, 2000)
         path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1)
-        ts = rb.bounded_transform_direct(path)
+        ts = bounded_direct(path)
         t = grid.nodes
         assert np.max(np.abs(ts.X - np.sin(2 * t) / 2)) < 5 * grid.dt
         assert np.max(np.abs(ts.Y - (1 - np.cos(2 * t)) / 2)) < 5 * grid.dt
@@ -103,7 +125,7 @@ class TestWeightedTransform:
     def test_zero_integrand_gives_zero_series(self):
         grid = rb.build_grid(5.0, 300)
         path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=1)
-        ts = rb.weighted_transform_recursive(path)
+        ts = weighted_recursive(path)
         assert np.all(ts.X == 0.0) and np.all(ts.Y == 0.0)
         assert ts.weighted
 
@@ -111,7 +133,7 @@ class TestWeightedTransform:
         grid = rb.build_grid(5.0, 2000)
         path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1)
         bounded = rb.bounded_transform_recursive(path)
-        weighted = rb.weighted_transform_recursive(path)
+        weighted = weighted_recursive(path)
         scale = 1e-12 * (1 + u_scale(path))
         assert np.max(np.abs(weighted.X + bounded.Y)) < scale
         assert np.max(np.abs(weighted.Y - bounded.X)) < scale
@@ -135,10 +157,10 @@ class TestWeightedTransform:
     def test_rescaling_does_not_change_values(self):
         grid = rb.build_grid(50.0, 500)
         path = rb.simulate_seeded(const(0.5), const(3), const(1), grid, seed=7)
-        reference = weighted_transform_recursive(path)
+        reference = weighted_recursive(path)
         scale = 1e-12 * (1 + weighted_scale(path))
         for threshold in (5.0, 20.0, 1e9):
-            other = weighted_transform_recursive(path, rescale_threshold=threshold)
+            other = weighted_recursive(path, rescale_threshold=threshold)
             assert np.max(np.abs(other.X - reference.X)) < scale
             assert np.max(np.abs(other.Y - reference.Y)) < scale
 
@@ -147,16 +169,16 @@ class TestWeightedTransform:
         # factorization only works because of the rebasing
         grid = rb.build_grid(1436.0, 2000)
         path = rb.simulate_seeded(const(0), const(1), const(1e-6), grid, seed=3)
-        ts = rb.weighted_transform_recursive(path)
+        ts = weighted_recursive(path)
         assert np.all(np.isfinite(ts.X)) and np.all(np.isfinite(ts.Y))
-        other = weighted_transform_recursive(path, rescale_threshold=100.0)
+        other = weighted_recursive(path, rescale_threshold=100.0)
         top = np.max(ts.modulus())
         assert np.max(np.abs(ts.X - other.X)) < 1e-12 * top
 
     def test_modulus_under_weighted_envelope(self):
         grid = rb.build_grid(5.0, 4000)
         path = rb.simulate_seeded(const(2), const(1), const(1), grid, seed=2)
-        ts = rb.weighted_transform_recursive(path)
+        ts = weighted_recursive(path)
         # triangle inequality predicts at most e^{total_variance/2} * integral of |u|
         assert np.max(ts.modulus()) <= math.exp(2.5) * 5.0 * (1 + 1e-12)
 
@@ -171,7 +193,7 @@ class TestIdentities:
     def test_weighted_identity_zero_integrand(self):
         grid = rb.build_grid(5.0, 300)
         path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=1)
-        lhs, rhs = rb.weighted_identity_sides(path, rb.weighted_transform_recursive(path))
+        lhs, rhs = rb.weighted_identity_sides(path, weighted_recursive(path))
         assert np.all(lhs.values == 0.0) and np.all(rhs == 0.0)
 
     def test_bounded_identity_deterministic_drift(self):
@@ -183,14 +205,14 @@ class TestIdentities:
     def test_weighted_identity_deterministic_drift(self):
         grid = rb.build_grid(5.0, 10_000)
         path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1)
-        lhs, rhs = rb.weighted_identity_sides(path, rb.weighted_transform_recursive(path))
+        lhs, rhs = rb.weighted_identity_sides(path, weighted_recursive(path))
         assert rb.residual_norm(lhs, rhs) < 10 * grid.dt
 
     def test_identity_rejects_wrong_flag(self):
         grid = rb.build_grid(1.0, 100)
         path = rb.simulate_seeded(const(1), const(1), const(1), grid, seed=1)
         bounded = rb.bounded_transform_recursive(path)
-        weighted = rb.weighted_transform_recursive(path)
+        weighted = weighted_recursive(path)
         with pytest.raises(ValueError):
             rb.bounded_identity_sides(path, weighted)
         with pytest.raises(ValueError):
@@ -235,7 +257,7 @@ class TestVarianceDiscountedU:
         path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=seed)
         psi = 1.0 / (1.0 + grid.nodes[:-1])
         path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
-        ts = rb.weighted_transform_recursive(path)
+        ts = weighted_recursive(path)
         assert np.max(ts.modulus() - np.log1p(grid.nodes)) <= 1e-9
 
     def test_power_envelope_bound(self):
@@ -244,7 +266,7 @@ class TestVarianceDiscountedU:
         alpha = 1.5
         psi = grid.nodes[:-1] ** (alpha - 1.0) / alpha
         path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
-        ts = rb.weighted_transform_recursive(path)
+        ts = weighted_recursive(path)
         envelope = rb.riemann_cumsum(np.abs(psi), grid).values
         assert np.max(ts.modulus() - envelope) <= 1e-12 * (1 + envelope[-1])
 
@@ -254,7 +276,7 @@ class TestVarianceDiscountedU:
         for drift in (const(-10), const(10), CoefficientSpec.state_bounded(5.0)):
             path = rb.simulate_seeded(drift, const(1), const(0), grid, seed=21)
             path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
-            ts = rb.weighted_transform_recursive(path)
+            ts = weighted_recursive(path)
             envelope = rb.riemann_cumsum(np.abs(psi), grid).values
             assert np.max(ts.modulus() - envelope) <= 1e-12 * (1 + envelope[-1])
 
@@ -263,29 +285,31 @@ class TestRotationIdentities:
     def test_no_noise_degenerate(self):
         grid = rb.build_grid(5.0, 200)
         path = rb.simulate_seeded(const(0), const(0), const(1), grid, seed=1)
-        rot = rb.unit_rotation_identity(path)
-        assert np.all(rot.U == 1.0)
-        assert rot.lhs == 0.0 and rot.rhs == 0.0
-        assert rot.bound == 2.0
-        scaled = rb.scaled_rotation_identity(path)
-        assert np.all(scaled.U == 1.0j)
-        assert scaled.lhs == 0.0 and scaled.rhs == 0.0
+        U, lhs, rhs = rb.unit_rotation_identity(path)
+        assert np.all(U == 1.0)
+        assert lhs[-1] == 0.0 and rhs[-1] == 0.0
+        assert rotation_record(0, 200, 1).rotation_unit[1] == 2.0
+        scaled, lhs, rhs = rb.scaled_rotation_identity(path)
+        assert np.all(scaled == 1.0j)
+        assert lhs[-1] == 0.0 and rhs[-1] == 0.0
 
     def test_unit_modulus_and_bound_value(self):
         grid = rb.build_grid(5.0, 4096)
         path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=3)
-        rot = rb.unit_rotation_identity(path)
-        assert np.max(np.abs(np.abs(rot.U) - 1.0)) < 1e-14
-        assert abs(rot.bound - 4.5) < 1e-12
-        assert abs(rot.rhs) <= rot.bound + 1e-9
+        U, _, rhs = rb.unit_rotation_identity(path)
+        rhs_abs, bound, _ = rotation_record(1, 4096, 3).rotation_unit
+        assert rhs_abs == abs(complex(rhs[-1]))
+        assert np.max(np.abs(np.abs(U) - 1.0)) < 1e-14
+        assert abs(bound - 4.5) < 1e-12
+        assert rhs_abs <= bound + 1e-9
 
     def test_scaled_modulus_matches_exponential(self):
         grid = rb.build_grid(5.0, 4096)
         path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=3)
-        rot = rb.scaled_rotation_identity(path)
-        assert abs(abs(rot.U[-1]) - math.exp(2.5)) < 1e-10 * math.exp(2.5)
+        U, _, _ = rb.scaled_rotation_identity(path)
+        assert abs(abs(U[-1]) - math.exp(2.5)) < 1e-10 * math.exp(2.5)
         half_i = 0.5 * rb.riemann_cumsum(path.sigma**2, grid).values
-        assert np.max(np.abs(np.abs(rot.U) - np.exp(half_i))) < 1e-12 * math.exp(2.5)
+        assert np.max(np.abs(np.abs(U) - np.exp(half_i))) < 1e-12 * math.exp(2.5)
 
     def test_rejects_nonzero_drift(self):
         grid = rb.build_grid(1.0, 50)
@@ -298,14 +322,13 @@ class TestRotationIdentities:
     def test_running_sides_end_matches_scalar_forms(self):
         grid = rb.build_grid(5.0, 1024)
         path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=5)
-        rot = rb.unit_rotation_identity(path)
-        lhs, rhs = rb.unit_rotation_running_sides(path)
-        assert lhs[-1] == rot.lhs
-        assert rhs[-1] == rot.rhs
-        scaled = rb.scaled_rotation_identity(path)
-        lhs2, rhs2 = rb.scaled_rotation_running_sides(path)
-        assert lhs2[-1] == scaled.lhs
-        assert rhs2[-1] == scaled.rhs
+        _, lhs, rhs = rb.unit_rotation_identity(path)
+        record = rotation_record(1, 1024, 5)
+        rhs_abs, _, residual = record.rotation_unit
+        assert rhs_abs == abs(complex(rhs[-1]))
+        assert residual == abs(complex(lhs[-1]) - complex(rhs[-1]))
+        _, lhs2, rhs2 = rb.scaled_rotation_identity(path)
+        assert record.rotation_scaled == abs(complex(lhs2[-1]) - complex(rhs2[-1]))
 
     def test_residual_medians_shrink_under_refinement(self):
         fine, coarse = [], []
@@ -317,6 +340,25 @@ class TestRotationIdentities:
             p_coarse = rb.simulate_path(
                 const(0), const(1), const(1), coarse_grid, rb.coarsen_increments(dw, 2)
             )
-            fine.append(rb.residual_norm(*rb.unit_rotation_running_sides(p_fine)))
-            coarse.append(rb.residual_norm(*rb.unit_rotation_running_sides(p_coarse)))
+            fine.append(rb.residual_norm(*rb.unit_rotation_identity(p_fine)[1:]))
+            coarse.append(rb.residual_norm(*rb.unit_rotation_identity(p_coarse)[1:]))
         assert np.median(fine) < np.median(coarse)
+
+
+RETIRED = (
+    "RotationIdentity",
+    "bounded_transform_direct",
+    "weighted_transform_direct",
+    "weighted_transform_recursive",
+    "unit_rotation_running_sides",
+    "scaled_rotation_running_sides",
+)
+
+
+def test_public_names_resolve_and_retired_ones_are_gone():
+    for name in rb.__all__:
+        assert getattr(rb, name) is not None, name
+    for name in RETIRED:
+        assert name not in rb.__all__
+        assert not hasattr(rb, name)
+        assert not hasattr(rb.transforms, name)
