@@ -6,6 +6,7 @@ same CSV bytes and the same manifest (minus the created_utc line).
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
@@ -46,8 +47,9 @@ from .verification import (
 )
 
 BOUND_TOLERANCE_UNIT = 1e-9
-# rows formatted per write in _write_csv; bounds the text held in memory
-CSV_CHUNK_ROWS = 8192
+# rows per chunk of write_csv_batch; the text it holds is this many rows of
+# each distinct column in the batch
+CSV_CHUNK_ROWS = 2048
 
 
 def _fmt(value: float) -> str:
@@ -88,23 +90,43 @@ class ExperimentManifest:
         return manifest
 
 
-def _write_csv(directory: Path, name: str, header: str, columns: list[np.ndarray]) -> Path:
-    """Write ``header`` and one row of ``_fmt`` cells per index of ``columns``.
+def write_csv_batch(directory: Path, files) -> list[Path]:
+    """Write each ``(name, header, columns)`` of ``files`` under ``directory``.
 
-    Rows are formatted CSV_CHUNK_ROWS at a time with a single ``%`` over the
-    chunk's values, which spells every float exactly as ``_fmt`` does.
+    Every column of the batch has one length. The files are walked in lockstep,
+    CSV_CHUNK_ROWS rows at a time, and per chunk each distinct column (by
+    identity and by whether it leads a row) is formatted once, with a single
+    ``%`` that spells every float exactly as ``_fmt`` does. Each cell carries
+    its separator: a row's first cell starts with the newline that ends the
+    previous row, so a file's chunk is the plain join of its cells in row order.
     """
+    lengths = {len(col) for _, _, columns in files for col in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of one batch differ in length: {sorted(lengths)}")
+    length = lengths.pop() if lengths else 0
     directory.mkdir(parents=True, exist_ok=True)
-    target = directory / name
-    length = len(columns[0])
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(target, "w", newline="\n") as handle:
-        handle.write(header + "\n")
+    targets = [directory / name for name, _, _ in files]
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(target, "w", newline="\n")) for target in targets]
+        for handle, (_, header, _) in zip(handles, files):
+            handle.write(header)
         for start in range(0, length, CSV_CHUNK_ROWS):
-            stop = min(start + CSV_CHUNK_ROWS, length)
-            block = np.column_stack([col[start:stop] for col in columns])
-            handle.write((row * (stop - start)) % tuple(block.ravel().tolist()))
-    return target
+            rows = min(CSV_CHUNK_ROWS, length - start)
+            cells = {}  # (id(column), leads the row) -> the chunk's cells
+            for handle, (_, _, columns) in zip(handles, files):
+                width = len(columns)
+                text = [""] * (rows * width)
+                for j, col in enumerate(columns):
+                    key = (id(col), j == 0)
+                    if key not in cells:
+                        template = "\0".join(["\n%.17g" if j == 0 else ",%.17g"] * rows)
+                        values = tuple(col[start : start + rows].tolist())
+                        cells[key] = (template % values).split("\0")
+                    text[j::width] = cells[key]
+                handle.write("".join(text))
+        for handle in handles:
+            handle.write("\n")
+    return targets
 
 
 def build_path(
@@ -164,7 +186,13 @@ class SeedRecord:
     rotation_scaled: float | None = None  # |lhs - rhs|
     oracle_steps: int | None = None  # None when no oracle path fits
     oracle: dict[str, tuple[float, float] | None] = field(default_factory=dict)
+    # None when n_steps does not support the levels; empty without a residual
     convergence: dict[str, ConvergenceReport] | None = None
+
+    @property
+    def has_residual(self) -> bool:
+        """Whether either identity has a residual on the seed's own path."""
+        return any(r is not None for r in self.residuals.values())
 
 
 def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int) -> PathRecord | None:
@@ -190,15 +218,22 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
     ``wanted`` holds output names (path, t1, t2, identities, convergence) and
     check names (bound_t1, bound_t2, rotation_unit, rotation_scaled). The
     identities bring the direct oracle on the path or, above the ceiling, on
-    ``coarse_path(config, path, ceiling)``; series go to ``emit``, if given.
+    ``coarse_path(config, path, ceiling)``. If ``emit`` is given, series go to
+    it as batches of ``(name, header, columns)`` files.
     """
     path = prepare_path(config, seed)
     record = SeedRecord()
+    pending = []
 
     def send(name, header, *columns):
         if emit is not None:
-            emit(name, header, [path.grid.nodes, *columns])
+            pending.append((name, header, [path.grid.nodes, *columns]))
             record.files.append(name)
+
+    def flush():
+        if pending:
+            emit(pending)
+            pending.clear()
 
     labels = [label for label in ("t1", "t2") if f"bound_{label}" in wanted]
     if not config.uses_discounted_u and "t2" in labels:
@@ -253,6 +288,7 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
     elif "identities" in wanted and coarse_path is not None:
         checked = coarse_path(config, path, ceiling)
     fast = (ts1, ts2) if checked is path else None
+    flush()
     del ts1, ts2, pairs
 
     def rotation(identity, name) -> tuple[complex, complex]:
@@ -260,6 +296,7 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
         U, lhs, rhs = identity(path)
         lhs, rhs = complex(lhs[-1]), complex(rhs[-1])
         send(name, "t,re,im", U.real, U.imag)
+        flush()
         return lhs, rhs
 
     driftless = not np.any(path.a != 0.0)
@@ -279,11 +316,14 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
     del checked, fast
 
     if "convergence" in wanted and levels >= 3 and path.grid.n_steps % 2 ** (levels - 1) == 0:
-        # the finest rung is this path, whose residuals are known
-        rung = partial(build_path, config)
-        record.convergence = convergence_ladder(
-            path.dw, config.t_max, rung, levels, finest=record.residuals
-        )
+        record.convergence = {}
+        # the finest rung is this path, whose residuals are known; with none,
+        # no ladder can report, so no coarser rung is built
+        if record.has_residual:
+            rung = partial(build_path, config)
+            record.convergence = convergence_ladder(
+                path.dw, config.t_max, rung, levels, finest=record.residuals
+            )
     return record
 
 
@@ -313,7 +353,7 @@ def run_experiment(
 
     warnings: list[str] = []
     for seed in config.seeds:
-        csv = partial(_write_csv, root / f"seed{seed}")
+        csv = partial(write_csv_batch, root / f"seed{seed}")
         record = _evaluate_seed(config, seed, wanted, convergence_levels, oracle_ceiling, None, csv)
         for name in sorted(record.files):
             manifest.add(f"seed.{seed}.file", f"seed{seed}/{name}")
@@ -366,6 +406,8 @@ def run_experiment(
                 f"convergence skipped: n_steps {config.n_steps} does not support "
                 f"{convergence_levels} refinement levels"
             )
+        elif "convergence" in outputs and not record.has_residual:
+            warn("convergence skipped: no identity residual in double range")
         for identity, report in (record.convergence or {}).items():
             add(f"convergence.{identity}.grids", ",".join(str(g) for g in report.grid_sizes))
             add(f"convergence.{identity}.residuals", ",".join(map(_fmt, report.residual_norms)))
@@ -402,14 +444,15 @@ def emit_figures(config: ExperimentConfig, out_dir: str | Path | None = None) ->
         raise ConfigurationError(f"seed {path.seed}: the bounded transform leaves double range")
     t = path.grid.nodes
     running = ito_cumsum(ts.X[:-1], path)
-    return [
-        _write_csv(root, FIGURE_NAMES[0], "t,value", [t, path.x]),
-        _write_csv(root, FIGURE_NAMES[1], "t,value", [t, ts.X]),
-        _write_csv(root, FIGURE_NAMES[2], "t,value", [t, ts.Y]),
-        _write_csv(root, FIGURE_NAMES[3], "t,X,Y", [t, ts.X, ts.Y]),
-        _write_csv(root, FIGURE_NAMES[4], "t,value", [t, ts.modulus()]),
-        _write_csv(root, FIGURE_NAMES[5], "t,value", [t, running.values]),
+    files = [
+        (FIGURE_NAMES[0], "t,value", [t, path.x]),
+        (FIGURE_NAMES[1], "t,value", [t, ts.X]),
+        (FIGURE_NAMES[2], "t,value", [t, ts.Y]),
+        (FIGURE_NAMES[3], "t,X,Y", [t, ts.X, ts.Y]),
+        (FIGURE_NAMES[4], "t,value", [t, ts.modulus()]),
+        (FIGURE_NAMES[5], "t,value", [t, running.values]),
     ]
+    return write_csv_batch(root, files)
 
 
 @dataclass(frozen=True)
@@ -426,10 +469,13 @@ class VerificationSummary:
 
     @property
     def failed(self) -> bool:
-        return any(not c.passed for c in self.checks)
+        """True when a check failed or none ran: skipping every check is no pass."""
+        return not self.checks or any(not c.passed for c in self.checks)
 
     def lines(self) -> list[str]:
         checks = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in self.checks]
+        if not self.checks:
+            checks = ["FAIL checks: none ran, every check was skipped"]
         return checks + [f"NOTE {n}" for n in self.notes]
 
 
@@ -485,6 +531,8 @@ def verify_suite(
                 f"convergence seed={seed}: skipped, n_steps {config.n_steps} does not "
                 f"support {convergence_levels} levels"
             )
+        elif not record.has_residual:
+            note(f"convergence seed={seed}: skipped, no identity residual in double range")
         for identity, report in (record.convergence or {}).items():
             residuals = ",".join(f"{r:.3e}" for r in report.residual_norms)
             note(

@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import rangebound as rb
-from rangebound import cli
+from rangebound import cli, verification
 from rangebound.config import parse_config
 from rangebound.experiment import prepare_path
 
@@ -77,7 +77,8 @@ def test_config_a_run_skips_the_envelope_and_oracles_and_figures_stay_finite(com
 
 def test_config_a_verify_notes_the_unbounded_checks_instead_of_passing_them(command):
     code, lines, err, _ = command("verify", CONFIG_A)
-    assert code == 0 and err == ""
+    # every check was skipped, and a verify that checked nothing does not pass
+    assert code == 2 and err == ""
     for note in (
         "NOTE bound[t1] seed=1: envelope leaves double range, skipped",
         "NOTE bound[t2] seed=1: envelope leaves double range, skipped",
@@ -85,7 +86,8 @@ def test_config_a_verify_notes_the_unbounded_checks_instead_of_passing_them(comm
         "NOTE oracle[weighted] seed=1: scale leaves double range, skipped",
     ):
         assert note in lines
-    assert not any(line.startswith(("PASS", "FAIL")) for line in lines)
+    verdicts = [line for line in lines if line.startswith(("PASS", "FAIL"))]
+    assert verdicts == ["FAIL checks: none ran, every check was skipped"]
     assert_nothing_unbounded(lines)
 
 
@@ -97,10 +99,11 @@ def test_config_b_run_skips_the_bounded_outputs(command):
         "warning: seed 1: weighted transform skipped: its values leave double range",
         "warning: seed 1: bounded direct oracle skipped: its scale leaves double range",
         "warning: seed 1: weighted direct oracle skipped: its scale leaves double range",
+        "warning: seed 1: convergence skipped: no identity residual in double range",
     ]
     manifest = seed_entries(out)
     assert "seed.1.bound_" not in manifest and "seed.1.identity_" not in manifest
-    assert "convergence" not in manifest and "nan" not in manifest
+    assert "seed.1.convergence" not in manifest and "nan" not in manifest
     assert assert_finite_rows(out) == [
         f"seed1/{name}.csv" for name in ("rotation_scaled", "rotation_unit", "x")
     ]
@@ -115,8 +118,24 @@ def test_config_b_verify_skips_the_bounded_checks(command):
         "NOTE oracle[weighted] seed=1: scale leaves double range, skipped",
         "NOTE identity[bounded] seed=1: values leave double range, skipped",
         "NOTE identity[weighted] seed=1: values leave double range, skipped",
+        "NOTE convergence seed=1: skipped, no identity residual in double range",
     ]
     assert_nothing_unbounded(lines)
+
+
+def test_config_b_builds_no_coarser_rung(command, monkeypatch):
+    calls = []
+    rung_residuals = verification._rung_residuals
+
+    def spy(path):
+        calls.append(path.grid.n_steps)
+        return rung_residuals(path)
+
+    monkeypatch.setattr(verification, "_rung_residuals", spy)
+    for name in ("run", "verify"):
+        code, _, err, _ = command(name, CONFIG_B)
+        assert code == 0 and err == ""
+    assert calls == []
 
 
 def test_config_b_figures_is_a_configuration_error(command):
