@@ -26,7 +26,7 @@ from .experiment import (
     run_experiment,
     verify_suite,
 )
-from .quadrature import CumulativeSeries, ito_cumsum, riemann_cumsum
+from .quadrature import ito_cumsum, riemann_cumsum
 from .transforms import (
     TransformSeries,
     bounded_identity_sides,
@@ -55,7 +55,6 @@ __all__ = [
     "CoefficientSpec",
     "ConfigurationError",
     "ConvergenceReport",
-    "CumulativeSeries",
     "DEFAULT_ORACLE_CEILING",
     "ExperimentConfig",
     "ExperimentManifest",

@@ -33,9 +33,6 @@ class TimeGrid:
     dt: float
     nodes: np.ndarray
 
-    def same_mesh(self, other: "TimeGrid") -> bool:
-        return self.n_steps == other.n_steps and self.t_max == other.t_max
-
 
 def build_grid(t_max: float, n_steps: int) -> TimeGrid:
     """Build the uniform grid with dt = t_max / n_steps.

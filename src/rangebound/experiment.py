@@ -25,7 +25,7 @@ from .engine import (
     simulate_path,
 )
 from .errors import ConfigurationError
-from .quadrature import _as_values, ito_cumsum, riemann_cumsum
+from .quadrature import ito_cumsum, riemann_cumsum
 from .transforms import (
     bounded_identity_sides,
     bounded_transform_recursive,
@@ -43,7 +43,7 @@ from .verification import (
     check_envelope,
     compare_oracle_pair,
     convergence_ladder,
-    residual_norm,
+    sides_and_residual,
 )
 
 BOUND_TOLERANCE_UNIT = 1e-9
@@ -78,16 +78,6 @@ class ExperimentManifest:
 
     def to_text(self) -> str:
         return "".join(f"{k} = {v}\n" for k, v in self.entries)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExperimentManifest":
-        manifest = cls()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            key, _, value = line.partition(" = ")
-            manifest.add(key, value)
-        return manifest
 
 
 def write_csv_batch(directory: Path, files) -> list[Path]:
@@ -144,16 +134,21 @@ def build_path(
     """
     u_spec = config.psi_spec if config.uses_discounted_u else config.u_spec
     specs = (spec.coarsened(factor) for spec in (config.a_spec, config.sigma_spec, u_spec))
-    path = simulate_path(*specs, grid, dw, config.x0, seed)
+    # a step past double range leaves x inf or nan from there on: prepare_path refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = simulate_path(*specs, grid, dw, config.x0, seed)
     if config.uses_discounted_u:
         path = path.with_u(variance_discounted_u(path.u, path.sigma, grid))
     return path
 
 
 def prepare_path(config: ExperimentConfig, seed: int) -> PathRecord:
-    """Simulate one seed's path on the config grid."""
+    """Simulate one seed's path on the config grid; one that leaves double range is refused."""
     grid = build_grid(config.t_max, config.n_steps)
-    return build_path(config, grid, sample_wiener(grid, seed), seed=seed)
+    path = build_path(config, grid, sample_wiener(grid, seed), seed=seed)
+    if not np.isfinite(path.x[-1]):
+        raise ConfigurationError(f"seed {seed}: the path leaves double range")
+    return path
 
 
 def integrand_envelope(config: ExperimentConfig, path: PathRecord):
@@ -169,7 +164,7 @@ def integrand_envelope(config: ExperimentConfig, path: PathRecord):
 
 
 def bound_tolerance(envelope) -> float:
-    return BOUND_TOLERANCE_UNIT * (1.0 + float(envelope.values[-1]))
+    return BOUND_TOLERANCE_UNIT * (1.0 + float(envelope[-1]))
 
 
 @dataclass
@@ -181,7 +176,8 @@ class SeedRecord:
     # by label t1, t2; None when the envelope leaves double range
     bounds: dict[str, BoundReport | None] = field(default_factory=dict)
     residuals: dict[str, float | None] = field(default_factory=dict)
-    # |rhs|, bound, |lhs - rhs|; None with drift
+    driftless: bool = False
+    # |rhs|, bound, |lhs - rhs|; None with drift or once the bound leaves double range
     rotation_unit: tuple[float, float, float] | None = None
     rotation_scaled: float | None = None  # |lhs - rhs|
     oracle_steps: int | None = None  # None when no oracle path fits
@@ -258,12 +254,12 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
             else:
                 ts, envelope = ts2, integrand_envelope(config, path)
         # past double range the envelope bounds nothing and its tolerance is inf
-        if not np.isfinite(envelope.values[-1]):
+        if not np.isfinite(envelope[-1]):
             record.bounds[label] = None
             continue
         record.bounds[label] = check_envelope(ts, envelope, bound_tolerance(envelope))
         if emit is not None:
-            send(f"bound_{label}.csv", "t,modulus,envelope", ts.modulus(), envelope.values)
+            send(f"bound_{label}.csv", "t,modulus,envelope", ts.modulus(), envelope)
         del ts, envelope
 
     if sides:
@@ -274,10 +270,9 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
             if ts is None:
                 record.residuals[identity] = None
                 continue
-            lhs, rhs = sides_of(path, ts)
-            record.residuals[identity] = residual_norm(lhs, rhs)
-            if "identities" in wanted:
-                send(f"identity_{label}.csv", "t,lhs,rhs", _as_values(lhs), _as_values(rhs))
+            lhs, rhs, record.residuals[identity] = sides_and_residual(path, ts, sides_of)
+            if "identities" in wanted and record.residuals[identity] is not None:
+                send(f"identity_{label}.csv", "t,lhs,rhs", lhs, rhs)
             del ts, lhs, rhs
 
     # dropping the transforms before the rotation, the oracle and the ladder
@@ -299,12 +294,15 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
         flush()
         return lhs, rhs
 
-    driftless = not np.any(path.a != 0.0)
-    if driftless and "rotation_unit" in wanted:
-        lhs, rhs = rotation(unit_rotation_identity, "rotation_unit.csv")
-        bound = 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt
-        record.rotation_unit = (abs(rhs), float(bound), abs(lhs - rhs))
-    if driftless and "rotation_scaled" in wanted:
+    record.driftless = not np.any(path.a != 0.0)
+    if record.driftless and "rotation_unit" in wanted:
+        with np.errstate(over="ignore"):
+            bound = 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt
+        # the bound also bounds |rhs|; past double range it bounds nothing
+        if np.isfinite(bound):
+            lhs, rhs = rotation(unit_rotation_identity, "rotation_unit.csv")
+            record.rotation_unit = (abs(rhs), float(bound), abs(lhs - rhs))
+    if record.driftless and "rotation_scaled" in wanted:
         # this scale bounds the series, both sides of its identity and their gap
         if weighted_scale(path, 1.0 + float(np.sum(path.sigma * np.abs(path.dw)))) is not None:
             lhs, rhs = rotation(scaled_rotation_identity, "rotation_scaled.csv")
@@ -370,6 +368,8 @@ def run_experiment(
             for label, identity in (("t1", "bounded"), ("t2", "weighted")):
                 if record.residuals[identity] is not None:
                     add(f"identity_{label}.residual", _fmt(record.residuals[identity]))
+                elif identity not in record.skipped:
+                    warn(f"identity_{label} skipped: its values leave double range")
             if record.oracle_steps is None:
                 warn(
                     f"direct oracle skipped ({config.n_steps} steps exceeds ceiling "
@@ -381,16 +381,18 @@ def run_experiment(
                 else:
                     add(f"oracle.{which}.deviation", _fmt(row[0]))
 
-        if "remarks" in outputs:
+        if "remarks" in outputs and not record.driftless:
+            warn("remarks skipped: drift is not identically zero")
+        elif "remarks" in outputs:
             if record.rotation_unit is None:
-                warn("remarks skipped: drift is not identically zero")
+                warn("unit rotation skipped: its bound leaves double range")
             else:
                 for key, value in zip(("rhs_abs", "bound", "residual"), record.rotation_unit):
                     add(f"rotation_unit.{key}", _fmt(value))
-                if record.rotation_scaled is None:
-                    warn("scaled rotation skipped: its scale leaves double range")
-                else:
-                    add("rotation_scaled.residual", _fmt(record.rotation_scaled))
+            if record.rotation_scaled is None:
+                warn("scaled rotation skipped: its scale leaves double range")
+            else:
+                add("rotation_scaled.residual", _fmt(record.rotation_scaled))
 
         for label, report in record.bounds.items():
             if report is None:
@@ -450,7 +452,7 @@ def emit_figures(config: ExperimentConfig, out_dir: str | Path | None = None) ->
         (FIGURE_NAMES[2], "t,value", [t, ts.Y]),
         (FIGURE_NAMES[3], "t,X,Y", [t, ts.X, ts.Y]),
         (FIGURE_NAMES[4], "t,value", [t, ts.modulus()]),
-        (FIGURE_NAMES[5], "t,value", [t, running.values]),
+        (FIGURE_NAMES[5], "t,value", [t, running]),
     ]
     return write_csv_batch(root, files)
 
@@ -513,6 +515,8 @@ def verify_suite(
             rhs_abs, bound, _ = record.rotation_unit
             tolerance = BOUND_TOLERANCE_UNIT * (1.0 + bound)
             check(f"bound[rotation] seed={seed}", rhs_abs - bound, tolerance, "|rhs|-bound")
+        elif record.driftless:
+            note(f"bound[rotation] seed={seed}: bound leaves double range, skipped")
         if record.oracle_steps is None:
             note(f"oracle seed={seed}: no divisor fits under ceiling, skipped")
         for which, row in record.oracle.items():

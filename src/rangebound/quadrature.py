@@ -7,55 +7,44 @@ hold exactly at every node, not just in the continuum limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .engine import PathRecord, TimeGrid
 
 
-@dataclass(frozen=True, eq=False)
-class CumulativeSeries:
-    """Running sum aligned to the grid nodes: values[0] = 0, len = N+1."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-
-def _as_values(series) -> np.ndarray:
-    if isinstance(series, CumulativeSeries):
-        return series.values
-    return np.asarray(series)
-
-
-def _checked_integrand(integrand, n: int) -> np.ndarray:
+def _left_sum(integrand, grid: TimeGrid, x: np.ndarray | None = None) -> np.ndarray:
+    """Read-only left-point sum of integrand against the increments of x, or against dt."""
     f = np.asarray(integrand, dtype=np.float64)
-    if f.ndim != 1 or len(f) != n:
-        raise ValueError(f"integrand must have {n} entries, got shape {f.shape}")
-    return f
+    if f.ndim != 1 or len(f) != grid.n_steps:
+        raise ValueError(f"integrand must have {grid.n_steps} entries, got shape {f.shape}")
+    # the increments stay a temporary, so numpy reuses them for the product
+    values = prefix_sum(f * (grid.dt if x is None else np.diff(x)))
+    values.setflags(write=False)
+    return values
 
 
-def _prefix(terms: np.ndarray, grid: TimeGrid) -> CumulativeSeries:
-    values = np.empty(len(terms) + 1)
+def prefix_sum(terms: np.ndarray) -> np.ndarray:
+    """Running sum of ``terms`` in their dtype: values[0] = 0, len = len(terms) + 1.
+
+    Left writable, so numpy can reuse a temporary one in place: ``1j * prefix_sum(t)``.
+    """
+    values = np.empty(len(terms) + 1, dtype=terms.dtype)
     values[0] = 0.0
     np.cumsum(terms, out=values[1:])
-    values.setflags(write=False)
-    return CumulativeSeries(grid=grid, values=values)
+    return values
 
 
-def ito_cumsum(integrand, path: PathRecord) -> CumulativeSeries:
-    """Cumulative left-point sum of integrand against the path increments.
+def ito_cumsum(integrand, path: PathRecord) -> np.ndarray:
+    """Read-only cumulative left-point sum of integrand against the path increments.
 
-    values[k+1] = values[k] + integrand[k] * (x[k+1] - x[k])
+    values[k+1] = values[k] + integrand[k] * (x[k+1] - x[k]), values[0] = 0
     """
-    f = _checked_integrand(integrand, path.grid.n_steps)
-    return _prefix(f * np.diff(path.x), path.grid)
+    return _left_sum(integrand, path.grid, path.x)
 
 
-def riemann_cumsum(integrand, grid: TimeGrid) -> CumulativeSeries:
-    """Cumulative left-point sum of integrand against dt.
+def riemann_cumsum(integrand, grid: TimeGrid) -> np.ndarray:
+    """Read-only cumulative left-point sum of integrand against dt.
 
-    values[k+1] = values[k] + integrand[k] * dt
+    values[k+1] = values[k] + integrand[k] * dt, values[0] = 0
     """
-    f = _checked_integrand(integrand, grid.n_steps)
-    return _prefix(f * grid.dt, grid)
+    return _left_sum(integrand, grid)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import PathRecord, TimeGrid
-from .quadrature import CumulativeSeries, ito_cumsum, riemann_cumsum
+from .quadrature import ito_cumsum, prefix_sum, riemann_cumsum
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,9 +41,8 @@ _RECURRENCE_BLOCK = 32768
 
 @dataclass(frozen=True, eq=False)
 class TransformSeries:
-    """Grid-aligned (X, Y) component series; weighted marks the exp-weighted variant."""
+    """Node-aligned (X, Y) component series; weighted marks the exp-weighted variant."""
 
-    grid: TimeGrid
     X: np.ndarray
     Y: np.ndarray
     weighted: bool
@@ -53,13 +52,16 @@ class TransformSeries:
 
 
 def _half_variance_sum(path: PathRecord) -> np.ndarray:
-    return 0.5 * riemann_cumsum(path.sigma * path.sigma, path.grid).values
+    # inf once sigma^2 leaves double range: weighted_scale is then None and the
+    # weighted recurrence returns None
+    with np.errstate(over="ignore"):
+        return 0.5 * riemann_cumsum(path.sigma * path.sigma, path.grid)
 
 
-def _series(grid: TimeGrid, X: np.ndarray, Y: np.ndarray, weighted: bool) -> TransformSeries:
+def _series(X: np.ndarray, Y: np.ndarray, weighted: bool) -> TransformSeries:
     for arr in (X, Y):
         arr.setflags(write=False)
-    return TransformSeries(grid=grid, X=X, Y=Y, weighted=weighted)
+    return TransformSeries(X=X, Y=Y, weighted=weighted)
 
 
 def _reduce_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -136,7 +138,7 @@ def transform_pair_direct(
     series = {}
     for flag, cos_part, sin_part in parts:
         X, Y = (-sin_part, cos_part) if flag else (cos_part, sin_part)
-        series[flag] = _series(path.grid, X, Y, flag)
+        series[flag] = _series(X, Y, flag)
     return series.get(False), series.get(True)
 
 
@@ -269,13 +271,11 @@ def transform_pair_recursive(
             chains = [c for c in chains if c.X is not None]
             k0 = k1
 
-    series = {c.weighted: _series(path.grid, c.X, c.Y, c.weighted) for c in chains}
+    series = {c.weighted: _series(c.X, c.Y, c.weighted) for c in chains}
     return series.get(False), series.get(True)
 
 
-def bounded_identity_sides(
-    path: PathRecord, ts: TransformSeries
-) -> tuple[CumulativeSeries, CumulativeSeries]:
+def bounded_identity_sides(path: PathRecord, ts: TransformSeries) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the bounded transform's stochastic-integral identity.
 
     lhs_k integrates X against dx; rhs_k = Y_k + 0.5 * left-sum of sigma^2 * Y.
@@ -285,21 +285,18 @@ def bounded_identity_sides(
         raise ValueError("identity applies to the unweighted transform")
     lhs = ito_cumsum(ts.X[:-1], path)
     correction = riemann_cumsum(path.sigma * path.sigma * ts.Y[:-1], path.grid)
-    rhs_values = ts.Y + 0.5 * correction.values
-    rhs_values.setflags(write=False)
-    return lhs, CumulativeSeries(grid=path.grid, values=rhs_values)
+    rhs = ts.Y + 0.5 * correction
+    rhs.setflags(write=False)
+    return lhs, rhs
 
 
-def weighted_identity_sides(
-    path: PathRecord, ts: TransformSeries
-) -> tuple[CumulativeSeries, np.ndarray]:
+def weighted_identity_sides(path: PathRecord, ts: TransformSeries) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the weighted transform's identity: -int Y dx against the X series."""
     if not ts.weighted:
         raise ValueError("identity applies to the weighted transform")
-    raw = ito_cumsum(ts.Y[:-1], path)
-    lhs_values = -raw.values
-    lhs_values.setflags(write=False)
-    return CumulativeSeries(grid=path.grid, values=lhs_values), ts.X
+    lhs = -ito_cumsum(ts.Y[:-1], path)
+    lhs.setflags(write=False)
+    return lhs, ts.X
 
 
 def variance_discounted_u(psi, sigma, grid: TimeGrid) -> np.ndarray:
@@ -314,20 +311,13 @@ def variance_discounted_u(psi, sigma, grid: TimeGrid) -> np.ndarray:
     n = grid.n_steps
     if len(psi) != n or len(sigma) != n:
         raise ValueError(f"psi and sigma must have {n} entries, got {len(psi)} and {len(sigma)}")
-    variance_sum = riemann_cumsum(sigma * sigma, grid).values
+    variance_sum = riemann_cumsum(sigma * sigma, grid)
     return np.exp(-0.5 * (variance_sum[-1] - variance_sum[:-1])) * psi
 
 
 def _require_driftless(path: PathRecord):
     if np.any(path.a != 0.0):
         raise ValueError("rotation identities require an identically zero drift")
-
-
-def _complex_prefix(terms: np.ndarray) -> np.ndarray:
-    out = np.empty(len(terms) + 1, dtype=np.complex128)
-    out[0] = 0.0
-    np.cumsum(terms, out=out[1:])
-    return out
 
 
 def unit_rotation_identity(path: PathRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,8 +329,8 @@ def unit_rotation_identity(path: PathRecord) -> tuple[np.ndarray, np.ndarray, np
     """
     _require_driftless(path)
     U = np.exp(1j * (path.x - path.x[0]))
-    lhs = 1j * _complex_prefix(path.sigma * U[:-1] * path.dw)
-    rhs = U - 1.0 + 0.5 * _complex_prefix(path.sigma * path.sigma * U[:-1] * path.grid.dt)
+    lhs = 1j * prefix_sum(path.sigma * U[:-1] * path.dw)
+    rhs = U - 1.0 + 0.5 * prefix_sum(path.sigma * path.sigma * U[:-1] * path.grid.dt)
     U.setflags(write=False)
     return U, lhs, rhs
 
@@ -356,6 +346,6 @@ def scaled_rotation_identity(path: PathRecord) -> tuple[np.ndarray, np.ndarray, 
     F = np.exp(1j * (path.x - path.x[0]) + _half_variance_sum(path))
     rhs = F - 1.0
     U = np.multiply(F, 1j, out=F)
-    lhs = _complex_prefix(path.sigma * U[:-1] * path.dw)
+    lhs = prefix_sum(path.sigma * U[:-1] * path.dw)
     U.setflags(write=False)
     return U, lhs, rhs

@@ -3,7 +3,8 @@ on an infinite tolerance or written as inf and nan rows.
 
 Config A keeps both transforms finite but sums psi dt past DBL_MAX, so every
 envelope and oracle scale overflows. Config B's u dt sums overflow in the
-bounded transform itself.
+bounded transform itself. Config C's path itself leaves double range, and
+config D's sigma^2 does while sigma, the path and the bounded transform do not.
 """
 
 import warnings
@@ -17,6 +18,8 @@ from rangebound.experiment import prepare_path
 
 CONFIG_A = "t_max=5\nn_steps=512\na=const:2\nsigma=const:1\npsi=const:1e308\nseeds=1\n"
 CONFIG_B = "t_max=5\nn_steps=512\na=const:0\nsigma=const:1\nu=const:1e308\nseeds=1\n"
+CONFIG_C = "t_max=1\nn_steps=8\nx0=1e308\na=const:1e308\nsigma=const:1\nu=const:1\nseeds=1\n"
+CONFIG_D = "t_max=1\nn_steps=8\na=const:0\nsigma=const:1e200\nu=const:1\nseeds=1\n"
 
 
 @pytest.fixture
@@ -153,3 +156,52 @@ def test_config_b_recurrence_and_oracle_give_no_bounded_series():
         assert rb.transform_pair_recursive(path) == (None, None)
         assert rb.bounded_transform_recursive(path) is None
         assert rb.compare_oracle_pair(path) == {"bounded": None, "weighted": None}
+
+
+@pytest.mark.parametrize("name", ["run", "verify", "figures"])
+def test_config_c_path_out_of_range_is_a_configuration_error(command, name):
+    code, lines, err, out = command(name, CONFIG_C)
+    assert code == 1 and lines == []
+    assert err == "configuration error: seed 1: the path leaves double range\n"
+    assert not list(out.rglob("*.csv"))
+
+
+def test_config_d_run_skips_the_bounded_identity_and_the_rotations(command):
+    code, lines, err, out = command("run", CONFIG_D)
+    assert code == 0 and err == ""
+    assert lines[:-1] == [
+        "warning: seed 1: weighted transform skipped: its values leave double range",
+        "warning: seed 1: identity_t1 skipped: its values leave double range",
+        "warning: seed 1: weighted direct oracle skipped: its scale leaves double range",
+        "warning: seed 1: unit rotation skipped: its bound leaves double range",
+        "warning: seed 1: scaled rotation skipped: its scale leaves double range",
+        "warning: seed 1: convergence skipped: no identity residual in double range",
+    ]
+    manifest = seed_entries(out)
+    assert "seed.1.identity_" not in manifest and "seed.1.rotation_" not in manifest
+    assert "nan" not in manifest and "inf" not in manifest
+    assert assert_finite_rows(out) == [f"seed1/{name}.csv" for name in ("bound_t1", "t1", "x")]
+
+
+def test_config_d_verify_notes_the_rotation_and_bounded_identity(command):
+    # oracle[bounded] is left out: its direct reference loses phase at |x| ~ 1e200
+    code, lines, err, _ = command("verify", CONFIG_D)
+    assert err == ""
+    for note in (
+        "NOTE bound[rotation] seed=1: bound leaves double range, skipped",
+        "NOTE identity[bounded] seed=1: values leave double range, skipped",
+        "NOTE identity[weighted] seed=1: values leave double range, skipped",
+        "NOTE convergence seed=1: skipped, no identity residual in double range",
+    ):
+        assert note in lines
+    assert "PASS bound[t1] seed=1: max_violation=0.000e+00 tolerance=2.000e-09" in lines
+    assert not any("rotation" in line for line in lines if line.startswith(("PASS", "FAIL")))
+    assert_nothing_unbounded(lines)
+    assert not any("inf" in line for line in lines)
+
+
+def test_config_d_rung_has_no_residual():
+    path = prepare_path(parse_config(CONFIG_D), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verification._rung_residuals(path) == {"bounded": None, "weighted": None}

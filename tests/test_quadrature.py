@@ -18,43 +18,43 @@ def noisy_path():
 def test_unit_integrand_telescopes(noisy_path):
     series = rb.ito_cumsum(np.ones(noisy_path.grid.n_steps), noisy_path)
     expected = noisy_path.x - noisy_path.x[0]
-    assert np.max(np.abs(series.values - expected)) < 1e-12 * (1 + np.max(np.abs(expected)))
+    assert np.max(np.abs(series - expected)) < 1e-12 * (1 + np.max(np.abs(expected)))
 
 
 def test_zero_integrand_is_exactly_zero(noisy_path):
     series = rb.ito_cumsum(np.zeros(noisy_path.grid.n_steps), noisy_path)
-    assert np.all(series.values == 0.0)
+    assert np.all(series == 0.0)
 
 
 def test_ito_against_smooth_path_closed_form():
     grid = rb.build_grid(1.0, 10_000)
     path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1)
-    value = rb.ito_cumsum(path.x[:-1], path).values[-1]
+    value = rb.ito_cumsum(path.x[:-1], path)[-1]
     assert abs(value - 2.0) < 3 * grid.dt
 
 
 def test_riemann_constant_integrand():
     grid = rb.build_grid(5.0, 1000)
     series = rb.riemann_cumsum(np.ones(1000), grid)
-    assert abs(series.values[-1] - 5.0) < 1e-12
+    assert abs(series[-1] - 5.0) < 1e-12
 
 
 def test_riemann_linear_integrand():
     grid = rb.build_grid(1.0, 10_000)
     series = rb.riemann_cumsum(grid.nodes[:-1], grid)
-    assert abs(series.values[-1] - 0.5) < grid.dt
+    assert abs(series[-1] - 0.5) < grid.dt
 
 
 def test_riemann_unit_variance_total():
     grid = rb.build_grid(5.0, 2000)
     sigma = np.ones(2000)
-    assert abs(rb.riemann_cumsum(sigma**2, grid).values[-1] - 5.0) < 1e-12
+    assert abs(rb.riemann_cumsum(sigma**2, grid)[-1] - 5.0) < 1e-12
 
 
 def test_first_value_is_zero(noisy_path):
     f = np.linspace(-1, 1, noisy_path.grid.n_steps)
-    assert rb.ito_cumsum(f, noisy_path).values[0] == 0.0
-    assert rb.riemann_cumsum(f, noisy_path.grid).values[0] == 0.0
+    assert rb.ito_cumsum(f, noisy_path)[0] == 0.0
+    assert rb.riemann_cumsum(f, noisy_path.grid)[0] == 0.0
 
 
 def test_non_anticipation(noisy_path):
@@ -62,8 +62,8 @@ def test_non_anticipation(noisy_path):
     f = np.ones(n)
     g = f.copy()
     g[n // 2] = 100.0
-    base = rb.ito_cumsum(f, noisy_path).values
-    bumped = rb.ito_cumsum(g, noisy_path).values
+    base = rb.ito_cumsum(f, noisy_path)
+    bumped = rb.ito_cumsum(g, noisy_path)
     assert np.array_equal(base[: n // 2 + 1], bumped[: n // 2 + 1])
     assert base[n // 2 + 1] != bumped[n // 2 + 1]
 
@@ -71,7 +71,7 @@ def test_non_anticipation(noisy_path):
 def test_nonnegative_riemann_is_nondecreasing():
     grid = rb.build_grid(2.0, 500)
     f = np.abs(np.sin(7.0 * grid.nodes[:-1]))
-    values = rb.riemann_cumsum(f, grid).values
+    values = rb.riemann_cumsum(f, grid)
     assert np.all(np.diff(values) >= 0)
 
 
@@ -87,8 +87,8 @@ def test_ito_linearity(alpha, beta, seed):
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(256)
     g = rng.standard_normal(256)
-    combined = rb.ito_cumsum(alpha * f + beta * g, path).values
-    split = alpha * rb.ito_cumsum(f, path).values + beta * rb.ito_cumsum(g, path).values
+    combined = rb.ito_cumsum(alpha * f + beta * g, path)
+    split = alpha * rb.ito_cumsum(f, path) + beta * rb.ito_cumsum(g, path)
     scale = 1.0 + np.max(np.abs(split))
     assert np.max(np.abs(combined - split)) < 1e-10 * scale
 

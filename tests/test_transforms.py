@@ -91,7 +91,7 @@ class TestBoundedTransform:
         grid = rb.build_grid(5.0, 10_000)
         path = rb.simulate_seeded(const(2), const(1), const(1), grid, seed=6)
         ts = rb.bounded_transform_recursive(path)
-        envelope = rb.riemann_cumsum(np.abs(path.u), grid).values
+        envelope = rb.riemann_cumsum(np.abs(path.u), grid)
         assert np.max(ts.modulus() - envelope) <= 1e-12 * (1 + envelope[-1])
         assert np.max(ts.modulus()) <= 5.0 + 1e-9
 
@@ -188,13 +188,13 @@ class TestIdentities:
         grid = rb.build_grid(5.0, 300)
         path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=1)
         lhs, rhs = rb.bounded_identity_sides(path, rb.bounded_transform_recursive(path))
-        assert np.all(lhs.values == 0.0) and np.all(rhs.values == 0.0)
+        assert np.all(lhs == 0.0) and np.all(rhs == 0.0)
 
     def test_weighted_identity_zero_integrand(self):
         grid = rb.build_grid(5.0, 300)
         path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=1)
         lhs, rhs = rb.weighted_identity_sides(path, weighted_recursive(path))
-        assert np.all(lhs.values == 0.0) and np.all(rhs == 0.0)
+        assert np.all(lhs == 0.0) and np.all(rhs == 0.0)
 
     def test_bounded_identity_deterministic_drift(self):
         grid = rb.build_grid(5.0, 10_000)
@@ -267,7 +267,7 @@ class TestVarianceDiscountedU:
         psi = grid.nodes[:-1] ** (alpha - 1.0) / alpha
         path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
         ts = weighted_recursive(path)
-        envelope = rb.riemann_cumsum(np.abs(psi), grid).values
+        envelope = rb.riemann_cumsum(np.abs(psi), grid)
         assert np.max(ts.modulus() - envelope) <= 1e-12 * (1 + envelope[-1])
 
     def test_drift_sweep_keeps_envelope(self):
@@ -277,7 +277,7 @@ class TestVarianceDiscountedU:
             path = rb.simulate_seeded(drift, const(1), const(0), grid, seed=21)
             path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
             ts = weighted_recursive(path)
-            envelope = rb.riemann_cumsum(np.abs(psi), grid).values
+            envelope = rb.riemann_cumsum(np.abs(psi), grid)
             assert np.max(ts.modulus() - envelope) <= 1e-12 * (1 + envelope[-1])
 
 
@@ -308,7 +308,7 @@ class TestRotationIdentities:
         path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=3)
         U, _, _ = rb.scaled_rotation_identity(path)
         assert abs(abs(U[-1]) - math.exp(2.5)) < 1e-10 * math.exp(2.5)
-        half_i = 0.5 * rb.riemann_cumsum(path.sigma**2, grid).values
+        half_i = 0.5 * rb.riemann_cumsum(path.sigma**2, grid)
         assert np.max(np.abs(np.abs(U) - np.exp(half_i))) < 1e-12 * math.exp(2.5)
 
     def test_rejects_nonzero_drift(self):
@@ -346,6 +346,7 @@ class TestRotationIdentities:
 
 
 RETIRED = (
+    "CumulativeSeries",
     "RotationIdentity",
     "bounded_transform_direct",
     "weighted_transform_direct",
@@ -362,3 +363,28 @@ def test_public_names_resolve_and_retired_ones_are_gone():
         assert name not in rb.__all__
         assert not hasattr(rb, name)
         assert not hasattr(rb.transforms, name)
+    assert not hasattr(rb.quadrature, "CumulativeSeries")
+    assert not hasattr(rb.TimeGrid, "same_mesh")
+    assert not hasattr(rb.ExperimentManifest, "from_text")
+
+
+def test_public_series_are_read_only():
+    """Series are shared between outputs (identity_t2's rhs is t2's X), so none may be written."""
+    grid = rb.build_grid(5.0, 64)
+    path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=3)
+    arrays = {
+        "ito_cumsum": rb.ito_cumsum(path.u, path),
+        "riemann_cumsum": rb.riemann_cumsum(path.u, grid),
+        "unit_rotation_identity U": rb.unit_rotation_identity(path)[0],
+        "scaled_rotation_identity U": rb.scaled_rotation_identity(path)[0],
+    }
+    for pair in (rb.transform_pair_recursive, rb.transform_pair_direct):
+        for ts in pair(path):
+            arrays[f"{pair.__name__} weighted={ts.weighted} X"] = ts.X
+            arrays[f"{pair.__name__} weighted={ts.weighted} Y"] = ts.Y
+    ts1, ts2 = rb.transform_pair_recursive(path)
+    for sides, ts in ((rb.bounded_identity_sides, ts1), (rb.weighted_identity_sides, ts2)):
+        arrays[f"{sides.__name__} lhs"], arrays[f"{sides.__name__} rhs"] = sides(path, ts)
+    assert len(arrays) == 16
+    for name, arr in arrays.items():
+        assert isinstance(arr, np.ndarray) and arr.flags.writeable is False, name

@@ -22,14 +22,14 @@ def ladder(dw, t_max, a_spec, sigma_spec, u_spec, refinement_levels):
     return rb.convergence_ladder(dw, t_max, rung, refinement_levels)
 
 
-def make_series(grid, X, Y, weighted=False):
-    return TransformSeries(grid=grid, X=np.asarray(X, float), Y=np.asarray(Y, float), weighted=weighted)
+def make_series(X, Y, weighted=False):
+    return TransformSeries(X=np.asarray(X, float), Y=np.asarray(Y, float), weighted=weighted)
 
 
 class TestCheckEnvelope:
     def test_zero_series_passes(self):
         grid = rb.build_grid(1.0, 10)
-        ts = make_series(grid, np.zeros(11), np.zeros(11))
+        ts = make_series(np.zeros(11), np.zeros(11))
         envelope = rb.riemann_cumsum(np.ones(10), grid)
         report = rb.check_envelope(ts, envelope, 1e-9)
         assert report.passed
@@ -41,7 +41,7 @@ class TestCheckEnvelope:
         ts = rb.bounded_transform_recursive(path)
         X = ts.X.copy()
         X[5] += 1.0
-        corrupted = make_series(grid, X, ts.Y)
+        corrupted = make_series(X, ts.Y)
         envelope = rb.riemann_cumsum(np.abs(path.u), grid)
         report = rb.check_envelope(corrupted, envelope, 1e-9)
         assert not report.passed
@@ -49,14 +49,14 @@ class TestCheckEnvelope:
         assert report.max_violation > 0.5
 
     def test_grid_mismatch_rejected(self):
-        ts = make_series(rb.build_grid(1.0, 10), np.zeros(11), np.zeros(11))
+        ts = make_series(np.zeros(11), np.zeros(11))
         envelope = rb.riemann_cumsum(np.ones(20), rb.build_grid(1.0, 20))
         with pytest.raises(ValueError):
             rb.check_envelope(ts, envelope, 1e-9)
 
     def test_passed_flag_tracks_tolerance(self):
         grid = rb.build_grid(1.0, 4)
-        ts = make_series(grid, [0, 1, 0, 0, 0], np.zeros(5))
+        ts = make_series([0, 1, 0, 0, 0], np.zeros(5))
         envelope = np.zeros(5)
         assert not rb.check_envelope(ts, envelope, 0.5).passed
         assert rb.check_envelope(ts, envelope, 1.5).passed
