@@ -7,7 +7,7 @@ same CSV bytes and the same manifest (minus the created_utc line).
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -25,16 +25,14 @@ from .engine import (
     simulate_path,
 )
 from .errors import ConfigurationError
-from .quadrature import ito_cumsum, riemann_cumsum
+from .quadrature import riemann_cumsum
 from .transforms import (
-    bounded_identity_sides,
     bounded_transform_recursive,
+    path_scales,
     scaled_rotation_identity,
     transform_pair_recursive,
     unit_rotation_identity,
     variance_discounted_u,
-    weighted_identity_sides,
-    weighted_scale,
 )
 from .verification import (
     DEFAULT_ORACLE_CEILING,
@@ -125,29 +123,37 @@ def build_path(
     dw: np.ndarray,
     factor: int = 1,
     seed: int | None = None,
-) -> PathRecord:
-    """The config's path on ``grid``, driven by the increments ``dw``.
+) -> tuple[PathRecord, np.ndarray | None]:
+    """The config's path on ``grid``, driven by the increments ``dw``, and its psi.
 
     ``grid`` is ``factor`` times coarser than the config grid; sampled
     coefficients are decimated to its left nodes. When psi is set, u is the
-    variance-discounted psi.
+    variance-discounted psi and the sampled psi comes second; else None does.
     """
     u_spec = config.psi_spec if config.uses_discounted_u else config.u_spec
     specs = (spec.coarsened(factor) for spec in (config.a_spec, config.sigma_spec, u_spec))
-    # a step past double range leaves x inf or nan from there on: prepare_path refuses it
+    # a step past double range leaves x inf or nan from there on, and a variance
+    # integral past it leaves u nan: prepare_path refuses both
     with np.errstate(over="ignore", invalid="ignore"):
         path = simulate_path(*specs, grid, dw, config.x0, seed)
-    if config.uses_discounted_u:
-        path = path.with_u(variance_discounted_u(path.u, path.sigma, grid))
-    return path
+        if not config.uses_discounted_u:
+            return path, None
+        return path.with_u(variance_discounted_u(path.u, path.sigma, grid)), path.u
 
 
 def prepare_path(config: ExperimentConfig, seed: int) -> PathRecord:
-    """Simulate one seed's path on the config grid; one that leaves double range is refused."""
+    """Simulate one seed's path on the config grid, with its PathScales.
+
+    A path that leaves double range is refused, and so is a psi path whose
+    variance integral does, since its discounted u is undefined.
+    """
     grid = build_grid(config.t_max, config.n_steps)
-    path = build_path(config, grid, sample_wiener(grid, seed), seed=seed)
-    if not np.isfinite(path.x[-1]):
+    path, psi = build_path(config, grid, sample_wiener(grid, seed), seed=seed)
+    path = replace(path, scales=path_scales(path, psi))
+    if path.scales.x is None:
         raise ConfigurationError(f"seed {seed}: the path leaves double range")
+    if psi is not None and path.scales.half_variance is None:
+        raise ConfigurationError(f"seed {seed}: the variance integral leaves double range")
     return path
 
 
@@ -190,6 +196,13 @@ class SeedRecord:
         """Whether either identity has a residual on the seed's own path."""
         return any(r is not None for r in self.residuals.values())
 
+    @property
+    def unordered(self) -> list[str]:
+        """Identities with a residual on the seed's own path but no convergence report."""
+        if self.convergence is None:
+            return []
+        return [i for i, r in self.residuals.items() if r is not None and i not in self.convergence]
+
 
 def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int) -> PathRecord | None:
     """A cheaper path on the same noise for a config grid above the ceiling.
@@ -205,7 +218,7 @@ def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int)
     else:
         return None
     grid = build_grid(config.t_max, n // factor)
-    return build_path(config, grid, coarsen_increments(path.dw, factor), factor, path.seed)
+    return build_path(config, grid, coarsen_increments(path.dw, factor), factor, path.seed)[0]
 
 
 def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None) -> SeedRecord:
@@ -218,6 +231,7 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
     it as batches of ``(name, header, columns)`` files.
     """
     path = prepare_path(config, seed)
+    scales = path.scales
     record = SeedRecord()
     pending = []
 
@@ -248,29 +262,26 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
         send("t2.csv", "t,X,Y", ts2.X, ts2.Y)
 
     for label in labels:
-        with np.errstate(over="ignore"):
-            if label == "t1":
-                ts, envelope = ts1, riemann_cumsum(np.abs(path.u), path.grid)
-            else:
-                ts, envelope = ts2, integrand_envelope(config, path)
-        # past double range the envelope bounds nothing and its tolerance is inf
-        if not np.isfinite(envelope[-1]):
+        # an envelope's total is the |u| (or |psi|) total; past double range it
+        # bounds nothing and its tolerance is inf
+        if (scales.u if label == "t1" else scales.psi) is None:
             record.bounds[label] = None
             continue
+        if label == "t1":
+            ts, envelope = ts1, riemann_cumsum(np.abs(path.u), path.grid)
+        else:
+            ts, envelope = ts2, integrand_envelope(config, path)
         record.bounds[label] = check_envelope(ts, envelope, bound_tolerance(envelope))
         if emit is not None:
             send(f"bound_{label}.csv", "t,modulus,envelope", ts.modulus(), envelope)
         del ts, envelope
 
     if sides:
-        for label, identity, ts, sides_of in (
-            ("t1", "bounded", ts1, bounded_identity_sides),
-            ("t2", "weighted", ts2, weighted_identity_sides),
-        ):
+        for label, identity, ts in (("t1", "bounded", ts1), ("t2", "weighted", ts2)):
             if ts is None:
                 record.residuals[identity] = None
                 continue
-            lhs, rhs, record.residuals[identity] = sides_and_residual(path, ts, sides_of)
+            lhs, rhs, record.residuals[identity] = sides_and_residual(path, ts)
             if "identities" in wanted and record.residuals[identity] is not None:
                 send(f"identity_{label}.csv", "t,lhs,rhs", lhs, rhs)
             del ts, lhs, rhs
@@ -295,18 +306,14 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
         return lhs, rhs
 
     record.driftless = not np.any(path.a != 0.0)
-    if record.driftless and "rotation_unit" in wanted:
-        with np.errstate(over="ignore"):
-            bound = 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt
-        # the bound also bounds |rhs|; past double range it bounds nothing
-        if np.isfinite(bound):
-            lhs, rhs = rotation(unit_rotation_identity, "rotation_unit.csv")
-            record.rotation_unit = (abs(rhs), float(bound), abs(lhs - rhs))
-    if record.driftless and "rotation_scaled" in wanted:
-        # this scale bounds the series, both sides of its identity and their gap
-        if weighted_scale(path, 1.0 + float(np.sum(path.sigma * np.abs(path.dw)))) is not None:
-            lhs, rhs = rotation(scaled_rotation_identity, "rotation_scaled.csv")
-            record.rotation_scaled = abs(lhs - rhs)
+    # the bound bounds |rhs|; |lhs| and x - x_0 stay within the noise total, at
+    # most sqrt(2 * bound * sum dw^2 / dt), far inside double range with the bound
+    if record.driftless and "rotation_unit" in wanted and scales.rotation is not None:
+        lhs, rhs = rotation(unit_rotation_identity, "rotation_unit.csv")
+        record.rotation_unit = (abs(rhs), scales.rotation, abs(lhs - rhs))
+    if record.driftless and "rotation_scaled" in wanted and scales.scaled_rotation():
+        lhs, rhs = rotation(scaled_rotation_identity, "rotation_scaled.csv")
+        record.rotation_scaled = abs(lhs - rhs)
 
     if checked is not None:
         record.oracle = compare_oracle_pair(checked, ceiling, fast)
@@ -318,7 +325,9 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
         # the finest rung is this path, whose residuals are known; with none,
         # no ladder can report, so no coarser rung is built
         if record.has_residual:
-            rung = partial(build_path, config)
+            def rung(grid, dw, factor):
+                return build_path(config, grid, dw, factor)[0]
+
             record.convergence = convergence_ladder(
                 path.dw, config.t_max, rung, levels, finest=record.residuals
             )
@@ -410,6 +419,8 @@ def run_experiment(
             )
         elif "convergence" in outputs and not record.has_residual:
             warn("convergence skipped: no identity residual in double range")
+        for identity in record.unordered:
+            warn(f"convergence.{identity} skipped: its residuals give no finite order")
         for identity, report in (record.convergence or {}).items():
             add(f"convergence.{identity}.grids", ",".join(str(g) for g in report.grid_sizes))
             add(f"convergence.{identity}.residuals", ",".join(map(_fmt, report.residual_norms)))
@@ -444,8 +455,10 @@ def emit_figures(config: ExperimentConfig, out_dir: str | Path | None = None) ->
     ts = bounded_transform_recursive(path)
     if ts is None:
         raise ConfigurationError(f"seed {path.seed}: the bounded transform leaves double range")
+    running = sides_and_residual(path, ts)[0]  # the bounded identity's lhs
+    if running is None:
+        raise ConfigurationError(f"seed {path.seed}: the integral of X against dx leaves double range")
     t = path.grid.nodes
-    running = ito_cumsum(ts.X[:-1], path)
     files = [
         (FIGURE_NAMES[0], "t,value", [t, path.x]),
         (FIGURE_NAMES[1], "t,value", [t, ts.X]),
@@ -543,4 +556,6 @@ def verify_suite(
                 f"convergence[{identity}] seed={seed}: "
                 f"median_order={report.median_order:.3f} residuals={residuals}"
             )
+        for identity in record.unordered:
+            note(f"convergence[{identity}] seed={seed}: skipped, its residuals give no finite order")
     return summary

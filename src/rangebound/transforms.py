@@ -18,6 +18,7 @@ range even when the sigma^2 integral is large.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,7 @@ class TransformSeries:
 
 
 def _half_variance_sum(path: PathRecord) -> np.ndarray:
-    # inf once sigma^2 leaves double range: weighted_scale is then None and the
-    # weighted recurrence returns None
-    with np.errstate(over="ignore"):
-        return 0.5 * riemann_cumsum(path.sigma * path.sigma, path.grid)
+    return 0.5 * riemann_cumsum(path.sigma * path.sigma, path.grid)
 
 
 def _series(X: np.ndarray, Y: np.ndarray, weighted: bool) -> TransformSeries:
@@ -78,15 +76,72 @@ def _reduce_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def weighted_scale(path: PathRecord, factor: float = 1.0) -> float | None:
-    """factor * e^{I_N/2}, I_N being the total of sigma^2 dt; None once it leaves double range.
+@dataclass(frozen=True)
+class PathScales:
+    """A path's scalar scales, each None once it leaves double range.
 
-    Terms weighted by at most e^{I_N/2} and summing to ``factor`` unweighted
-    stay finite in every partial sum while this scale does.
+    x is max |x|; u the total of |u| dt; half_variance I_N / 2, I_N being the
+    total of sigma^2 dt, and growth e^{I_N/2}; rotation 2 + 0.5 * sum sigma^2 dt,
+    the unit rotation's bound; psi the total of |psi| dt (None without psi);
+    noise the total of |sigma dw|; sigma max |sigma|.
+    Every check whose values these bound reads its in-range decision here.
     """
-    with np.errstate(over="ignore"):
-        scale = factor * float(np.exp(_half_variance_sum(path)[-1]))
-    return scale if np.isfinite(scale) else None
+
+    x: float | None
+    u: float | None
+    half_variance: float | None
+    growth: float | None
+    rotation: float | None
+    psi: float | None
+    noise: float | None
+    sigma: float | None
+
+    def oracle(self) -> tuple[float | None, float | None]:
+        """The (bounded, weighted) oracle scales: the |u| total, times e^{I_N/2} for the weighted transform.
+
+        Both are None once a phase difference x_k - x_j, up to twice max |x|,
+        can leave double range.
+        """
+        if self.x is None or 2.0 * self.x == math.inf:
+            return None, None
+        weighted = None if None in (self.u, self.growth) else self.u * self.growth
+        return self.u, weighted if weighted != math.inf else None
+
+    def scaled_rotation(self) -> bool:
+        """Whether the scaled rotation stays in range.
+
+        e^{I_N/2} bounds |U|; times 2 plus the noise total it bounds both sides
+        of the identity and their gap, and times max |sigma| each sigma U.
+        """
+        if None in (self.growth, self.noise, self.sigma):
+            return False
+        return self.growth * (2.0 + self.noise + self.sigma) < math.inf
+
+
+def path_scales(path: PathRecord, psi: np.ndarray | None = None) -> PathScales:
+    """Every scale of ``path``, each computed once; ``psi`` is the series u discounts, if any.
+
+    The |u| total, e^{I_N/2} and the rotation bound are the expressions the
+    oracle tolerances and the manifest's rotation_unit.bound spell out.
+    """
+    dt = path.grid.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one scratch array serves the reductions in turn
+        scratch = path.sigma * path.sigma
+        half = 0.5 * riemann_cumsum(scratch, path.grid)[-1]
+        rotation = 2.0 + 0.5 * np.sum(scratch) * dt
+        values = (
+            max(np.max(path.x), -np.min(path.x)),
+            np.sum(np.abs(path.u, out=scratch)) * dt,
+            half,
+            np.exp(half),
+            rotation,
+            np.nan if psi is None else np.sum(np.abs(psi, out=scratch)) * dt,
+            np.sum(np.abs(np.multiply(path.sigma, path.dw, out=scratch), out=scratch)),
+            max(np.max(path.sigma), -np.min(path.sigma)),
+        )
+    finite = np.isfinite(values)
+    return PathScales(*(float(v) if ok else None for v, ok in zip(values, finite)))
 
 
 def transform_pair_direct(
@@ -100,9 +155,8 @@ def transform_pair_direct(
     entry by entry, independently of the separated recurrence.
 
     Returns (bounded, weighted); a variant not asked for is None. The sums turn
-    to inf or nan once their scale leaves double range: the total of |u| dt,
-    times e^{I_N/2} for the weighted ones (weighted_scale); compare_oracle_pair
-    does not ask for them then.
+    to inf or nan once their scale leaves double range (PathScales.oracle);
+    compare_oracle_pair does not ask for them then.
 
     A block of _DIRECT_ROW_BLOCK rows sums over the columns j < r1 - 1 of its
     last row. A row's pairwise sum depends on that extent, so it is kept while
@@ -192,7 +246,6 @@ def transform_pair_recursive(
     x = path.x
     u = path.u
     dt = path.grid.dt
-    half_i = _half_variance_sum(path) if weighted else None
 
     size = min(_RECURRENCE_BLOCK, n_nodes)
     phase = np.empty(size)
@@ -206,8 +259,9 @@ def transform_pair_recursive(
         chains.append(_Chain(n_nodes, np.empty(size + 1, dtype=np.complex128), weighted=True))
 
     k0 = 0
-    # past double range the values turn inf or nan; a chain then stops
+    # past double range the values turn inf or nan (sigma^2 included); a chain then stops
     with np.errstate(over="ignore", invalid="ignore"):
+        half_i = _half_variance_sum(path) if weighted else None
         while chains and k0 < n_nodes:
             for chain in chains:
                 if chain.end != k0:

@@ -4,6 +4,7 @@ reference-vs-fast equivalence, and convergence orders under grid refinement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,10 +14,10 @@ from .errors import OracleCostError
 from .transforms import (
     TransformSeries,
     bounded_identity_sides,
+    path_scales,
     transform_pair_direct,
     transform_pair_recursive,
     weighted_identity_sides,
-    weighted_scale,
 )
 
 DEFAULT_ORACLE_CEILING = 4000
@@ -64,33 +65,45 @@ def residual_norm(lhs, rhs) -> float:
     return float(np.max(np.abs(np.subtract(lhs, rhs))))
 
 
-def sides_and_residual(path: PathRecord, ts: TransformSeries, sides_of):
-    """``sides_of(path, ts)`` and their residual_norm, None once that leaves double range.
+def sides_and_residual(path: PathRecord, ts: TransformSeries):
+    """Both sides of the identity of ``ts`` and their residual_norm.
 
-    The bounded rhs sums sigma^2 Y, which can overflow while sigma and Y do not.
+    The residual is None once it leaves double range, and so is the lhs, the
+    running integral against dx. Unlike every other check these are decided
+    on their computed values, not on a PathScales bound: the sides can stay
+    finite by cancellation while every bound on them overflows (a |u| total
+    past DBL_MAX, say).
     """
+    sides_of = weighted_identity_sides if ts.weighted else bounded_identity_sides
     with np.errstate(over="ignore", invalid="ignore"):
         lhs, rhs = sides_of(path, ts)
         residual = residual_norm(lhs, rhs)
-    return lhs, rhs, residual if np.isfinite(residual) else None
+    # a running sum that once leaves double range ends out of it
+    lhs_ok, residual_ok = np.isfinite([lhs[-1], residual])
+    return lhs if lhs_ok else None, rhs, residual if residual_ok else None
 
 
-def orders_from_residuals(residual_norms) -> list[float]:
-    """log2 decay rate per refinement pair, coarse to fine."""
+def orders_from_residuals(residual_norms) -> list[float] | None:
+    """log2 decay rate per refinement pair, coarse to fine.
+
+    None when a norm is None or zero, or a ratio of two leaves double range:
+    such a ladder has no finite order.
+    """
     norms = list(residual_norms)
-    orders = []
-    for coarse, fine in zip(norms, norms[1:]):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            orders.append(float(np.log2(np.float64(coarse) / np.float64(fine))))
-    return orders
+    if None in norms or 0.0 in norms:
+        return None
+    ratios = [coarse / fine for coarse, fine in zip(norms, norms[1:])]
+    if not all(0.0 < ratio < math.inf for ratio in ratios):
+        return None
+    return [float(np.log2(ratio)) for ratio in ratios]
 
 
 def _rung_residuals(path: PathRecord) -> dict[str, float | None]:
     """Both identity residuals from one recurrence pass; each None out of double range."""
     ts1, ts2 = transform_pair_recursive(path)
     return {
-        "bounded": None if ts1 is None else sides_and_residual(path, ts1, bounded_identity_sides)[2],
-        "weighted": None if ts2 is None else sides_and_residual(path, ts2, weighted_identity_sides)[2],
+        "bounded": None if ts1 is None else sides_and_residual(path, ts1)[2],
+        "weighted": None if ts2 is None else sides_and_residual(path, ts2)[2],
     }
 
 
@@ -109,8 +122,10 @@ def convergence_ladder(
     ``build_rung(grid, increments, factor)`` and is built once for both
     identities, its two transforms coming from one recurrence pass. When
     ``finest`` maps both identities to their residuals on the path of the fine
-    increments, the finest rung is taken from it instead. An identity whose
-    residual is None on some rung, its values out of double range, gets no report.
+    increments, the finest rung is taken from it instead. An identity gets no
+    report when orders_from_residuals finds no order: a residual None on some
+    rung, its values out of double range, or zero, or two rungs' ratio out of
+    double range.
     """
     fine = np.asarray(fine_increments, dtype=np.float64)
     if refinement_levels < 3:
@@ -130,10 +145,9 @@ def convergence_ladder(
     reports = {}
     for identity in ("bounded", "weighted"):
         norms = tuple(rung[identity] for rung in rungs)
-        if None in norms:
-            continue
-        orders = tuple(orders_from_residuals(norms))
-        reports[identity] = ConvergenceReport(sizes, norms, orders, float(np.median(orders)))
+        orders = orders_from_residuals(norms)
+        if orders is not None:
+            reports[identity] = ConvergenceReport(sizes, norms, tuple(orders), float(np.median(orders)))
     return reports
 
 
@@ -148,18 +162,16 @@ def compare_oracle_pair(
     Refuses paths longer than the ceiling: the direct reference is O(N^2).
     The tolerance is ORACLE_TOLERANCE_UNIT * (1 + scale), the scale being the
     total of |u| dt, times e^{I_N/2} for the weighted transform; a row is None,
-    and its direct reference skipped, once its scale leaves double range (or
-    its recurrence did). ``fast`` is the path's (bounded, weighted) recurrence
-    pair when the caller already holds it.
+    and its direct reference skipped, once PathScales.oracle finds it out of
+    double range (or its recurrence did). ``fast`` is the path's (bounded,
+    weighted) recurrence pair when the caller already holds it.
     """
     n = path.grid.n_steps
     if n > ceiling:
         raise OracleCostError(
             f"direct reference refused: {n} steps exceeds the ceiling of {ceiling}"
         )
-    with np.errstate(over="ignore"):
-        integral = float(np.sum(np.abs(path.u)) * path.grid.dt)
-    scales = (integral if np.isfinite(integral) else None, weighted_scale(path, integral))
+    scales = (path.scales or path_scales(path)).oracle()
     in_range = [scale is not None for scale in scales]
     direct = transform_pair_direct(path, *in_range) if any(in_range) else (None, None)
     fast = fast if fast is not None else transform_pair_recursive(path, *in_range)
