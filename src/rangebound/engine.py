@@ -9,14 +9,10 @@ keeps every discrete sum built on top of these paths non-anticipating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from .transforms import PathScales
 
 COEFFICIENT_KINDS = ("const", "sin", "state", "samples")
 # steps per chunk of the state-dependent loop in simulate_path; bounds the
@@ -127,9 +123,7 @@ class CoefficientSpec:
         if self.kind == "state":
             if x_left is None:
                 raise ValueError("state-dependent coefficient needs the path values")
-            # once x^2 leaves double range the value is +-0, its limit in double
-            with np.errstate(over="ignore"):
-                return self.params[0] / (1.0 + x_left * x_left)
+            return self.params[0] / (1.0 + x_left * x_left)
         if len(self.samples) != grid.n_steps:
             raise ConfigurationError(
                 f"samples coefficient has {len(self.samples)} entries, grid needs {grid.n_steps}"
@@ -143,8 +137,7 @@ class PathRecord:
 
     x has N+1 entries; dw, a, sigma, u have N entries sampled at left nodes.
     The stored arrays are self-consistent: x[k+1] == x[k] + (a[k]*dt + sigma[k]*dw[k])
-    with exactly that association of operations. ``scales`` holds the path's
-    PathScales once experiment.prepare_path has taken them.
+    with exactly that association of operations.
     """
 
     grid: TimeGrid
@@ -154,7 +147,6 @@ class PathRecord:
     sigma: np.ndarray
     u: np.ndarray
     seed: int | None = None
-    scales: PathScales | None = None
 
     def with_u(self, u: np.ndarray) -> "PathRecord":
         u = np.asarray(u, dtype=np.float64)

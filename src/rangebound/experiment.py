@@ -7,7 +7,7 @@ same CSV bytes and the same manifest (minus the created_utc line).
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -25,10 +25,11 @@ from .engine import (
     simulate_path,
 )
 from .errors import ConfigurationError
-from .quadrature import riemann_cumsum
+from .quadrature import ito_cumsum, riemann_cumsum
 from .transforms import (
     bounded_transform_recursive,
-    path_scales,
+    half_variance_sum,
+    in_range,
     scaled_rotation_identity,
     transform_pair_recursive,
     unit_rotation_identity,
@@ -41,7 +42,7 @@ from .verification import (
     check_envelope,
     compare_oracle_pair,
     convergence_ladder,
-    sides_and_residual,
+    identity_sides,
 )
 
 BOUND_TOLERANCE_UNIT = 1e-9
@@ -123,37 +124,34 @@ def build_path(
     dw: np.ndarray,
     factor: int = 1,
     seed: int | None = None,
-) -> tuple[PathRecord, np.ndarray | None]:
-    """The config's path on ``grid``, driven by the increments ``dw``, and its psi.
+) -> PathRecord:
+    """The config's path on ``grid``, driven by the increments ``dw``.
 
     ``grid`` is ``factor`` times coarser than the config grid; sampled
     coefficients are decimated to its left nodes. When psi is set, u is the
-    variance-discounted psi and the sampled psi comes second; else None does.
+    variance-discounted psi; a variance integral out of double range leaves
+    it undefined, and the config is refused.
     """
     u_spec = config.psi_spec if config.uses_discounted_u else config.u_spec
     specs = (spec.coarsened(factor) for spec in (config.a_spec, config.sigma_spec, u_spec))
-    # a step past double range leaves x inf or nan from there on, and a variance
-    # integral past it leaves u nan: prepare_path refuses both
+    # a step past double range leaves x inf or nan from there on: prepare_path refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         path = simulate_path(*specs, grid, dw, config.x0, seed)
-        if not config.uses_discounted_u:
-            return path, None
-        return path.with_u(variance_discounted_u(path.u, path.sigma, grid)), path.u
+    if not config.uses_discounted_u:
+        return path
+    u = variance_discounted_u(path.u, path.sigma, grid)
+    # on a path out of double range the discount is moot: prepare_path refuses the path
+    if u is None and in_range(lambda: path.x) is not None:
+        raise ConfigurationError(f"seed {seed}: the variance integral leaves double range")
+    return path if u is None else path.with_u(u)
 
 
 def prepare_path(config: ExperimentConfig, seed: int) -> PathRecord:
-    """Simulate one seed's path on the config grid, with its PathScales.
-
-    A path that leaves double range is refused, and so is a psi path whose
-    variance integral does, since its discounted u is undefined.
-    """
+    """Simulate one seed's path on the config grid; one that leaves double range is refused."""
     grid = build_grid(config.t_max, config.n_steps)
-    path, psi = build_path(config, grid, sample_wiener(grid, seed), seed=seed)
-    path = replace(path, scales=path_scales(path, psi))
-    if path.scales.x is None:
+    path = build_path(config, grid, sample_wiener(grid, seed), seed=seed)
+    if not np.isfinite(path.x[-1]):
         raise ConfigurationError(f"seed {seed}: the path leaves double range")
-    if psi is not None and path.scales.half_variance is None:
-        raise ConfigurationError(f"seed {seed}: the variance integral leaves double range")
     return path
 
 
@@ -190,18 +188,12 @@ class SeedRecord:
     oracle: dict[str, tuple[float, float] | None] = field(default_factory=dict)
     # None when n_steps does not support the levels; empty without a residual
     convergence: dict[str, ConvergenceReport] | None = None
+    unordered: list[str] = field(default_factory=list)  # a residual but no finite order
 
     @property
     def has_residual(self) -> bool:
         """Whether either identity has a residual on the seed's own path."""
         return any(r is not None for r in self.residuals.values())
-
-    @property
-    def unordered(self) -> list[str]:
-        """Identities with a residual on the seed's own path but no convergence report."""
-        if self.convergence is None:
-            return []
-        return [i for i, r in self.residuals.items() if r is not None and i not in self.convergence]
 
 
 def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int) -> PathRecord | None:
@@ -218,7 +210,7 @@ def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int)
     else:
         return None
     grid = build_grid(config.t_max, n // factor)
-    return build_path(config, grid, coarsen_increments(path.dw, factor), factor, path.seed)[0]
+    return build_path(config, grid, coarsen_increments(path.dw, factor), factor, path.seed)
 
 
 def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None) -> SeedRecord:
@@ -231,7 +223,6 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
     it as batches of ``(name, header, columns)`` files.
     """
     path = prepare_path(config, seed)
-    scales = path.scales
     record = SeedRecord()
     pending = []
 
@@ -262,15 +253,14 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
         send("t2.csv", "t,X,Y", ts2.X, ts2.Y)
 
     for label in labels:
-        # an envelope's total is the |u| (or |psi|) total; past double range it
-        # bounds nothing and its tolerance is inf
-        if (scales.u if label == "t1" else scales.psi) is None:
+        if label == "t1":
+            ts, envelope = ts1, in_range(riemann_cumsum, np.abs(path.u), path.grid)
+        else:
+            ts, envelope = ts2, in_range(integrand_envelope, config, path)
+        # past double range the envelope bounds nothing and its tolerance is inf
+        if envelope is None:
             record.bounds[label] = None
             continue
-        if label == "t1":
-            ts, envelope = ts1, riemann_cumsum(np.abs(path.u), path.grid)
-        else:
-            ts, envelope = ts2, integrand_envelope(config, path)
         record.bounds[label] = check_envelope(ts, envelope, bound_tolerance(envelope))
         if emit is not None:
             send(f"bound_{label}.csv", "t,modulus,envelope", ts.modulus(), envelope)
@@ -278,13 +268,11 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
 
     if sides:
         for label, identity, ts in (("t1", "bounded", ts1), ("t2", "weighted", ts2)):
-            if ts is None:
-                record.residuals[identity] = None
-                continue
-            lhs, rhs, record.residuals[identity] = sides_and_residual(path, ts)
-            if "identities" in wanted and record.residuals[identity] is not None:
-                send(f"identity_{label}.csv", "t,lhs,rhs", lhs, rhs)
-            del ts, lhs, rhs
+            computed = None if ts is None else in_range(identity_sides, path, ts)
+            record.residuals[identity] = None if computed is None else computed[2]
+            if "identities" in wanted and computed is not None:
+                send(f"identity_{label}.csv", "t,lhs,rhs", *computed[:2])
+            del ts, computed
 
     # dropping the transforms before the rotation, the oracle and the ladder
     # keeps them out of the peak; the oracle on this very path reuses them
@@ -297,23 +285,39 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
     flush()
     del ts1, ts2, pairs
 
-    def rotation(identity, name) -> tuple[complex, complex]:
-        """Both sides at the horizon; the running sides go before U is written."""
-        U, lhs, rhs = identity(path)
-        lhs, rhs = complex(lhs[-1]), complex(rhs[-1])
+    def rotation(identity, name, bound) -> tuple[float, float, float] | None:
+        """|rhs|, ``bound()`` and |lhs - rhs| at the horizon, U written; None out of double range."""
+
+        def horizon():  # the running sides go before U is written
+            U, lhs, rhs = identity(path)
+            return U, lhs[-1], rhs[-1], np.abs(lhs[-1] - rhs[-1]), bound()
+
+        sides = in_range(horizon)
+        if sides is None:
+            return None
+        U, lhs, rhs, _, scale = sides
         send(name, "t,re,im", U.real, U.imag)
         flush()
-        return lhs, rhs
+        return abs(complex(rhs)), float(scale), abs(complex(lhs) - complex(rhs))
 
     record.driftless = not np.any(path.a != 0.0)
-    # the bound bounds |rhs|; |lhs| and x - x_0 stay within the noise total, at
-    # most sqrt(2 * bound * sum dw^2 / dt), far inside double range with the bound
-    if record.driftless and "rotation_unit" in wanted and scales.rotation is not None:
-        lhs, rhs = rotation(unit_rotation_identity, "rotation_unit.csv")
-        record.rotation_unit = (abs(rhs), scales.rotation, abs(lhs - rhs))
-    if record.driftless and "rotation_scaled" in wanted and scales.scaled_rotation():
-        lhs, rhs = rotation(scaled_rotation_identity, "rotation_scaled.csv")
-        record.rotation_scaled = abs(lhs - rhs)
+    if record.driftless and "rotation_unit" in wanted:
+        # the bound also bounds |rhs|; past double range it bounds nothing
+        record.rotation_unit = rotation(
+            unit_rotation_identity,
+            "rotation_unit.csv",
+            lambda: 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt,
+        )
+    if record.driftless and "rotation_scaled" in wanted:
+        # e^{I_N/2} times 1 + the total of sigma |dw| bounds U and both sides
+        # while sigma >= 0; with sigma < 0 it shrinks, so the sides are judged too
+        scaled = rotation(
+            scaled_rotation_identity,
+            "rotation_scaled.csv",
+            lambda: (1.0 + np.sum(path.sigma * np.abs(path.dw)))
+            * np.exp(half_variance_sum(path)[-1]),
+        )
+        record.rotation_scaled = None if scaled is None else scaled[2]
 
     if checked is not None:
         record.oracle = compare_oracle_pair(checked, ceiling, fast)
@@ -325,12 +329,13 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
         # the finest rung is this path, whose residuals are known; with none,
         # no ladder can report, so no coarser rung is built
         if record.has_residual:
-            def rung(grid, dw, factor):
-                return build_path(config, grid, dw, factor)[0]
-
+            rung = partial(build_path, config, seed=seed)
             record.convergence = convergence_ladder(
                 path.dw, config.t_max, rung, levels, finest=record.residuals
             )
+            record.unordered = [
+                i for i, r in record.residuals.items() if r is not None and i not in record.convergence
+            ]
     return record
 
 
@@ -455,7 +460,7 @@ def emit_figures(config: ExperimentConfig, out_dir: str | Path | None = None) ->
     ts = bounded_transform_recursive(path)
     if ts is None:
         raise ConfigurationError(f"seed {path.seed}: the bounded transform leaves double range")
-    running = sides_and_residual(path, ts)[0]  # the bounded identity's lhs
+    running = in_range(ito_cumsum, ts.X[:-1], path)
     if running is None:
         raise ConfigurationError(f"seed {path.seed}: the integral of X against dx leaves double range")
     t = path.grid.nodes

@@ -18,7 +18,6 @@ range even when the sigma^2 integral is large.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,8 @@ class TransformSeries:
         return np.hypot(self.X, self.Y)
 
 
-def _half_variance_sum(path: PathRecord) -> np.ndarray:
+def half_variance_sum(path: PathRecord) -> np.ndarray:
+    """I_k / 2, I being the running left-sum of sigma^2 dt."""
     return 0.5 * riemann_cumsum(path.sigma * path.sigma, path.grid)
 
 
@@ -76,72 +76,19 @@ def _reduce_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PathScales:
-    """A path's scalar scales, each None once it leaves double range.
+def in_range(compute, *args):
+    """``compute(*args)``, or None once its value leaves double range.
 
-    x is max |x|; u the total of |u| dt; half_variance I_N / 2, I_N being the
-    total of sigma^2 dt, and growth e^{I_N/2}; rotation 2 + 0.5 * sum sigma^2 dt,
-    the unit rotation's bound; psi the total of |psi| dt (None without psi);
-    noise the total of |sigma dw|; sigma max |sigma|.
-    Every check whose values these bound reads its in-range decision here.
+    The value is a scalar, a series or a tuple of them. A series is judged by
+    its last entry, which suits the running sums judged here: one that leaves
+    double range at some node stays out of it. Overflow on the way raises no
+    warning, since this function is where it is decided.
     """
-
-    x: float | None
-    u: float | None
-    half_variance: float | None
-    growth: float | None
-    rotation: float | None
-    psi: float | None
-    noise: float | None
-    sigma: float | None
-
-    def oracle(self) -> tuple[float | None, float | None]:
-        """The (bounded, weighted) oracle scales: the |u| total, times e^{I_N/2} for the weighted transform.
-
-        Both are None once a phase difference x_k - x_j, up to twice max |x|,
-        can leave double range.
-        """
-        if self.x is None or 2.0 * self.x == math.inf:
-            return None, None
-        weighted = None if None in (self.u, self.growth) else self.u * self.growth
-        return self.u, weighted if weighted != math.inf else None
-
-    def scaled_rotation(self) -> bool:
-        """Whether the scaled rotation stays in range.
-
-        e^{I_N/2} bounds |U|; times 2 plus the noise total it bounds both sides
-        of the identity and their gap, and times max |sigma| each sigma U.
-        """
-        if None in (self.growth, self.noise, self.sigma):
-            return False
-        return self.growth * (2.0 + self.noise + self.sigma) < math.inf
-
-
-def path_scales(path: PathRecord, psi: np.ndarray | None = None) -> PathScales:
-    """Every scale of ``path``, each computed once; ``psi`` is the series u discounts, if any.
-
-    The |u| total, e^{I_N/2} and the rotation bound are the expressions the
-    oracle tolerances and the manifest's rotation_unit.bound spell out.
-    """
-    dt = path.grid.dt
-    with np.errstate(over="ignore", invalid="ignore"):
-        # one scratch array serves the reductions in turn
-        scratch = path.sigma * path.sigma
-        half = 0.5 * riemann_cumsum(scratch, path.grid)[-1]
-        rotation = 2.0 + 0.5 * np.sum(scratch) * dt
-        values = (
-            max(np.max(path.x), -np.min(path.x)),
-            np.sum(np.abs(path.u, out=scratch)) * dt,
-            half,
-            np.exp(half),
-            rotation,
-            np.nan if psi is None else np.sum(np.abs(psi, out=scratch)) * dt,
-            np.sum(np.abs(np.multiply(path.sigma, path.dw, out=scratch), out=scratch)),
-            max(np.max(path.sigma), -np.min(path.sigma)),
-        )
-    finite = np.isfinite(values)
-    return PathScales(*(float(v) if ok else None for v, ok in zip(values, finite)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = compute(*args)
+    parts = value if isinstance(value, tuple) else (value,)
+    ends = [part[-1] if np.ndim(part) else part for part in parts]
+    return value if np.isfinite(ends).all() else None
 
 
 def transform_pair_direct(
@@ -155,7 +102,7 @@ def transform_pair_direct(
     entry by entry, independently of the separated recurrence.
 
     Returns (bounded, weighted); a variant not asked for is None. The sums turn
-    to inf or nan once their scale leaves double range (PathScales.oracle);
+    to inf or nan once their scale or a phase difference leaves double range;
     compare_oracle_pair does not ask for them then.
 
     A block of _DIRECT_ROW_BLOCK rows sums over the columns j < r1 - 1 of its
@@ -165,7 +112,7 @@ def transform_pair_direct(
     n = path.grid.n_steps
     x = path.x
     udt = path.u * path.grid.dt
-    half_i = _half_variance_sum(path) if weighted else None
+    half_i = half_variance_sum(path) if weighted else None
     # (weighted, cos sums, sin sums); the weighted variant goes last because
     # it scales the shared terms in place
     parts = [
@@ -261,7 +208,7 @@ def transform_pair_recursive(
     k0 = 0
     # past double range the values turn inf or nan (sigma^2 included); a chain then stops
     with np.errstate(over="ignore", invalid="ignore"):
-        half_i = _half_variance_sum(path) if weighted else None
+        half_i = half_variance_sum(path) if weighted else None
         while chains and k0 < n_nodes:
             for chain in chains:
                 if chain.end != k0:
@@ -353,19 +300,22 @@ def weighted_identity_sides(path: PathRecord, ts: TransformSeries) -> tuple[np.n
     return lhs, ts.X
 
 
-def variance_discounted_u(psi, sigma, grid: TimeGrid) -> np.ndarray:
+def variance_discounted_u(psi, sigma, grid: TimeGrid) -> np.ndarray | None:
     """Discount psi by the variance remaining to the horizon.
 
     u_k = exp(-0.5 * (I_N - I_k)) * psi_k with I the sigma^2 left-sum. Feeding
     this u into the weighted transform keeps its modulus under the running
-    left-sum of |psi| at every node.
+    left-sum of |psi| at every node. None once I_N leaves double range: the
+    discount is then undefined.
     """
     psi = np.asarray(psi, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     n = grid.n_steps
     if len(psi) != n or len(sigma) != n:
         raise ValueError(f"psi and sigma must have {n} entries, got {len(psi)} and {len(sigma)}")
-    variance_sum = riemann_cumsum(sigma * sigma, grid)
+    variance_sum = in_range(lambda: riemann_cumsum(sigma * sigma, grid))
+    if variance_sum is None:
+        return None
     return np.exp(-0.5 * (variance_sum[-1] - variance_sum[:-1])) * psi
 
 
@@ -397,7 +347,7 @@ def scaled_rotation_identity(path: PathRecord) -> tuple[np.ndarray, np.ndarray, 
     rhs_k = F_k - 1.
     """
     _require_driftless(path)
-    F = np.exp(1j * (path.x - path.x[0]) + _half_variance_sum(path))
+    F = np.exp(1j * (path.x - path.x[0]) + half_variance_sum(path))
     rhs = F - 1.0
     U = np.multiply(F, 1j, out=F)
     lhs = prefix_sum(path.sigma * U[:-1] * path.dw)

@@ -4,7 +4,6 @@ reference-vs-fast equivalence, and convergence orders under grid refinement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +13,8 @@ from .errors import OracleCostError
 from .transforms import (
     TransformSeries,
     bounded_identity_sides,
-    path_scales,
+    half_variance_sum,
+    in_range,
     transform_pair_direct,
     transform_pair_recursive,
     weighted_identity_sides,
@@ -65,46 +65,29 @@ def residual_norm(lhs, rhs) -> float:
     return float(np.max(np.abs(np.subtract(lhs, rhs))))
 
 
-def sides_and_residual(path: PathRecord, ts: TransformSeries):
-    """Both sides of the identity of ``ts`` and their residual_norm.
-
-    The residual is None once it leaves double range, and so is the lhs, the
-    running integral against dx. Unlike every other check these are decided
-    on their computed values, not on a PathScales bound: the sides can stay
-    finite by cancellation while every bound on them overflows (a |u| total
-    past DBL_MAX, say).
-    """
+def identity_sides(path: PathRecord, ts: TransformSeries):
+    """Both sides of the identity of ``ts`` (bounded or weighted) and their residual_norm."""
     sides_of = weighted_identity_sides if ts.weighted else bounded_identity_sides
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs, rhs = sides_of(path, ts)
-        residual = residual_norm(lhs, rhs)
-    # a running sum that once leaves double range ends out of it
-    lhs_ok, residual_ok = np.isfinite([lhs[-1], residual])
-    return lhs if lhs_ok else None, rhs, residual if residual_ok else None
+    lhs, rhs = sides_of(path, ts)
+    return lhs, rhs, residual_norm(lhs, rhs)
 
 
-def orders_from_residuals(residual_norms) -> list[float] | None:
-    """log2 decay rate per refinement pair, coarse to fine.
+def orders_from_residuals(residual_norms) -> tuple[float, ...] | None:
+    """log2 decay rate per refinement pair, coarse to fine; None once one leaves double range.
 
-    None when a norm is None or zero, or a ratio of two leaves double range:
-    such a ladder has no finite order.
+    A norm that is None, its values out of double range, or zero has no finite order either.
     """
-    norms = list(residual_norms)
-    if None in norms or 0.0 in norms:
-        return None
-    ratios = [coarse / fine for coarse, fine in zip(norms, norms[1:])]
-    if not all(0.0 < ratio < math.inf for ratio in ratios):
-        return None
-    return [float(np.log2(ratio)) for ratio in ratios]
+    norms = [np.float64(norm) for norm in residual_norms]
+    return in_range(lambda: tuple(float(np.log2(c / f)) for c, f in zip(norms, norms[1:])))
 
 
 def _rung_residuals(path: PathRecord) -> dict[str, float | None]:
     """Both identity residuals from one recurrence pass; each None out of double range."""
-    ts1, ts2 = transform_pair_recursive(path)
-    return {
-        "bounded": None if ts1 is None else sides_and_residual(path, ts1)[2],
-        "weighted": None if ts2 is None else sides_and_residual(path, ts2)[2],
-    }
+    residuals = {}
+    for identity, ts in zip(("bounded", "weighted"), transform_pair_recursive(path)):
+        sides = None if ts is None else in_range(identity_sides, path, ts)
+        residuals[identity] = None if sides is None else sides[2]
+    return residuals
 
 
 def convergence_ladder(
@@ -147,7 +130,7 @@ def convergence_ladder(
         norms = tuple(rung[identity] for rung in rungs)
         orders = orders_from_residuals(norms)
         if orders is not None:
-            reports[identity] = ConvergenceReport(sizes, norms, tuple(orders), float(np.median(orders)))
+            reports[identity] = ConvergenceReport(sizes, norms, orders, float(np.median(orders)))
     return reports
 
 
@@ -162,19 +145,24 @@ def compare_oracle_pair(
     Refuses paths longer than the ceiling: the direct reference is O(N^2).
     The tolerance is ORACLE_TOLERANCE_UNIT * (1 + scale), the scale being the
     total of |u| dt, times e^{I_N/2} for the weighted transform; a row is None,
-    and its direct reference skipped, once PathScales.oracle finds it out of
-    double range (or its recurrence did). ``fast`` is the path's (bounded,
-    weighted) recurrence pair when the caller already holds it.
+    and its direct reference skipped, once its scale leaves double range (or
+    its recurrence did), and both are once a phase difference x_k - x_j, at
+    most max x - min x, does. ``fast`` is the path's (bounded, weighted)
+    recurrence pair when the caller already holds it.
     """
     n = path.grid.n_steps
     if n > ceiling:
         raise OracleCostError(
             f"direct reference refused: {n} steps exceeds the ceiling of {ceiling}"
         )
-    scales = (path.scales or path_scales(path)).oracle()
-    in_range = [scale is not None for scale in scales]
-    direct = transform_pair_direct(path, *in_range) if any(in_range) else (None, None)
-    fast = fast if fast is not None else transform_pair_recursive(path, *in_range)
+    scales = [None, None]
+    if in_range(np.ptp, path.x) is not None:
+        scales[0] = integral = in_range(lambda: float(np.sum(np.abs(path.u)) * path.grid.dt))
+    if scales[0] is not None:
+        scales[1] = in_range(lambda: integral * float(np.exp(half_variance_sum(path)[-1])))
+    asked = [scale is not None for scale in scales]
+    direct = transform_pair_direct(path, *asked) if any(asked) else (None, None)
+    fast = fast if fast is not None else transform_pair_recursive(path, *asked)
     rows = {}
     for which, scale, ref, ts in zip(("bounded", "weighted"), scales, direct, fast):
         rows[which] = None

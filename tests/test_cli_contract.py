@@ -39,10 +39,16 @@ RATIO_UNDERFLOW = "t_max=1\nn_steps=8\na=const:0\nsigma=const:1\nu=sin:1e-300,1e
 PHASE_GAP = (
     "t_max=5\nn_steps=16\nx0=0.001\na=sin:-0.5,0.5,3\nsigma=const:-1e308\nu=const:0.5\nseeds=1\n"
 )
+# the |u| dt terms sum to 1.5e308, though the |u| terms alone sum past DBL_MAX
+ENVELOPE_DT_FIRST = "t_max=1.5\nn_steps=8\na=const:0\nsigma=const:1e300\nu=const:1e308\nseeds=1\n"
 # sigma U overflows in the scaled rotation although e^{I_N/2} times the noise total does not
 SCALED_ROTATION = (
     "t_max=1.2e-97\nn_steps=1200\na=const:0\nsigma=const:1e50\nu=const:1\nseeds=1\n"
     "outputs=remarks\n"
+)
+# on seed 4 the scaled rotation stays in range, though e^{I_N/2} times max |sigma| does not
+SCALED_ROTATION_IN_RANGE = (
+    "t_max=1\nn_steps=1\na=const:0\nsigma=const:37.6\nu=const:1\nseeds=4\noutputs=remarks\n"
 )
 
 NON_FINITE = re.compile(r"(?<![A-Za-z])(nan|inf)(?![A-Za-z])")
@@ -111,7 +117,7 @@ def configs(draw):
     )
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(derandomize=True, max_examples=80, deadline=None)
 @given(text=configs())
 @example(text=PSI_VARIANCE)
 @example(text=PSI_VARIANCE_SUM)
@@ -119,7 +125,9 @@ def configs(draw):
 @example(text=ZERO_RESIDUALS)
 @example(text=RATIO_UNDERFLOW)
 @example(text=PHASE_GAP)
+@example(text=ENVELOPE_DT_FIRST)
 @example(text=SCALED_ROTATION)
+@example(text=SCALED_ROTATION_IN_RANGE)
 def test_every_accepted_config_keeps_the_cli_contract(text):
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("run", "figures", "verify"):
@@ -190,7 +198,20 @@ def test_oracle_is_skipped_once_its_phase_differences_leave_double_range(tmp_pat
     assert "bounded direct oracle skipped: its scale leaves double range" in manifest
 
 
-def test_scaled_rotation_is_skipped_once_sigma_u_can_leave_double_range(tmp_path):
+def test_envelope_whose_dt_terms_stay_in_range_is_checked(tmp_path):
+    code, out, _, _ = assert_contract("verify", ENVELOPE_DT_FIRST, tmp_path)
+    assert code == 0
+    assert "PASS bound[t1] seed=1: max_violation=0.000e+00 tolerance=1.500e+299" in out.splitlines()
+
+
+def test_scaled_rotation_runs_while_its_values_stay_in_double_range(tmp_path):
+    code, _, _, out_dir = assert_contract("run", SCALED_ROTATION_IN_RANGE, tmp_path)
+    manifest = (out_dir / "manifest.txt").read_text()
+    assert code == 0 and "warning" not in manifest
+    assert "seed.4.rotation_scaled.residual = 9.8646883138125825e+306" in manifest.splitlines()
+
+
+def test_scaled_rotation_is_skipped_once_sigma_u_leaves_double_range(tmp_path):
     code, out, _, out_dir = assert_contract("run", SCALED_ROTATION, tmp_path)
     manifest = (out_dir / "manifest.txt").read_text()
     assert code == 0

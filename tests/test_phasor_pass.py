@@ -21,8 +21,8 @@ from rangebound.experiment import prepare_path, run_experiment, verify_suite
 from rangebound.transforms import (
     RESCALE_THRESHOLD,
     TWO_PI,
-    _half_variance_sum,
     _reduce_phase,
+    half_variance_sum,
     transform_pair_direct,
     transform_pair_recursive,
 )
@@ -119,7 +119,7 @@ def reference_direct(path, weighted):
     n = path.grid.n_steps
     x = path.x
     udt = path.u * path.grid.dt
-    half_i = _half_variance_sum(path) if weighted else None
+    half_i = half_variance_sum(path) if weighted else None
     cos_part = np.zeros(n + 1)
     sin_part = np.zeros(n + 1)
     cols = np.arange(n)
@@ -143,7 +143,7 @@ def same_bits(ts, reference):
 
 
 def assert_recurrences_match(path, threshold=RESCALE_THRESHOLD):
-    half_i = _half_variance_sum(path)
+    half_i = half_variance_sum(path)
     ref_bounded = reference_recurrence(path, None, threshold)
     ref_weighted = reference_recurrence(path, half_i, threshold)
     bounded, weighted = transform_pair_recursive(path, rescale_threshold=threshold)
@@ -519,4 +519,4 @@ def test_rotation_series_are_bit_exact():
     unit, _, _ = rb.unit_rotation_identity(path)
     assert unit.tobytes() == np.exp(phase).tobytes()
     scaled, _, _ = rb.scaled_rotation_identity(path)
-    assert scaled.tobytes() == (1j * np.exp(phase + _half_variance_sum(path))).tobytes()
+    assert scaled.tobytes() == (1j * np.exp(phase + half_variance_sum(path))).tobytes()

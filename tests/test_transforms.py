@@ -388,22 +388,3 @@ def test_public_series_are_read_only():
     assert len(arrays) == 16
     for name, arr in arrays.items():
         assert isinstance(arr, np.ndarray) and arr.flags.writeable is False, name
-
-
-def test_path_scales_are_scalars_spelled_as_the_checks_spell_them():
-    cfg = parse_config(
-        "t_max=5\nn_steps=2048\nx0=0.3\na=sin:1,2,3\nsigma=sin:2,1,1\npsi=sin:1,0.5,2\nseeds=1\n"
-    )
-    path = experiment.prepare_path(cfg, 1)
-    scales = path.scales
-    # scalars only: no per-node array rides on the path
-    assert all(type(value) is float for value in dataclasses.astuple(scales))
-    dt = path.grid.dt
-    integral = float(np.sum(np.abs(path.u)) * dt)
-    half_variance = 0.5 * rb.riemann_cumsum(path.sigma * path.sigma, path.grid)
-    assert scales.oracle() == (integral, integral * float(np.exp(half_variance[-1])))
-    assert scales.rotation == float(2.0 + 0.5 * np.sum(path.sigma * path.sigma) * dt)
-    psi = cfg.psi_spec.sample_series(path.grid, x_left=path.x[:-1])
-    assert scales.psi == float(np.sum(np.abs(psi)) * dt)
-    assert scales.x == float(np.max(np.abs(path.x)))
-    assert path.with_u(path.u).scales is None
