@@ -29,20 +29,21 @@ from .experiment import (
 from .quadrature import ito_cumsum, riemann_cumsum
 from .transforms import (
     TransformSeries,
-    bounded_identity_sides,
     bounded_transform_recursive,
+    reduce_pass,
     scaled_rotation_identity,
+    transform_blocks,
     transform_pair_direct,
     transform_pair_recursive,
     unit_rotation_identity,
     variance_discounted_u,
-    weighted_identity_sides,
 )
 from .verification import (
     DEFAULT_ORACLE_CEILING,
     BoundReport,
     ConvergenceReport,
-    check_envelope,
+    EnvelopeCheck,
+    IdentityCheck,
     compare_oracle_pair,
     convergence_ladder,
     orders_from_residuals,
@@ -56,16 +57,16 @@ __all__ = [
     "ConfigurationError",
     "ConvergenceReport",
     "DEFAULT_ORACLE_CEILING",
+    "EnvelopeCheck",
     "ExperimentConfig",
     "ExperimentManifest",
+    "IdentityCheck",
     "OracleCostError",
     "PathRecord",
     "TimeGrid",
     "TransformSeries",
-    "bounded_identity_sides",
     "bounded_transform_recursive",
     "build_grid",
-    "check_envelope",
     "coarsen_increments",
     "compare_oracle_pair",
     "convergence_ladder",
@@ -75,6 +76,7 @@ __all__ = [
     "parse_coefficient",
     "parse_config",
     "prepare_path",
+    "reduce_pass",
     "residual_norm",
     "riemann_cumsum",
     "run_experiment",
@@ -82,11 +84,11 @@ __all__ = [
     "scaled_rotation_identity",
     "simulate_path",
     "simulate_seeded",
+    "transform_blocks",
     "transform_pair_direct",
     "transform_pair_recursive",
     "unit_rotation_identity",
     "variance_discounted_u",
     "verify_suite",
-    "weighted_identity_sides",
     "__version__",
 ]

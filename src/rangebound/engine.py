@@ -112,11 +112,14 @@ class CoefficientSpec:
             return self
         return CoefficientSpec.from_samples(self.samples[::factor])
 
-    def sample_series(self, grid: TimeGrid, x_left: np.ndarray | None = None) -> np.ndarray:
-        """Values at the left nodes t_0 .. t_{N-1}; state kind needs x at those nodes."""
-        t = grid.nodes[:-1]
+    def sample_series(
+        self, grid: TimeGrid, x_left: np.ndarray | None = None, start: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        """Values at the left nodes t_start .. t_{stop-1}, by default t_0 .. t_{N-1};
+        state kind needs x at those nodes."""
+        t = grid.nodes[start : grid.n_steps if stop is None else stop]
         if self.kind == "const":
-            return np.full(grid.n_steps, self.params[0])
+            return np.full(len(t), self.params[0])
         if self.kind == "sin":
             c0, c1, omega = self.params
             return c0 + c1 * np.sin(omega * t)
@@ -128,7 +131,7 @@ class CoefficientSpec:
             raise ConfigurationError(
                 f"samples coefficient has {len(self.samples)} entries, grid needs {grid.n_steps}"
             )
-        return self.samples
+        return self.samples[start:stop]
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,10 +189,11 @@ def simulate_path(
         sigma = np.ascontiguousarray(sigma_spec.sample_series(grid), dtype=np.float64)
         # cumsum is sequential for float64, so the stored path satisfies the
         # step recurrence bit-exactly
-        steps = np.empty(n + 1)
-        steps[0] = x0
-        steps[1:] = a * dt + sigma * dw
-        x = np.cumsum(steps)
+        x = np.empty(n + 1)
+        x[0] = x0
+        steps = np.multiply(a, dt, out=x[1:])
+        steps += sigma * dw
+        np.cumsum(x, out=x)
     else:
         x = _state_dependent_x(a_spec, sigma_spec, grid, dw, x0)
         a = a_spec.sample_series(grid, x_left=x[:-1])

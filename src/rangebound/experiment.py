@@ -25,27 +25,28 @@ from .engine import (
     simulate_path,
 )
 from .errors import ConfigurationError
-from .quadrature import ito_cumsum, riemann_cumsum
+from .quadrature import ito_cumsum
 from .transforms import (
+    TransformSeries,
     bounded_transform_recursive,
     half_variance_sum,
     in_range,
+    reduce_pass,
     scaled_rotation_identity,
-    transform_pair_recursive,
     unit_rotation_identity,
     variance_discounted_u,
 )
 from .verification import (
+    BOUND_TOLERANCE_UNIT,
     DEFAULT_ORACLE_CEILING,
     BoundReport,
     ConvergenceReport,
-    check_envelope,
+    EnvelopeCheck,
+    IdentityCheck,
     compare_oracle_pair,
     convergence_ladder,
-    identity_sides,
 )
 
-BOUND_TOLERANCE_UNIT = 1e-9
 # rows per chunk of write_csv_batch; the text it holds is this many rows of
 # each distinct column in the batch
 CSV_CHUNK_ROWS = 2048
@@ -155,22 +156,6 @@ def prepare_path(config: ExperimentConfig, seed: int) -> PathRecord:
     return path
 
 
-def integrand_envelope(config: ExperimentConfig, path: PathRecord):
-    """The node-wise envelope the transform modulus must stay under.
-
-    With a plain u this is the left-sum of |u|; with psi it is the left-sum of
-    |psi|, which dominates the weighted transform of the discounted u.
-    """
-    if config.uses_discounted_u:
-        psi = config.psi_spec.sample_series(path.grid, x_left=path.x[:-1])
-        return riemann_cumsum(np.abs(psi), path.grid)
-    return riemann_cumsum(np.abs(path.u), path.grid)
-
-
-def bound_tolerance(envelope) -> float:
-    return BOUND_TOLERANCE_UNIT * (1.0 + float(envelope[-1]))
-
-
 @dataclass
 class SeedRecord:
     """One seed's checks as scalars (None out of double range) and its emitted series."""
@@ -213,6 +198,58 @@ def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int)
     return build_path(config, grid, coarsen_increments(path.dw, factor), factor, path.seed)
 
 
+def _reduce_path(config, path, wanted, record, send, keep, oracle_here):
+    """Feed the bound and identity checks ``wanted`` names one recurrence pass over ``path``.
+
+    Fills ``record``'s skipped, bounds and residuals. With ``keep`` the series
+    ``wanted`` names are gathered and sent; with ``oracle_here`` the path's
+    (bounded, weighted) series are gathered and returned for the oracle.
+    """
+    grid = path.grid
+    labels = [label for label in ("t1", "t2") if f"bound_{label}" in wanted]
+    if not config.uses_discounted_u and "t2" in labels:
+        labels.remove("t2")  # the integrand envelope bounds t2 once u is discounted
+    integrands = {
+        "t1": lambda k0, k1: path.u[k0:k1],
+        "t2": lambda k0, k1: config.psi_spec.sample_series(grid, path.x[k0:k1], k0, k1),
+    }
+    n_nodes = grid.n_steps + 1
+    gathered, envelopes, identities, consumers = {}, {}, {}, []
+    for label in ("t1", "t2"):
+        weighted = label == "t2"
+        if oracle_here or keep and (label in wanted or weighted and "identities" in wanted):
+            gathered[label] = TransformSeries(np.empty(n_nodes), np.empty(n_nodes), weighted)
+        if label in labels:
+            envelopes[label] = EnvelopeCheck(integrands[label], grid, keep)
+        if {"identities", "convergence"} & wanted:
+            identities[label] = IdentityCheck(path, weighted, keep and "identities" in wanted)
+        consumers.append([c[label] for c in (gathered, envelopes, identities) if label in c])
+    alive = dict(zip(("t1", "t2"), reduce_pass(path, consumers)))
+
+    pairs = (("t1", "bounded"), ("t2", "weighted"))
+    record.skipped = [which for (label, which), c in zip(pairs, consumers) if c and not alive[label]]
+    if "path" in wanted:
+        send("x.csv", "t,x", path.x)
+    for label, ts in gathered.items():
+        if label in wanted and alive[label]:
+            send(f"{label}.csv", "t,X,Y", ts.X, ts.Y)
+    for label, check in envelopes.items():
+        if alive[label]:
+            # past double range the envelope bounds nothing and its tolerance is inf
+            record.bounds[label] = check.report()
+            if record.bounds[label] is not None:
+                send(f"bound_{label}.csv", "t,modulus,envelope", *check.kept)
+    for label, identity in pairs if identities else ():
+        check = identities[label]
+        record.residuals[identity] = check.residual() if alive[label] else None
+        if check.kept and record.residuals[identity] is not None:
+            rhs = gathered[label].X if label == "t2" else check.kept[1]
+            send(f"identity_{label}.csv", "t,lhs,rhs", check.kept[0], rhs)
+    if oracle_here:
+        return tuple(gathered[label] if alive[label] else None for label in ("t1", "t2"))
+    return None
+
+
 def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None) -> SeedRecord:
     """Simulate one seed and evaluate the series and checks ``wanted`` names.
 
@@ -223,12 +260,14 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
     it as batches of ``(name, header, columns)`` files.
     """
     path = prepare_path(config, seed)
+    grid = path.grid
     record = SeedRecord()
     pending = []
+    keep = emit is not None
 
     def send(name, header, *columns):
-        if emit is not None:
-            pending.append((name, header, [path.grid.nodes, *columns]))
+        if keep:
+            pending.append((name, header, [grid.nodes, *columns]))
             record.files.append(name)
 
     def flush():
@@ -236,54 +275,10 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
             emit(pending)
             pending.clear()
 
-    labels = [label for label in ("t1", "t2") if f"bound_{label}" in wanted]
-    if not config.uses_discounted_u and "t2" in labels:
-        labels.remove("t2")  # the integrand envelope bounds t2 once u is discounted
-    sides = bool({"identities", "convergence"} & wanted)
-    asked = {label: sides or label in wanted or label in labels for label in ("t1", "t2")}
-    ts1, ts2 = transform_pair_recursive(path, bounded=asked["t1"], weighted=asked["t2"])
-    pairs = (("t1", "bounded", ts1), ("t2", "weighted", ts2))
-    record.skipped = [which for label, which, ts in pairs if asked[label] and ts is None]
-    labels = [label for label, _, ts in pairs if label in labels and ts is not None]
-    if "path" in wanted:
-        send("x.csv", "t,x", path.x)
-    if "t1" in wanted and ts1 is not None:
-        send("t1.csv", "t,X,Y", ts1.X, ts1.Y)
-    if "t2" in wanted and ts2 is not None:
-        send("t2.csv", "t,X,Y", ts2.X, ts2.Y)
-
-    for label in labels:
-        if label == "t1":
-            ts, envelope = ts1, in_range(riemann_cumsum, np.abs(path.u), path.grid)
-        else:
-            ts, envelope = ts2, in_range(integrand_envelope, config, path)
-        # past double range the envelope bounds nothing and its tolerance is inf
-        if envelope is None:
-            record.bounds[label] = None
-            continue
-        record.bounds[label] = check_envelope(ts, envelope, bound_tolerance(envelope))
-        if emit is not None:
-            send(f"bound_{label}.csv", "t,modulus,envelope", ts.modulus(), envelope)
-        del ts, envelope
-
-    if sides:
-        for label, identity, ts in (("t1", "bounded", ts1), ("t2", "weighted", ts2)):
-            computed = None if ts is None else in_range(identity_sides, path, ts)
-            record.residuals[identity] = None if computed is None else computed[2]
-            if "identities" in wanted and computed is not None:
-                send(f"identity_{label}.csv", "t,lhs,rhs", *computed[:2])
-            del ts, computed
-
-    # dropping the transforms before the rotation, the oracle and the ladder
-    # keeps them out of the peak; the oracle on this very path reuses them
-    checked = None
-    if "identities" in wanted and path.grid.n_steps <= ceiling:
-        checked = path
-    elif "identities" in wanted and coarse_path is not None:
-        checked = coarse_path(config, path, ceiling)
-    fast = (ts1, ts2) if checked is path else None
+    # the oracle on this very path reuses its transforms
+    oracle_here = "identities" in wanted and grid.n_steps <= ceiling
+    fast = _reduce_path(config, path, wanted, record, send, keep, oracle_here)
     flush()
-    del ts1, ts2, pairs
 
     def rotation(identity, name, bound) -> tuple[float, float, float] | None:
         """|rhs|, ``bound()`` and |lhs - rhs| at the horizon, U written; None out of double range."""
@@ -319,19 +314,28 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
         )
         record.rotation_scaled = None if scaled is None else scaled[2]
 
+    checked = None
+    if oracle_here:
+        checked = path
+    elif "identities" in wanted and coarse_path is not None:
+        checked = coarse_path(config, path, ceiling)
+    # a coarser oracle path and the ladder need the noise only: the path goes
+    # before the oracle's direct pass and the ladder's rungs
+    dw = path.dw
+    del path
     if checked is not None:
         record.oracle = compare_oracle_pair(checked, ceiling, fast)
         record.oracle_steps = checked.grid.n_steps
     del checked, fast
 
-    if "convergence" in wanted and levels >= 3 and path.grid.n_steps % 2 ** (levels - 1) == 0:
+    if "convergence" in wanted and levels >= 3 and grid.n_steps % 2 ** (levels - 1) == 0:
         record.convergence = {}
         # the finest rung is this path, whose residuals are known; with none,
         # no ladder can report, so no coarser rung is built
         if record.has_residual:
             rung = partial(build_path, config, seed=seed)
             record.convergence = convergence_ladder(
-                path.dw, config.t_max, rung, levels, finest=record.residuals
+                dw, config.t_max, rung, levels, finest=record.residuals
             )
             record.unordered = [
                 i for i, r in record.residuals.items() if r is not None and i not in record.convergence

@@ -23,14 +23,23 @@ def _left_sum(integrand, grid: TimeGrid, x: np.ndarray | None = None) -> np.ndar
     return values
 
 
-def prefix_sum(terms: np.ndarray) -> np.ndarray:
+def prefix_sum(terms: np.ndarray, carry=None) -> np.ndarray:
     """Running sum of ``terms`` in their dtype: values[0] = 0, len = len(terms) + 1.
 
+    Continued from ``carry``, the last value of the sum so far, values[0] is
+    the carry and each value adds one term to the one before, so blocks summed
+    this way give the one-array sum bit for bit (None, not 0.0, starts it: a
+    -0.0 first term stays -0.0).
     Left writable, so numpy can reuse a temporary one in place: ``1j * prefix_sum(t)``.
     """
     values = np.empty(len(terms) + 1, dtype=terms.dtype)
-    values[0] = 0.0
-    np.cumsum(terms, out=values[1:])
+    if carry is None:
+        values[0] = 0.0
+        np.cumsum(terms, out=values[1:])
+    else:
+        values[0] = carry
+        values[1:] = terms
+        np.cumsum(values, out=values)
     return values
 
 

@@ -10,8 +10,9 @@ Two variants are built from the same kernel e^{i(x_k - x_j)}:
 Both variants share their kernel, so one pass over a path evaluates it once
 for both, in two implementations with identical contracts: the direct O(N^2)
 convolution transform_pair_direct (the reference) and the O(N) recurrence
-transform_pair_recursive, which exploits the separability
-e^{i(x_k - x_j)} = e^{i x_k} * e^{-i x_j}. The weighted recurrence rebases
+transform_blocks, which exploits the separability
+e^{i(x_k - x_j)} = e^{i x_k} * e^{-i x_j} and yields its series block by
+block, so a check can reduce them without holding them whole. The weighted recurrence rebases
 its accumulator periodically so the split exponentials never leave double
 range even when the sigma^2 integral is large.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import PathRecord, TimeGrid
-from .quadrature import ito_cumsum, prefix_sum, riemann_cumsum
+from .quadrature import prefix_sum
 
 TWO_PI = 2.0 * np.pi
 
@@ -37,6 +38,9 @@ _DIRECT_SUB_ROWS = 64
 # The O(N) recurrences run block by block so their scratch stays cache
 # resident; per-element cost is then flat from 1e4 to 1e7 nodes.
 _RECURRENCE_BLOCK = 32768
+# nodes per segment at most: a block is walked in segments of this size, which
+# leaves every value as it is and bounds the scratch of the pass and its checks
+_SEGMENT_NODES = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,10 +54,27 @@ class TransformSeries:
     def modulus(self) -> np.ndarray:
         return np.hypot(self.X, self.Y)
 
+    def feed(self, k0: int, k1: int, z: np.ndarray) -> None:
+        """Store a block of transform_blocks, X + iY at the nodes k0 .. k1-1."""
+        self.X[k0:k1] = z.real
+        self.Y[k0:k1] = z.imag
+
+
+def _variance_sum(sigma: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """I_k, the running left-sum of sigma^2 dt, formed in its own buffer."""
+    values = np.empty(grid.n_steps + 1)
+    values[0] = 0.0
+    terms = np.multiply(sigma, sigma, out=values[1:])
+    terms *= grid.dt
+    np.cumsum(terms, out=terms)
+    return values
+
 
 def half_variance_sum(path: PathRecord) -> np.ndarray:
     """I_k / 2, I being the running left-sum of sigma^2 dt."""
-    return 0.5 * riemann_cumsum(path.sigma * path.sigma, path.grid)
+    half = _variance_sum(path.sigma, path.grid)
+    half *= 0.5
+    return half
 
 
 def _series(X: np.ndarray, Y: np.ndarray, weighted: bool) -> TransformSeries:
@@ -158,10 +179,9 @@ class _Chain:
     ``partial``, so splitting a block does not change a single bit.
     """
 
-    def __init__(self, n_nodes: int, terms: np.ndarray, weighted: bool):
+    def __init__(self, size: int, terms: np.ndarray, weighted: bool):
         self.weighted = weighted
-        self.X = np.empty(n_nodes)
-        self.Y = np.empty(n_nodes)
+        self.z = np.empty(size, dtype=np.complex128)  # the segment's X + iY
         # the segment's terms sit at [1:]; slot 0 seeds a continued cumsum
         self.terms = terms
         self.end = 0  # first node of the next block
@@ -171,133 +191,146 @@ class _Chain:
         self.partial = None  # None at the first segment of a block
 
 
-def transform_pair_recursive(
+def transform_blocks(
     path: PathRecord,
     bounded: bool = True,
     weighted: bool = True,
     rescale_threshold: float = RESCALE_THRESHOLD,
-) -> tuple[TransformSeries | None, TransformSeries | None]:
-    """Both O(N) recurrences from one evaluation of e^{i x_k} per node.
+):
+    """Both O(N) recurrences from one evaluation of e^{i x_k} per node, segment by segment.
 
-    Returns (bounded, weighted); a variant not asked for is None, and so is a
-    series whose values leave double range. Each series is the one the pass
-    returns for that variant alone, bit for bit.
+    Yields ``(k0, k1, bounded, weighted)`` for each segment of nodes k0 .. k1-1,
+    a block being its transform's X + iY there. A variant not asked for is
+    None, and so is one whose values have left double range, from the segment
+    where they do on; the pass ends once no variant is left. A block is
+    scratch that the next segment overwrites. Past double range the values
+    turn inf or nan, warning as the caller's np.errstate says.
 
-    Nodes are visited in segments that end wherever either transform starts a
-    block. Each segment forms the phasors once and feeds the terms
-    e^{-i x_j} w_j u_j dt into both running sums, w_j being 1 for the bounded
-    transform and e^{-(h_j - scale)} for the weighted one, whose scale is
-    rebased between its blocks so no intermediate can overflow.
+    Segments end wherever either transform starts a block, and at most
+    _SEGMENT_NODES nodes after they start. Each segment forms
+    the phasors once and feeds the terms e^{-i x_j} w_j u_j dt into both
+    running sums, w_j being 1 for the bounded transform and e^{-(h_j - scale)}
+    for the weighted one, whose scale is rebased between its blocks so no
+    intermediate can overflow.
     """
     n_nodes = path.grid.n_steps + 1
     x = path.x
     u = path.u
     dt = path.grid.dt
 
-    size = min(_RECURRENCE_BLOCK, n_nodes)
+    size = min(_SEGMENT_NODES, _RECURRENCE_BLOCK, n_nodes)
     phase = np.empty(size)
     rot = np.empty(size, dtype=np.complex128)
     base = np.empty(size + 1, dtype=np.complex128)
     run = np.empty(size + 1, dtype=np.complex128)
-    z = np.empty(size, dtype=np.complex128)
     decay = np.empty(size) if weighted else None
-    chains = [_Chain(n_nodes, base, weighted=False)] if bounded else []
+    chains = [_Chain(size, base, weighted=False)] if bounded else []
     if weighted:
-        chains.append(_Chain(n_nodes, np.empty(size + 1, dtype=np.complex128), weighted=True))
+        chains.append(_Chain(size, np.empty(size + 1, dtype=np.complex128), weighted=True))
 
     k0 = 0
-    # past double range the values turn inf or nan (sigma^2 included); a chain then stops
-    with np.errstate(over="ignore", invalid="ignore"):
-        half_i = half_variance_sum(path) if weighted else None
-        while chains and k0 < n_nodes:
-            for chain in chains:
-                if chain.end != k0:
-                    continue
-                if chain.weighted:
-                    scale = half_i[k0]
-                    k1 = int(np.searchsorted(half_i, scale + rescale_threshold, side="right"))
-                    chain.end = max(min(k1, k0 + _RECURRENCE_BLOCK), k0 + 1)
-                    factor = np.exp(scale - chain.scale)
-                else:
-                    scale, factor = 0.0, 1.0
-                    chain.end = min(k0 + _RECURRENCE_BLOCK, n_nodes)
-                # stored sums carry a factor e^{scale}; raising the scale multiplies
-                # them up, and the reconstruction factor e^{h_k - scale} stays within
-                # [1, e^threshold] so it can never overflow on its own
-                chain.rebased = complex(chain.acc) * factor
-                chain.scale = scale
-                chain.partial = None
-            k1 = min(chain.end for chain in chains)
-            m = k1 - k0
-            j_hi = min(k1, n_nodes - 1)
-            mj = j_hi - k0
+    half_i = half_variance_sum(path) if weighted else None
+    while chains and k0 < n_nodes:
+        for chain in chains:
+            if chain.end != k0:
+                continue
+            if chain.weighted:
+                scale = half_i[k0]
+                k1 = int(np.searchsorted(half_i, scale + rescale_threshold, side="right"))
+                chain.end = max(min(k1, k0 + _RECURRENCE_BLOCK), k0 + 1)
+                factor = np.exp(scale - chain.scale)
+            else:
+                scale, factor = 0.0, 1.0
+                chain.end = min(k0 + _RECURRENCE_BLOCK, n_nodes)
+            # stored sums carry a factor e^{scale}; raising the scale multiplies
+            # them up, and the reconstruction factor e^{h_k - scale} stays within
+            # [1, e^threshold] so it can never overflow on its own
+            chain.rebased = complex(chain.acc) * factor
+            chain.scale = scale
+            chain.partial = None
+        k1 = min(k0 + size, *(chain.end for chain in chains))
+        m = k1 - k0
+        j_hi = min(k1, n_nodes - 1)
+        mj = j_hi - k0
 
-            ph = _reduce_phase(x[k0:k1], phase[:m])
-            rot_blk = rot[:m]
-            np.cos(ph, out=rot_blk.real)
-            np.sin(ph, out=rot_blk.imag)
-            np.conjugate(rot_blk[:mj], out=base[1 : mj + 1])
-            base[1 : mj + 1] *= u[k0:j_hi]
-            base[1 : mj + 1] *= dt
+        ph = _reduce_phase(x[k0:k1], phase[:m])
+        rot_blk = rot[:m]
+        np.cos(ph, out=rot_blk.real)
+        np.sin(ph, out=rot_blk.imag)
+        np.conjugate(rot_blk[:mj], out=base[1 : mj + 1])
+        base[1 : mj + 1] *= u[k0:j_hi]
+        base[1 : mj + 1] *= dt
 
-            for chain in chains:
-                terms = chain.terms
-                if chain.weighted:
-                    w = np.subtract(half_i[k0:j_hi], chain.scale, out=decay[:mj])
-                    np.negative(w, out=w)
-                    np.exp(w, out=w)
-                    np.multiply(base[1 : mj + 1], w, out=terms[1 : mj + 1])
-                if chain.partial is None:
-                    run[0] = chain.rebased
-                    np.cumsum(terms[1 : mj + 1], out=run[1 : mj + 1])
-                    first = 1
-                else:
-                    terms[0] = chain.partial
-                    np.cumsum(terms[: mj + 1], out=run[: mj + 1])
-                    first = 0
-                chain.partial = run[mj]
-                run[first : mj + 1] += chain.rebased
-                chain.acc = run[mj]
+        blocks = [None, None]
+        for chain in chains:
+            terms = chain.terms
+            if chain.weighted:
+                w = np.subtract(half_i[k0:j_hi], chain.scale, out=decay[:mj])
+                np.negative(w, out=w)
+                np.exp(w, out=w)
+                np.multiply(base[1 : mj + 1], w, out=terms[1 : mj + 1])
+            if chain.partial is None:
+                run[0] = chain.rebased
+                np.cumsum(terms[1 : mj + 1], out=run[1 : mj + 1])
+                first = 1
+            else:
+                terms[0] = chain.partial
+                np.cumsum(terms[: mj + 1], out=run[: mj + 1])
+                first = 0
+            chain.partial = run[mj]
+            run[first : mj + 1] += chain.rebased
+            chain.acc = run[mj]
 
-                z_blk = np.multiply(rot_blk, run[:m], out=z[:m])
-                if chain.weighted:
-                    lift = np.subtract(half_i[k0:k1], chain.scale, out=phase[:m])
-                    z_blk *= np.exp(lift, out=lift)
-                    z_blk *= 1j
-                if not np.isfinite(z_blk).all():
-                    chain.X = None
-                    continue
-                chain.X[k0:k1] = z_blk.real
-                chain.Y[k0:k1] = z_blk.imag
-            chains = [c for c in chains if c.X is not None]
-            k0 = k1
-
-    series = {c.weighted: _series(c.X, c.Y, c.weighted) for c in chains}
-    return series.get(False), series.get(True)
+            z_blk = np.multiply(rot_blk, run[:m], out=chain.z[:m])
+            if chain.weighted:
+                lift = np.subtract(half_i[k0:k1], chain.scale, out=phase[:m])
+                z_blk *= np.exp(lift, out=lift)
+                z_blk *= 1j
+            if np.isfinite(z_blk).all():
+                blocks[chain.weighted] = z_blk
+        chains = [c for c in chains if blocks[c.weighted] is not None]
+        yield k0, k1, *blocks
+        k0 = k1
 
 
-def bounded_identity_sides(path: PathRecord, ts: TransformSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the bounded transform's stochastic-integral identity.
+def reduce_pass(path: PathRecord, consumers, rescale_threshold: float = RESCALE_THRESHOLD) -> list[bool]:
+    """Feed one pass of transform_blocks over ``path`` to ``consumers``.
 
-    lhs_k integrates X against dx; rhs_k = Y_k + 0.5 * left-sum of sigma^2 * Y.
-    The two agree up to the discretization error of the underlying scheme.
+    ``consumers`` is a (bounded, weighted) pair of lists; each block goes to its
+    transform's consumers as ``consumer.feed(k0, k1, z)``, and a transform with
+    none is not computed. Returns whether each transform was computed and
+    stayed in double range; the consumers of one that left it saw part of the
+    path only. Overflow on the way raises no warning, as in in_range.
     """
-    if ts.weighted:
-        raise ValueError("identity applies to the unweighted transform")
-    lhs = ito_cumsum(ts.X[:-1], path)
-    correction = riemann_cumsum(path.sigma * path.sigma * ts.Y[:-1], path.grid)
-    rhs = ts.Y + 0.5 * correction
-    rhs.setflags(write=False)
-    return lhs, rhs
+    alive = [bool(group) for group in consumers]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k0, k1, *blocks in transform_blocks(path, *alive, rescale_threshold):
+            for i, z in enumerate(blocks):
+                alive[i] = z is not None
+                for consumer in consumers[i] if alive[i] else ():
+                    consumer.feed(k0, k1, z)
+    return alive
 
 
-def weighted_identity_sides(path: PathRecord, ts: TransformSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the weighted transform's identity: -int Y dx against the X series."""
-    if not ts.weighted:
-        raise ValueError("identity applies to the weighted transform")
-    lhs = -ito_cumsum(ts.Y[:-1], path)
-    lhs.setflags(write=False)
-    return lhs, ts.X
+def transform_pair_recursive(
+    path: PathRecord,
+    bounded: bool = True,
+    weighted: bool = True,
+    rescale_threshold: float = RESCALE_THRESHOLD,
+) -> tuple[TransformSeries | None, TransformSeries | None]:
+    """Both O(N) recurrences of transform_blocks, gathered whole.
+
+    Returns (bounded, weighted); a variant not asked for is None, and so is a
+    series whose values leave double range. Each series is the one the pass
+    returns for that variant alone, bit for bit.
+    """
+    n_nodes = path.grid.n_steps + 1
+    gathers = [
+        [TransformSeries(np.empty(n_nodes), np.empty(n_nodes), bool(i))] if flag else []
+        for i, flag in enumerate((bounded, weighted))
+    ]
+    alive = reduce_pass(path, gathers, rescale_threshold)
+    return tuple(_series(g[0].X, g[0].Y, g[0].weighted) if ok else None for g, ok in zip(gathers, alive))
 
 
 def variance_discounted_u(psi, sigma, grid: TimeGrid) -> np.ndarray | None:
@@ -313,10 +346,14 @@ def variance_discounted_u(psi, sigma, grid: TimeGrid) -> np.ndarray | None:
     n = grid.n_steps
     if len(psi) != n or len(sigma) != n:
         raise ValueError(f"psi and sigma must have {n} entries, got {len(psi)} and {len(sigma)}")
-    variance_sum = in_range(lambda: riemann_cumsum(sigma * sigma, grid))
+    variance_sum = in_range(_variance_sum, sigma, grid)
     if variance_sum is None:
         return None
-    return np.exp(-0.5 * (variance_sum[-1] - variance_sum[:-1])) * psi
+    u = np.subtract(variance_sum[-1], variance_sum[:-1], out=variance_sum[:-1])
+    u *= -0.5
+    np.exp(u, out=u)
+    u *= psi
+    return u
 
 
 def _require_driftless(path: PathRecord):

@@ -8,18 +8,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PathRecord, build_grid, coarsen_increments
+from .engine import PathRecord, TimeGrid, build_grid, coarsen_increments
 from .errors import OracleCostError
+from .quadrature import prefix_sum
 from .transforms import (
     TransformSeries,
-    bounded_identity_sides,
     half_variance_sum,
     in_range,
+    reduce_pass,
     transform_pair_direct,
     transform_pair_recursive,
-    weighted_identity_sides,
 )
 
+BOUND_TOLERANCE_UNIT = 1e-9
 DEFAULT_ORACLE_CEILING = 4000
 ORACLE_TOLERANCE_UNIT = 1e-10
 
@@ -43,19 +44,40 @@ class ConvergenceReport:
     median_order: float
 
 
-def check_envelope(ts: TransformSeries, envelope, tolerance: float) -> BoundReport:
-    """Compare sqrt(X^2 + Y^2) against the envelope node by node."""
-    if len(envelope) != len(ts.X):
-        raise ValueError(f"envelope must have {len(ts.X)} entries, got {len(envelope)}")
-    margin = ts.modulus() - envelope
-    idx = int(np.argmax(margin))
-    worst = float(margin[idx])
-    return BoundReport(
-        max_violation=worst,
-        violation_index=idx,
-        tolerance_used=float(tolerance),
-        passed=worst <= tolerance,
-    )
+class EnvelopeCheck:
+    """sqrt(X^2 + Y^2) against the left-sum of |integrand| dt, fed the blocks of reduce_pass.
+
+    ``integrand(k0, k1)`` samples the integrand at the steps k0 .. k1-1. The
+    envelope continues from block to block, bit for bit the whole series'; the
+    worst margin, modulus minus envelope, and its index are those np.argmax
+    picks on the whole series. ``keep`` gathers the modulus and envelope whole.
+    """
+
+    def __init__(self, integrand, grid: TimeGrid, keep: bool = False):
+        self.integrand, self.grid = integrand, grid
+        self.total = self.worst = None  # total: the envelope at k1 of the last block fed, or at N
+        self.index = 0
+        self.kept = (np.empty(grid.n_steps + 1), np.empty(grid.n_steps + 1)) if keep else ()
+
+    def feed(self, k0: int, k1: int, z: np.ndarray) -> None:
+        steps = np.abs(self.integrand(k0, min(k1, self.grid.n_steps)))
+        envelope = prefix_sum(steps * self.grid.dt, self.total)
+        self.total, envelope = envelope[-1], envelope[: k1 - k0]
+        modulus = np.hypot(z.real, z.imag)
+        margin = modulus - envelope
+        i = int(np.argmax(margin))
+        # an earlier block keeps a tie, and a nan wins once, as in np.argmax
+        if self.worst is None or (self.worst == self.worst and not margin[i] <= self.worst):
+            self.worst, self.index = float(margin[i]), k0 + i
+        for whole, part in zip(self.kept, (modulus, envelope)):
+            whole[k0:k1] = part
+
+    def report(self) -> BoundReport | None:
+        """The worst margin and its tolerance; None once the envelope leaves double range."""
+        if not np.isfinite(self.total):
+            return None
+        tolerance = BOUND_TOLERANCE_UNIT * (1.0 + float(self.total))
+        return BoundReport(self.worst, self.index, tolerance, self.worst <= tolerance)
 
 
 def residual_norm(lhs, rhs) -> float:
@@ -65,11 +87,43 @@ def residual_norm(lhs, rhs) -> float:
     return float(np.max(np.abs(np.subtract(lhs, rhs))))
 
 
-def identity_sides(path: PathRecord, ts: TransformSeries):
-    """Both sides of the identity of ``ts`` (bounded or weighted) and their residual_norm."""
-    sides_of = weighted_identity_sides if ts.weighted else bounded_identity_sides
-    lhs, rhs = sides_of(path, ts)
-    return lhs, rhs, residual_norm(lhs, rhs)
+class IdentityCheck:
+    """Both sides of one transform's stochastic-integral identity, fed the blocks of reduce_pass.
+
+    Bounded: lhs_k = sum_{j<k} X_j dx_j, rhs_k = Y_k + 0.5 sum_{j<k} sigma_j^2 Y_j dt.
+    Weighted: lhs_k = -sum_{j<k} Y_j dx_j, rhs_k = X_k.
+    They agree up to the scheme's discretization error. Both sums continue
+    from block to block, bit for bit the whole series'. ``keep`` gathers lhs
+    whole, and the bounded rhs (the weighted one is X).
+    """
+
+    def __init__(self, path: PathRecord, weighted: bool, keep: bool = False):
+        self.path, self.weighted = path, weighted
+        self.sums = [None, None]  # lhs and the sigma^2 Y sum, as total in EnvelopeCheck
+        self.norm = 0.0
+        self.kept = [np.empty(path.grid.n_steps + 1) for _ in range(2 - weighted)] if keep else ()
+
+    def feed(self, k0: int, k1: int, z: np.ndarray) -> None:
+        path, m = self.path, k1 - k0
+        j1 = min(k1, path.grid.n_steps)
+        X, Y = z.real, z.imag
+        dx = np.diff(path.x[k0 : j1 + 1])
+        lhs = prefix_sum((Y if self.weighted else X)[: j1 - k0] * dx, self.sums[0])
+        self.sums[0] = lhs[-1]
+        if self.weighted:
+            sides = -lhs[:m], X
+        else:
+            sigma = path.sigma[k0:j1]
+            correction = prefix_sum(sigma * sigma * Y[: j1 - k0] * path.grid.dt, self.sums[1])
+            self.sums[1] = correction[-1]
+            sides = lhs[:m], Y + 0.5 * correction[:m]
+        self.norm = np.maximum(self.norm, residual_norm(*sides))
+        for whole, part in zip(self.kept, sides):
+            whole[k0:k1] = part
+
+    def residual(self) -> float | None:
+        """max |lhs - rhs|; None once it leaves double range, as it does once either side does."""
+        return float(self.norm) if np.isfinite(self.norm) else None
 
 
 def orders_from_residuals(residual_norms) -> tuple[float, ...] | None:
@@ -83,11 +137,12 @@ def orders_from_residuals(residual_norms) -> tuple[float, ...] | None:
 
 def _rung_residuals(path: PathRecord) -> dict[str, float | None]:
     """Both identity residuals from one recurrence pass; each None out of double range."""
-    residuals = {}
-    for identity, ts in zip(("bounded", "weighted"), transform_pair_recursive(path)):
-        sides = None if ts is None else in_range(identity_sides, path, ts)
-        residuals[identity] = None if sides is None else sides[2]
-    return residuals
+    checks = (IdentityCheck(path, weighted=False), IdentityCheck(path, weighted=True))
+    alive = reduce_pass(path, [[check] for check in checks])
+    return {
+        identity: check.residual() if ok else None
+        for identity, check, ok in zip(("bounded", "weighted"), checks, alive)
+    }
 
 
 def convergence_ladder(

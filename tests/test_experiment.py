@@ -7,13 +7,13 @@ from rangebound.config import parse_config
 from rangebound.experiment import (
     FIGURE_NAMES,
     ExperimentManifest,
-    bound_tolerance,
     emit_figures,
-    integrand_envelope,
     prepare_path,
     run_experiment,
     verify_suite,
 )
+
+from checks import whole_bound
 
 SMALL = "t_max=5\nn_steps=500\na=const:2\nsigma=const:1\nu=const:1\nseeds=1\n"
 DRIFTLESS = "t_max=5\nn_steps=512\na=const:0\nsigma=const:1\nu=const:1\nseeds=3\n"
@@ -67,16 +67,14 @@ class TestRunExperiment:
         second = strip_timestamp((tmp_path / "two" / "manifest.txt").read_text())
         assert first == second
 
-    def test_manifest_margin_matches_check_envelope(self, tmp_path):
+    def test_manifest_margin_matches_whole_array_margin(self, tmp_path):
         cfg = parse_config(SMALL + "outputs=bounds\n")
         manifest = run_experiment(cfg, out_dir=tmp_path)
         path = prepare_path(cfg, 1)
-        envelope = integrand_envelope(cfg, path)
-        report = rb.check_envelope(
-            rb.bounded_transform_recursive(path), envelope, bound_tolerance(envelope)
-        )
+        report = whole_bound(rb.bounded_transform_recursive(path), path.u, path.grid)
         recorded = manifest.get("seed.1.bound_t1.max_violation")
         assert float(recorded) == report.max_violation
+        assert manifest.get("seed.1.bound_t1.violation_index") == str(report.violation_index)
         assert manifest.get("seed.1.bound_t1.passed") == "true"
 
     def test_remarks_skipped_with_drift(self, tmp_path):

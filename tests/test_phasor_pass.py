@@ -244,6 +244,7 @@ def test_pair_recurrence_matches_reference_with_zero_integrand():
 @settings(deadline=None, max_examples=60)
 @given(
     block=st.integers(1, 40),
+    segment=st.integers(1, 50),
     n_steps=st.integers(1, 200),
     sigma=st.floats(0.0, 6.0),
     threshold=st.sampled_from([0.5, 5.0, 20.0, 1e9]),
@@ -251,9 +252,10 @@ def test_pair_recurrence_matches_reference_with_zero_integrand():
     zeros=st.booleans(),
 )
 def test_pair_recurrence_matches_reference_on_dense_block_splits(
-    block, n_steps, sigma, threshold, seed, zeros
+    block, segment, n_steps, sigma, threshold, seed, zeros
 ):
-    # small blocks make the bounded and weighted block starts interleave densely
+    # small blocks make the bounded and weighted block starts interleave densely,
+    # and segments shorter than a block split it without changing a value
     path = rb.simulate_seeded(
         const(1.5), const(sigma), rb.CoefficientSpec.sinusoid(0, 1, 7), rb.build_grid(20.0, n_steps),
         seed,
@@ -262,6 +264,7 @@ def test_pair_recurrence_matches_reference_on_dense_block_splits(
         path = with_zero_stretches(path, np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transforms, "_RECURRENCE_BLOCK", block)
+        mp.setattr(transforms, "_SEGMENT_NODES", segment)
         assert_recurrences_match(path, threshold)
 
 

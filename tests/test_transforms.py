@@ -11,6 +11,8 @@ from rangebound import CoefficientSpec, experiment
 from rangebound.config import parse_config
 from rangebound.transforms import RESCALE_THRESHOLD
 
+from checks import identity_sides, whole_identity_sides
+
 const = CoefficientSpec.constant
 
 
@@ -187,36 +189,40 @@ class TestIdentities:
     def test_bounded_identity_zero_integrand(self):
         grid = rb.build_grid(5.0, 300)
         path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=1)
-        lhs, rhs = rb.bounded_identity_sides(path, rb.bounded_transform_recursive(path))
+        lhs, rhs, _ = identity_sides(path, rb.bounded_transform_recursive(path))
         assert np.all(lhs == 0.0) and np.all(rhs == 0.0)
 
     def test_weighted_identity_zero_integrand(self):
         grid = rb.build_grid(5.0, 300)
         path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=1)
-        lhs, rhs = rb.weighted_identity_sides(path, weighted_recursive(path))
+        lhs, rhs, _ = identity_sides(path, weighted_recursive(path))
         assert np.all(lhs == 0.0) and np.all(rhs == 0.0)
 
     def test_bounded_identity_deterministic_drift(self):
         grid = rb.build_grid(5.0, 10_000)
         path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1)
-        lhs, rhs = rb.bounded_identity_sides(path, rb.bounded_transform_recursive(path))
-        assert rb.residual_norm(lhs, rhs) < 10 * grid.dt
+        assert identity_sides(path, rb.bounded_transform_recursive(path))[2] < 10 * grid.dt
 
     def test_weighted_identity_deterministic_drift(self):
         grid = rb.build_grid(5.0, 10_000)
         path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1)
-        lhs, rhs = rb.weighted_identity_sides(path, weighted_recursive(path))
-        assert rb.residual_norm(lhs, rhs) < 10 * grid.dt
+        assert identity_sides(path, weighted_recursive(path))[2] < 10 * grid.dt
 
-    def test_identity_rejects_wrong_flag(self):
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_identity_sides_match_whole_array_sums(self, weighted):
+        """Fed in uneven blocks, IdentityCheck gives the whole-array sides bit for bit."""
         grid = rb.build_grid(1.0, 100)
-        path = rb.simulate_seeded(const(1), const(1), const(1), grid, seed=1)
-        bounded = rb.bounded_transform_recursive(path)
-        weighted = weighted_recursive(path)
-        with pytest.raises(ValueError):
-            rb.bounded_identity_sides(path, weighted)
-        with pytest.raises(ValueError):
-            rb.weighted_identity_sides(path, bounded)
+        path = rb.simulate_seeded(const(1), const(1), rb.CoefficientSpec.sinusoid(0, 1, 5), grid, seed=1)
+        ts = rb.transform_pair_recursive(path)[weighted]
+        check = rb.IdentityCheck(path, weighted, keep=True)
+        z = ts.X + 1j * ts.Y
+        for k0, k1 in ((0, 1), (1, 2), (2, 37), (37, 38), (38, 101)):
+            check.feed(k0, k1, z[k0:k1])
+        lhs, rhs = whole_identity_sides(path, ts)
+        assert check.kept[0].tobytes() == lhs.tobytes()
+        if not weighted:
+            assert check.kept[1].tobytes() == rhs.tobytes()
+        assert check.residual() == float(np.max(np.abs(lhs - rhs)))
 
     def test_residual_shrinks_under_refinement(self):
         fine_grid = rb.build_grid(5.0, 20_000)
@@ -227,7 +233,7 @@ class TestIdentities:
             const(2), const(1), const(1), coarse_grid, rb.coarsen_increments(dw, 2)
         )
         r_coarse, r_fine = (
-            rb.residual_norm(*rb.bounded_identity_sides(p, rb.bounded_transform_recursive(p)))
+            identity_sides(p, rb.bounded_transform_recursive(p))[2]
             for p in (coarse, fine)
         )
         assert 0.0 < r_fine < r_coarse
@@ -382,9 +388,6 @@ def test_public_series_are_read_only():
         for ts in pair(path):
             arrays[f"{pair.__name__} weighted={ts.weighted} X"] = ts.X
             arrays[f"{pair.__name__} weighted={ts.weighted} Y"] = ts.Y
-    ts1, ts2 = rb.transform_pair_recursive(path)
-    for sides, ts in ((rb.bounded_identity_sides, ts1), (rb.weighted_identity_sides, ts2)):
-        arrays[f"{sides.__name__} lhs"], arrays[f"{sides.__name__} rhs"] = sides(path, ts)
-    assert len(arrays) == 16
+    assert len(arrays) == 12
     for name, arr in arrays.items():
         assert isinstance(arr, np.ndarray) and arr.flags.writeable is False, name

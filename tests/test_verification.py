@@ -6,11 +6,13 @@ from rangebound import CoefficientSpec
 from rangebound.errors import OracleCostError
 from rangebound.transforms import TransformSeries
 
+from checks import identity_sides
+
 const = CoefficientSpec.constant
 
 
 def bounded_residual(path):
-    return rb.residual_norm(*rb.bounded_identity_sides(path, rb.bounded_transform_recursive(path)))
+    return identity_sides(path, rb.bounded_transform_recursive(path))[2]
 
 
 def ladder(dw, t_max, a_spec, sigma_spec, u_spec, refinement_levels):
@@ -26,12 +28,20 @@ def make_series(X, Y, weighted=False):
     return TransformSeries(X=np.asarray(X, float), Y=np.asarray(Y, float), weighted=weighted)
 
 
-class TestCheckEnvelope:
+def envelope_report(ts, integrand, grid, blocks=None):
+    """EnvelopeCheck fed ``ts`` in the node ranges ``blocks`` (one block by default)."""
+    check = rb.EnvelopeCheck(lambda k0, k1: integrand[k0:k1], grid)
+    z = ts.X + 1j * ts.Y
+    for k0, k1 in blocks or [(0, len(z))]:
+        check.feed(k0, k1, z[k0:k1])
+    return check.report()
+
+
+class TestEnvelopeCheck:
     def test_zero_series_passes(self):
         grid = rb.build_grid(1.0, 10)
         ts = make_series(np.zeros(11), np.zeros(11))
-        envelope = rb.riemann_cumsum(np.ones(10), grid)
-        report = rb.check_envelope(ts, envelope, 1e-9)
+        report = envelope_report(ts, np.ones(10), grid)
         assert report.passed
         assert report.max_violation <= 0.0
 
@@ -41,25 +51,36 @@ class TestCheckEnvelope:
         ts = rb.bounded_transform_recursive(path)
         X = ts.X.copy()
         X[5] += 1.0
-        corrupted = make_series(X, ts.Y)
-        envelope = rb.riemann_cumsum(np.abs(path.u), grid)
-        report = rb.check_envelope(corrupted, envelope, 1e-9)
+        report = envelope_report(make_series(X, ts.Y), path.u, grid)
         assert not report.passed
         assert report.violation_index == 5
         assert report.max_violation > 0.5
 
-    def test_grid_mismatch_rejected(self):
-        ts = make_series(np.zeros(11), np.zeros(11))
-        envelope = rb.riemann_cumsum(np.ones(20), rb.build_grid(1.0, 20))
+    def test_block_mismatch_rejected(self):
+        """A block longer than its node range does not line up with the envelope."""
+        check = rb.EnvelopeCheck(lambda k0, k1: np.ones(k1 - k0), rb.build_grid(1.0, 20))
         with pytest.raises(ValueError):
-            rb.check_envelope(ts, envelope, 1e-9)
+            check.feed(0, 5, np.zeros(11, dtype=complex))
 
     def test_passed_flag_tracks_tolerance(self):
         grid = rb.build_grid(1.0, 4)
         ts = make_series([0, 1, 0, 0, 0], np.zeros(5))
-        envelope = np.zeros(5)
-        assert not rb.check_envelope(ts, envelope, 0.5).passed
-        assert rb.check_envelope(ts, envelope, 1.5).passed
+        # a zero integrand: the tolerance is the unit 1e-9, and the margin 1
+        assert not envelope_report(ts, np.zeros(4), grid).passed
+        ts = make_series([0, 1e-10, 0, 0, 0], np.zeros(5))
+        assert envelope_report(ts, np.zeros(4), grid).passed
+
+    @pytest.mark.parametrize("blocks", [[(0, 11)], [(0, 5), (5, 10), (10, 11)], [(0, 4), (4, 11)]])
+    def test_first_of_tied_margins_wins_across_blocks(self, blocks):
+        """Equal worst margins at nodes 3 and 7 straddle the block boundaries; node 3 is
+        reported, as np.argmax picks, and a nan would win once it comes first."""
+        grid = rb.build_grid(1.0, 10)
+        X = np.zeros(11)
+        X[[3, 7]] = 0.5
+        assert envelope_report(make_series(X, np.zeros(11)), np.zeros(10), grid, blocks=blocks).violation_index == 3
+        X[9] = np.nan
+        report = envelope_report(make_series(X, np.zeros(11)), np.zeros(10), grid, blocks=blocks)
+        assert report.violation_index == 9 and np.isnan(report.max_violation)
 
 
 class TestResidualNorm:
