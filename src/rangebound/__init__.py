@@ -32,7 +32,6 @@ from .transforms import (
     bounded_transform_recursive,
     reduce_pass,
     scaled_rotation_identity,
-    transform_blocks,
     transform_pair_direct,
     transform_pair_recursive,
     unit_rotation_identity,
@@ -84,7 +83,6 @@ __all__ = [
     "scaled_rotation_identity",
     "simulate_path",
     "simulate_seeded",
-    "transform_blocks",
     "transform_pair_direct",
     "transform_pair_recursive",
     "unit_rotation_identity",

@@ -198,58 +198,6 @@ def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int)
     return build_path(config, grid, coarsen_increments(path.dw, factor), factor, path.seed)
 
 
-def _reduce_path(config, path, wanted, record, send, keep, oracle_here):
-    """Feed the bound and identity checks ``wanted`` names one recurrence pass over ``path``.
-
-    Fills ``record``'s skipped, bounds and residuals. With ``keep`` the series
-    ``wanted`` names are gathered and sent; with ``oracle_here`` the path's
-    (bounded, weighted) series are gathered and returned for the oracle.
-    """
-    grid = path.grid
-    labels = [label for label in ("t1", "t2") if f"bound_{label}" in wanted]
-    if not config.uses_discounted_u and "t2" in labels:
-        labels.remove("t2")  # the integrand envelope bounds t2 once u is discounted
-    integrands = {
-        "t1": lambda k0, k1: path.u[k0:k1],
-        "t2": lambda k0, k1: config.psi_spec.sample_series(grid, path.x[k0:k1], k0, k1),
-    }
-    n_nodes = grid.n_steps + 1
-    gathered, envelopes, identities, consumers = {}, {}, {}, []
-    for label in ("t1", "t2"):
-        weighted = label == "t2"
-        if oracle_here or keep and (label in wanted or weighted and "identities" in wanted):
-            gathered[label] = TransformSeries(np.empty(n_nodes), np.empty(n_nodes), weighted)
-        if label in labels:
-            envelopes[label] = EnvelopeCheck(integrands[label], grid, keep)
-        if {"identities", "convergence"} & wanted:
-            identities[label] = IdentityCheck(path, weighted, keep and "identities" in wanted)
-        consumers.append([c[label] for c in (gathered, envelopes, identities) if label in c])
-    alive = dict(zip(("t1", "t2"), reduce_pass(path, consumers)))
-
-    pairs = (("t1", "bounded"), ("t2", "weighted"))
-    record.skipped = [which for (label, which), c in zip(pairs, consumers) if c and not alive[label]]
-    if "path" in wanted:
-        send("x.csv", "t,x", path.x)
-    for label, ts in gathered.items():
-        if label in wanted and alive[label]:
-            send(f"{label}.csv", "t,X,Y", ts.X, ts.Y)
-    for label, check in envelopes.items():
-        if alive[label]:
-            # past double range the envelope bounds nothing and its tolerance is inf
-            record.bounds[label] = check.report()
-            if record.bounds[label] is not None:
-                send(f"bound_{label}.csv", "t,modulus,envelope", *check.kept)
-    for label, identity in pairs if identities else ():
-        check = identities[label]
-        record.residuals[identity] = check.residual() if alive[label] else None
-        if check.kept and record.residuals[identity] is not None:
-            rhs = gathered[label].X if label == "t2" else check.kept[1]
-            send(f"identity_{label}.csv", "t,lhs,rhs", check.kept[0], rhs)
-    if oracle_here:
-        return tuple(gathered[label] if alive[label] else None for label in ("t1", "t2"))
-    return None
-
-
 def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None) -> SeedRecord:
     """Simulate one seed and evaluate the series and checks ``wanted`` names.
 
@@ -275,10 +223,50 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
             emit(pending)
             pending.clear()
 
-    # the oracle on this very path reuses its transforms
+    # one recurrence pass feeds every bound and identity check; the oracle on
+    # this very path reuses its transforms, and run gathers what it writes
     oracle_here = "identities" in wanted and grid.n_steps <= ceiling
-    fast = _reduce_path(config, path, wanted, record, send, keep, oracle_here)
+    integrands = {
+        "t1": lambda k0, k1: path.u[k0:k1],
+        "t2": lambda k0, k1: config.psi_spec.sample_series(grid, path.x[k0:k1], k0, k1),
+    }
+    n_nodes = grid.n_steps + 1
+    gathered, envelopes, identities, consumers = {}, {}, {}, []
+    for label in ("t1", "t2"):
+        weighted = label == "t2"
+        if oracle_here or keep and (label in wanted or weighted and "identities" in wanted):
+            gathered[label] = TransformSeries(np.empty(n_nodes), np.empty(n_nodes), weighted)
+        # the integrand envelope bounds t2 once u is discounted
+        if f"bound_{label}" in wanted and (config.uses_discounted_u or not weighted):
+            envelopes[label] = EnvelopeCheck(integrands[label], grid, keep)
+        if {"identities", "convergence"} & wanted:
+            identities[label] = IdentityCheck(path, weighted, keep and "identities" in wanted)
+        consumers.append([c[label] for c in (gathered, envelopes, identities) if label in c])
+    alive = dict(zip(("t1", "t2"), reduce_pass(path, consumers)))
+
+    if "path" in wanted:
+        send("x.csv", "t,x", path.x)
+    for (label, which), group in zip((("t1", "bounded"), ("t2", "weighted")), consumers):
+        if group and not alive[label]:
+            record.skipped.append(which)
+        parts = (gathered, envelopes, identities) if alive[label] else ({}, {}, {})
+        ts, bound, check = (part.get(label) for part in parts)
+        if ts and label in wanted:
+            send(f"{label}.csv", "t,X,Y", ts.X, ts.Y)
+        if bound:
+            # past double range the envelope bounds nothing and its tolerance is inf
+            record.bounds[label] = bound.report()
+            if record.bounds[label] is not None:
+                send(f"bound_{label}.csv", "t,modulus,envelope", *bound.kept)
+        if identities:
+            record.residuals[which] = check.residual() if check else None
+            if check and check.kept and record.residuals[which] is not None:
+                rhs = ts.X if check.weighted else check.kept[1]
+                send(f"identity_{label}.csv", "t,lhs,rhs", check.kept[0], rhs)
     flush()
+    fast = tuple(ts if alive[label] else None for label, ts in gathered.items()) if oracle_here else None
+    # the checks and what they gathered go before the rotation, the oracle and the ladder
+    del gathered, envelopes, identities, consumers, group, parts, ts, bound, check
 
     def rotation(identity, name, bound) -> tuple[float, float, float] | None:
         """|rhs|, ``bound()`` and |lhs - rhs| at the horizon, U written; None out of double range."""

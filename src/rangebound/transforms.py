@@ -10,11 +10,11 @@ Two variants are built from the same kernel e^{i(x_k - x_j)}:
 Both variants share their kernel, so one pass over a path evaluates it once
 for both, in two implementations with identical contracts: the direct O(N^2)
 convolution transform_pair_direct (the reference) and the O(N) recurrence
-transform_blocks, which exploits the separability
-e^{i(x_k - x_j)} = e^{i x_k} * e^{-i x_j} and yields its series block by
-block, so a check can reduce them without holding them whole. The weighted recurrence rebases
-its accumulator periodically so the split exponentials never leave double
-range even when the sigma^2 integral is large.
+reduce_pass, which exploits the separability
+e^{i(x_k - x_j)} = e^{i x_k} * e^{-i x_j} and feeds its series block by block
+to checks that reduce them without holding them whole. The weighted
+recurrence rebases its accumulator periodically so the split exponentials
+never leave double range even when the sigma^2 integral is large.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class TransformSeries:
         return np.hypot(self.X, self.Y)
 
     def feed(self, k0: int, k1: int, z: np.ndarray) -> None:
-        """Store a block of transform_blocks, X + iY at the nodes k0 .. k1-1."""
+        """Store a block of reduce_pass, X + iY at the nodes k0 .. k1-1."""
         self.X[k0:k1] = z.real
         self.Y[k0:k1] = z.imag
 
@@ -191,20 +191,17 @@ class _Chain:
         self.partial = None  # None at the first segment of a block
 
 
-def transform_blocks(
-    path: PathRecord,
-    bounded: bool = True,
-    weighted: bool = True,
-    rescale_threshold: float = RESCALE_THRESHOLD,
-):
-    """Both O(N) recurrences from one evaluation of e^{i x_k} per node, segment by segment.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def reduce_pass(path: PathRecord, consumers, rescale_threshold: float = RESCALE_THRESHOLD) -> list[bool]:
+    """Both O(N) recurrences from one evaluation of e^{i x_k} per node, fed segment by segment.
 
-    Yields ``(k0, k1, bounded, weighted)`` for each segment of nodes k0 .. k1-1,
-    a block being its transform's X + iY there. A variant not asked for is
-    None, and so is one whose values have left double range, from the segment
-    where they do on; the pass ends once no variant is left. A block is
-    scratch that the next segment overwrites. Past double range the values
-    turn inf or nan, warning as the caller's np.errstate says.
+    ``consumers`` is a (bounded, weighted) pair of lists; a transform's block
+    of each segment of nodes k0 .. k1-1, its X + iY there, goes to its
+    consumers as ``consumer.feed(k0, k1, z)``. A block is scratch that the
+    next segment overwrites, and a transform with no consumers is not
+    computed. Returns whether each transform was computed and stayed in double
+    range; the consumers of one that left it are fed no further. Overflow on
+    the way raises no warning, as in in_range.
 
     Segments end wherever either transform starts a block, and at most
     _SEGMENT_NODES nodes after they start. Each segment forms
@@ -217,6 +214,8 @@ def transform_blocks(
     x = path.x
     u = path.u
     dt = path.grid.dt
+    alive = [bool(group) for group in consumers]
+    bounded, weighted = alive
 
     size = min(_SEGMENT_NODES, _RECURRENCE_BLOCK, n_nodes)
     phase = np.empty(size)
@@ -261,7 +260,6 @@ def transform_blocks(
         base[1 : mj + 1] *= u[k0:j_hi]
         base[1 : mj + 1] *= dt
 
-        blocks = [None, None]
         for chain in chains:
             terms = chain.terms
             if chain.weighted:
@@ -286,29 +284,11 @@ def transform_blocks(
                 lift = np.subtract(half_i[k0:k1], chain.scale, out=phase[:m])
                 z_blk *= np.exp(lift, out=lift)
                 z_blk *= 1j
-            if np.isfinite(z_blk).all():
-                blocks[chain.weighted] = z_blk
-        chains = [c for c in chains if blocks[c.weighted] is not None]
-        yield k0, k1, *blocks
+            alive[chain.weighted] = bool(np.isfinite(z_blk).all())
+            for consumer in consumers[chain.weighted] if alive[chain.weighted] else ():
+                consumer.feed(k0, k1, z_blk)
+        chains = [c for c in chains if alive[c.weighted]]
         k0 = k1
-
-
-def reduce_pass(path: PathRecord, consumers, rescale_threshold: float = RESCALE_THRESHOLD) -> list[bool]:
-    """Feed one pass of transform_blocks over ``path`` to ``consumers``.
-
-    ``consumers`` is a (bounded, weighted) pair of lists; each block goes to its
-    transform's consumers as ``consumer.feed(k0, k1, z)``, and a transform with
-    none is not computed. Returns whether each transform was computed and
-    stayed in double range; the consumers of one that left it saw part of the
-    path only. Overflow on the way raises no warning, as in in_range.
-    """
-    alive = [bool(group) for group in consumers]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k0, k1, *blocks in transform_blocks(path, *alive, rescale_threshold):
-            for i, z in enumerate(blocks):
-                alive[i] = z is not None
-                for consumer in consumers[i] if alive[i] else ():
-                    consumer.feed(k0, k1, z)
     return alive
 
 
@@ -318,7 +298,7 @@ def transform_pair_recursive(
     weighted: bool = True,
     rescale_threshold: float = RESCALE_THRESHOLD,
 ) -> tuple[TransformSeries | None, TransformSeries | None]:
-    """Both O(N) recurrences of transform_blocks, gathered whole.
+    """Both O(N) recurrences of reduce_pass, gathered whole.
 
     Returns (bounded, weighted); a variant not asked for is None, and so is a
     series whose values leave double range. Each series is the one the pass

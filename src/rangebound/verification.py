@@ -44,22 +44,51 @@ class ConvergenceReport:
     median_order: float
 
 
-class EnvelopeCheck:
-    """sqrt(X^2 + Y^2) against the left-sum of |integrand| dt, fed the blocks of reduce_pass.
+class _BlockCheck:
+    """A reduction of one transform fed the blocks of reduce_pass in node order.
+
+    ``feed(k0, k1, z)`` takes X + iY at the nodes k0 .. k1-1, k0 being where the
+    blocks fed so far end; a verdict is read once they reach node N. ``keep``
+    gathers series whole, read-only once the last block is in.
+    """
+
+    def __init__(self, grid: TimeGrid, keep: int):
+        self.grid, self.end = grid, 0
+        self.kept = tuple(np.empty(grid.n_steps + 1) for _ in range(keep))
+
+    def feed(self, k0: int, k1: int, z: np.ndarray) -> None:
+        n_nodes = self.grid.n_steps + 1
+        if k0 != self.end or not k0 < k1 <= n_nodes or len(z) != k1 - k0:
+            raise ValueError(
+                f"block of {len(z)} nodes at {k0} .. {k1 - 1} does not continue node "
+                f"{self.end} of {n_nodes}"
+            )
+        self.end = k1
+        for whole, part in zip(self.kept, self._reduce(k0, k1, z)):
+            whole[k0:k1] = part
+            whole.setflags(write=k1 < n_nodes)
+
+    def _complete(self) -> None:
+        if self.end != self.grid.n_steps + 1:
+            raise ValueError(f"blocks fed end at node {self.end}, not {self.grid.n_steps + 1}")
+
+
+class EnvelopeCheck(_BlockCheck):
+    """sqrt(X^2 + Y^2) against the left-sum of |integrand| dt.
 
     ``integrand(k0, k1)`` samples the integrand at the steps k0 .. k1-1. The
     envelope continues from block to block, bit for bit the whole series'; the
     worst margin, modulus minus envelope, and its index are those np.argmax
-    picks on the whole series. ``keep`` gathers the modulus and envelope whole.
+    picks on the whole series. ``keep`` gathers the modulus and envelope.
     """
 
     def __init__(self, integrand, grid: TimeGrid, keep: bool = False):
-        self.integrand, self.grid = integrand, grid
-        self.total = self.worst = None  # total: the envelope at k1 of the last block fed, or at N
+        super().__init__(grid, 2 if keep else 0)
+        self.integrand = integrand
+        self.total = self.worst = None  # total: the envelope at the last node fed
         self.index = 0
-        self.kept = (np.empty(grid.n_steps + 1), np.empty(grid.n_steps + 1)) if keep else ()
 
-    def feed(self, k0: int, k1: int, z: np.ndarray) -> None:
+    def _reduce(self, k0: int, k1: int, z: np.ndarray):
         steps = np.abs(self.integrand(k0, min(k1, self.grid.n_steps)))
         envelope = prefix_sum(steps * self.grid.dt, self.total)
         self.total, envelope = envelope[-1], envelope[: k1 - k0]
@@ -69,11 +98,11 @@ class EnvelopeCheck:
         # an earlier block keeps a tie, and a nan wins once, as in np.argmax
         if self.worst is None or (self.worst == self.worst and not margin[i] <= self.worst):
             self.worst, self.index = float(margin[i]), k0 + i
-        for whole, part in zip(self.kept, (modulus, envelope)):
-            whole[k0:k1] = part
+        return modulus, envelope
 
     def report(self) -> BoundReport | None:
         """The worst margin and its tolerance; None once the envelope leaves double range."""
+        self._complete()
         if not np.isfinite(self.total):
             return None
         tolerance = BOUND_TOLERANCE_UNIT * (1.0 + float(self.total))
@@ -87,23 +116,23 @@ def residual_norm(lhs, rhs) -> float:
     return float(np.max(np.abs(np.subtract(lhs, rhs))))
 
 
-class IdentityCheck:
-    """Both sides of one transform's stochastic-integral identity, fed the blocks of reduce_pass.
+class IdentityCheck(_BlockCheck):
+    """Both sides of one transform's stochastic-integral identity.
 
     Bounded: lhs_k = sum_{j<k} X_j dx_j, rhs_k = Y_k + 0.5 sum_{j<k} sigma_j^2 Y_j dt.
     Weighted: lhs_k = -sum_{j<k} Y_j dx_j, rhs_k = X_k.
     They agree up to the scheme's discretization error. Both sums continue
-    from block to block, bit for bit the whole series'. ``keep`` gathers lhs
-    whole, and the bounded rhs (the weighted one is X).
+    from block to block, bit for bit the whole series'. ``keep`` gathers lhs,
+    and the bounded rhs (the weighted one is X).
     """
 
     def __init__(self, path: PathRecord, weighted: bool, keep: bool = False):
+        super().__init__(path.grid, 2 - weighted if keep else 0)
         self.path, self.weighted = path, weighted
-        self.sums = [None, None]  # lhs and the sigma^2 Y sum, as total in EnvelopeCheck
+        self.sums = [None, None]  # lhs and the sigma^2 Y sum at the last node fed
         self.norm = 0.0
-        self.kept = [np.empty(path.grid.n_steps + 1) for _ in range(2 - weighted)] if keep else ()
 
-    def feed(self, k0: int, k1: int, z: np.ndarray) -> None:
+    def _reduce(self, k0: int, k1: int, z: np.ndarray):
         path, m = self.path, k1 - k0
         j1 = min(k1, path.grid.n_steps)
         X, Y = z.real, z.imag
@@ -118,11 +147,11 @@ class IdentityCheck:
             self.sums[1] = correction[-1]
             sides = lhs[:m], Y + 0.5 * correction[:m]
         self.norm = np.maximum(self.norm, residual_norm(*sides))
-        for whole, part in zip(self.kept, sides):
-            whole[k0:k1] = part
+        return sides
 
     def residual(self) -> float | None:
         """max |lhs - rhs|; None once it leaves double range, as it does once either side does."""
+        self._complete()
         return float(self.norm) if np.isfinite(self.norm) else None
 
 

@@ -6,6 +6,7 @@ with the path's own arrays, not with whole copies of the series it checks.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -137,7 +138,8 @@ def test_examples_reach_their_edges():
         assert leaves.skipped == ["weighted"] and leaves.residuals["weighted"] is None
     path = experiment.prepare_path(parse_config(REBASES), 3)
     assert transforms.half_variance_sum(path)[-1] > 1.2 * transforms.RESCALE_THRESHOLD
-    segments = [k0 for k0, *_ in transforms.transform_blocks(path, bounded=False)]
+    segments = []
+    transforms.reduce_pass(path, ([], [SimpleNamespace(feed=lambda k0, k1, z: segments.append(k0))]))
     assert len(segments) > 1  # 65 nodes in one block but for the rebase
 
 

@@ -388,6 +388,13 @@ def test_public_series_are_read_only():
         for ts in pair(path):
             arrays[f"{pair.__name__} weighted={ts.weighted} X"] = ts.X
             arrays[f"{pair.__name__} weighted={ts.weighted} Y"] = ts.Y
-    assert len(arrays) == 12
+    # the series the checks keep, once the pass has fed them every node
+    envelope = rb.EnvelopeCheck(lambda k0, k1: path.u[k0:k1], grid, keep=True)
+    bounded, weighted = (rb.IdentityCheck(path, flag, keep=True) for flag in (False, True))
+    rb.reduce_pass(path, ([envelope, bounded], [weighted]))
+    for name, check in (("envelope", envelope), ("bounded", bounded), ("weighted", weighted)):
+        for i, arr in enumerate(check.kept):
+            arrays[f"{name} check kept[{i}]"] = arr
+    assert len(arrays) == 17
     for name, arr in arrays.items():
         assert isinstance(arr, np.ndarray) and arr.flags.writeable is False, name

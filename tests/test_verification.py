@@ -56,11 +56,49 @@ class TestEnvelopeCheck:
         assert report.violation_index == 5
         assert report.max_violation > 0.5
 
-    def test_block_mismatch_rejected(self):
-        """A block longer than its node range does not line up with the envelope."""
-        check = rb.EnvelopeCheck(lambda k0, k1: np.ones(k1 - k0), rb.build_grid(1.0, 20))
+    def test_grid_mismatch_rejected(self):
+        """An 11-node series does not reach node N of a 20-step grid: no report."""
+        ts = make_series(np.zeros(11), np.zeros(11))
         with pytest.raises(ValueError):
-            check.feed(0, 5, np.zeros(11, dtype=complex))
+            envelope_report(ts, np.ones(20), rb.build_grid(1.0, 20))
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [(0, 5, 11)],  # a block longer than its node range
+            [(0, 5, 4)],  # and one shorter
+            [(0, 5, 5), (6, 11, 5)],  # a gap
+            [(0, 5, 5), (4, 9, 5)],  # an overlap
+            [(0, 5, 5), (5, 22, 17)],  # past node N
+        ],
+    )
+    def test_block_mismatch_rejected(self, blocks):
+        """Blocks must continue each other from node 0 and stay on the grid."""
+        grid = rb.build_grid(1.0, 20)
+        path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=1)
+        envelope = rb.EnvelopeCheck(lambda k0, k1: path.u[k0:k1], grid)
+        for check in (envelope, rb.IdentityCheck(path, False)):
+            *fits, (k0, k1, size) = blocks
+            for j0, j1, n in fits:
+                check.feed(j0, j1, np.zeros(n, dtype=complex))
+            with pytest.raises(ValueError):
+                check.feed(k0, k1, np.zeros(size, dtype=complex))
+
+    def test_verdict_needs_every_node(self):
+        """A check read before its blocks reach node N raises instead of judging part of the path."""
+        grid = rb.build_grid(1.0, 20)
+        path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=1)
+        envelope = rb.EnvelopeCheck(lambda k0, k1: path.u[k0:k1], grid)
+        identity = rb.IdentityCheck(path, False)
+        for check in (envelope, identity):
+            check.feed(0, 11, np.zeros(11, dtype=complex))
+        with pytest.raises(ValueError):
+            envelope.report()
+        with pytest.raises(ValueError):
+            identity.residual()
+        for check in (envelope, identity):
+            check.feed(11, 21, np.zeros(10, dtype=complex))
+        assert envelope.report().passed and identity.residual() >= 0.0
 
     def test_passed_flag_tracks_tolerance(self):
         grid = rb.build_grid(1.0, 4)
