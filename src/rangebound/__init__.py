@@ -16,7 +16,6 @@ from .engine import (
     coarsen_increments,
     sample_wiener,
     simulate_path,
-    simulate_seeded,
 )
 from .errors import ConfigurationError, OracleCostError
 from .experiment import (
@@ -26,10 +25,8 @@ from .experiment import (
     run_experiment,
     verify_suite,
 )
-from .quadrature import ito_cumsum, riemann_cumsum
 from .transforms import (
     TransformSeries,
-    bounded_transform_recursive,
     reduce_pass,
     scaled_rotation_identity,
     transform_pair_direct,
@@ -64,25 +61,21 @@ __all__ = [
     "PathRecord",
     "TimeGrid",
     "TransformSeries",
-    "bounded_transform_recursive",
     "build_grid",
     "coarsen_increments",
     "compare_oracle_pair",
     "convergence_ladder",
     "emit_figures",
-    "ito_cumsum",
     "orders_from_residuals",
     "parse_coefficient",
     "parse_config",
     "prepare_path",
     "reduce_pass",
     "residual_norm",
-    "riemann_cumsum",
     "run_experiment",
     "sample_wiener",
     "scaled_rotation_identity",
     "simulate_path",
-    "simulate_seeded",
     "transform_pair_direct",
     "transform_pair_recursive",
     "unit_rotation_identity",

@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--levels",
             type=int,
             default=4,
-            help="refinement levels for convergence studies (default 4)",
+            help="refinement levels for convergence studies, at least 3 (default 4)",
         )
     return parser
 

@@ -8,7 +8,7 @@ the weighted transform with the variance-discounted integrand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1,)
     outputs: frozenset[str] = frozenset(ALL_OUTPUTS)
     output_dir: str = "out"
-    source_text: str = field(default="", compare=False)
 
     @property
     def uses_discounted_u(self) -> bool:
@@ -186,7 +185,6 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         seeds=seeds,
         outputs=outputs,
         output_dir=output_dir,
-        source_text=text,
     )
 
 

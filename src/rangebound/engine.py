@@ -251,18 +251,6 @@ def _state_dependent_x(
     return x
 
 
-def simulate_seeded(
-    a_spec: CoefficientSpec,
-    sigma_spec: CoefficientSpec,
-    u_spec: CoefficientSpec,
-    grid: TimeGrid,
-    seed: int,
-    x0: float = 0.0,
-) -> PathRecord:
-    """sample_wiener + simulate_path in one call."""
-    return simulate_path(a_spec, sigma_spec, u_spec, grid, sample_wiener(grid, seed), x0, seed)
-
-
 def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
     """Merge each run of `factor` consecutive increments into one.
 

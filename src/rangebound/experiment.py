@@ -25,10 +25,8 @@ from .engine import (
     simulate_path,
 )
 from .errors import ConfigurationError
-from .quadrature import ito_cumsum
 from .transforms import (
     TransformSeries,
-    bounded_transform_recursive,
     half_variance_sum,
     in_range,
     reduce_pass,
@@ -207,6 +205,8 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
     ``coarse_path(config, path, ceiling)``. If ``emit`` is given, series go to
     it as batches of ``(name, header, columns)`` files.
     """
+    if levels < 3:
+        raise ConfigurationError(f"convergence needs at least 3 refinement levels, got {levels}")
     path = prepare_path(config, seed)
     grid = path.grid
     record = SeedRecord()
@@ -316,7 +316,7 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
         record.oracle_steps = checked.grid.n_steps
     del checked, fast
 
-    if "convergence" in wanted and levels >= 3 and grid.n_steps % 2 ** (levels - 1) == 0:
+    if "convergence" in wanted and grid.n_steps % 2 ** (levels - 1) == 0:
         record.convergence = {}
         # the finest rung is this path, whose residuals are known; with none,
         # no ladder can report, so no coarser rung is built
@@ -449,10 +449,13 @@ def emit_figures(config: ExperimentConfig, out_dir: str | Path | None = None) ->
     """
     root = Path(out_dir if out_dir is not None else config.output_dir)
     path = prepare_path(config, config.seeds[0])
-    ts = bounded_transform_recursive(path)
-    if ts is None:
+    n_nodes = path.grid.n_steps + 1
+    ts = TransformSeries(np.empty(n_nodes), np.empty(n_nodes), weighted=False)
+    # the identity's lhs is fig6; its rhs may leave double range while fig6 does not
+    identity = IdentityCheck(path, weighted=False, keep=True)
+    if not reduce_pass(path, ([ts, identity], []))[0]:
         raise ConfigurationError(f"seed {path.seed}: the bounded transform leaves double range")
-    running = in_range(ito_cumsum, ts.X[:-1], path)
+    running = in_range(lambda: identity.kept[0])
     if running is None:
         raise ConfigurationError(f"seed {path.seed}: the integral of X against dx leaves double range")
     t = path.grid.nodes

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import PathRecord, TimeGrid
-from .quadrature import prefix_sum
 
 TWO_PI = 2.0 * np.pi
 
@@ -75,6 +74,30 @@ def half_variance_sum(path: PathRecord) -> np.ndarray:
     half = _variance_sum(path.sigma, path.grid)
     half *= 0.5
     return half
+
+
+def prefix_sum(terms: np.ndarray, carry=None) -> np.ndarray:
+    """Running left-point sum of ``terms`` in their dtype: values[0] = 0, len = len(terms) + 1.
+
+    Each term is an integrand at the left node of its step times the step's
+    increment of x or t, so stochastic integrals are non-anticipating and the
+    triangle-inequality envelopes summed against dt hold exactly at every
+    node, not just in the continuum limit.
+    Continued from ``carry``, the last value of the sum so far, values[0] is
+    the carry and each value adds one term to the one before, so blocks summed
+    this way give the one-array sum bit for bit (None, not 0.0, starts it: a
+    -0.0 first term stays -0.0).
+    Left writable, so numpy can reuse a temporary one in place: ``1j * prefix_sum(t)``.
+    """
+    values = np.empty(len(terms) + 1, dtype=terms.dtype)
+    if carry is None:
+        values[0] = 0.0
+        np.cumsum(terms, out=values[1:])
+    else:
+        values[0] = carry
+        values[1:] = terms
+        np.cumsum(values, out=values)
+    return values
 
 
 def _series(X: np.ndarray, Y: np.ndarray, weighted: bool) -> TransformSeries:
@@ -164,11 +187,6 @@ def transform_pair_direct(
     return series.get(False), series.get(True)
 
 
-def bounded_transform_recursive(path: PathRecord) -> TransformSeries | None:
-    """The bounded series of transform_pair_recursive alone."""
-    return transform_pair_recursive(path, weighted=False)[0]
-
-
 class _Chain:
     """One transform's state in the shared recurrence loop.
 
@@ -192,7 +210,7 @@ class _Chain:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def reduce_pass(path: PathRecord, consumers, rescale_threshold: float = RESCALE_THRESHOLD) -> list[bool]:
+def reduce_pass(path: PathRecord, consumers) -> list[bool]:
     """Both O(N) recurrences from one evaluation of e^{i x_k} per node, fed segment by segment.
 
     ``consumers`` is a (bounded, weighted) pair of lists; a transform's block
@@ -235,7 +253,7 @@ def reduce_pass(path: PathRecord, consumers, rescale_threshold: float = RESCALE_
                 continue
             if chain.weighted:
                 scale = half_i[k0]
-                k1 = int(np.searchsorted(half_i, scale + rescale_threshold, side="right"))
+                k1 = int(np.searchsorted(half_i, scale + RESCALE_THRESHOLD, side="right"))
                 chain.end = max(min(k1, k0 + _RECURRENCE_BLOCK), k0 + 1)
                 factor = np.exp(scale - chain.scale)
             else:
@@ -293,10 +311,7 @@ def reduce_pass(path: PathRecord, consumers, rescale_threshold: float = RESCALE_
 
 
 def transform_pair_recursive(
-    path: PathRecord,
-    bounded: bool = True,
-    weighted: bool = True,
-    rescale_threshold: float = RESCALE_THRESHOLD,
+    path: PathRecord, bounded: bool = True, weighted: bool = True
 ) -> tuple[TransformSeries | None, TransformSeries | None]:
     """Both O(N) recurrences of reduce_pass, gathered whole.
 
@@ -309,7 +324,7 @@ def transform_pair_recursive(
         [TransformSeries(np.empty(n_nodes), np.empty(n_nodes), bool(i))] if flag else []
         for i, flag in enumerate((bounded, weighted))
     ]
-    alive = reduce_pass(path, gathers, rescale_threshold)
+    alive = reduce_pass(path, gathers)
     return tuple(_series(g[0].X, g[0].Y, g[0].weighted) if ok else None for g, ok in zip(gathers, alive))
 
 

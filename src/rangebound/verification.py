@@ -10,11 +10,11 @@ import numpy as np
 
 from .engine import PathRecord, TimeGrid, build_grid, coarsen_increments
 from .errors import OracleCostError
-from .quadrature import prefix_sum
 from .transforms import (
     TransformSeries,
     half_variance_sum,
     in_range,
+    prefix_sum,
     reduce_pass,
     transform_pair_direct,
     transform_pair_recursive,

@@ -24,6 +24,8 @@ import rangebound as rb
 from rangebound import CoefficientSpec
 from rangebound.errors import OracleCostError
 
+from checks import bounded_recursive, riemann_cumsum, seeded_path
+
 const = CoefficientSpec.constant
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -57,7 +59,7 @@ def random_instance(rng, n_lo=400, n_hi=4000):
         u = CoefficientSpec.state_bounded(rng.uniform(-2.0, 2.0))
     grid = rb.build_grid(rng.uniform(1.0, 8.0), int(rng.integers(n_lo, n_hi)))
     x0 = rng.uniform(-2.0, 2.0)
-    path = rb.simulate_seeded(a, sigma, u, grid, seed=int(rng.integers(0, 2**31)), x0=x0)
+    path = seeded_path(a, sigma, u, grid, seed=int(rng.integers(0, 2**31)), x0=x0)
     return path
 
 
@@ -66,16 +68,16 @@ def test_criterion_01_bounded_envelope():
     grid = rb.build_grid(5.0, 100_000)
     worst_reference = -math.inf
     for seed in range(1, 101):
-        path = rb.simulate_seeded(const(2), const(1), const(1), grid, seed=seed)
-        ts = rb.bounded_transform_recursive(path)
+        path = seeded_path(const(2), const(1), const(1), grid, seed=seed)
+        ts = bounded_recursive(path)
         worst_reference = max(worst_reference, float(np.max(ts.modulus())) - 5.0)
 
     rng = np.random.default_rng(20260811)
     worst_swept = -math.inf
     for _ in range(100):
         path = random_instance(rng)
-        ts = rb.bounded_transform_recursive(path)
-        envelope = rb.riemann_cumsum(np.abs(path.u), path.grid)
+        ts = bounded_recursive(path)
+        envelope = riemann_cumsum(np.abs(path.u), path.grid)
         tolerance = 1e-9 * (1.0 + envelope[-1])
         worst_swept = max(worst_swept, float(np.max(ts.modulus() - envelope)) - tolerance)
     elapsed = time.perf_counter() - started
@@ -98,7 +100,7 @@ def test_criterion_02_discounted_envelope():
     target = np.log1p(grid.nodes)
     worst = -math.inf
     for seed in range(1, 51):
-        path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=seed)
+        path = seeded_path(const(2), const(1), const(0), grid, seed=seed)
         path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
         ts = rb.transform_pair_recursive(path, bounded=False)[1]
         worst = max(worst, float(np.max(ts.modulus() - target)))
@@ -137,8 +139,8 @@ def test_criterion_03_oracle_equivalence():
 
 def test_criterion_04_closed_form_degenerate():
     grid = rb.build_grid(5.0, 10_000)
-    path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1)
-    ts = rb.bounded_transform_recursive(path)
+    path = seeded_path(const(2), const(0), const(1), grid, seed=1)
+    ts = bounded_recursive(path)
     t = grid.nodes
     err_x = float(np.max(np.abs(ts.X - np.sin(2 * t) / 2)))
     err_y = float(np.max(np.abs(ts.Y - (1 - np.cos(2 * t)) / 2)))
@@ -274,27 +276,27 @@ def test_criterion_09_linear_scaling():
     gc.collect()
     _keep_large_buffers_reusable()
     flusher = np.empty(8 * 1024 * 1024)
-    big = rb.simulate_seeded(const(2), const(1), const(1), rb.build_grid(5.0, 10**6), seed=1)
-    small = rb.simulate_seeded(const(2), const(1), const(1), rb.build_grid(5.0, 10**5), seed=1)
+    big = seeded_path(const(2), const(1), const(1), rb.build_grid(5.0, 10**6), seed=1)
+    small = seeded_path(const(2), const(1), const(1), rb.build_grid(5.0, 10**5), seed=1)
 
     # warm both once (first-touch faults), then interleave timed runs with an
     # LLC flush ahead of each so the two sizes see the same memory hierarchy
-    rb.bounded_transform_recursive(big)
-    rb.bounded_transform_recursive(small)
+    bounded_recursive(big)
+    bounded_recursive(small)
     time_big = math.inf
     time_small = math.inf
     for _ in range(7):
         flusher[:] = 1.0
         t0 = time.perf_counter()
-        rb.bounded_transform_recursive(big)
+        bounded_recursive(big)
         time_big = min(time_big, time.perf_counter() - t0)
         flusher[:] = 1.0
         t0 = time.perf_counter()
-        rb.bounded_transform_recursive(small)
+        bounded_recursive(small)
         time_small = min(time_small, time.perf_counter() - t0)
     ratio = time_big / time_small
 
-    guard = rb.simulate_seeded(const(2), const(1), const(1), rb.build_grid(5.0, 4001), seed=1)
+    guard = seeded_path(const(2), const(1), const(1), rb.build_grid(5.0, 4001), seed=1)
     refused = False
     try:
         rb.compare_oracle_pair(guard)

@@ -121,6 +121,19 @@ def test_levels_flag_reaches_convergence(config_file, capsys):
     assert "convergence[bounded]" in out
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("levels", ["2", "0", "-1"])
+def test_levels_below_three_are_a_configuration_error(config_file, tmp_path, capsys, command, levels):
+    # 512 steps support 2 levels as a grid would, so only the count itself is wrong
+    assert cli.main([command, str(config_file), "--levels", levels]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"configuration error: convergence needs at least 3 refinement levels, got {levels}\n"
+    )
+    assert not list((tmp_path / "out").rglob("*.csv"))
+
+
 # name -> (n_steps, coefficient lines, coefficients read from files); 8000
 # steps puts the grid above the oracle ceiling, so the oracle coarsens by 2
 FILE_CONFIGS = {

@@ -16,6 +16,8 @@ from rangebound import cli, verification
 from rangebound.config import parse_config
 from rangebound.experiment import prepare_path
 
+from checks import bounded_recursive
+
 CONFIG_A = "t_max=5\nn_steps=512\na=const:2\nsigma=const:1\npsi=const:1e308\nseeds=1\n"
 CONFIG_B = "t_max=5\nn_steps=512\na=const:0\nsigma=const:1\nu=const:1e308\nseeds=1\n"
 CONFIG_C = "t_max=1\nn_steps=8\nx0=1e308\na=const:1e308\nsigma=const:1\nu=const:1\nseeds=1\n"
@@ -154,7 +156,7 @@ def test_config_b_recurrence_and_oracle_give_no_bounded_series():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert rb.transform_pair_recursive(path) == (None, None)
-        assert rb.bounded_transform_recursive(path) is None
+        assert bounded_recursive(path) is None
         assert rb.compare_oracle_pair(path) == {"bounded": None, "weighted": None}
 
 
@@ -181,6 +183,11 @@ def test_config_d_run_skips_the_bounded_identity_and_the_rotations(command):
     assert "seed.1.identity_" not in manifest and "seed.1.rotation_" not in manifest
     assert "nan" not in manifest and "inf" not in manifest
     assert assert_finite_rows(out) == [f"seed1/{name}.csv" for name in ("bound_t1", "t1", "x")]
+
+    # fig6 is the bounded identity's lhs, judged alone: the rhs leaves double range, fig6 does not
+    code, lines, err, out = command("figures", CONFIG_D)
+    assert code == 0 and err == ""
+    assert len(assert_finite_rows(out)) == 6
 
 
 def test_config_d_verify_notes_the_rotation_and_bounded_identity(command):

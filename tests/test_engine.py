@@ -10,6 +10,8 @@ import rangebound as rb
 from rangebound import CoefficientSpec
 from rangebound.errors import ConfigurationError
 
+from checks import seeded_path
+
 const = CoefficientSpec.constant
 CHUNK = rb.engine.STATE_CHUNK_STEPS
 
@@ -109,29 +111,29 @@ class TestSampleWiener:
 class TestSimulatePath:
     def test_constant_path(self):
         grid = rb.build_grid(5.0, 100)
-        path = rb.simulate_seeded(const(0), const(0), const(1), grid, seed=1, x0=1.0)
+        path = seeded_path(const(0), const(0), const(1), grid, seed=1, x0=1.0)
         assert np.all(path.x == 1.0)
 
     def test_pure_drift(self):
         grid = rb.build_grid(5.0, 10_000)
-        path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1)
+        path = seeded_path(const(2), const(0), const(1), grid, seed=1)
         assert abs(path.x[-1] - 10.0) < 1e-9
 
     def test_drift_only_exactness_along_path(self):
         grid = rb.build_grid(5.0, 10_000)
-        path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1, x0=0.5)
+        path = seeded_path(const(2), const(0), const(1), grid, seed=1, x0=0.5)
         assert np.max(np.abs(path.x - (0.5 + 2.0 * grid.nodes))) < 1e-9
 
     def test_record_is_self_consistent_bitwise(self):
         grid = rb.build_grid(5.0, 5000)
-        path = rb.simulate_seeded(const(2), const(1), const(1), grid, seed=3)
+        path = seeded_path(const(2), const(1), const(1), grid, seed=3)
         dt = grid.dt
         expected = path.x[:-1] + (path.a * dt + path.sigma * path.dw)
         assert np.array_equal(path.x[1:], expected)
 
     def test_state_dependent_record_consistency(self):
         grid = rb.build_grid(2.0, 500)
-        path = rb.simulate_seeded(
+        path = seeded_path(
             CoefficientSpec.state_bounded(2.0), const(1), const(1), grid, seed=5
         )
         assert np.array_equal(path.a, 2.0 / (1.0 + path.x[:-1] ** 2))
@@ -177,14 +179,14 @@ class TestSimulatePath:
 
     def test_series_lengths(self):
         grid = rb.build_grid(1.0, 17)
-        path = rb.simulate_seeded(const(1), const(1), const(1), grid, seed=2)
+        path = seeded_path(const(1), const(1), const(1), grid, seed=2)
         assert len(path.x) == 18
         assert len(path.dw) == len(path.a) == len(path.sigma) == len(path.u) == 17
 
     def test_sinusoid_sampled_at_left_nodes(self):
         grid = rb.build_grid(3.0, 300)
         spec = CoefficientSpec.sinusoid(1.0, 0.5, 2.0)
-        path = rb.simulate_seeded(spec, const(1), spec, grid, seed=2)
+        path = seeded_path(spec, const(1), spec, grid, seed=2)
         assert np.allclose(path.a, 1.0 + 0.5 * np.sin(2.0 * grid.nodes[:-1]), atol=0, rtol=0)
 
     def test_increment_length_mismatch(self):
@@ -209,15 +211,15 @@ class TestSimulatePath:
     def test_determinism_of_full_record(self):
         grid = rb.build_grid(5.0, 2000)
         a = CoefficientSpec.sinusoid(0.5, 1.5, 3.0)
-        one = rb.simulate_seeded(a, const(1), const(1), grid, seed=11)
-        two = rb.simulate_seeded(a, const(1), const(1), grid, seed=11)
+        one = seeded_path(a, const(1), const(1), grid, seed=11)
+        two = seeded_path(a, const(1), const(1), grid, seed=11)
         for left, right in ((one.x, two.x), (one.dw, two.dw), (one.u, two.u)):
             assert np.array_equal(left, right)
 
     def test_batch_mean_is_unbiased(self):
         grid = rb.build_grid(1.0, 64)
         finals = [
-            rb.simulate_seeded(const(0), const(1), const(1), grid, seed=1000 + i).x[-1]
+            seeded_path(const(0), const(1), const(1), grid, seed=1000 + i).x[-1]
             for i in range(1000)
         ]
         assert abs(np.mean(finals)) < 4.0 * math.sqrt(1.0) / math.sqrt(1000)

@@ -13,7 +13,7 @@ from rangebound.experiment import (
     verify_suite,
 )
 
-from checks import whole_bound
+from checks import bounded_recursive, whole_bound
 
 SMALL = "t_max=5\nn_steps=500\na=const:2\nsigma=const:1\nu=const:1\nseeds=1\n"
 DRIFTLESS = "t_max=5\nn_steps=512\na=const:0\nsigma=const:1\nu=const:1\nseeds=3\n"
@@ -71,7 +71,7 @@ class TestRunExperiment:
         cfg = parse_config(SMALL + "outputs=bounds\n")
         manifest = run_experiment(cfg, out_dir=tmp_path)
         path = prepare_path(cfg, 1)
-        report = whole_bound(rb.bounded_transform_recursive(path), path.u, path.grid)
+        report = whole_bound(bounded_recursive(path), path.u, path.grid)
         recorded = manifest.get("seed.1.bound_t1.max_violation")
         assert float(recorded) == report.max_violation
         assert manifest.get("seed.1.bound_t1.violation_index") == str(report.violation_index)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import rangebound as rb
 from rangebound import transforms, verification
 from rangebound.config import parse_config
-from rangebound.experiment import prepare_path, run_experiment, verify_suite
+from rangebound.experiment import emit_figures, prepare_path, run_experiment, verify_suite
 from rangebound.transforms import (
     RESCALE_THRESHOLD,
     TWO_PI,
@@ -26,6 +26,8 @@ from rangebound.transforms import (
     transform_pair_direct,
     transform_pair_recursive,
 )
+
+from checks import bounded_recursive, seeded_path
 
 const = rb.CoefficientSpec.constant
 B = transforms._RECURRENCE_BLOCK
@@ -146,9 +148,11 @@ def assert_recurrences_match(path, threshold=RESCALE_THRESHOLD):
     half_i = half_variance_sum(path)
     ref_bounded = reference_recurrence(path, None, threshold)
     ref_weighted = reference_recurrence(path, half_i, threshold)
-    bounded, weighted = transform_pair_recursive(path, rescale_threshold=threshold)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "RESCALE_THRESHOLD", threshold)
+        bounded, weighted = transform_pair_recursive(path)
+        assert same_bits(bounded_recursive(path), ref_bounded)
     assert same_bits(bounded, ref_bounded)
-    assert same_bits(rb.bounded_transform_recursive(path), ref_bounded)
     if np.isfinite(ref_weighted).all():
         assert same_bits(weighted, ref_weighted)
         assert same_bits(weighted_alone(path, threshold), ref_weighted)
@@ -159,7 +163,9 @@ def assert_recurrences_match(path, threshold=RESCALE_THRESHOLD):
 
 
 def weighted_alone(path, threshold=RESCALE_THRESHOLD):
-    return transform_pair_recursive(path, bounded=False, rescale_threshold=threshold)[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "RESCALE_THRESHOLD", threshold)
+        return transform_pair_recursive(path, bounded=False)[1]
 
 
 def with_zero_stretches(path, rng):
@@ -216,7 +222,7 @@ def test_phase_reduction_matches_np_mod_on_a_long_path():
 def test_pair_recurrence_matches_reference_on_rebasing_paths(
     t_max, n_steps, a, sigma, u, seed, threshold
 ):
-    path = rb.simulate_seeded(const(a), const(sigma), const(u), rb.build_grid(t_max, n_steps), seed)
+    path = seeded_path(const(a), const(sigma), const(u), rb.build_grid(t_max, n_steps), seed)
     # without rebasing (threshold 1e9) the 1436 path overflows: the reference
     # copy warns and turns inf, the fused pass returns None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -227,7 +233,7 @@ def test_pair_recurrence_matches_reference_on_rebasing_paths(
 def test_pair_recurrence_matches_reference_at_block_edges(n_steps):
     # sigma 4 over t_max 40 rebases inside the bounded blocks
     grid = rb.build_grid(40.0, n_steps)
-    path = rb.simulate_seeded(
+    path = seeded_path(
         rb.CoefficientSpec.sinusoid(1, 2, 3), const(4), rb.CoefficientSpec.sinusoid(1, 1, 2),
         grid, seed=n_steps,
     )
@@ -236,7 +242,7 @@ def test_pair_recurrence_matches_reference_at_block_edges(n_steps):
 
 
 def test_pair_recurrence_matches_reference_with_zero_integrand():
-    path = rb.simulate_seeded(const(0), const(1), const(0), rb.build_grid(5.0, 2 * B + 3), 1)
+    path = seeded_path(const(0), const(1), const(0), rb.build_grid(5.0, 2 * B + 3), 1)
     assert_recurrences_match(path)
     assert_recurrences_match(path.with_u(-path.u), 5.0)
 
@@ -256,7 +262,7 @@ def test_pair_recurrence_matches_reference_on_dense_block_splits(
 ):
     # small blocks make the bounded and weighted block starts interleave densely,
     # and segments shorter than a block split it without changing a value
-    path = rb.simulate_seeded(
+    path = seeded_path(
         const(1.5), const(sigma), rb.CoefficientSpec.sinusoid(0, 1, 7), rb.build_grid(20.0, n_steps),
         seed,
     )
@@ -269,7 +275,7 @@ def test_pair_recurrence_matches_reference_on_dense_block_splits(
 
 
 def test_pair_recurrence_returns_only_what_is_asked():
-    path = rb.simulate_seeded(const(1), const(1), const(1), rb.build_grid(1.0, 50), 1)
+    path = seeded_path(const(1), const(1), const(1), rb.build_grid(1.0, 50), 1)
     bounded, weighted = transform_pair_recursive(path, weighted=False)
     assert weighted is None and not bounded.weighted
     bounded, weighted = transform_pair_recursive(path, bounded=False)
@@ -284,7 +290,7 @@ def test_pair_recurrence_returns_only_what_is_asked():
 @pytest.mark.parametrize("n_steps", [1, 2, 63, 64, 65, 255, 256, 257, 600])
 def test_pair_direct_matches_reference(n_steps):
     grid = rb.build_grid(50.0, n_steps)
-    path = rb.simulate_seeded(const(0.5), const(3), rb.CoefficientSpec.sinusoid(1, 1, 2), grid, 7)
+    path = seeded_path(const(0.5), const(3), rb.CoefficientSpec.sinusoid(1, 1, 2), grid, 7)
     path = with_zero_stretches(path, np.random.default_rng(n_steps))
     bounded, weighted = transform_pair_direct(path)
     assert same_bits(bounded, reference_direct(path, weighted=False))
@@ -306,7 +312,7 @@ def _peak_bytes(fn):
 
 def test_pair_direct_at_the_ceiling_is_exact_and_no_larger_than_one_reference():
     grid = rb.build_grid(5.0, rb.DEFAULT_ORACLE_CEILING)
-    path = rb.simulate_seeded(const(2), const(1), const(1), grid, 1)
+    path = seeded_path(const(2), const(1), const(1), grid, 1)
     reference, reference_peak = _peak_bytes(lambda: reference_direct(path, weighted=True))
     (bounded, weighted), peak = _peak_bytes(lambda: transform_pair_direct(path))
     assert same_bits(weighted, reference)
@@ -316,7 +322,7 @@ def test_pair_direct_at_the_ceiling_is_exact_and_no_larger_than_one_reference():
 
 def test_oracle_pair_skips_weighted_direct_when_its_weights_overflow(phasor_counts):
     # the half-variance total reaches 718, beyond log(DBL_MAX) = 709.78
-    path = rb.simulate_seeded(const(0), const(1), const(1e-6), rb.build_grid(1436.0, 2000), 3)
+    path = seeded_path(const(0), const(1), const(1e-6), rb.build_grid(1436.0, 2000), 3)
     _, directs = phasor_counts
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -326,7 +332,7 @@ def test_oracle_pair_skips_weighted_direct_when_its_weights_overflow(phasor_coun
     assert weighted is None
     assert same_bits(bounded, reference_direct(path, weighted=False))
     assert rows["weighted"] is None
-    fast = rb.bounded_transform_recursive(path)
+    fast = bounded_recursive(path)
     deviation = max(np.max(np.abs(bounded.X - fast.X)), np.max(np.abs(bounded.Y - fast.Y)))
     integral = np.sum(np.abs(path.u)) * path.grid.dt
     assert rows["bounded"] == (deviation, 1e-10 * (1 + integral))
@@ -385,6 +391,13 @@ def test_run_evaluates_each_phasor_once(phasor_counts, tmp_path):
     run_experiment(cfg, out_dir=tmp_path, convergence_levels=4)
     assert per_path() == [501, 1001, 2001, 4001]
     assert directs == [(4000, True, True)]
+
+
+def test_figures_evaluates_the_phasor_once(phasor_counts, tmp_path):
+    per_path, directs = phasor_counts
+    emit_figures(parse_config(LADDER), out_dir=tmp_path)
+    assert per_path() == [4097]
+    assert directs == []
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +530,7 @@ def test_run_skips_the_scaled_rotation_beyond_double_range(tmp_path):
 
 
 def test_rotation_series_are_bit_exact():
-    path = rb.simulate_seeded(const(0), const(1.3), const(1), rb.build_grid(5.0, 1000), 4)
+    path = seeded_path(const(0), const(1.3), const(1), rb.build_grid(5.0, 1000), 4)
     phase = 1j * (path.x - path.x[0])
     unit, _, _ = rb.unit_rotation_identity(path)
     assert unit.tobytes() == np.exp(phase).tobytes()

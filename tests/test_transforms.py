@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import inspect
 import math
 
 import numpy as np
@@ -7,11 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rangebound as rb
-from rangebound import CoefficientSpec, experiment
+from rangebound import CoefficientSpec, experiment, transforms
 from rangebound.config import parse_config
 from rangebound.transforms import RESCALE_THRESHOLD
 
-from checks import identity_sides, whole_identity_sides
+from checks import (
+    bounded_recursive,
+    identity_sides,
+    riemann_cumsum,
+    seeded_path,
+    whole_identity_sides,
+)
 
 const = CoefficientSpec.constant
 
@@ -21,12 +29,15 @@ def bounded_direct(path):
 
 
 def weighted_recursive(path, rescale_threshold=RESCALE_THRESHOLD):
-    return rb.transform_pair_recursive(path, bounded=False, rescale_threshold=rescale_threshold)[1]
+    """The weighted series alone, its scale rebased at ``rescale_threshold``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "RESCALE_THRESHOLD", rescale_threshold)
+        return rb.transform_pair_recursive(path, bounded=False)[1]
 
 
 def rotation_record(sigma, n_steps, seed):
     """The rotation scalars run and verify record for the driftless path
-    simulate_seeded(const(0), const(sigma), const(1), build_grid(5.0, n_steps), seed).
+    seeded_path(const(0), const(sigma), const(1), build_grid(5.0, n_steps), seed).
 
     rotation_unit is (|rhs|, bound, |lhs - rhs|), rotation_scaled |lhs - rhs|.
     """
@@ -68,15 +79,15 @@ def oracle_deviation(path, which):
 class TestBoundedTransform:
     def test_zero_integrand_gives_zero_series(self):
         grid = rb.build_grid(5.0, 400)
-        path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=1)
-        for ts in (bounded_direct(path), rb.bounded_transform_recursive(path)):
+        path = seeded_path(const(2), const(1), const(0), grid, seed=1)
+        for ts in (bounded_direct(path), bounded_recursive(path)):
             assert np.all(ts.X == 0.0)
             assert np.all(ts.Y == 0.0)
             assert not ts.weighted
 
     def test_deterministic_drift_closed_form(self):
         grid = rb.build_grid(5.0, 2000)
-        path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1)
+        path = seeded_path(const(2), const(0), const(1), grid, seed=1)
         ts = bounded_direct(path)
         t = grid.nodes
         assert np.max(np.abs(ts.X - np.sin(2 * t) / 2)) < 5 * grid.dt
@@ -84,16 +95,16 @@ class TestBoundedTransform:
 
     def test_quarter_period_endpoint(self):
         grid = rb.build_grid(math.pi / 2, 2048)
-        path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1)
-        ts = rb.bounded_transform_recursive(path)
+        path = seeded_path(const(2), const(0), const(1), grid, seed=1)
+        ts = bounded_recursive(path)
         assert abs(ts.X[-1]) < 5 * grid.dt
         assert abs(ts.Y[-1] - 1.0) < 5 * grid.dt
 
     def test_modulus_stays_under_integrand_envelope(self):
         grid = rb.build_grid(5.0, 10_000)
-        path = rb.simulate_seeded(const(2), const(1), const(1), grid, seed=6)
-        ts = rb.bounded_transform_recursive(path)
-        envelope = rb.riemann_cumsum(np.abs(path.u), grid)
+        path = seeded_path(const(2), const(1), const(1), grid, seed=6)
+        ts = bounded_recursive(path)
+        envelope = riemann_cumsum(np.abs(path.u), grid)
         assert np.max(ts.modulus() - envelope) <= 1e-12 * (1 + envelope[-1])
         assert np.max(ts.modulus()) <= 5.0 + 1e-9
 
@@ -102,39 +113,39 @@ class TestBoundedTransform:
         rng = np.random.default_rng(seed)
         a, sigma, u = random_specs(rng)
         grid = rb.build_grid(rng.uniform(1.0, 8.0), int(rng.integers(200, 2000)))
-        path = rb.simulate_seeded(a, sigma, u, grid, seed=seed)
+        path = seeded_path(a, sigma, u, grid, seed=seed)
         deviation = oracle_deviation(path, "bounded")
         assert deviation <= 1e-10 * (1 + u_scale(path))
 
     def test_first_node_is_origin(self):
         grid = rb.build_grid(1.0, 64)
-        path = rb.simulate_seeded(const(1), const(1), const(1), grid, seed=9)
-        ts = rb.bounded_transform_recursive(path)
+        path = seeded_path(const(1), const(1), const(1), grid, seed=9)
+        ts = bounded_recursive(path)
         assert ts.X[0] == 0.0 and ts.Y[0] == 0.0
 
     @settings(deadline=None, max_examples=25)
     @given(shift=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
     def test_modulus_invariant_under_phase_shift(self, shift):
         grid = rb.build_grid(2.0, 512)
-        path = rb.simulate_seeded(const(1), const(1), const(1), grid, seed=13)
+        path = seeded_path(const(1), const(1), const(1), grid, seed=13)
         shifted = dataclasses.replace(path, x=path.x + shift)
-        base = rb.bounded_transform_recursive(path).modulus()
-        moved = rb.bounded_transform_recursive(shifted).modulus()
+        base = bounded_recursive(path).modulus()
+        moved = bounded_recursive(shifted).modulus()
         assert np.max(np.abs(base - moved)) < 1e-9 * (1 + u_scale(path))
 
 
 class TestWeightedTransform:
     def test_zero_integrand_gives_zero_series(self):
         grid = rb.build_grid(5.0, 300)
-        path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=1)
+        path = seeded_path(const(2), const(1), const(0), grid, seed=1)
         ts = weighted_recursive(path)
         assert np.all(ts.X == 0.0) and np.all(ts.Y == 0.0)
         assert ts.weighted
 
     def test_degenerates_to_rotated_bounded_transform(self):
         grid = rb.build_grid(5.0, 2000)
-        path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1)
-        bounded = rb.bounded_transform_recursive(path)
+        path = seeded_path(const(2), const(0), const(1), grid, seed=1)
+        bounded = bounded_recursive(path)
         weighted = weighted_recursive(path)
         scale = 1e-12 * (1 + u_scale(path))
         assert np.max(np.abs(weighted.X + bounded.Y)) < scale
@@ -145,20 +156,20 @@ class TestWeightedTransform:
         rng = np.random.default_rng(100 + seed)
         a, sigma, u = random_specs(rng)
         grid = rb.build_grid(rng.uniform(1.0, 6.0), int(rng.integers(200, 1500)))
-        path = rb.simulate_seeded(a, sigma, u, grid, seed=seed)
+        path = seeded_path(a, sigma, u, grid, seed=seed)
         deviation = oracle_deviation(path, "weighted")
         assert deviation <= 1e-10 * (1 + weighted_scale(path))
 
     def test_large_variance_stress_matches_direct(self):
         grid = rb.build_grid(50.0, 500)
-        path = rb.simulate_seeded(const(0.5), const(3), const(1), grid, seed=7)
+        path = seeded_path(const(0.5), const(3), const(1), grid, seed=7)
         deviation = oracle_deviation(path, "weighted")
         assert np.isfinite(deviation)
         assert deviation <= 1e-10 * (1 + weighted_scale(path))
 
     def test_rescaling_does_not_change_values(self):
         grid = rb.build_grid(50.0, 500)
-        path = rb.simulate_seeded(const(0.5), const(3), const(1), grid, seed=7)
+        path = seeded_path(const(0.5), const(3), const(1), grid, seed=7)
         reference = weighted_recursive(path)
         scale = 1e-12 * (1 + weighted_scale(path))
         for threshold in (5.0, 20.0, 1e9):
@@ -170,7 +181,7 @@ class TestWeightedTransform:
         # half-variance reaches 718, beyond exp overflow, so the split
         # factorization only works because of the rebasing
         grid = rb.build_grid(1436.0, 2000)
-        path = rb.simulate_seeded(const(0), const(1), const(1e-6), grid, seed=3)
+        path = seeded_path(const(0), const(1), const(1e-6), grid, seed=3)
         ts = weighted_recursive(path)
         assert np.all(np.isfinite(ts.X)) and np.all(np.isfinite(ts.Y))
         other = weighted_recursive(path, rescale_threshold=100.0)
@@ -179,7 +190,7 @@ class TestWeightedTransform:
 
     def test_modulus_under_weighted_envelope(self):
         grid = rb.build_grid(5.0, 4000)
-        path = rb.simulate_seeded(const(2), const(1), const(1), grid, seed=2)
+        path = seeded_path(const(2), const(1), const(1), grid, seed=2)
         ts = weighted_recursive(path)
         # triangle inequality predicts at most e^{total_variance/2} * integral of |u|
         assert np.max(ts.modulus()) <= math.exp(2.5) * 5.0 * (1 + 1e-12)
@@ -188,31 +199,31 @@ class TestWeightedTransform:
 class TestIdentities:
     def test_bounded_identity_zero_integrand(self):
         grid = rb.build_grid(5.0, 300)
-        path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=1)
-        lhs, rhs, _ = identity_sides(path, rb.bounded_transform_recursive(path))
+        path = seeded_path(const(2), const(1), const(0), grid, seed=1)
+        lhs, rhs, _ = identity_sides(path, bounded_recursive(path))
         assert np.all(lhs == 0.0) and np.all(rhs == 0.0)
 
     def test_weighted_identity_zero_integrand(self):
         grid = rb.build_grid(5.0, 300)
-        path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=1)
+        path = seeded_path(const(2), const(1), const(0), grid, seed=1)
         lhs, rhs, _ = identity_sides(path, weighted_recursive(path))
         assert np.all(lhs == 0.0) and np.all(rhs == 0.0)
 
     def test_bounded_identity_deterministic_drift(self):
         grid = rb.build_grid(5.0, 10_000)
-        path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1)
-        assert identity_sides(path, rb.bounded_transform_recursive(path))[2] < 10 * grid.dt
+        path = seeded_path(const(2), const(0), const(1), grid, seed=1)
+        assert identity_sides(path, bounded_recursive(path))[2] < 10 * grid.dt
 
     def test_weighted_identity_deterministic_drift(self):
         grid = rb.build_grid(5.0, 10_000)
-        path = rb.simulate_seeded(const(2), const(0), const(1), grid, seed=1)
+        path = seeded_path(const(2), const(0), const(1), grid, seed=1)
         assert identity_sides(path, weighted_recursive(path))[2] < 10 * grid.dt
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_identity_sides_match_whole_array_sums(self, weighted):
         """Fed in uneven blocks, IdentityCheck gives the whole-array sides bit for bit."""
         grid = rb.build_grid(1.0, 100)
-        path = rb.simulate_seeded(const(1), const(1), rb.CoefficientSpec.sinusoid(0, 1, 5), grid, seed=1)
+        path = seeded_path(const(1), const(1), rb.CoefficientSpec.sinusoid(0, 1, 5), grid, seed=1)
         ts = rb.transform_pair_recursive(path)[weighted]
         check = rb.IdentityCheck(path, weighted, keep=True)
         z = ts.X + 1j * ts.Y
@@ -233,7 +244,7 @@ class TestIdentities:
             const(2), const(1), const(1), coarse_grid, rb.coarsen_increments(dw, 2)
         )
         r_coarse, r_fine = (
-            identity_sides(p, rb.bounded_transform_recursive(p))[2]
+            identity_sides(p, bounded_recursive(p))[2]
             for p in (coarse, fine)
         )
         assert 0.0 < r_fine < r_coarse
@@ -260,7 +271,7 @@ class TestVarianceDiscountedU:
     @pytest.mark.parametrize("seed", range(4))
     def test_log_envelope_bound(self, seed):
         grid = rb.build_grid(5.0, 4000)
-        path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=seed)
+        path = seeded_path(const(2), const(1), const(0), grid, seed=seed)
         psi = 1.0 / (1.0 + grid.nodes[:-1])
         path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
         ts = weighted_recursive(path)
@@ -268,29 +279,29 @@ class TestVarianceDiscountedU:
 
     def test_power_envelope_bound(self):
         grid = rb.build_grid(5.0, 4000)
-        path = rb.simulate_seeded(const(-3), const(1), const(0), grid, seed=11)
+        path = seeded_path(const(-3), const(1), const(0), grid, seed=11)
         alpha = 1.5
         psi = grid.nodes[:-1] ** (alpha - 1.0) / alpha
         path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
         ts = weighted_recursive(path)
-        envelope = rb.riemann_cumsum(np.abs(psi), grid)
+        envelope = riemann_cumsum(np.abs(psi), grid)
         assert np.max(ts.modulus() - envelope) <= 1e-12 * (1 + envelope[-1])
 
     def test_drift_sweep_keeps_envelope(self):
         grid = rb.build_grid(5.0, 1500)
         psi = 1.0 / (1.0 + grid.nodes[:-1])
         for drift in (const(-10), const(10), CoefficientSpec.state_bounded(5.0)):
-            path = rb.simulate_seeded(drift, const(1), const(0), grid, seed=21)
+            path = seeded_path(drift, const(1), const(0), grid, seed=21)
             path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
             ts = weighted_recursive(path)
-            envelope = rb.riemann_cumsum(np.abs(psi), grid)
+            envelope = riemann_cumsum(np.abs(psi), grid)
             assert np.max(ts.modulus() - envelope) <= 1e-12 * (1 + envelope[-1])
 
 
 class TestRotationIdentities:
     def test_no_noise_degenerate(self):
         grid = rb.build_grid(5.0, 200)
-        path = rb.simulate_seeded(const(0), const(0), const(1), grid, seed=1)
+        path = seeded_path(const(0), const(0), const(1), grid, seed=1)
         U, lhs, rhs = rb.unit_rotation_identity(path)
         assert np.all(U == 1.0)
         assert lhs[-1] == 0.0 and rhs[-1] == 0.0
@@ -301,7 +312,7 @@ class TestRotationIdentities:
 
     def test_unit_modulus_and_bound_value(self):
         grid = rb.build_grid(5.0, 4096)
-        path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=3)
+        path = seeded_path(const(0), const(1), const(1), grid, seed=3)
         U, _, rhs = rb.unit_rotation_identity(path)
         rhs_abs, bound, _ = rotation_record(1, 4096, 3).rotation_unit
         assert rhs_abs == abs(complex(rhs[-1]))
@@ -311,15 +322,15 @@ class TestRotationIdentities:
 
     def test_scaled_modulus_matches_exponential(self):
         grid = rb.build_grid(5.0, 4096)
-        path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=3)
+        path = seeded_path(const(0), const(1), const(1), grid, seed=3)
         U, _, _ = rb.scaled_rotation_identity(path)
         assert abs(abs(U[-1]) - math.exp(2.5)) < 1e-10 * math.exp(2.5)
-        half_i = 0.5 * rb.riemann_cumsum(path.sigma**2, grid)
+        half_i = 0.5 * riemann_cumsum(path.sigma**2, grid)
         assert np.max(np.abs(np.abs(U) - np.exp(half_i))) < 1e-12 * math.exp(2.5)
 
     def test_rejects_nonzero_drift(self):
         grid = rb.build_grid(1.0, 50)
-        path = rb.simulate_seeded(const(1), const(1), const(1), grid, seed=1)
+        path = seeded_path(const(1), const(1), const(1), grid, seed=1)
         with pytest.raises(ValueError):
             rb.unit_rotation_identity(path)
         with pytest.raises(ValueError):
@@ -327,7 +338,7 @@ class TestRotationIdentities:
 
     def test_running_sides_end_matches_scalar_forms(self):
         grid = rb.build_grid(5.0, 1024)
-        path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=5)
+        path = seeded_path(const(0), const(1), const(1), grid, seed=5)
         _, lhs, rhs = rb.unit_rotation_identity(path)
         record = rotation_record(1, 1024, 5)
         rhs_abs, _, residual = record.rotation_unit
@@ -359,6 +370,11 @@ RETIRED = (
     "weighted_transform_recursive",
     "unit_rotation_running_sides",
     "scaled_rotation_running_sides",
+    "bounded_transform_recursive",
+    "ito_cumsum",
+    "riemann_cumsum",
+    "_left_sum",
+    "simulate_seeded",
 )
 
 
@@ -367,9 +383,13 @@ def test_public_names_resolve_and_retired_ones_are_gone():
         assert getattr(rb, name) is not None, name
     for name in RETIRED:
         assert name not in rb.__all__
-        assert not hasattr(rb, name)
-        assert not hasattr(rb.transforms, name)
-    assert not hasattr(rb.quadrature, "CumulativeSeries")
+        for module in (rb, rb.engine, rb.transforms, rb.verification, rb.experiment):
+            assert not hasattr(module, name), (module.__name__, name)
+    with pytest.raises(ImportError):
+        importlib.import_module("rangebound.quadrature")
+    for function in (rb.reduce_pass, rb.transform_pair_recursive):
+        assert "rescale_threshold" not in inspect.signature(function).parameters
+    assert "source_text" not in {f.name for f in dataclasses.fields(rb.ExperimentConfig)}
     assert not hasattr(rb.TimeGrid, "same_mesh")
     assert not hasattr(rb.ExperimentManifest, "from_text")
 
@@ -377,10 +397,8 @@ def test_public_names_resolve_and_retired_ones_are_gone():
 def test_public_series_are_read_only():
     """Series are shared between outputs (identity_t2's rhs is t2's X), so none may be written."""
     grid = rb.build_grid(5.0, 64)
-    path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=3)
+    path = seeded_path(const(0), const(1), const(1), grid, seed=3)
     arrays = {
-        "ito_cumsum": rb.ito_cumsum(path.u, path),
-        "riemann_cumsum": rb.riemann_cumsum(path.u, grid),
         "unit_rotation_identity U": rb.unit_rotation_identity(path)[0],
         "scaled_rotation_identity U": rb.scaled_rotation_identity(path)[0],
     }
@@ -395,6 +413,6 @@ def test_public_series_are_read_only():
     for name, check in (("envelope", envelope), ("bounded", bounded), ("weighted", weighted)):
         for i, arr in enumerate(check.kept):
             arrays[f"{name} check kept[{i}]"] = arr
-    assert len(arrays) == 17
+    assert len(arrays) == 15
     for name, arr in arrays.items():
         assert isinstance(arr, np.ndarray) and arr.flags.writeable is False, name

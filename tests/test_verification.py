@@ -6,13 +6,13 @@ from rangebound import CoefficientSpec
 from rangebound.errors import OracleCostError
 from rangebound.transforms import TransformSeries
 
-from checks import identity_sides
+from checks import bounded_recursive, identity_sides, seeded_path
 
 const = CoefficientSpec.constant
 
 
 def bounded_residual(path):
-    return identity_sides(path, rb.bounded_transform_recursive(path))[2]
+    return identity_sides(path, bounded_recursive(path))[2]
 
 
 def ladder(dw, t_max, a_spec, sigma_spec, u_spec, refinement_levels):
@@ -47,8 +47,8 @@ class TestEnvelopeCheck:
 
     def test_corrupted_node_is_located(self):
         grid = rb.build_grid(5.0, 200)
-        path = rb.simulate_seeded(const(2), const(1), const(1), grid, seed=1)
-        ts = rb.bounded_transform_recursive(path)
+        path = seeded_path(const(2), const(1), const(1), grid, seed=1)
+        ts = bounded_recursive(path)
         X = ts.X.copy()
         X[5] += 1.0
         report = envelope_report(make_series(X, ts.Y), path.u, grid)
@@ -75,7 +75,7 @@ class TestEnvelopeCheck:
     def test_block_mismatch_rejected(self, blocks):
         """Blocks must continue each other from node 0 and stay on the grid."""
         grid = rb.build_grid(1.0, 20)
-        path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=1)
+        path = seeded_path(const(0), const(1), const(1), grid, seed=1)
         envelope = rb.EnvelopeCheck(lambda k0, k1: path.u[k0:k1], grid)
         for check in (envelope, rb.IdentityCheck(path, False)):
             *fits, (k0, k1, size) = blocks
@@ -87,7 +87,7 @@ class TestEnvelopeCheck:
     def test_verdict_needs_every_node(self):
         """A check read before its blocks reach node N raises instead of judging part of the path."""
         grid = rb.build_grid(1.0, 20)
-        path = rb.simulate_seeded(const(0), const(1), const(1), grid, seed=1)
+        path = seeded_path(const(0), const(1), const(1), grid, seed=1)
         envelope = rb.EnvelopeCheck(lambda k0, k1: path.u[k0:k1], grid)
         identity = rb.IdentityCheck(path, False)
         for check in (envelope, identity):
@@ -178,26 +178,26 @@ def deviation(path, which, **kwargs):
 class TestCompareOracle:
     def test_zero_integrand(self):
         grid = rb.build_grid(5.0, 500)
-        path = rb.simulate_seeded(const(2), const(1), const(0), grid, seed=1)
+        path = seeded_path(const(2), const(1), const(0), grid, seed=1)
         assert deviation(path, "bounded") == 0.0
         assert deviation(path, "weighted") == 0.0
 
     def test_random_instance_within_tolerance(self):
         grid = rb.build_grid(5.0, 2000)
-        path = rb.simulate_seeded(const(-7), const(1.2), const(1), grid, seed=5)
+        path = seeded_path(const(-7), const(1.2), const(1), grid, seed=5)
         scale = 1 + np.sum(np.abs(path.u)) * grid.dt
         assert deviation(path, "bounded") <= 1e-10 * scale
 
     def test_ceiling_refusal(self):
         grid = rb.build_grid(5.0, 4001)
-        path = rb.simulate_seeded(const(1), const(1), const(1), grid, seed=1)
+        path = seeded_path(const(1), const(1), const(1), grid, seed=1)
         with pytest.raises(OracleCostError):
             deviation(path, "bounded")
         assert deviation(path, "bounded", ceiling=5000) >= 0.0
 
     def test_stress_weighted_finite(self):
         grid = rb.build_grid(50.0, 500)
-        path = rb.simulate_seeded(const(0.5), const(3), const(1), grid, seed=7)
+        path = seeded_path(const(0.5), const(3), const(1), grid, seed=7)
         found = deviation(path, "weighted")
         total_variance = np.sum(path.sigma**2) * grid.dt
         scale = 1 + np.exp(0.5 * total_variance) * np.sum(np.abs(path.u)) * grid.dt
