@@ -35,7 +35,6 @@ from .transforms import (
     variance_discounted_u,
 )
 from .verification import (
-    DEFAULT_ORACLE_CEILING,
     BoundReport,
     ConvergenceReport,
     EnvelopeCheck,
@@ -52,7 +51,6 @@ __all__ = [
     "CoefficientSpec",
     "ConfigurationError",
     "ConvergenceReport",
-    "DEFAULT_ORACLE_CEILING",
     "EnvelopeCheck",
     "ExperimentConfig",
     "ExperimentManifest",

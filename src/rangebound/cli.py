@@ -5,8 +5,8 @@ Commands:
   figures <config>  emit the six reference series for the first seed
   verify <config>   run envelope / identity / equivalence / convergence suites
 
-Exit codes: 0 success, 1 configuration error (a grid too large to allocate
-included), 2 verification failure, 3 I/O error.
+Exit codes: 0 success, 1 configuration error (a usage error and a grid too
+large to allocate included), 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -25,8 +25,15 @@ EXIT_VERIFICATION = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors: exit 1 with one line, not argparse's 2."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rangebound",
         description="Simulate diffusion paths and their range-bounded phasor transforms.",
     )
@@ -67,8 +74,8 @@ def _load_config(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _load_config(args)
         if args.command == "run":
             manifest = run_experiment(config, convergence_levels=args.levels)

@@ -130,6 +130,11 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     n_steps, n_steps_line = scalar("n_steps", int)
     if n_steps < 1:
         raise ConfigurationError("n_steps must be >= 1", n_steps_line)
+    # build_grid's nodes k * dt rise strictly to t_max only while dt > 0 and node
+    # n_steps - 1 stays below t_max; an n_steps past double range has no step
+    dt = t_max / n_steps if n_steps < 2**1024 else 0.0
+    if not (dt > 0 and dt * (n_steps - 1) < t_max):
+        raise ConfigurationError(f"step {dt!r} too small for t to increase strictly", n_steps_line)
     x0, _ = scalar("x0", _number, default=0.0)
 
     specs: dict[str, CoefficientSpec | None] = {}

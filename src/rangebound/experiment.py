@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, verification
 from .config import ExperimentConfig, config_echo_lines
 from .engine import (
     PathRecord,
@@ -36,7 +36,6 @@ from .transforms import (
 )
 from .verification import (
     BOUND_TOLERANCE_UNIT,
-    DEFAULT_ORACLE_CEILING,
     BoundReport,
     ConvergenceReport,
     EnvelopeCheck,
@@ -179,14 +178,15 @@ class SeedRecord:
         return any(r is not None for r in self.residuals.values())
 
 
-def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int) -> PathRecord | None:
-    """A cheaper path on the same noise for a config grid above the ceiling.
+def _oracle_scale_path(config: ExperimentConfig, path: PathRecord) -> PathRecord | None:
+    """A cheaper path on the same noise for a config grid above the oracle ceiling.
 
-    The coarse grid is the finest one of at most ``ceiling`` steps that evenly
-    divides the config grid; None when it would have fewer than
-    ``ceiling // 2`` steps (and never fewer than 2), too few to check much.
+    The coarse grid is the finest one of at most ``ceiling`` steps
+    (verification.ORACLE_CEILING) that evenly divides the config grid; None
+    when it would have fewer than ``ceiling // 2`` steps (and never fewer
+    than 2), too few to check much.
     """
-    n = path.grid.n_steps
+    n, ceiling = path.grid.n_steps, verification.ORACLE_CEILING
     for factor in range(-(-n // ceiling), n // max(ceiling // 2, 2) + 1):
         if n % factor == 0:
             break
@@ -196,14 +196,14 @@ def _oracle_scale_path(config: ExperimentConfig, path: PathRecord, ceiling: int)
     return build_path(config, grid, coarsen_increments(path.dw, factor), factor, path.seed)
 
 
-def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None) -> SeedRecord:
+def _evaluate_seed(config, seed, wanted, levels, out=None) -> SeedRecord:
     """Simulate one seed and evaluate the series and checks ``wanted`` names.
 
     ``wanted`` holds output names (path, t1, t2, identities, convergence) and
-    check names (bound_t1, bound_t2, rotation_unit, rotation_scaled). The
-    identities bring the direct oracle on the path or, above the ceiling, on
-    ``coarse_path(config, path, ceiling)``. If ``emit`` is given, series go to
-    it as batches of ``(name, header, columns)`` files.
+    check names (bound_t1, bound_t2, rotation_unit, rotation_scaled,
+    coarse_oracle). The identities bring the direct oracle on the path up to
+    the oracle ceiling; above it, coarse_oracle brings it on _oracle_scale_path.
+    If ``out`` is given, series are written under that directory.
     """
     if levels < 3:
         raise ConfigurationError(f"convergence needs at least 3 refinement levels, got {levels}")
@@ -211,7 +211,7 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
     grid = path.grid
     record = SeedRecord()
     pending = []
-    keep = emit is not None
+    keep = out is not None
 
     def send(name, header, *columns):
         if keep:
@@ -220,12 +220,11 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
 
     def flush():
         if pending:
-            emit(pending)
+            write_csv_batch(out, pending)
             pending.clear()
 
-    # one recurrence pass feeds every bound and identity check; the oracle on
-    # this very path reuses its transforms, and run gathers what it writes
-    oracle_here = "identities" in wanted and grid.n_steps <= ceiling
+    # one recurrence pass feeds every bound and identity check, and run
+    # gathers what it writes
     integrands = {
         "t1": lambda k0, k1: path.u[k0:k1],
         "t2": lambda k0, k1: config.psi_spec.sample_series(grid, path.x[k0:k1], k0, k1),
@@ -234,7 +233,7 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
     gathered, envelopes, identities, consumers = {}, {}, {}, []
     for label in ("t1", "t2"):
         weighted = label == "t2"
-        if oracle_here or keep and (label in wanted or weighted and "identities" in wanted):
+        if keep and (label in wanted or weighted and "identities" in wanted):
             gathered[label] = TransformSeries(np.empty(n_nodes), np.empty(n_nodes), weighted)
         # the integrand envelope bounds t2 once u is discounted
         if f"bound_{label}" in wanted and (config.uses_discounted_u or not weighted):
@@ -264,7 +263,6 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
                 rhs = ts.X if check.weighted else check.kept[1]
                 send(f"identity_{label}.csv", "t,lhs,rhs", check.kept[0], rhs)
     flush()
-    fast = tuple(ts if alive[label] else None for label, ts in gathered.items()) if oracle_here else None
     # the checks and what they gathered go before the rotation, the oracle and the ladder
     del gathered, envelopes, identities, consumers, group, parts, ts, bound, check
 
@@ -303,18 +301,18 @@ def _evaluate_seed(config, seed, wanted, levels, ceiling, coarse_path, emit=None
         record.rotation_scaled = None if scaled is None else scaled[2]
 
     checked = None
-    if oracle_here:
+    if "identities" in wanted and grid.n_steps <= verification.ORACLE_CEILING:
         checked = path
-    elif "identities" in wanted and coarse_path is not None:
-        checked = coarse_path(config, path, ceiling)
+    elif "coarse_oracle" in wanted:
+        checked = _oracle_scale_path(config, path)
     # a coarser oracle path and the ladder need the noise only: the path goes
     # before the oracle's direct pass and the ladder's rungs
     dw = path.dw
     del path
     if checked is not None:
-        record.oracle = compare_oracle_pair(checked, ceiling, fast)
+        record.oracle = compare_oracle_pair(checked)
         record.oracle_steps = checked.grid.n_steps
-    del checked, fast
+    del checked
 
     if "convergence" in wanted and grid.n_steps % 2 ** (levels - 1) == 0:
         record.convergence = {}
@@ -335,12 +333,9 @@ def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
     convergence_levels: int = 4,
-    oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
 ) -> ExperimentManifest:
     """Simulate every seed, write the requested CSV series, and write manifest.txt."""
     root = Path(out_dir if out_dir is not None else config.output_dir)
-    root.mkdir(parents=True, exist_ok=True)
-
     manifest = ExperimentManifest()
     manifest.add("tool", f"rangebound {__version__}")
     manifest.add("created_utc", datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"))
@@ -357,8 +352,7 @@ def run_experiment(
 
     warnings: list[str] = []
     for seed in config.seeds:
-        csv = partial(write_csv_batch, root / f"seed{seed}")
-        record = _evaluate_seed(config, seed, wanted, convergence_levels, oracle_ceiling, None, csv)
+        record = _evaluate_seed(config, seed, wanted, convergence_levels, root / f"seed{seed}")
         for name in sorted(record.files):
             manifest.add(f"seed.{seed}.file", f"seed{seed}/{name}")
 
@@ -379,7 +373,7 @@ def run_experiment(
             if record.oracle_steps is None:
                 warn(
                     f"direct oracle skipped ({config.n_steps} steps exceeds ceiling "
-                    f"{oracle_ceiling}); identities checked recursive-only"
+                    f"{verification.ORACLE_CEILING}); identities checked recursive-only"
                 )
             for which, row in record.oracle.items():
                 if row is None:
@@ -426,6 +420,8 @@ def run_experiment(
     for warning in warnings:
         manifest.add("warning", warning)
 
+    # root is made by the first CSV written or here, so a refusal before any write leaves none
+    root.mkdir(parents=True, exist_ok=True)
     with open(root / "manifest.txt", "w", newline="\n") as handle:
         handle.write(manifest.to_text())
     return manifest
@@ -494,14 +490,12 @@ class VerificationSummary:
         return checks + [f"NOTE {n}" for n in self.notes]
 
 
-VERIFY_WANTED = frozenset({"bound_t1", "bound_t2", "identities", "rotation_unit", "convergence"})
+VERIFY_WANTED = frozenset(
+    {"bound_t1", "bound_t2", "identities", "coarse_oracle", "rotation_unit", "convergence"}
+)
 
 
-def verify_suite(
-    config: ExperimentConfig,
-    convergence_levels: int = 4,
-    oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
-) -> VerificationSummary:
+def verify_suite(config: ExperimentConfig, convergence_levels: int = 4) -> VerificationSummary:
     """Run envelope, identity, equivalence, and convergence checks for a config.
 
     Envelope and equivalence checks gate pass/fail; identity residuals and
@@ -515,9 +509,7 @@ def verify_suite(
         summary.checks.append(VerificationCheck(name, value <= tolerance, detail))
 
     for seed in config.seeds:
-        record = _evaluate_seed(
-            config, seed, VERIFY_WANTED, convergence_levels, oracle_ceiling, _oracle_scale_path
-        )
+        record = _evaluate_seed(config, seed, VERIFY_WANTED, convergence_levels)
         for label, r in record.bounds.items():
             name = f"bound[{label}] seed={seed}"
             if r is None:

@@ -11,7 +11,6 @@ import numpy as np
 from .engine import PathRecord, TimeGrid, build_grid, coarsen_increments
 from .errors import OracleCostError
 from .transforms import (
-    TransformSeries,
     half_variance_sum,
     in_range,
     prefix_sum,
@@ -21,7 +20,7 @@ from .transforms import (
 )
 
 BOUND_TOLERANCE_UNIT = 1e-9
-DEFAULT_ORACLE_CEILING = 4000
+ORACLE_CEILING = 4000
 ORACLE_TOLERANCE_UNIT = 1e-10
 
 @dataclass(frozen=True)
@@ -218,26 +217,21 @@ def convergence_ladder(
     return reports
 
 
-def compare_oracle_pair(
-    path: PathRecord,
-    ceiling: int = DEFAULT_ORACLE_CEILING,
-    fast: tuple[TransformSeries | None, TransformSeries | None] | None = None,
-) -> dict[str, tuple[float, float] | None]:
+def compare_oracle_pair(path: PathRecord) -> dict[str, tuple[float, float] | None]:
     """Each transform's max |direct - recursive| over both components and all
     nodes, with its tolerance, from one direct and one recursive pass.
 
-    Refuses paths longer than the ceiling: the direct reference is O(N^2).
+    Refuses paths longer than ORACLE_CEILING: the direct reference is O(N^2).
     The tolerance is ORACLE_TOLERANCE_UNIT * (1 + scale), the scale being the
     total of |u| dt, times e^{I_N/2} for the weighted transform; a row is None,
     and its direct reference skipped, once its scale leaves double range (or
     its recurrence did), and both are once a phase difference x_k - x_j, at
-    most max x - min x, does. ``fast`` is the path's (bounded, weighted)
-    recurrence pair when the caller already holds it.
+    most max x - min x, does.
     """
     n = path.grid.n_steps
-    if n > ceiling:
+    if n > ORACLE_CEILING:
         raise OracleCostError(
-            f"direct reference refused: {n} steps exceeds the ceiling of {ceiling}"
+            f"direct reference refused: {n} steps exceeds the ceiling of {ORACLE_CEILING}"
         )
     scales = [None, None]
     if in_range(np.ptp, path.x) is not None:
@@ -246,7 +240,7 @@ def compare_oracle_pair(
         scales[1] = in_range(lambda: integral * float(np.exp(half_variance_sum(path)[-1])))
     asked = [scale is not None for scale in scales]
     direct = transform_pair_direct(path, *asked) if any(asked) else (None, None)
-    fast = fast if fast is not None else transform_pair_recursive(path, *asked)
+    fast = transform_pair_recursive(path, *asked)
     rows = {}
     for which, scale, ref, ts in zip(("bounded", "weighted"), scales, direct, fast):
         rows[which] = None

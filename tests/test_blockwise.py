@@ -115,9 +115,7 @@ def test_seed_record_matches_whole_array_reductions(text, block, seed):
             want = whole_array_record(config, seed)
         except ConfigurationError:
             return  # a path out of double range is refused either way
-        got = experiment._evaluate_seed(
-            config, seed, experiment.VERIFY_WANTED, 4, 4000, experiment._oracle_scale_path
-        )
+        got = experiment._evaluate_seed(config, seed, experiment.VERIFY_WANTED, 4)
     assert got.skipped == want.skipped
     assert bits(got.bounds) == bits(want.bounds)
     assert bits(got.residuals) == bits(want.residuals)
@@ -129,10 +127,9 @@ def test_examples_reach_their_edges():
     for block in BLOCKS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transforms, "_RECURRENCE_BLOCK", block)
-            tie = experiment._evaluate_seed(parse_config(TIE), 1, {"bound_t1"}, 4, 4000, None)
-            leaves = experiment._evaluate_seed(
-                parse_config(LEAVES_RANGE), 2, experiment.VERIFY_WANTED, 4, 4000, None
-            )
+            tie = experiment._evaluate_seed(parse_config(TIE), 1, {"bound_t1"}, 4)
+            wanted = experiment.VERIFY_WANTED - {"coarse_oracle"}
+            leaves = experiment._evaluate_seed(parse_config(LEAVES_RANGE), 2, wanted, 4)
         # every node's margin is exactly 0, so the tie spans every block boundary
         assert tie.bounds["t1"].max_violation == 0.0 and tie.bounds["t1"].violation_index == 0
         assert leaves.skipped == ["weighted"] and leaves.residuals["weighted"] is None
@@ -155,7 +152,9 @@ def verify_peak(n_steps):
     tracemalloc.start()
     try:
         # a small oracle ceiling keeps the O(N^2) reference cheap and out of the peak
-        assert not rb.verify_suite(config, oracle_ceiling=500).failed
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verification, "ORACLE_CEILING", 500)
+            assert not rb.verify_suite(config).failed
         return tracemalloc.get_traced_memory()[1], path_bytes
     finally:
         tracemalloc.stop()

@@ -82,11 +82,12 @@ def test_repeated_seed_exits_1_with_one_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "figures", "verify"])
 def test_grid_too_large_to_allocate_exits_1_with_one_line(tmp_path, capsys, command):
-    # 10**17 + 1 float64 nodes take 8e17 bytes, more than any 64-bit address
-    # space maps, so the grid's first allocation fails before memory is touched
+    # 10**15 + 1 float64 nodes take 8e15 bytes, more than the 2**47 or 2**48
+    # bytes an x86-64 or arm64 process maps by default, so the grid's first
+    # allocation fails before memory is touched
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        SMALL.replace("n_steps=512", "n_steps=100000000000000000")
+        SMALL.replace("n_steps=512", "n_steps=1000000000000000")
         + f"output_dir={tmp_path / 'out'}\n"
     )
     assert cli.main([command, str(cfg)]) == 1
@@ -97,6 +98,28 @@ def test_grid_too_large_to_allocate_exits_1_with_one_line(tmp_path, capsys, comm
     assert captured.out == ""
 
 
+# each refused while the seed is evaluated: a refused flag, a path that leaves
+# double range, a 3-line file for 8 steps, a grid too large to allocate
+@pytest.mark.parametrize(
+    "config, args",
+    [
+        (SMALL, ["--levels", "2"]),
+        (SMALL.replace("a=const:2", "x0=1e308\na=const:1e308"), []),
+        (SMALL.replace("n_steps=512", "n_steps=8").replace("a=const:2", "a=file:a.txt"), []),
+        (SMALL.replace("n_steps=512", "n_steps=1000000000000000"), []),
+    ],
+    ids=["levels", "path_out_of_range", "short_file", "allocation"],
+)
+def test_run_refused_while_evaluating_leaves_no_output_directory(tmp_path, capsys, config, args):
+    (tmp_path / "a.txt").write_text("1\n2\n3\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + f"output_dir={tmp_path / 'out'}\n")
+    assert cli.main(["run", str(cfg), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
@@ -104,6 +127,38 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
     cfg.write_text(SMALL + f"output_dir={blocker / 'nested'}\n")
     assert cli.main(["run", str(cfg)]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_unwritable_output_without_csv_outputs_fails_at_the_manifest(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("file, not a directory")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL + f"outputs=convergence\noutput_dir={blocker / 'nested'}\n")
+    assert cli.main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "{cfg}", "--levels", "abc"], "argument --levels: invalid int value: 'abc'"),
+        (["verify"], "the following arguments are required: config"),
+    ],
+    ids=["levels_abc", "no_config"],
+)
+def test_usage_errors_exit_1_with_one_line(config_file, capsys, argv, message):
+    assert cli.main([arg.format(cfg=config_file) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {message}\n"
+    assert captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rangebound verify")
 
 
 def test_verification_failure_exit_code(config_file, monkeypatch, capsys):

@@ -1,12 +1,13 @@
 """The CLI contract at the edges of double range, as a property of the config grammar.
 
 For every config the parser accepts and each of run, figures and verify:
-the exit code is 0, 1 or 2; exit 1 prints exactly one stderr line; no
-warning is raised; no nan or inf reaches stdout, manifest.txt or a CSV; and
-every PASS line has a finite tolerance. Configs draw const, sin and state
-coefficients with magnitudes from 0 and 1e-300 up to 1e308 of either sign,
-grids of 1-64 steps and horizons up to 1e300. The named tests below pin one
-config at each edge, with what the commands print there.
+the exit code is 0, 1 or 2; exit 1 prints exactly one stderr line and
+leaves no output directory; no warning is raised; no nan or inf reaches
+stdout, manifest.txt or a CSV; and every PASS line has a finite tolerance.
+Configs draw const, sin and state coefficients with magnitudes from 0 and
+1e-300 up to 1e308 of either sign, grids of 1-64 steps and horizons up to
+1e300. The named tests below pin one config at each edge, with what the
+commands print there.
 """
 
 import math
@@ -50,6 +51,8 @@ SCALED_ROTATION = (
 SCALED_ROTATION_IN_RANGE = (
     "t_max=1\nn_steps=1\na=const:0\nsigma=const:37.6\nu=const:1\nseeds=4\noutputs=remarks\n"
 )
+# the step t_max / n_steps underflows to 0, so t would not increase
+STEP_UNDERFLOW = "t_max=5e-324\nn_steps=4\na=const:1\nsigma=const:1\nu=const:1\nseeds=1\n"
 
 NON_FINITE = re.compile(r"(?<![A-Za-z])(nan|inf)(?![A-Za-z])")
 
@@ -73,6 +76,7 @@ def assert_contract(name, text, root):
     assert caught == [], (name, caught)
     if code == 1:
         assert out == "" and err.count("\n") == 1 and err.startswith("configuration error: ")
+        assert not out_dir.exists(), (name, err)
     else:
         assert err == ""
     written = [p for p in out_dir.rglob("*") if p.suffix in (".csv", ".txt")]
@@ -128,6 +132,7 @@ def configs(draw):
 @example(text=ENVELOPE_DT_FIRST)
 @example(text=SCALED_ROTATION)
 @example(text=SCALED_ROTATION_IN_RANGE)
+@example(text=STEP_UNDERFLOW)
 def test_every_accepted_config_keeps_the_cli_contract(text):
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("run", "figures", "verify"):
@@ -141,6 +146,13 @@ def test_psi_whose_variance_integral_leaves_double_range_is_a_configuration_erro
             assert code == 1
             assert err == "configuration error: seed 1: the variance integral leaves double range\n"
             assert not list(out_dir.rglob("*.csv"))
+
+
+def test_a_step_that_underflows_is_a_configuration_error(tmp_path):
+    for name in ("run", "figures", "verify"):
+        code, _, err, _ = assert_contract(name, STEP_UNDERFLOW, tmp_path)
+        assert code == 1
+        assert err == "configuration error: line 2: step 0.0 too small for t to increase strictly\n"
 
 
 def test_figures_refuses_an_integral_of_x_against_dx_out_of_double_range(tmp_path):

@@ -56,6 +56,27 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="n_steps must be >= 1"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "t_max, n_steps, accepted",
+        [(5e-324, 4, False), (1e-322, 30, False), (1e-322, 20, True), (1e-300, 64, True)],
+    )
+    def test_steps_too_small_for_t_to_increase_strictly(self, t_max, n_steps, accepted):
+        text = PAPER_TEXT.replace("t_max=5", f"t_max={t_max!r}").replace("100000", str(n_steps))
+        # the refusal matches the grid build_grid would make
+        assert bool(np.all(np.diff(rb.build_grid(t_max, n_steps).nodes) > 0)) == accepted
+        if accepted:
+            assert parse_config(text).n_steps == n_steps
+        else:
+            with pytest.raises(ConfigurationError, match="line 2: step .* too small for t"):
+                parse_config(text)
+
+    @pytest.mark.parametrize("n_steps", [10**17, 10**400], ids=["1e17", "1e400"])
+    def test_steps_past_distinct_doubles_are_refused_unbuilt(self, n_steps):
+        # node n_steps - 1 rounds to t_max; 10**400 has no double step at all
+        text = PAPER_TEXT.replace("100000", str(n_steps))
+        with pytest.raises(ConfigurationError, match="line 2: step .* too small for t"):
+            parse_config(text)
+
     def test_unknown_key_with_line_number(self):
         with pytest.raises(ConfigurationError, match="line 2: unknown key 'dx'"):
             parse_config("t_max=5\ndx=1\n")

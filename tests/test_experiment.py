@@ -93,7 +93,9 @@ class TestRunExperiment:
 
     def test_oracle_downgrade_warning(self, tmp_path):
         cfg = parse_config(SMALL + "outputs=identities\n")
-        manifest = run_experiment(cfg, out_dir=tmp_path, oracle_ceiling=100)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rb.verification, "ORACLE_CEILING", 100)
+            manifest = run_experiment(cfg, out_dir=tmp_path)
         assert any("recursive-only" in w for w in manifest.warnings)
         assert manifest.get("seed.1.oracle.bounded.deviation") is None
 
@@ -205,21 +207,21 @@ class TestVerifySuite:
 
     def test_oracle_runs_coarsened_above_ceiling(self):
         cfg = parse_config(SMALL.replace("n_steps=500", "n_steps=12800"))
-        summary = verify_suite(cfg, oracle_ceiling=4000)
+        summary = verify_suite(cfg)
         oracle_checks = [c for c in summary.checks if c.name.startswith("oracle")]
         assert oracle_checks
         assert all("n=3200" in c.name for c in oracle_checks)
 
     def test_oracle_skipped_for_prime_steps_above_ceiling(self):
         cfg = parse_config(SMALL.replace("n_steps=500", "n_steps=4001"))
-        summary = verify_suite(cfg, oracle_ceiling=4000)
+        summary = verify_suite(cfg)
         assert not any(c.name.startswith("oracle") for c in summary.checks)
         assert "oracle seed=1: no divisor fits under ceiling, skipped" in summary.notes
 
     def test_oracle_skipped_when_coarse_grid_under_half_the_ceiling(self):
         # 8006 = 2 * 4003: the only divisor under the ceiling leaves a two-step path
         cfg = parse_config(SMALL.replace("n_steps=500", "n_steps=8006"))
-        summary = verify_suite(cfg, oracle_ceiling=4000)
+        summary = verify_suite(cfg)
         assert not any(c.name.startswith("oracle") for c in summary.checks)
         assert "oracle seed=1: no divisor fits under ceiling, skipped" in summary.notes
 
@@ -265,7 +267,9 @@ class TestConvergenceLadder:
     def test_verify_simulates_each_rung_once(self, simulated_steps):
         cfg = parse_config(SINE_LADDER)
         # a ceiling at n keeps the oracle on the seed's own path
-        summary = verify_suite(cfg, convergence_levels=4, oracle_ceiling=4096)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rb.verification, "ORACLE_CEILING", 4096)
+            summary = verify_suite(cfg, convergence_levels=4)
         assert sum(simulated_steps) == 4096 + 2048 + 1024 + 512
 
         def rung(grid, increments, factor):

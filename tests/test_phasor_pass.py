@@ -311,7 +311,7 @@ def _peak_bytes(fn):
 
 
 def test_pair_direct_at_the_ceiling_is_exact_and_no_larger_than_one_reference():
-    grid = rb.build_grid(5.0, rb.DEFAULT_ORACLE_CEILING)
+    grid = rb.build_grid(5.0, verification.ORACLE_CEILING)
     path = seeded_path(const(2), const(1), const(1), grid, 1)
     reference, reference_peak = _peak_bytes(lambda: reference_direct(path, weighted=True))
     (bounded, weighted), peak = _peak_bytes(lambda: transform_pair_direct(path))
@@ -374,22 +374,26 @@ def phasor_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("ceiling, oracle_n", [(4096, 4096), (4000, 2048)])
-def test_verify_evaluates_each_phasor_once(phasor_counts, ceiling, oracle_n):
+def test_verify_reduces_each_path_once_per_pass(phasor_counts, ceiling, oracle_n):
+    """Each rung's phases are reduced once; the oracle path's once more by its own pass."""
     per_path, directs = phasor_counts
-    summary = verify_suite(parse_config(LADDER), convergence_levels=4, oracle_ceiling=ceiling)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "ORACLE_CEILING", ceiling)
+        summary = verify_suite(parse_config(LADDER), convergence_levels=4)
     assert not summary.failed
-    nodes = [513, 1025, 2049, 4097]
+    nodes = [513, 1025, 2049, 2 * 4097]
     if oracle_n != 4096:
-        nodes = sorted(nodes + [oracle_n + 1])
+        nodes = sorted([513, 1025, 2049, 4097, oracle_n + 1])
     assert per_path() == nodes
     assert directs == [(oracle_n, True, True)]
 
 
-def test_run_evaluates_each_phasor_once(phasor_counts, tmp_path):
+def test_run_reduces_each_path_once_per_pass(phasor_counts, tmp_path):
+    """Each rung's phases are reduced once, and the seed's path once more by the oracle's pass."""
     per_path, directs = phasor_counts
     cfg = parse_config(LADDER.replace("4096", "4000"))
     run_experiment(cfg, out_dir=tmp_path, convergence_levels=4)
-    assert per_path() == [501, 1001, 2001, 4001]
+    assert per_path() == [501, 1001, 2001, 2 * 4001]
     assert directs == [(4000, True, True)]
 
 

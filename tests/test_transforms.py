@@ -45,7 +45,7 @@ def rotation_record(sigma, n_steps, seed):
         f"t_max=5\nn_steps={n_steps}\na=const:0\nsigma=const:{sigma}\nu=const:1\nseeds={seed}\n"
     )
     wanted = {"rotation_unit", "rotation_scaled"}
-    return experiment._evaluate_seed(cfg, seed, wanted, 4, 4000, None)
+    return experiment._evaluate_seed(cfg, seed, wanted, 4)
 
 
 def random_specs(rng):
@@ -375,6 +375,7 @@ RETIRED = (
     "riemann_cumsum",
     "_left_sum",
     "simulate_seeded",
+    "DEFAULT_ORACLE_CEILING",
 )
 
 
@@ -389,6 +390,8 @@ def test_public_names_resolve_and_retired_ones_are_gone():
         importlib.import_module("rangebound.quadrature")
     for function in (rb.reduce_pass, rb.transform_pair_recursive):
         assert "rescale_threshold" not in inspect.signature(function).parameters
+    for function in (rb.run_experiment, rb.verify_suite, rb.compare_oracle_pair):
+        assert not {"oracle_ceiling", "ceiling", "fast"} & set(inspect.signature(function).parameters)
     assert "source_text" not in {f.name for f in dataclasses.fields(rb.ExperimentConfig)}
     assert not hasattr(rb.TimeGrid, "same_mesh")
     assert not hasattr(rb.ExperimentManifest, "from_text")

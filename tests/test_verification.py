@@ -171,8 +171,8 @@ class TestOrders:
             ladder(np.zeros(1024), 1.0, const(0), const(1), const(1), 2)
 
 
-def deviation(path, which, **kwargs):
-    return rb.compare_oracle_pair(path, **kwargs)[which][0]
+def deviation(path, which):
+    return rb.compare_oracle_pair(path)[which][0]
 
 
 class TestCompareOracle:
@@ -193,7 +193,9 @@ class TestCompareOracle:
         path = seeded_path(const(1), const(1), const(1), grid, seed=1)
         with pytest.raises(OracleCostError):
             deviation(path, "bounded")
-        assert deviation(path, "bounded", ceiling=5000) >= 0.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rb.verification, "ORACLE_CEILING", 5000)
+            assert deviation(path, "bounded") >= 0.0
 
     def test_stress_weighted_finite(self):
         grid = rb.build_grid(50.0, 500)
