@@ -8,6 +8,7 @@ the weighted transform with the variance-discounted integrand.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -75,8 +76,16 @@ def parse_coefficient(token: str, base_dir: str | Path = ".", line: int | None =
             path = Path(base_dir) / arg
             if not path.is_file():
                 raise ConfigurationError(f"coefficient file not found: {path}", line)
-            values = np.loadtxt(path, dtype=np.float64, ndmin=1)
-            return CoefficientSpec.from_samples(values)
+            # a file without values is refused below, not warned about
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(path, dtype=np.float64, ndmin=2)
+            if values.shape[1] != 1 or not len(values):
+                got = f"{values.shape[1]} values on a line" if len(values) else "no values"
+                raise ConfigurationError(
+                    f"coefficient file {path} has {got}, expected one per line", line
+                )
+            return CoefficientSpec.from_samples(values[:, 0])
     except ConfigurationError:
         raise
     except ValueError as exc:

@@ -157,6 +157,20 @@ class PathRecord:
             raise ValueError(f"u must have {self.grid.n_steps} entries, got {len(u)}")
         return PathRecord(self.grid, self.x, self.dw, self.a, self.sigma, u, self.seed)
 
+    def head(self, steps: int) -> "PathRecord":
+        """The path's first ``steps`` steps, or the path itself when it has no more.
+
+        Every sum built on the path is non-anticipating, so on the head it takes
+        the path's own values at nodes 0 .. steps. The grid keeps the path's dt,
+        and the arrays are copies: the head does not keep the whole path alive.
+        """
+        if self.grid.n_steps <= steps:
+            return self
+        nodes, x = (arr[: steps + 1].copy() for arr in (self.grid.nodes, self.x))
+        dw, a, sigma, u = (arr[:steps].copy() for arr in (self.dw, self.a, self.sigma, self.u))
+        grid = TimeGrid(float(nodes[-1]), steps, self.grid.dt, nodes)
+        return PathRecord(grid, x, dw, a, sigma, u, self.seed)
+
 
 def sample_wiener(grid: TimeGrid, seed: int) -> np.ndarray:
     """N independent Gaussian increments with mean 0 and variance dt.

@@ -20,7 +20,6 @@ from .engine import (
     PathRecord,
     TimeGrid,
     build_grid,
-    coarsen_increments,
     sample_wiener,
     simulate_path,
 )
@@ -166,8 +165,7 @@ class SeedRecord:
     # |rhs|, bound, |lhs - rhs|; None with drift or once the bound leaves double range
     rotation_unit: tuple[float, float, float] | None = None
     rotation_scaled: float | None = None  # |lhs - rhs|
-    oracle_steps: int | None = None  # None when no oracle path fits
-    oracle: dict[str, tuple[float, float] | None] = field(default_factory=dict)
+    oracle: dict[str, tuple[float, float] | None] = field(default_factory=dict)  # {} if not wanted
     # None when n_steps does not support the levels; empty without a residual
     convergence: dict[str, ConvergenceReport] | None = None
     unordered: list[str] = field(default_factory=list)  # a residual but no finite order
@@ -178,32 +176,14 @@ class SeedRecord:
         return any(r is not None for r in self.residuals.values())
 
 
-def _oracle_scale_path(config: ExperimentConfig, path: PathRecord) -> PathRecord | None:
-    """A cheaper path on the same noise for a config grid above the oracle ceiling.
-
-    The coarse grid is the finest one of at most ``ceiling`` steps
-    (verification.ORACLE_CEILING) that evenly divides the config grid; None
-    when it would have fewer than ``ceiling // 2`` steps (and never fewer
-    than 2), too few to check much.
-    """
-    n, ceiling = path.grid.n_steps, verification.ORACLE_CEILING
-    for factor in range(-(-n // ceiling), n // max(ceiling // 2, 2) + 1):
-        if n % factor == 0:
-            break
-    else:
-        return None
-    grid = build_grid(config.t_max, n // factor)
-    return build_path(config, grid, coarsen_increments(path.dw, factor), factor, path.seed)
-
-
 def _evaluate_seed(config, seed, wanted, levels, out=None) -> SeedRecord:
     """Simulate one seed and evaluate the series and checks ``wanted`` names.
 
     ``wanted`` holds output names (path, t1, t2, identities, convergence) and
-    check names (bound_t1, bound_t2, rotation_unit, rotation_scaled,
-    coarse_oracle). The identities bring the direct oracle on the path up to
-    the oracle ceiling; above it, coarse_oracle brings it on _oracle_scale_path.
-    If ``out`` is given, series are written under that directory.
+    check names (bound_t1, bound_t2, rotation_unit, rotation_scaled, oracle).
+    The oracle checks the path's first verification.ORACLE_CEILING steps, the
+    path itself when it has no more. If ``out`` is given, series are written
+    under that directory.
     """
     if levels < 3:
         raise ConfigurationError(f"convergence needs at least 3 refinement levels, got {levels}")
@@ -300,19 +280,13 @@ def _evaluate_seed(config, seed, wanted, levels, out=None) -> SeedRecord:
         )
         record.rotation_scaled = None if scaled is None else scaled[2]
 
-    checked = None
-    if "identities" in wanted and grid.n_steps <= verification.ORACLE_CEILING:
-        checked = path
-    elif "coarse_oracle" in wanted:
-        checked = _oracle_scale_path(config, path)
-    # a coarser oracle path and the ladder need the noise only: the path goes
-    # before the oracle's direct pass and the ladder's rungs
+    # the oracle's head is a copy of at most ORACLE_CEILING steps and the ladder
+    # needs the noise only: a longer path goes before the direct pass and the rungs
+    head = path.head(verification.ORACLE_CEILING) if "oracle" in wanted else None
     dw = path.dw
     del path
-    if checked is not None:
-        record.oracle = compare_oracle_pair(checked)
-        record.oracle_steps = checked.grid.n_steps
-    del checked
+    if head is not None:
+        record.oracle = compare_oracle_pair(head)
 
     if "convergence" in wanted and grid.n_steps % 2 ** (levels - 1) == 0:
         record.convergence = {}
@@ -349,6 +323,8 @@ def run_experiment(
         wanted.add("bound_t2" if config.uses_discounted_u else "bound_t1")
     if "remarks" in outputs:
         wanted |= {"rotation_unit", "rotation_scaled"}
+    if "identities" in outputs and config.n_steps <= verification.ORACLE_CEILING:
+        wanted.add("oracle")
 
     warnings: list[str] = []
     for seed in config.seeds:
@@ -370,7 +346,7 @@ def run_experiment(
                     add(f"identity_{label}.residual", _fmt(record.residuals[identity]))
                 elif identity not in record.skipped:
                     warn(f"identity_{label} skipped: its values leave double range")
-            if record.oracle_steps is None:
+            if "oracle" not in wanted:
                 warn(
                     f"direct oracle skipped ({config.n_steps} steps exceeds ceiling "
                     f"{verification.ORACLE_CEILING}); identities checked recursive-only"
@@ -491,7 +467,7 @@ class VerificationSummary:
 
 
 VERIFY_WANTED = frozenset(
-    {"bound_t1", "bound_t2", "identities", "coarse_oracle", "rotation_unit", "convergence"}
+    {"bound_t1", "bound_t2", "identities", "oracle", "rotation_unit", "convergence"}
 )
 
 
@@ -508,6 +484,7 @@ def verify_suite(config: ExperimentConfig, convergence_levels: int = 4) -> Verif
         detail = f"{what}={value:.3e} tolerance={tolerance:.3e}"
         summary.checks.append(VerificationCheck(name, value <= tolerance, detail))
 
+    oracle_steps = min(config.n_steps, verification.ORACLE_CEILING)
     for seed in config.seeds:
         record = _evaluate_seed(config, seed, VERIFY_WANTED, convergence_levels)
         for label, r in record.bounds.items():
@@ -522,13 +499,11 @@ def verify_suite(config: ExperimentConfig, convergence_levels: int = 4) -> Verif
             check(f"bound[rotation] seed={seed}", rhs_abs - bound, tolerance, "|rhs|-bound")
         elif record.driftless:
             note(f"bound[rotation] seed={seed}: bound leaves double range, skipped")
-        if record.oracle_steps is None:
-            note(f"oracle seed={seed}: no divisor fits under ceiling, skipped")
         for which, row in record.oracle.items():
             if row is None:
                 note(f"oracle[{which}] seed={seed}: scale leaves double range, skipped")
             else:
-                check(f"oracle[{which}] seed={seed} n={record.oracle_steps}", *row, "deviation")
+                check(f"oracle[{which}] seed={seed} n={oracle_steps}", *row, "deviation")
 
         for identity, residual in record.residuals.items():
             if residual is None:

@@ -8,6 +8,7 @@ with the path's own arrays, not with whole copies of the series it checks.
 import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -128,7 +129,7 @@ def test_examples_reach_their_edges():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transforms, "_RECURRENCE_BLOCK", block)
             tie = experiment._evaluate_seed(parse_config(TIE), 1, {"bound_t1"}, 4)
-            wanted = experiment.VERIFY_WANTED - {"coarse_oracle"}
+            wanted = experiment.VERIFY_WANTED - {"oracle"}
             leaves = experiment._evaluate_seed(parse_config(LEAVES_RANGE), 2, wanted, 4)
         # every node's margin is exactly 0, so the tie spans every block boundary
         assert tie.bounds["t1"].max_violation == 0.0 and tie.bounds["t1"].violation_index == 0
@@ -141,6 +142,30 @@ def test_examples_reach_their_edges():
 
 
 PSI = "t_max = 5\nn_steps = {}\na = sin:1,2,3\nsigma = sin:2,1,1\npsi = sin:1,0.5,2\nseeds = 1\n"
+
+
+# on 63 steps of 5/63, nodes[7] / 7 and nodes[53] / 53 are not dt: a head whose
+# grid re-divided its t_max would differ there
+@pytest.mark.parametrize("steps", [1, 7, 33, 53])
+@pytest.mark.parametrize(
+    "text", [REBASES, REBASES.replace("psi", "u"), PSI.format(63)], ids=["rebases", "rebases_u", "psi"]
+)
+def test_recurrences_on_the_head_are_the_paths_first_nodes(text, steps):
+    """The oracle's head, path.head(c), gives the path's own first c + 1 nodes, bit for bit."""
+    path = experiment.prepare_path(parse_config(text), 3)
+    head = path.head(steps)
+    assert path.head(64) is path and head.grid.dt == path.grid.dt
+    for name in ("x", "dw", "a", "sigma", "u"):
+        assert not np.shares_memory(getattr(head, name), getattr(path, name))
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of 5 and segments of 3 nodes put boundaries inside every head
+        mp.setattr(transforms, "_RECURRENCE_BLOCK", 5)
+        mp.setattr(transforms, "_SEGMENT_NODES", 3)
+        whole = rb.transform_pair_recursive(path)
+        first = rb.transform_pair_recursive(head)
+    for full, part in zip(whole, first):
+        for name in ("X", "Y"):
+            assert getattr(part, name).tobytes() == getattr(full, name)[: steps + 1].tobytes()
 
 
 def verify_peak(n_steps):

@@ -189,8 +189,8 @@ def test_levels_below_three_are_a_configuration_error(config_file, tmp_path, cap
     assert not list((tmp_path / "out").rglob("*.csv"))
 
 
-# name -> (n_steps, coefficient lines, coefficients read from files); 8000
-# steps puts the grid above the oracle ceiling, so the oracle coarsens by 2
+# name -> (n_steps, coefficient lines, coefficients read from files); at 8000
+# steps, above the oracle ceiling, the oracle checks the path's first 4000 steps
 FILE_CONFIGS = {
     "file_drift_state_noise": (1000, "a=file:a.txt\nsigma=state:1.5\nu=const:1\n", ("a",)),
     "file_integrand": (1000, "a=const:2\nsigma=const:1\nu=file:u.txt\n", ("u",)),
@@ -226,7 +226,7 @@ def test_file_coefficients_are_decimated_on_coarse_grids(tmp_path, monkeypatch, 
     assert "FAIL" not in out and "PASS" in out
     assert {p.grid.n_steps for p in paths} - {n_steps}
     if n_steps > 4000:
-        # the oracle path is the only coarse one that carries the seed
+        # the ladder's rungs carry the seed; the oracle's head is no new path
         assert any(p.grid.n_steps == n_steps // 2 and p.seed == 1 for p in paths)
     for path in paths:
         factor = n_steps // path.grid.n_steps

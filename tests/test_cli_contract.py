@@ -155,6 +155,34 @@ def test_a_step_that_underflows_is_a_configuration_error(tmp_path):
         assert err == "configuration error: line 2: step 0.0 too small for t to increase strictly\n"
 
 
+# file: coefficients that are not one value on each of one or more lines:
+# name -> (file text, n_steps, what the refusal says the file has)
+BAD_FILES = {
+    "two_columns": ("".join(f"{k} {k}\n" for k in range(8)), 8, "2 values on a line"),
+    "one_line_of_two": ("1 2\n", 2, "2 values on a line"),
+    "empty": ("", 8, "no values"),
+    "comment_only": ("# no values\n", 8, "no values"),
+}
+
+
+@pytest.mark.parametrize("coefficient", ["a", "sigma", "u", "psi"])
+@pytest.mark.parametrize("name", sorted(BAD_FILES))
+def test_file_coefficient_needs_one_value_per_line(tmp_path, name, coefficient):
+    body, n_steps, reason = BAD_FILES[name]
+    (tmp_path / "values.txt").write_text(body)
+    integrand = "psi" if coefficient == "psi" else "u"
+    text = f"t_max=1\nn_steps={n_steps}\n{coefficient}=file:values.txt\n" + "".join(
+        f"{key}=const:1\n" for key in ("a", "sigma", integrand) if key != coefficient
+    )
+    for command in ("run", "figures", "verify"):
+        code, _, err, _ = assert_contract(command, text + "seeds=1\n", tmp_path)
+        assert code == 1
+        assert err == (
+            f"configuration error: line 3: coefficient file {tmp_path / 'values.txt'} "
+            f"has {reason}, expected one per line\n"
+        )
+
+
 def test_figures_refuses_an_integral_of_x_against_dx_out_of_double_range(tmp_path):
     code, _, err, out_dir = assert_contract("figures", FIG6, tmp_path)
     assert code == 1

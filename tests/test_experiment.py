@@ -205,25 +205,18 @@ class TestVerifySuite:
         assert not summary.failed
         assert any(c.name.startswith("bound[rotation]") for c in summary.checks)
 
-    def test_oracle_runs_coarsened_above_ceiling(self):
-        cfg = parse_config(SMALL.replace("n_steps=500", "n_steps=12800"))
+    @pytest.mark.parametrize("n_steps", [12800, 4001, 8006])
+    def test_oracle_checks_the_head_above_ceiling(self, n_steps):
+        # every n_steps above the ceiling gets an oracle on its first 4000 steps
+        cfg = parse_config(SMALL.replace("n_steps=500", f"n_steps={n_steps}"))
         summary = verify_suite(cfg)
         oracle_checks = [c for c in summary.checks if c.name.startswith("oracle")]
-        assert oracle_checks
-        assert all("n=3200" in c.name for c in oracle_checks)
-
-    def test_oracle_skipped_for_prime_steps_above_ceiling(self):
-        cfg = parse_config(SMALL.replace("n_steps=500", "n_steps=4001"))
-        summary = verify_suite(cfg)
-        assert not any(c.name.startswith("oracle") for c in summary.checks)
-        assert "oracle seed=1: no divisor fits under ceiling, skipped" in summary.notes
-
-    def test_oracle_skipped_when_coarse_grid_under_half_the_ceiling(self):
-        # 8006 = 2 * 4003: the only divisor under the ceiling leaves a two-step path
-        cfg = parse_config(SMALL.replace("n_steps=500", "n_steps=8006"))
-        summary = verify_suite(cfg)
-        assert not any(c.name.startswith("oracle") for c in summary.checks)
-        assert "oracle seed=1: no divisor fits under ceiling, skipped" in summary.notes
+        assert [c.name for c in oracle_checks] == [
+            "oracle[bounded] seed=1 n=4000",
+            "oracle[weighted] seed=1 n=4000",
+        ]
+        assert all(c.passed for c in oracle_checks)
+        assert not any(n.startswith("oracle") for n in summary.notes)
 
 
 PSI_LADDER = "t_max=5\nn_steps=1024\na=const:2\nsigma=const:1\npsi=sin:1,0.5,2\nseeds=1\n"

@@ -5,11 +5,11 @@ sha256 of every CSV, of ``manifest.txt`` without its ``created_utc`` line and
 of ``verify``'s stdout must match the values recorded here. The configs reach
 what paper_fig (pinned by perfbench/golden.json) does not:
 
-* driftless ``state:`` noise on two seeds, so the rotation checks run and the
-  oracle coarsens 20000 steps to 4000;
-* ``psi`` at 20480 steps, 2.5 CSV chunks, with the oracle coarsened to 2560;
-* a drifting ``u`` at 2048 steps, where the oracle checks the run's own path
-  and reuses its recurrences.
+* driftless ``state:`` noise on two seeds at 20000 steps, so the rotation
+  checks run and ``verify``'s oracle checks the path's first 4000 steps;
+* ``psi`` at 20480 steps, 2.5 CSV chunks;
+* a drifting ``u`` at 2048 steps, where the oracle of ``run`` and ``verify``
+  checks the whole path.
 
 Noise and float results depend on numpy, so the hashes hold for the numpy
 version they were recorded with; other versions skip.
@@ -75,7 +75,7 @@ FROZEN = {
         "run/seed2/t1.csv": "559032764ffa66e4c06ce63ffbec7542d2ea05d0dfb766e3873f72ad28884a88",
         "run/seed2/t2.csv": "7be137f04852adfb22466678f190eeb02871526213aa597bf7f5bc7b0cf8eebf",
         "run/seed2/x.csv": "8c8b237b4a846cf1fe06485fa385118dd1b65d452e3e3db2f0616a88f22037df",
-        "verify/stdout": "e20a91296811212017a4467718f71ebc116a5cc659b63c7d6a6966d9035fa795",
+        "verify/stdout": "3d25381c58fdc43ab045171b61ab718d0374edd6b4ae061f5ab766abb81872e4",
     },
     "psi": {
         "figures/fig1_x.csv": "ebcc0fe9190b54008577a66a6cea13b055003fe92bd83d2b76dae7c462a28531",
@@ -91,7 +91,7 @@ FROZEN = {
         "run/seed1/t1.csv": "f05647bf11ec10af4db29aebcc3c35716d921ac5512f3bafb72a3137129096fd",
         "run/seed1/t2.csv": "d33dee44e67705f00943e49df6beb4f67c483ba23924cc2fdb7d2bc444051770",
         "run/seed1/x.csv": "8cb3952342b0f1f3ff68f529566103effc691d171a90bf109a83ee050431e8de",
-        "verify/stdout": "0da83fe7e6611f2e1a31a896fbe3b8aa0b810c45d8ef2e647e57d8ac49049282",
+        "verify/stdout": "958209efbbaabfdc08202380e3bb6d0fe9af0c2dca5bebf78f2cf97d13c709ea",
     },
 }
 

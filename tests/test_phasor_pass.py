@@ -373,9 +373,9 @@ def phasor_counts(monkeypatch):
     return per_path, directs
 
 
-@pytest.mark.parametrize("ceiling, oracle_n", [(4096, 4096), (4000, 2048)])
+@pytest.mark.parametrize("ceiling, oracle_n", [(4096, 4096), (4000, 4000)])
 def test_verify_reduces_each_path_once_per_pass(phasor_counts, ceiling, oracle_n):
-    """Each rung's phases are reduced once; the oracle path's once more by its own pass."""
+    """Each rung's phases are reduced once; the oracle's head once more by its own pass."""
     per_path, directs = phasor_counts
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "ORACLE_CEILING", ceiling)
