@@ -42,7 +42,6 @@ from .verification import (
     compare_oracle_pair,
     convergence_ladder,
     orders_from_residuals,
-    residual_norm,
 )
 
 __all__ = [
@@ -69,7 +68,6 @@ __all__ = [
     "parse_config",
     "prepare_path",
     "reduce_pass",
-    "residual_norm",
     "run_experiment",
     "sample_wiener",
     "scaled_rotation_identity",

@@ -67,7 +67,7 @@ def parse_coefficient(token: str, base_dir: str | Path = ".", line: int | None =
             parts = arg.split(",")
             if len(parts) != 3:
                 raise ConfigurationError(
-                    f"sin coefficient needs 3 parameters c0,c1,omega, got {arg!r}", line
+                    f"sin coefficient needs 3 parameters c0,c1,omega, got {arg!r}"
                 )
             return CoefficientSpec.sinusoid(*(_number(p) for p in parts))
         if kind == "state":
@@ -75,7 +75,7 @@ def parse_coefficient(token: str, base_dir: str | Path = ".", line: int | None =
         if kind == "file":
             path = Path(base_dir) / arg
             if not path.is_file():
-                raise ConfigurationError(f"coefficient file not found: {path}", line)
+                raise ConfigurationError(f"coefficient file not found: {path}")
             # a file without values is refused below, not warned about
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -83,11 +83,11 @@ def parse_coefficient(token: str, base_dir: str | Path = ".", line: int | None =
             if values.shape[1] != 1 or not len(values):
                 got = f"{values.shape[1]} values on a line" if len(values) else "no values"
                 raise ConfigurationError(
-                    f"coefficient file {path} has {got}, expected one per line", line
+                    f"coefficient file {path} has {got}, expected one per line"
                 )
             return CoefficientSpec.from_samples(values[:, 0])
-    except ConfigurationError:
-        raise
+    except ConfigurationError as exc:  # CoefficientSpec's refusals get the line too
+        raise ConfigurationError(str(exc), line) from exc
     except ValueError as exc:
         raise ConfigurationError(f"bad coefficient {token!r}: {exc}", line) from exc
     raise ConfigurationError(
@@ -151,7 +151,10 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     for key in ("a", "sigma", "u", "psi"):
         token, line = take(key)
         spec_lines[key] = line
-        specs[key] = None if token is None else parse_coefficient(token, base_dir, line)
+        specs[key] = spec = None if token is None else parse_coefficient(token, base_dir, line)
+        if spec is not None and spec.kind == "samples" and len(spec.samples) != n_steps:
+            got = f"{len(spec.samples)} entries, grid needs {n_steps}"
+            raise ConfigurationError(f"samples coefficient has {got}", line)
     for key in ("a", "sigma"):
         if specs[key] is None:
             raise ConfigurationError(f"missing required key {key!r}")

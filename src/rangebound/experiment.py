@@ -7,7 +7,7 @@ same CSV bytes and the same manifest (minus the created_utc line).
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -35,8 +35,6 @@ from .transforms import (
 )
 from .verification import (
     BOUND_TOLERANCE_UNIT,
-    BoundReport,
-    ConvergenceReport,
     EnvelopeCheck,
     IdentityCheck,
     compare_oracle_pair,
@@ -152,55 +150,74 @@ def prepare_path(config: ExperimentConfig, seed: int) -> PathRecord:
     return path
 
 
-@dataclass
-class SeedRecord:
-    """One seed's checks as scalars (None out of double range) and its emitted series."""
+SERIES = {"bounded": "t1", "weighted": "t2"}  # each transform and its series
 
-    files: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)  # transforms out of double range
-    # by label t1, t2; None when the envelope leaves double range
-    bounds: dict[str, BoundReport | None] = field(default_factory=dict)
-    residuals: dict[str, float | None] = field(default_factory=dict)
-    driftless: bool = False
-    # |rhs|, bound, |lhs - rhs|; None with drift or once the bound leaves double range
-    rotation_unit: tuple[float, float, float] | None = None
-    rotation_scaled: float | None = None  # |lhs - rhs|
-    oracle: dict[str, tuple[float, float] | None] = field(default_factory=dict)  # {} if not wanted
-    # None when n_steps does not support the levels; empty without a residual
-    convergence: dict[str, ConvergenceReport] | None = None
-    unordered: list[str] = field(default_factory=list)  # a residual but no finite order
+# (check, reason) -> (run's warning, verify's note) in place of a skipped check, None where the
+# command says nothing; {label} is bounded or weighted, and {t} its series, t1 or t2
+_IDENTITY_NOTE = "identity[{label}] seed={seed}: values leave double range, skipped"
+SKIP_WORDING = {
+    ("transform", "range"): ("{label} transform skipped: its values leave double range", None),
+    ("identity", "transform"): (None, _IDENTITY_NOTE),
+    ("identity", "range"): ("identity_{t} skipped: its values leave double range", _IDENTITY_NOTE),
+    ("oracle", "ceiling"): (
+        "direct oracle skipped ({steps} steps exceeds ceiling {ceiling}); "
+        "identities checked recursive-only",
+        None,
+    ),
+    ("oracle", "range"): (
+        "{label} direct oracle skipped: its scale leaves double range",
+        "oracle[{label}] seed={seed}: scale leaves double range, skipped",
+    ),
+    ("remarks", "drift"): ("remarks skipped: drift is not identically zero", None),
+    ("rotation_unit", "range"): (
+        "unit rotation skipped: its bound leaves double range",
+        "bound[rotation] seed={seed}: bound leaves double range, skipped",
+    ),
+    ("rotation_scaled", "range"): ("scaled rotation skipped: its scale leaves double range", None),
+    ("bound", "range"): (
+        "bound_{t} skipped: its envelope leaves double range",
+        "bound[{t}] seed={seed}: envelope leaves double range, skipped",
+    ),
+    ("convergence", "levels"): (
+        "convergence skipped: n_steps {steps} does not support {levels} refinement levels",
+        "convergence seed={seed}: skipped, n_steps {steps} does not support {levels} levels",
+    ),
+    ("convergence", "residual"): (
+        "convergence skipped: no identity residual in double range",
+        "convergence seed={seed}: skipped, no identity residual in double range",
+    ),
+    ("convergence", "order"): (
+        "convergence.{label} skipped: its residuals give no finite order",
+        "convergence[{label}] seed={seed}: skipped, its residuals give no finite order",
+    ),
+}
 
-    @property
-    def has_residual(self) -> bool:
-        """Whether either identity has a residual on the seed's own path."""
-        return any(r is not None for r in self.residuals.values())
 
-
-def _evaluate_seed(config, seed, wanted, levels, out=None) -> SeedRecord:
+def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list[tuple]:
     """Simulate one seed and evaluate the series and checks ``wanted`` names.
 
     ``wanted`` holds output names (path, t1, t2, identities, convergence) and
-    check names (bound_t1, bound_t2, rotation_unit, rotation_scaled, oracle).
-    The oracle checks the path's first verification.ORACLE_CEILING steps, the
-    path itself when it has no more. If ``out`` is given, series are written
-    under that directory.
+    check names (bound_t1, bound_t2, rotation_unit, rotation_scaled, oracle,
+    oracle_head). ``oracle`` checks the path, skipped above
+    verification.ORACLE_CEILING steps; ``oracle_head`` checks its first
+    ORACLE_CEILING steps. Returns a row ``(check, label, outcome)`` per outcome:
+    the check's values, or the reason it was skipped, a key of SKIP_WORDING. If
+    ``out`` is given, series are written under it, and each file to ``written``.
     """
     if levels < 3:
         raise ConfigurationError(f"convergence needs at least 3 refinement levels, got {levels}")
     path = prepare_path(config, seed)
     grid = path.grid
-    record = SeedRecord()
-    pending = []
+    rows, pending = [], []
     keep = out is not None
 
     def send(name, header, *columns):
         if keep:
             pending.append((name, header, [grid.nodes, *columns]))
-            record.files.append(name)
 
     def flush():
         if pending:
-            write_csv_batch(out, pending)
+            written.extend(write_csv_batch(out, pending))
             pending.clear()
 
     # one recurrence pass feeds every bound and identity check, and run
@@ -225,82 +242,128 @@ def _evaluate_seed(config, seed, wanted, levels, out=None) -> SeedRecord:
 
     if "path" in wanted:
         send("x.csv", "t,x", path.x)
-    for (label, which), group in zip((("t1", "bounded"), ("t2", "weighted")), consumers):
+    residuals = {}  # on the seed's own path: the ladder's finest rung
+    for (which, label), group in zip(SERIES.items(), consumers):
         if group and not alive[label]:
-            record.skipped.append(which)
+            rows.append(("transform", which, "range"))
         parts = (gathered, envelopes, identities) if alive[label] else ({}, {}, {})
         ts, bound, check = (part.get(label) for part in parts)
         if ts and label in wanted:
             send(f"{label}.csv", "t,X,Y", ts.X, ts.Y)
         if bound:
             # past double range the envelope bounds nothing and its tolerance is inf
-            record.bounds[label] = bound.report()
-            if record.bounds[label] is not None:
+            report = bound.report()
+            rows.append(("bound", which, report or "range"))
+            if report:
                 send(f"bound_{label}.csv", "t,modulus,envelope", *bound.kept)
         if identities:
-            record.residuals[which] = check.residual() if check else None
-            if check and check.kept and record.residuals[which] is not None:
+            residual = residuals[which] = check.residual() if check else None
+            if check and check.kept and residual is not None:
                 rhs = ts.X if check.weighted else check.kept[1]
                 send(f"identity_{label}.csv", "t,lhs,rhs", check.kept[0], rhs)
+            if "identities" in wanted:
+                skip = "range" if check else "transform"
+                rows.append(("identity", which, skip if residual is None else (residual,)))
     flush()
     # the checks and what they gathered go before the rotation, the oracle and the ladder
     del gathered, envelopes, identities, consumers, group, parts, ts, bound, check
 
-    def rotation(identity, name, bound) -> tuple[float, float, float] | None:
-        """|rhs|, ``bound()`` and |lhs - rhs| at the horizon, U written; None out of double range."""
+    def rotation(check, identity, bound) -> None:
+        """Row ``check``: |rhs|, ``bound()`` and |lhs - rhs| at the horizon, U written."""
 
         def horizon():  # the running sides go before U is written
             U, lhs, rhs = identity(path)
             return U, lhs[-1], rhs[-1], np.abs(lhs[-1] - rhs[-1]), bound()
 
         sides = in_range(horizon)
-        if sides is None:
-            return None
-        U, lhs, rhs, _, scale = sides
-        send(name, "t,re,im", U.real, U.imag)
-        flush()
-        return abs(complex(rhs)), float(scale), abs(complex(lhs) - complex(rhs))
+        if sides is not None:
+            U, lhs, rhs, _, scale = sides
+            send(f"{check}.csv", "t,re,im", U.real, U.imag)
+            flush()
+            sides = abs(complex(rhs)), float(scale), abs(complex(lhs) - complex(rhs))
+        rows.append((check, None, "range" if sides is None else sides))
 
-    record.driftless = not np.any(path.a != 0.0)
-    if record.driftless and "rotation_unit" in wanted:
+    driftless = not np.any(path.a != 0.0)
+    if not driftless and {"rotation_unit", "rotation_scaled"} & wanted:
+        rows.append(("remarks", None, "drift"))
+    if driftless and "rotation_unit" in wanted:
         # the bound also bounds |rhs|; past double range it bounds nothing
-        record.rotation_unit = rotation(
+        rotation(
+            "rotation_unit",
             unit_rotation_identity,
-            "rotation_unit.csv",
             lambda: 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt,
         )
-    if record.driftless and "rotation_scaled" in wanted:
+    if driftless and "rotation_scaled" in wanted:
         # e^{I_N/2} times 1 + the total of sigma |dw| bounds U and both sides
         # while sigma >= 0; with sigma < 0 it shrinks, so the sides are judged too
-        scaled = rotation(
+        rotation(
+            "rotation_scaled",
             scaled_rotation_identity,
-            "rotation_scaled.csv",
             lambda: (1.0 + np.sum(path.sigma * np.abs(path.dw)))
             * np.exp(half_variance_sum(path)[-1]),
         )
-        record.rotation_scaled = None if scaled is None else scaled[2]
 
     # the oracle's head is a copy of at most ORACLE_CEILING steps and the ladder
     # needs the noise only: a longer path goes before the direct pass and the rungs
-    head = path.head(verification.ORACLE_CEILING) if "oracle" in wanted else None
+    ceiling, head = verification.ORACLE_CEILING, None
+    if "oracle_head" in wanted or "oracle" in wanted and grid.n_steps <= ceiling:
+        head = path.head(ceiling)
+    elif "oracle" in wanted:
+        rows.append(("oracle", None, "ceiling"))
     dw = path.dw
     del path
-    if head is not None:
-        record.oracle = compare_oracle_pair(head)
+    oracle = compare_oracle_pair(head).items() if head is not None else ()
+    rows += [("oracle", which, row or "range") for which, row in oracle]
 
-    if "convergence" in wanted and grid.n_steps % 2 ** (levels - 1) == 0:
-        record.convergence = {}
+    if "convergence" in wanted:
         # the finest rung is this path, whose residuals are known; with none,
         # no ladder can report, so no coarser rung is built
-        if record.has_residual:
+        if grid.n_steps % 2 ** (levels - 1):
+            rows.append(("convergence", None, "levels"))
+        elif all(residual is None for residual in residuals.values()):
+            rows.append(("convergence", None, "residual"))
+        else:
             rung = partial(build_path, config, seed=seed)
-            record.convergence = convergence_ladder(
-                dw, config.t_max, rung, levels, finest=record.residuals
-            )
-            record.unordered = [
-                i for i, r in record.residuals.items() if r is not None and i not in record.convergence
-            ]
-    return record
+            reports = convergence_ladder(dw, config.t_max, rung, levels, finest=residuals)
+            rows += [("convergence", which, report) for which, report in reports.items()]
+            # an identity with a residual here and no report has no finite order
+            ordered = [which for which, residual in residuals.items() if residual is not None]
+            rows += [("convergence", which, "order") for which in ordered if which not in reports]
+    return rows
+
+
+def _checked(rows, order, command, say, config, levels, seed):
+    """The checked rows as (check, label, t, values) by their check's place in ``order``; each
+    skip's SKIP_WORDING for ``command`` (0 run, 1 verify) goes to ``say``, if it has one."""
+    ceiling = verification.ORACLE_CEILING
+    words = dict(seed=seed, steps=config.n_steps, levels=levels, ceiling=ceiling)
+    for check, label, outcome in sorted(rows, key=lambda row: order.index(row[0])):
+        t = SERIES.get(label)
+        if not isinstance(outcome, str):
+            yield check, label, t, outcome
+        elif text := SKIP_WORDING[check, outcome][command]:
+            say(text.format(label=label, t=t, **words))
+
+
+# run's order of the checks, and its manifest key prefix for each check's values with the names
+# of those it writes, None for one it leaves out: an oracle's tolerance, a ladder's orders
+RUN_ORDER = "transform identity oracle remarks rotation_unit rotation_scaled bound".split()
+RUN_ORDER.append("convergence")
+MANIFEST_KEYS = {
+    "identity": ("identity_{t}", ("residual",)),
+    "oracle": ("oracle.{label}", ("deviation", None)),
+    "rotation_unit": ("rotation_unit", ("rhs_abs", "bound", "residual")),
+    "rotation_scaled": ("rotation_scaled", (None, None, "residual")),
+    "bound": ("bound_{t}", ("max_violation", "violation_index", "tolerance", "passed")),
+    "convergence": ("convergence.{label}", ("grids", "residuals", None, "median_order")),
+}
+
+
+def _text(value) -> str:
+    """A manifest value: true or false, an integer, a comma-joined tuple, or a float as _fmt."""
+    if isinstance(value, tuple):
+        return ",".join(map(_text, value))
+    return str(value).lower() if isinstance(value, int) else _fmt(value)
 
 
 def run_experiment(
@@ -308,7 +371,10 @@ def run_experiment(
     out_dir: str | Path | None = None,
     convergence_levels: int = 4,
 ) -> ExperimentManifest:
-    """Simulate every seed, write the requested CSV series, and write manifest.txt."""
+    """Simulate every seed, write the requested CSV series, and write manifest.txt.
+
+    A run that raises, refused say, takes back every file it wrote, then every directory it made.
+    """
     root = Path(out_dir if out_dir is not None else config.output_dir)
     manifest = ExperimentManifest()
     manifest.add("tool", f"rangebound {__version__}")
@@ -323,75 +389,35 @@ def run_experiment(
         wanted.add("bound_t2" if config.uses_discounted_u else "bound_t1")
     if "remarks" in outputs:
         wanted |= {"rotation_unit", "rotation_scaled"}
-    if "identities" in outputs and config.n_steps <= verification.ORACLE_CEILING:
+    if "identities" in outputs:
         wanted.add("oracle")
 
     warnings: list[str] = []
-    for seed in config.seeds:
-        record = _evaluate_seed(config, seed, wanted, convergence_levels, root / f"seed{seed}")
-        for name in sorted(record.files):
-            manifest.add(f"seed.{seed}.file", f"seed{seed}/{name}")
-
-        def add(key: str, text: str) -> None:
-            manifest.add(f"seed.{seed}.{key}", text)
-
-        def warn(text: str) -> None:
-            warnings.append(f"seed {seed}: {text}")
-
-        for which in record.skipped:
-            warn(f"{which} transform skipped: its values leave double range")
-        if "identities" in outputs:
-            for label, identity in (("t1", "bounded"), ("t2", "weighted")):
-                if record.residuals[identity] is not None:
-                    add(f"identity_{label}.residual", _fmt(record.residuals[identity]))
-                elif identity not in record.skipped:
-                    warn(f"identity_{label} skipped: its values leave double range")
-            if "oracle" not in wanted:
-                warn(
-                    f"direct oracle skipped ({config.n_steps} steps exceeds ceiling "
-                    f"{verification.ORACLE_CEILING}); identities checked recursive-only"
-                )
-            for which, row in record.oracle.items():
-                if row is None:
-                    warn(f"{which} direct oracle skipped: its scale leaves double range")
-                else:
-                    add(f"oracle.{which}.deviation", _fmt(row[0]))
-
-        if "remarks" in outputs and not record.driftless:
-            warn("remarks skipped: drift is not identically zero")
-        elif "remarks" in outputs:
-            if record.rotation_unit is None:
-                warn("unit rotation skipped: its bound leaves double range")
-            else:
-                for key, value in zip(("rhs_abs", "bound", "residual"), record.rotation_unit):
-                    add(f"rotation_unit.{key}", _fmt(value))
-            if record.rotation_scaled is None:
-                warn("scaled rotation skipped: its scale leaves double range")
-            else:
-                add("rotation_scaled.residual", _fmt(record.rotation_scaled))
-
-        for label, report in record.bounds.items():
-            if report is None:
-                warn(f"bound_{label} skipped: its envelope leaves double range")
-                continue
-            add(f"bound_{label}.max_violation", _fmt(report.max_violation))
-            add(f"bound_{label}.violation_index", str(report.violation_index))
-            add(f"bound_{label}.tolerance", _fmt(report.tolerance_used))
-            add(f"bound_{label}.passed", str(report.passed).lower())
-
-        if "convergence" in outputs and record.convergence is None:
-            warn(
-                f"convergence skipped: n_steps {config.n_steps} does not support "
-                f"{convergence_levels} refinement levels"
-            )
-        elif "convergence" in outputs and not record.has_residual:
-            warn("convergence skipped: no identity residual in double range")
-        for identity in record.unordered:
-            warn(f"convergence.{identity} skipped: its residuals give no finite order")
-        for identity, report in (record.convergence or {}).items():
-            add(f"convergence.{identity}.grids", ",".join(str(g) for g in report.grid_sizes))
-            add(f"convergence.{identity}.residuals", ",".join(map(_fmt, report.residual_norms)))
-            add(f"convergence.{identity}.median_order", _fmt(report.median_order))
+    written: list[Path] = []
+    made = [root / f"seed{seed}" for seed in config.seeds] + [root, *root.parents]
+    made = [directory for directory in made if not directory.exists()]
+    try:
+        for seed in config.seeds:
+            first, out = len(written), root / f"seed{seed}"
+            rows = _evaluate_seed(config, seed, wanted, convergence_levels, out, written)
+            for name in sorted(target.name for target in written[first:]):
+                manifest.add(f"seed.{seed}.file", f"seed{seed}/{name}")
+            warn = lambda text: warnings.append(f"seed {seed}: {text}")
+            checked = _checked(rows, RUN_ORDER, 0, warn, config, convergence_levels, seed)
+            for check, label, t, outcome in checked:
+                prefix, names = MANIFEST_KEYS[check]
+                values = outcome if isinstance(outcome, tuple) else astuple(outcome)
+                for name, value in zip(names, values):
+                    if name:
+                        key = f"seed.{seed}.{prefix.format(label=label, t=t)}.{name}"
+                        manifest.add(key, _text(value))
+    except BaseException:
+        for target in written:
+            target.unlink()
+        for directory in made:
+            if directory.exists():
+                directory.rmdir()
+        raise
 
     for warning in warnings:
         manifest.add("warning", warning)
@@ -467,8 +493,9 @@ class VerificationSummary:
 
 
 VERIFY_WANTED = frozenset(
-    {"bound_t1", "bound_t2", "identities", "oracle", "rotation_unit", "convergence"}
+    {"bound_t1", "bound_t2", "identities", "oracle_head", "rotation_unit", "convergence"}
 )
+VERIFY_ORDER = "bound rotation_unit oracle identity convergence transform remarks".split()
 
 
 def verify_suite(config: ExperimentConfig, convergence_levels: int = 4) -> VerificationSummary:
@@ -480,49 +507,26 @@ def verify_suite(config: ExperimentConfig, convergence_levels: int = 4) -> Verif
     summary = VerificationSummary()
     note = summary.notes.append
 
-    def check(name: str, value: float, tolerance: float, what: str) -> None:
+    def gate(name: str, value: float, tolerance: float, what: str) -> None:
         detail = f"{what}={value:.3e} tolerance={tolerance:.3e}"
         summary.checks.append(VerificationCheck(name, value <= tolerance, detail))
 
     oracle_steps = min(config.n_steps, verification.ORACLE_CEILING)
     for seed in config.seeds:
-        record = _evaluate_seed(config, seed, VERIFY_WANTED, convergence_levels)
-        for label, r in record.bounds.items():
-            name = f"bound[{label}] seed={seed}"
-            if r is None:
-                note(f"{name}: envelope leaves double range, skipped")
+        rows = _evaluate_seed(config, seed, VERIFY_WANTED, convergence_levels)
+        checked = _checked(rows, VERIFY_ORDER, 1, note, config, convergence_levels, seed)
+        for check, label, t, v in checked:
+            if check == "bound":
+                gate(f"bound[{t}] seed={seed}", v.max_violation, v.tolerance_used, "max_violation")
+            elif check == "rotation_unit":  # |rhs|, the bound and |lhs - rhs|
+                tolerance = BOUND_TOLERANCE_UNIT * (1.0 + v[1])
+                gate(f"bound[rotation] seed={seed}", v[0] - v[1], tolerance, "|rhs|-bound")
+            elif check == "oracle":
+                gate(f"oracle[{label}] seed={seed} n={oracle_steps}", *v, "deviation")
+            elif check == "identity":
+                note(f"identity[{label}] seed={seed}: residual={v[0]:.6e}")
             else:
-                check(name, r.max_violation, r.tolerance_used, "max_violation")
-        if record.rotation_unit is not None:
-            rhs_abs, bound, _ = record.rotation_unit
-            tolerance = BOUND_TOLERANCE_UNIT * (1.0 + bound)
-            check(f"bound[rotation] seed={seed}", rhs_abs - bound, tolerance, "|rhs|-bound")
-        elif record.driftless:
-            note(f"bound[rotation] seed={seed}: bound leaves double range, skipped")
-        for which, row in record.oracle.items():
-            if row is None:
-                note(f"oracle[{which}] seed={seed}: scale leaves double range, skipped")
-            else:
-                check(f"oracle[{which}] seed={seed} n={oracle_steps}", *row, "deviation")
-
-        for identity, residual in record.residuals.items():
-            if residual is None:
-                note(f"identity[{identity}] seed={seed}: values leave double range, skipped")
-            else:
-                note(f"identity[{identity}] seed={seed}: residual={residual:.6e}")
-        if record.convergence is None:
-            note(
-                f"convergence seed={seed}: skipped, n_steps {config.n_steps} does not "
-                f"support {convergence_levels} levels"
-            )
-        elif not record.has_residual:
-            note(f"convergence seed={seed}: skipped, no identity residual in double range")
-        for identity, report in (record.convergence or {}).items():
-            residuals = ",".join(f"{r:.3e}" for r in report.residual_norms)
-            note(
-                f"convergence[{identity}] seed={seed}: "
-                f"median_order={report.median_order:.3f} residuals={residuals}"
-            )
-        for identity in record.unordered:
-            note(f"convergence[{identity}] seed={seed}: skipped, its residuals give no finite order")
+                order = f"median_order={v.median_order:.3f}"
+                residuals = ",".join(f"{r:.3e}" for r in v.residual_norms)
+                note(f"convergence[{label}] seed={seed}: {order} residuals={residuals}")
     return summary

@@ -108,13 +108,6 @@ class EnvelopeCheck(_BlockCheck):
         return BoundReport(self.worst, self.index, tolerance, self.worst <= tolerance)
 
 
-def residual_norm(lhs, rhs) -> float:
-    """Max-norm distance between two grid-aligned series."""
-    if len(lhs) != len(rhs):
-        raise ValueError(f"series lengths differ: {len(lhs)} vs {len(rhs)}")
-    return float(np.max(np.abs(np.subtract(lhs, rhs))))
-
-
 class IdentityCheck(_BlockCheck):
     """Both sides of one transform's stochastic-integral identity.
 
@@ -145,7 +138,7 @@ class IdentityCheck(_BlockCheck):
             correction = prefix_sum(sigma * sigma * Y[: j1 - k0] * path.grid.dt, self.sums[1])
             self.sums[1] = correction[-1]
             sides = lhs[:m], Y + 0.5 * correction[:m]
-        self.norm = np.maximum(self.norm, residual_norm(*sides))
+        self.norm = np.maximum(self.norm, float(np.max(np.abs(sides[0] - sides[1]))))
         return sides
 
     def residual(self) -> float | None:

@@ -47,6 +47,11 @@ def identity_sides(path, ts):
     return check.kept[0], ts.X if ts.weighted else check.kept[1], check.residual()
 
 
+def residual_norm(lhs, rhs):
+    """max |lhs - rhs| of two node-aligned series."""
+    return float(np.max(np.abs(np.subtract(lhs, rhs))))
+
+
 def whole_identity_sides(path, ts):
     """Both sides of ``ts``'s identity with whole-array cumulative sums."""
     if ts.weighted:

@@ -24,7 +24,7 @@ import rangebound as rb
 from rangebound import CoefficientSpec
 from rangebound.errors import OracleCostError
 
-from checks import bounded_recursive, riemann_cumsum, seeded_path
+from checks import bounded_recursive, residual_norm, riemann_cumsum, seeded_path
 
 const = CoefficientSpec.constant
 
@@ -211,8 +211,8 @@ def _rotation_doubling_study(identity):
         coarse = rb.simulate_path(
             const(0), const(1), const(1), coarse_grid, rb.coarsen_increments(dw, 2)
         )
-        fine_residuals.append(rb.residual_norm(*identity(fine)[1:]))
-        coarse_residuals.append(rb.residual_norm(*identity(coarse)[1:]))
+        fine_residuals.append(residual_norm(*identity(fine)[1:]))
+        coarse_residuals.append(residual_norm(*identity(coarse)[1:]))
         fine_records.append(fine)
     per_seed = int(np.sum(np.array(fine_residuals) < np.array(coarse_residuals)))
     return float(np.median(fine_residuals)), float(np.median(coarse_residuals)), per_seed, fine_records

@@ -32,30 +32,34 @@ def whole_rung_residuals(path):
     }
 
 
-def whole_array_record(config, seed):
-    """The bounds, residuals and ladder verify records, from whole series."""
+def whole_array_rows(config, seed):
+    """The transform, bound, identity and convergence rows verify evaluates, from whole series."""
     path = experiment.prepare_path(config, seed)
-    ts1, ts2 = rb.transform_pair_recursive(path)
-    record = experiment.SeedRecord()
-    record.skipped = [which for which, ts in (("bounded", ts1), ("weighted", ts2)) if ts is None]
-    if ts1 is not None:
-        record.bounds["t1"] = whole_bound(ts1, path.u, path.grid)
-    if ts2 is not None and config.uses_discounted_u:
+    psi = None  # the weighted transform's envelope needs psi
+    if config.uses_discounted_u:
         psi = config.psi_spec.sample_series(path.grid, x_left=path.x[:-1])
-        record.bounds["t2"] = whole_bound(ts2, psi, path.grid)
-    record.residuals = {
-        "bounded": None if ts1 is None else whole_residual(path, ts1),
-        "weighted": None if ts2 is None else whole_residual(path, ts2),
-    }
-    record.convergence = {}
-    if record.has_residual:
-        rung = lambda grid, dw, factor: experiment.build_path(config, grid, dw, factor, seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verification, "_rung_residuals", whole_rung_residuals)
-            record.convergence = rb.convergence_ladder(
-                path.dw, config.t_max, rung, 4, finest=record.residuals
-            )
-    return record
+    pair = rb.transform_pair_recursive(path)
+    rows, residuals = [], {}
+    for which, ts, integrand in zip(("bounded", "weighted"), pair, (path.u, psi)):
+        residuals[which] = residual = None if ts is None else whole_residual(path, ts)
+        if ts is None:
+            rows.append(("transform", which, "range"))
+        elif integrand is not None:
+            rows.append(("bound", which, whole_bound(ts, integrand, path.grid) or "range"))
+        skip = "transform" if ts is None else "range"
+        rows.append(("identity", which, skip if residual is None else (residual,)))
+    if all(residual is None for residual in residuals.values()):
+        return rows + [("convergence", None, "residual")]
+    rung = lambda grid, dw, factor: experiment.build_path(config, grid, dw, factor, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "_rung_residuals", whole_rung_residuals)
+        reports = rb.convergence_ladder(path.dw, config.t_max, rung, 4, finest=residuals)
+    rows += [("convergence", which, report) for which, report in reports.items()]
+    return rows + [
+        ("convergence", which, "order")
+        for which, residual in residuals.items()
+        if residual is not None and which not in reports
+    ]
 
 
 def bits(value):
@@ -113,14 +117,12 @@ def test_seed_record_matches_whole_array_reductions(text, block, seed):
         mp.setattr(transforms, "_RECURRENCE_BLOCK", block)
         mp.setattr(transforms, "_SEGMENT_NODES", 3)
         try:
-            want = whole_array_record(config, seed)
+            want = whole_array_rows(config, seed)
         except ConfigurationError:
             return  # a path out of double range is refused either way
-        got = experiment._evaluate_seed(config, seed, experiment.VERIFY_WANTED, 4)
-    assert got.skipped == want.skipped
-    assert bits(got.bounds) == bits(want.bounds)
-    assert bits(got.residuals) == bits(want.residuals)
-    assert bits(got.convergence) == bits(want.convergence)
+        rows = experiment._evaluate_seed(config, seed, experiment.VERIFY_WANTED, 4)
+    got = [row for row in rows if row[0] in ("transform", "bound", "identity", "convergence")]
+    assert bits(got) == bits(want)
 
 
 def test_examples_reach_their_edges():
@@ -128,12 +130,14 @@ def test_examples_reach_their_edges():
     for block in BLOCKS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transforms, "_RECURRENCE_BLOCK", block)
-            tie = experiment._evaluate_seed(parse_config(TIE), 1, {"bound_t1"}, 4)
-            wanted = experiment.VERIFY_WANTED - {"oracle"}
+            [(check, _, tie)] = experiment._evaluate_seed(parse_config(TIE), 1, {"bound_t1"}, 4)
+            wanted = experiment.VERIFY_WANTED - {"oracle_head"}
             leaves = experiment._evaluate_seed(parse_config(LEAVES_RANGE), 2, wanted, 4)
         # every node's margin is exactly 0, so the tie spans every block boundary
-        assert tie.bounds["t1"].max_violation == 0.0 and tie.bounds["t1"].violation_index == 0
-        assert leaves.skipped == ["weighted"] and leaves.residuals["weighted"] is None
+        assert check == "bound" and tie.max_violation == 0.0 and tie.violation_index == 0
+        skipped = [row for row in leaves if row[0] == "transform"]
+        assert skipped == [("transform", "weighted", "range")]
+        assert ("identity", "weighted", "transform") in leaves
     path = experiment.prepare_path(parse_config(REBASES), 3)
     assert transforms.half_variance_sum(path)[-1] > 1.2 * transforms.RESCALE_THRESHOLD
     segments = []

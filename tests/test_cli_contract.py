@@ -53,6 +53,10 @@ SCALED_ROTATION_IN_RANGE = (
 )
 # the step t_max / n_steps underflows to 0, so t would not increase
 STEP_UNDERFLOW = "t_max=5e-324\nn_steps=4\na=const:1\nsigma=const:1\nu=const:1\nseeds=1\n"
+# seed 2 writes its CSVs, then seed 3's path leaves double range
+LATER_SEED = "t_max=1\nn_steps=1\nx0=1.7e308\na=const:0\nsigma=const:1e307\nu=const:1\nseeds=2,3\n"
+# the seed writes its CSVs, then a convergence rung's variance integral leaves double range
+RUNG_VARIANCE = "t_max=8\nn_steps=8\na=const:0\nsigma=state:1e154\npsi=const:1\nseeds=1\n"
 
 NON_FINITE = re.compile(r"(?<![A-Za-z])(nan|inf)(?![A-Za-z])")
 
@@ -112,12 +116,14 @@ def coefficients():
 @st.composite
 def configs(draw):
     integrand = draw(st.sampled_from(["u", "psi"]))
+    seeds = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
     return (
         f"t_max={draw(magnitudes(-300, 300).filter(lambda t: t > 0))!r}\n"
         f"n_steps={draw(st.one_of(st.integers(1, 64), st.sampled_from([8, 16, 32, 64])))}\n"
         f"x0={draw(st.one_of(st.just(0.0), signed()))!r}\n"
         f"a={draw(coefficients())}\nsigma={draw(coefficients())}\n"
-        f"{integrand}={draw(coefficients())}\nseeds={draw(st.integers(1, 3))}\n"
+        f"{integrand}={draw(coefficients())}\n"
+        f"seeds={','.join(map(str, seeds))}\n"
     )
 
 
@@ -133,6 +139,8 @@ def configs(draw):
 @example(text=SCALED_ROTATION)
 @example(text=SCALED_ROTATION_IN_RANGE)
 @example(text=STEP_UNDERFLOW)
+@example(text=LATER_SEED)
+@example(text=RUNG_VARIANCE)
 def test_every_accepted_config_keeps_the_cli_contract(text):
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("run", "figures", "verify"):
@@ -181,6 +189,46 @@ def test_file_coefficient_needs_one_value_per_line(tmp_path, name, coefficient):
             f"configuration error: line 3: coefficient file {tmp_path / 'values.txt'} "
             f"has {reason}, expected one per line\n"
         )
+
+
+@pytest.mark.parametrize(
+    "body, n_steps, reason",
+    [
+        ("1\nnan\n", 2, "samples coefficient contains non-finite values"),
+        ("1\n2\n3\n", 2, "samples coefficient has 3 entries, grid needs 2"),
+        ("1\n", 2, "samples coefficient has 1 entries, grid needs 2"),
+    ],
+    ids=["non_finite", "too_many", "too_few"],
+)
+def test_file_coefficient_refusals_name_their_line(tmp_path, body, n_steps, reason):
+    (tmp_path / "values.txt").write_text(body)
+    text = f"t_max=1\nn_steps={n_steps}\na=const:1\nsigma=file:values.txt\nu=const:1\nseeds=1\n"
+    for command in ("run", "figures", "verify"):
+        code, _, err, _ = assert_contract(command, text, tmp_path)
+        assert code == 1
+        assert err == f"configuration error: line 4: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (LATER_SEED, "seed 3: the path leaves double range"),
+        (RUNG_VARIANCE, "seed 1: the variance integral leaves double range"),
+    ],
+    ids=["later_seed", "rung"],
+)
+def test_a_refused_run_takes_back_what_it_wrote(tmp_path, text, reason):
+    """Files it wrote go, and so do the directories it made; what was there before stays."""
+    (tmp_path / "run.cfg").write_text(text)
+    kept = tmp_path / "kept"
+    (kept / "seed2").mkdir(parents=True)
+    (kept / "notes.txt").write_text("not run's\n")
+    for out_dir in (tmp_path / "made" / "om", kept):
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()) as err:
+            code = cli.main(["run", str(tmp_path / "run.cfg"), "--out", str(out_dir)])
+        assert code == 1 and err.getvalue() == f"configuration error: {reason}\n"
+    assert not (tmp_path / "made").exists()
+    assert sorted(p.relative_to(kept).as_posix() for p in kept.rglob("*")) == ["notes.txt", "seed2"]
 
 
 def test_figures_refuses_an_integral_of_x_against_dx_out_of_double_range(tmp_path):

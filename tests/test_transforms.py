@@ -16,6 +16,7 @@ from rangebound.transforms import RESCALE_THRESHOLD
 from checks import (
     bounded_recursive,
     identity_sides,
+    residual_norm,
     riemann_cumsum,
     seeded_path,
     whole_identity_sides,
@@ -35,17 +36,21 @@ def weighted_recursive(path, rescale_threshold=RESCALE_THRESHOLD):
         return rb.transform_pair_recursive(path, bounded=False)[1]
 
 
-def rotation_record(sigma, n_steps, seed):
-    """The rotation scalars run and verify record for the driftless path
-    seeded_path(const(0), const(sigma), const(1), build_grid(5.0, n_steps), seed).
-
-    rotation_unit is (|rhs|, bound, |lhs - rhs|), rotation_scaled |lhs - rhs|.
+def rotation_rows(sigma, n_steps, seed):
+    """The rotation rows run and verify evaluate for the driftless path
+    seeded_path(const(0), const(sigma), const(1), build_grid(5.0, n_steps), seed),
+    by check: each (|rhs|, bound, |lhs - rhs|), the bound being the unit rotation's
+    or the scaled rotation's scale.
     """
     cfg = parse_config(
         f"t_max=5\nn_steps={n_steps}\na=const:0\nsigma=const:{sigma}\nu=const:1\nseeds={seed}\n"
     )
-    wanted = {"rotation_unit", "rotation_scaled"}
-    return experiment._evaluate_seed(cfg, seed, wanted, 4)
+    rows = experiment._evaluate_seed(cfg, seed, {"rotation_unit", "rotation_scaled"}, 4)
+    assert [(check, label) for check, label, _ in rows] == [
+        ("rotation_unit", None),
+        ("rotation_scaled", None),
+    ]
+    return {check: outcome for check, _, outcome in rows}
 
 
 def random_specs(rng):
@@ -305,7 +310,7 @@ class TestRotationIdentities:
         U, lhs, rhs = rb.unit_rotation_identity(path)
         assert np.all(U == 1.0)
         assert lhs[-1] == 0.0 and rhs[-1] == 0.0
-        assert rotation_record(0, 200, 1).rotation_unit[1] == 2.0
+        assert rotation_rows(0, 200, 1)["rotation_unit"][1] == 2.0
         scaled, lhs, rhs = rb.scaled_rotation_identity(path)
         assert np.all(scaled == 1.0j)
         assert lhs[-1] == 0.0 and rhs[-1] == 0.0
@@ -314,7 +319,7 @@ class TestRotationIdentities:
         grid = rb.build_grid(5.0, 4096)
         path = seeded_path(const(0), const(1), const(1), grid, seed=3)
         U, _, rhs = rb.unit_rotation_identity(path)
-        rhs_abs, bound, _ = rotation_record(1, 4096, 3).rotation_unit
+        rhs_abs, bound, _ = rotation_rows(1, 4096, 3)["rotation_unit"]
         assert rhs_abs == abs(complex(rhs[-1]))
         assert np.max(np.abs(np.abs(U) - 1.0)) < 1e-14
         assert abs(bound - 4.5) < 1e-12
@@ -340,12 +345,12 @@ class TestRotationIdentities:
         grid = rb.build_grid(5.0, 1024)
         path = seeded_path(const(0), const(1), const(1), grid, seed=5)
         _, lhs, rhs = rb.unit_rotation_identity(path)
-        record = rotation_record(1, 1024, 5)
-        rhs_abs, _, residual = record.rotation_unit
+        rows = rotation_rows(1, 1024, 5)
+        rhs_abs, _, residual = rows["rotation_unit"]
         assert rhs_abs == abs(complex(rhs[-1]))
         assert residual == abs(complex(lhs[-1]) - complex(rhs[-1]))
         _, lhs2, rhs2 = rb.scaled_rotation_identity(path)
-        assert record.rotation_scaled == abs(complex(lhs2[-1]) - complex(rhs2[-1]))
+        assert rows["rotation_scaled"][2] == abs(complex(lhs2[-1]) - complex(rhs2[-1]))
 
     def test_residual_medians_shrink_under_refinement(self):
         fine, coarse = [], []
@@ -357,8 +362,8 @@ class TestRotationIdentities:
             p_coarse = rb.simulate_path(
                 const(0), const(1), const(1), coarse_grid, rb.coarsen_increments(dw, 2)
             )
-            fine.append(rb.residual_norm(*rb.unit_rotation_identity(p_fine)[1:]))
-            coarse.append(rb.residual_norm(*rb.unit_rotation_identity(p_coarse)[1:]))
+            fine.append(residual_norm(*rb.unit_rotation_identity(p_fine)[1:]))
+            coarse.append(residual_norm(*rb.unit_rotation_identity(p_coarse)[1:]))
         assert np.median(fine) < np.median(coarse)
 
 
@@ -376,6 +381,8 @@ RETIRED = (
     "_left_sum",
     "simulate_seeded",
     "DEFAULT_ORACLE_CEILING",
+    "residual_norm",
+    "SeedRecord",
 )
 
 

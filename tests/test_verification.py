@@ -122,18 +122,6 @@ class TestEnvelopeCheck:
 
 
 class TestResidualNorm:
-    def test_identical_series(self):
-        v = np.linspace(0, 1, 50)
-        assert rb.residual_norm(v, v) == 0.0
-
-    def test_constant_offset(self):
-        v = np.linspace(0, 1, 50)
-        assert rb.residual_norm(v, v + 1e-3) == pytest.approx(1e-3)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            rb.residual_norm(np.zeros(5), np.zeros(6))
-
     def test_refinement_reduces_identity_residual(self):
         fine_grid = rb.build_grid(5.0, 20_000)
         dw = rb.sample_wiener(fine_grid, 1)
