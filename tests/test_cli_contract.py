@@ -192,17 +192,18 @@ def test_file_coefficient_needs_one_value_per_line(tmp_path, name, coefficient):
 
 
 @pytest.mark.parametrize(
-    "body, n_steps, reason",
+    "body, reason",
     [
-        ("1\nnan\n", 2, "samples coefficient contains non-finite values"),
-        ("1\n2\n3\n", 2, "samples coefficient has 3 entries, grid needs 2"),
-        ("1\n", 2, "samples coefficient has 1 entries, grid needs 2"),
+        ("1\nnan\n", "samples coefficient contains non-finite values"),
+        ("1\n2\n3\n", "samples coefficient has 3 entries, grid needs 2"),
+        ("1\n", "samples coefficient has 1 entries, grid needs 2"),
     ],
     ids=["non_finite", "too_many", "too_few"],
 )
-def test_file_coefficient_refusals_name_their_line(tmp_path, body, n_steps, reason):
+def test_file_coefficient_refusals_name_their_line(tmp_path, body, reason):
+    """A file: coefficient of 2 steps refused on its own config line, 4."""
     (tmp_path / "values.txt").write_text(body)
-    text = f"t_max=1\nn_steps={n_steps}\na=const:1\nsigma=file:values.txt\nu=const:1\nseeds=1\n"
+    text = "t_max=1\nn_steps=2\na=const:1\nsigma=file:values.txt\nu=const:1\nseeds=1\n"
     for command in ("run", "figures", "verify"):
         code, _, err, _ = assert_contract(command, text, tmp_path)
         assert code == 1
