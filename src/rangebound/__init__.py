@@ -28,10 +28,8 @@ from .experiment import (
 from .transforms import (
     TransformSeries,
     reduce_pass,
-    scaled_rotation_identity,
     transform_pair_direct,
     transform_pair_recursive,
-    unit_rotation_identity,
     variance_discounted_u,
 )
 from .verification import (
@@ -70,11 +68,9 @@ __all__ = [
     "reduce_pass",
     "run_experiment",
     "sample_wiener",
-    "scaled_rotation_identity",
     "simulate_path",
     "transform_pair_direct",
     "transform_pair_recursive",
-    "unit_rotation_identity",
     "variance_discounted_u",
     "verify_suite",
     "__version__",

@@ -6,6 +6,7 @@ same CSV bytes and the same manifest (minus the created_utc line).
 
 from __future__ import annotations
 
+import re
 from contextlib import ExitStack
 from dataclasses import astuple, dataclass, field
 from datetime import datetime, timezone
@@ -26,17 +27,14 @@ from .engine import (
 from .errors import ConfigurationError
 from .transforms import (
     TransformSeries,
-    half_variance_sum,
     in_range,
     reduce_pass,
-    scaled_rotation_identity,
-    unit_rotation_identity,
     variance_discounted_u,
 )
 from .verification import (
-    BOUND_TOLERANCE_UNIT,
     EnvelopeCheck,
     IdentityCheck,
+    RotationCheck,
     compare_oracle_pair,
     convergence_ladder,
 )
@@ -202,7 +200,8 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
     verification.ORACLE_CEILING steps; ``oracle_head`` checks its first
     ORACLE_CEILING steps. Returns a row ``(check, label, outcome)`` per outcome:
     the check's values, or the reason it was skipped, a key of SKIP_WORDING. If
-    ``out`` is given, series are written under it, and each file to ``written``.
+    ``out`` is given, series are written under it, each as its name plus
+    ``.partial``, and each file to ``written``.
     """
     if levels < 3:
         raise ConfigurationError(f"convergence needs at least 3 refinement levels, got {levels}")
@@ -212,12 +211,14 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
     keep = out is not None
 
     def send(name, header, *columns):
-        if keep:
-            pending.append((name, header, [grid.nodes, *columns]))
+        if keep:  # under a temporary name: run gives each file its own once every seed is done
+            pending.append((f"{name}.partial", header, [grid.nodes, *columns]))
 
     def flush():
         if pending:
-            written.extend(write_csv_batch(out, pending))
+            # listed before they are written, so a write cut short is taken back too
+            written.extend(out / name for name, _, _ in pending)
+            write_csv_batch(out, pending)
             pending.clear()
 
     # one recurrence pass feeds every bound and identity check, and run
@@ -265,43 +266,21 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
                 skip = "range" if check else "transform"
                 rows.append(("identity", which, skip if residual is None else (residual,)))
     flush()
-    # the checks and what they gathered go before the rotation, the oracle and the ladder
+    # the checks and what they gathered go before the rotations, the oracle and the ladder
     del gathered, envelopes, identities, consumers, group, parts, ts, bound, check
 
-    def rotation(check, identity, bound) -> None:
-        """Row ``check``: |rhs|, ``bound()`` and |lhs - rhs| at the horizon, U written."""
-
-        def horizon():  # the running sides go before U is written
-            U, lhs, rhs = identity(path)
-            return U, lhs[-1], rhs[-1], np.abs(lhs[-1] - rhs[-1]), bound()
-
-        sides = in_range(horizon)
-        if sides is not None:
-            U, lhs, rhs, _, scale = sides
-            send(f"{check}.csv", "t,re,im", U.real, U.imag)
-            flush()
-            sides = abs(complex(rhs)), float(scale), abs(complex(lhs) - complex(rhs))
-        rows.append((check, None, "range" if sides is None else sides))
-
-    driftless = not np.any(path.a != 0.0)
-    if not driftless and {"rotation_unit", "rotation_scaled"} & wanted:
+    rotations = [check for check in ("rotation_unit", "rotation_scaled") if check in wanted]
+    if rotations and np.any(path.a != 0.0):
         rows.append(("remarks", None, "drift"))
-    if driftless and "rotation_unit" in wanted:
-        # the bound also bounds |rhs|; past double range it bounds nothing
-        rotation(
-            "rotation_unit",
-            unit_rotation_identity,
-            lambda: 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt,
-        )
-    if driftless and "rotation_scaled" in wanted:
-        # e^{I_N/2} times 1 + the total of sigma |dw| bounds U and both sides
-        # while sigma >= 0; with sigma < 0 it shrinks, so the sides are judged too
-        rotation(
-            "rotation_scaled",
-            scaled_rotation_identity,
-            lambda: (1.0 + np.sum(path.sigma * np.abs(path.dw)))
-            * np.exp(half_variance_sum(path)[-1]),
-        )
+        rotations = []
+    for check in rotations:
+        rotation = RotationCheck(path, check == "rotation_scaled", keep)
+        report = rotation.report()
+        if report and keep:
+            send(f"{check}.csv", "t,re,im", rotation.kept[0].real, rotation.kept[0].imag)
+            flush()
+        rows.append((check, None, report or "range"))
+        del rotation  # the U run writes goes before the oracle and the ladder
 
     # the oracle's head is a copy of at most ORACLE_CEILING steps and the ladder
     # needs the noise only: a longer path goes before the direct pass and the rungs
@@ -352,8 +331,8 @@ RUN_ORDER.append("convergence")
 MANIFEST_KEYS = {
     "identity": ("identity_{t}", ("residual",)),
     "oracle": ("oracle.{label}", ("deviation", None)),
-    "rotation_unit": ("rotation_unit", ("rhs_abs", "bound", "residual")),
-    "rotation_scaled": ("rotation_scaled", (None, None, "residual")),
+    "rotation_unit": ("rotation_unit", ("rhs_abs", "bound", "residual", None)),
+    "rotation_scaled": ("rotation_scaled", (None, None, "residual", None)),
     "bound": ("bound_{t}", ("max_violation", "violation_index", "tolerance", "passed")),
     "convergence": ("convergence.{label}", ("grids", "residuals", None, "median_order")),
 }
@@ -373,7 +352,9 @@ def run_experiment(
 ) -> ExperimentManifest:
     """Simulate every seed, write the requested CSV series, and write manifest.txt.
 
-    A run that raises, refused say, takes back every file it wrote, then every directory it made.
+    A run that raises, refused say, takes back every file it wrote, then every directory it made;
+    the files of an earlier run into the directory stay as they were. A run that completes
+    removes the files the earlier manifest lists and it did not write.
     """
     root = Path(out_dir if out_dir is not None else config.output_dir)
     manifest = ExperimentManifest()
@@ -400,7 +381,7 @@ def run_experiment(
         for seed in config.seeds:
             first, out = len(written), root / f"seed{seed}"
             rows = _evaluate_seed(config, seed, wanted, convergence_levels, out, written)
-            for name in sorted(target.name for target in written[first:]):
+            for name in sorted(target.stem for target in written[first:]):
                 manifest.add(f"seed.{seed}.file", f"seed{seed}/{name}")
             warn = lambda text: warnings.append(f"seed {seed}: {text}")
             checked = _checked(rows, RUN_ORDER, 0, warn, config, convergence_levels, seed)
@@ -413,7 +394,7 @@ def run_experiment(
                         manifest.add(key, _text(value))
     except BaseException:
         for target in written:
-            target.unlink()
+            target.unlink(missing_ok=True)
         for directory in made:
             if directory.exists():
                 directory.rmdir()
@@ -421,6 +402,16 @@ def run_experiment(
 
     for warning in warnings:
         manifest.add("warning", warning)
+
+    # every seed is done: each file takes its name, and the files an earlier run's manifest
+    # lists that this run did not write go with it
+    for target in written:
+        target.replace(target.with_suffix(""))
+    earlier = root / "manifest.txt"
+    for line in earlier.read_text().splitlines() if earlier.exists() else ():
+        listed = re.fullmatch(r"seed\.\d+\.file = (seed\d+/\w+\.csv)", line)
+        if listed and listed[1] not in manifest.files:
+            (root / listed[1]).unlink(missing_ok=True)
 
     # root is made by the first CSV written or here, so a refusal before any write leaves none
     root.mkdir(parents=True, exist_ok=True)
@@ -518,9 +509,8 @@ def verify_suite(config: ExperimentConfig, convergence_levels: int = 4) -> Verif
         for check, label, t, v in checked:
             if check == "bound":
                 gate(f"bound[{t}] seed={seed}", v.max_violation, v.tolerance_used, "max_violation")
-            elif check == "rotation_unit":  # |rhs|, the bound and |lhs - rhs|
-                tolerance = BOUND_TOLERANCE_UNIT * (1.0 + v[1])
-                gate(f"bound[rotation] seed={seed}", v[0] - v[1], tolerance, "|rhs|-bound")
+            elif check == "rotation_unit":  # |rhs|, the bound, |lhs - rhs| and the tolerance
+                gate(f"bound[rotation] seed={seed}", v[0] - v[1], v[3], "|rhs|-bound")
             elif check == "oracle":
                 gate(f"oracle[{label}] seed={seed} n={oracle_steps}", *v, "deviation")
             elif check == "identity":

@@ -350,38 +350,3 @@ def variance_discounted_u(psi, sigma, grid: TimeGrid) -> np.ndarray | None:
     u *= psi
     return u
 
-
-def _require_driftless(path: PathRecord):
-    if np.any(path.a != 0.0):
-        raise ValueError("rotation identities require an identically zero drift")
-
-
-def unit_rotation_identity(path: PathRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Running series (U, lhs, rhs) of the unit rotation identity on a driftless path.
-
-    U_k = e^{i(x_k - x_0)}; lhs_k = i * sum_{j<k} sigma_j U_j dw_j and
-    rhs_k = U_k - 1 + 0.5 * sum_{j<k} sigma_j^2 U_j dt agree up to the
-    scheme's error, and |rhs_k| never exceeds 2 + 0.5 * sum_j sigma_j^2 dt.
-    """
-    _require_driftless(path)
-    U = np.exp(1j * (path.x - path.x[0]))
-    lhs = 1j * prefix_sum(path.sigma * U[:-1] * path.dw)
-    rhs = U - 1.0 + 0.5 * prefix_sum(path.sigma * path.sigma * U[:-1] * path.grid.dt)
-    U.setflags(write=False)
-    return U, lhs, rhs
-
-
-def scaled_rotation_identity(path: PathRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Running series (U, lhs, rhs) of the scaled rotation identity on a driftless path.
-
-    U_k = i F_k with F_k = e^{i(x_k - x_0)} e^{I_k / 2}, so |U_k| grows like
-    the half-variance exponential; lhs_k = sum_{j<k} sigma_j U_j dw_j and
-    rhs_k = F_k - 1.
-    """
-    _require_driftless(path)
-    F = np.exp(1j * (path.x - path.x[0]) + half_variance_sum(path))
-    rhs = F - 1.0
-    U = np.multiply(F, 1j, out=F)
-    lhs = prefix_sum(path.sigma * U[:-1] * path.dw)
-    U.setflags(write=False)
-    return U, lhs, rhs

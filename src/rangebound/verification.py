@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import transforms
 from .engine import PathRecord, TimeGrid, build_grid, coarsen_increments
 from .errors import OracleCostError
 from .transforms import (
@@ -44,16 +45,16 @@ class ConvergenceReport:
 
 
 class _BlockCheck:
-    """A reduction of one transform fed the blocks of reduce_pass in node order.
+    """A reduction of one series fed in blocks in node order.
 
-    ``feed(k0, k1, z)`` takes X + iY at the nodes k0 .. k1-1, k0 being where the
-    blocks fed so far end; a verdict is read once they reach node N. ``keep``
-    gathers series whole, read-only once the last block is in.
+    ``feed(k0, k1, z)`` takes X + iY from reduce_pass, or x for a rotation, at the
+    nodes k0 .. k1-1, k0 being where the blocks fed so far end; a verdict is read
+    once they reach node N. ``kept`` gathers series whole, one per dtype in ``keep``.
     """
 
-    def __init__(self, grid: TimeGrid, keep: int):
+    def __init__(self, grid: TimeGrid, keep: tuple = ()):
         self.grid, self.end = grid, 0
-        self.kept = tuple(np.empty(grid.n_steps + 1) for _ in range(keep))
+        self.kept = tuple(np.empty(grid.n_steps + 1, dtype) for dtype in keep)
 
     def feed(self, k0: int, k1: int, z: np.ndarray) -> None:
         n_nodes = self.grid.n_steps + 1
@@ -82,7 +83,7 @@ class EnvelopeCheck(_BlockCheck):
     """
 
     def __init__(self, integrand, grid: TimeGrid, keep: bool = False):
-        super().__init__(grid, 2 if keep else 0)
+        super().__init__(grid, (float, float) if keep else ())
         self.integrand = integrand
         self.total = self.worst = None  # total: the envelope at the last node fed
         self.index = 0
@@ -119,7 +120,7 @@ class IdentityCheck(_BlockCheck):
     """
 
     def __init__(self, path: PathRecord, weighted: bool, keep: bool = False):
-        super().__init__(path.grid, 2 - weighted if keep else 0)
+        super().__init__(path.grid, (float,) * (2 - weighted) if keep else ())
         self.path, self.weighted = path, weighted
         self.sums = [None, None]  # lhs and the sigma^2 Y sum at the last node fed
         self.norm = 0.0
@@ -145,6 +146,64 @@ class IdentityCheck(_BlockCheck):
         """max |lhs - rhs|; None once it leaves double range, as it does once either side does."""
         self._complete()
         return float(self.norm) if np.isfinite(self.norm) else None
+
+
+class RotationCheck(_BlockCheck):
+    """Both sides of a driftless path's unit or scaled rotation identity, and its bound.
+
+    Unit: U_k = e^{i(x_k - x_0)}, lhs_k = i sum_{j<k} sigma_j U_j dw_j and rhs_k =
+    U_k - 1 + 0.5 sum_{j<k} sigma_j^2 U_j dt. Scaled: U_k = i F_k, F_k = e^{i(x_k - x_0)
+    + I_k/2}, lhs_k = sum_{j<k} sigma_j U_j dw_j and rhs_k = F_k - 1. The sides agree up
+    to the scheme's error. report() feeds x in segments of at most _SEGMENT_NODES nodes,
+    the dw sum and the dt sum (I, if scaled) continued bit for bit. ``keep`` gathers U.
+    """
+
+    def __init__(self, path: PathRecord, scaled: bool, keep: bool = False):
+        if np.any(path.a != 0.0):
+            raise ValueError("rotation identities require an identically zero drift")
+        super().__init__(path.grid, (complex,) if keep else ())
+        self.path, self.scaled = path, scaled
+        self.sums = [None, None]  # the dw sum and the dt sum at the last node fed
+        self.ends = None  # lhs and rhs at the last node fed
+
+    def _reduce(self, k0: int, k1: int, x: np.ndarray):
+        path, m = self.path, k1 - k0
+        j1 = min(k1, path.grid.n_steps)
+        sigma = path.sigma[k0:j1]
+        if self.scaled:
+            variance = prefix_sum(sigma * sigma * path.grid.dt, self.sums[1])
+            self.sums[1] = variance[-1]
+            F = np.exp(1j * (x - path.x[0]) + variance[:m] * 0.5)
+            rhs = F - 1.0
+            U = np.multiply(F, 1j, out=F)
+        else:
+            U = np.exp(1j * (x - path.x[0]))
+            correction = prefix_sum(sigma * sigma * U[: j1 - k0] * path.grid.dt, self.sums[1])
+            self.sums[1] = correction[-1]
+            rhs = U - 1.0 + 0.5 * correction[:m]
+        lhs = prefix_sum(sigma * U[: j1 - k0] * path.dw[k0:j1], self.sums[0])
+        self.sums[0] = lhs[-1]
+        lhs = lhs[:m] if self.scaled else 1j * lhs[:m]
+        self.ends = lhs[-1], rhs[-1]
+        return U, lhs, rhs
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def report(self) -> tuple[float, float, float, float] | None:
+        """|rhs_N|, the bound, |lhs_N - rhs_N| and the bound's tolerance; None once one leaves
+        double range. The unit bound, 2 + 0.5 sum sigma^2 dt, bounds |rhs|; the scaled one,
+        e^{I_N/2} (1 + sum sigma |dw|), bounds U and both sides while sigma >= 0 only, so the
+        sides are judged too."""
+        path, n_nodes, step = self.path, self.grid.n_steps + 1, transforms._SEGMENT_NODES
+        for k0 in range(self.end, n_nodes, step):
+            self.feed(k0, min(k0 + step, n_nodes), path.x[k0 : k0 + step])
+        lhs, rhs = self.ends
+        if self.scaled:
+            bound = (1.0 + np.sum(path.sigma * np.abs(path.dw))) * np.exp(self.sums[1] * 0.5)
+        else:
+            bound = 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt
+        tolerance = BOUND_TOLERANCE_UNIT * (1.0 + bound)
+        values = in_range(lambda: (abs(rhs), bound, abs(lhs - rhs), tolerance))
+        return None if values is None else tuple(map(float, values))
 
 
 def orders_from_residuals(residual_norms) -> tuple[float, ...] | None:

@@ -9,6 +9,7 @@ reduction must match bit for bit.
 import numpy as np
 
 import rangebound as rb
+from rangebound import verification
 
 BOUND_TOLERANCE_UNIT = 1e-9
 
@@ -80,3 +81,47 @@ def whole_bound(ts, integrand, grid):
     worst = float(margin[index])
     tolerance = BOUND_TOLERANCE_UNIT * (1.0 + float(envelope[-1]))
     return rb.BoundReport(worst, index, tolerance, worst <= tolerance)
+
+
+def rotation_sides(path, scaled):
+    """(U, lhs, rhs) of RotationCheck(path, scaled): the blocks report() reduces, joined."""
+    check = verification.RotationCheck(path, scaled)
+    blocks = []
+    reduce = check._reduce
+    check._reduce = lambda *block: blocks.append(reduce(*block)) or blocks[-1]
+    check.report()
+    return tuple(np.concatenate(series) for series in zip(*blocks))
+
+
+def whole_rotation(path, scaled):
+    """(U, lhs, rhs) of a rotation identity from whole-array sums, the reference for RotationCheck."""
+    if np.any(path.a != 0.0):
+        raise ValueError("rotation identities require an identically zero drift")
+    prefix_sum = rb.transforms.prefix_sum
+    with np.errstate(over="ignore", invalid="ignore"):  # past double range: inf and nan
+        if scaled:
+            F = np.exp(1j * (path.x - path.x[0]) + rb.transforms.half_variance_sum(path))
+            rhs = F - 1.0
+            U = np.multiply(F, 1j, out=F)
+            return U, prefix_sum(path.sigma * U[:-1] * path.dw), rhs
+        U = np.exp(1j * (path.x - path.x[0]))
+        lhs = 1j * prefix_sum(path.sigma * U[:-1] * path.dw)
+        rhs = U - 1.0 + 0.5 * prefix_sum(path.sigma * path.sigma * U[:-1] * path.grid.dt)
+    return U, lhs, rhs
+
+
+def whole_rotation_report(path, scaled):
+    """RotationCheck.report() from whole_rotation: (|rhs_N|, bound, |lhs_N - rhs_N|, tolerance),
+    or None once U_N, a side, their gap or the bound leaves double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, lhs, rhs = whole_rotation(path, scaled)
+        if scaled:
+            half = rb.transforms.half_variance_sum(path)[-1]
+            bound = (1.0 + np.sum(path.sigma * np.abs(path.dw))) * np.exp(half)
+        else:
+            bound = 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt
+        gap = np.abs(lhs[-1] - rhs[-1])
+    if not np.isfinite([U[-1], lhs[-1], rhs[-1], gap, bound]).all():
+        return None
+    lhs, rhs = complex(lhs[-1]), complex(rhs[-1])
+    return abs(rhs), float(bound), abs(lhs - rhs), BOUND_TOLERANCE_UNIT * (1.0 + float(bound))

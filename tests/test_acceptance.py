@@ -24,7 +24,7 @@ import rangebound as rb
 from rangebound import CoefficientSpec
 from rangebound.errors import OracleCostError
 
-from checks import bounded_recursive, residual_norm, riemann_cumsum, seeded_path
+from checks import bounded_recursive, residual_norm, riemann_cumsum, rotation_sides, seeded_path
 
 const = CoefficientSpec.constant
 
@@ -219,10 +219,12 @@ def _rotation_doubling_study(identity):
 
 
 def test_criterion_07_unit_rotation():
-    med_fine, med_coarse, per_seed, records = _rotation_doubling_study(rb.unit_rotation_identity)
+    med_fine, med_coarse, per_seed, records = _rotation_doubling_study(
+        functools.partial(rotation_sides, scaled=False)
+    )
     worst_margin = -math.inf
     for path in records:
-        _, _, rhs = rb.unit_rotation_identity(path)
+        _, _, rhs = rotation_sides(path, scaled=False)
         bound = 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt
         worst_margin = max(worst_margin, abs(complex(rhs[-1])) - bound)
     bound_ok = worst_margin <= 1e-9
@@ -239,10 +241,12 @@ def test_criterion_07_unit_rotation():
 
 
 def test_criterion_08_scaled_rotation():
-    med_fine, med_coarse, per_seed, records = _rotation_doubling_study(rb.scaled_rotation_identity)
+    med_fine, med_coarse, per_seed, records = _rotation_doubling_study(
+        functools.partial(rotation_sides, scaled=True)
+    )
     worst_rel = 0.0
     for path in records:
-        U, _, _ = rb.scaled_rotation_identity(path)
+        U, _, _ = rotation_sides(path, scaled=True)
         worst_rel = max(worst_rel, abs(abs(U[-1]) - math.exp(2.5)) / math.exp(2.5))
     modulus_ok = worst_rel <= 1e-6
     ok = modulus_ok and med_fine < med_coarse

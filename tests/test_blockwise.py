@@ -18,7 +18,7 @@ from rangebound import experiment, transforms, verification
 from rangebound.config import parse_config
 from rangebound.errors import ConfigurationError
 
-from checks import whole_bound, whole_residual
+from checks import rotation_sides, whole_bound, whole_residual, whole_rotation, whole_rotation_report
 
 BLOCKS = (1, 2, 5, 64)
 
@@ -201,3 +201,51 @@ def test_verify_memory_grows_with_the_path_only():
     small, small_path = verify_peak(200_000)
     large, large_path = verify_peak(400_000)
     assert large - small <= 1.25 * (large_path - small_path)
+
+
+ROTATION = "t_max = 5\nn_steps = {}\na = const:0\nsigma = {}\nu = const:1\nseeds = 1\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(sigma="const:0.0", n_steps=1, segment=3, scaled=False, seed=1)
+@example(sigma="const:0.0", n_steps=5, segment=5, scaled=True, seed=1)
+@example(sigma="state:-1.5", n_steps=70, segment=3, scaled=True, seed=2)
+@example(sigma="sin:-2.0,1.0,3.0", n_steps=64, segment=5, scaled=False, seed=3)
+@example(sigma="const:40.0", n_steps=70, segment=5, scaled=True, seed=4)
+@given(
+    sigma=coefficient(40.0),
+    n_steps=st.integers(1, 70),
+    segment=st.sampled_from([3, 5]),
+    scaled=st.booleans(),
+    seed=st.integers(1, 1000),
+)
+def test_rotation_check_matches_whole_array_rotations(sigma, n_steps, segment, scaled, seed):
+    """U, both sides and the report of RotationCheck are the whole arrays' bit for bit, wherever
+    the segments end; a report out of double range is None for both."""
+    path = experiment.prepare_path(parse_config(ROTATION.format(n_steps, sigma)), seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "_SEGMENT_NODES", segment)
+        series = rotation_sides(path, scaled)
+        check = verification.RotationCheck(path, scaled, keep=True)
+        report = check.report()
+    want = whole_rotation(path, scaled)
+    assert [part.tobytes() for part in series] == [part.tobytes() for part in want]
+    assert check.kept[0].tobytes() == want[0].tobytes()
+    assert report == whole_rotation_report(path, scaled)
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unit", "scaled"])
+def test_rotation_check_holds_no_whole_series(scaled):
+    """A report's peak is the bound's one whole-array sum, 8 bytes per node.
+
+    The whole-array rotations took 80 (unit) and 64 (scaled) bytes per node.
+    """
+    n_nodes = 2**18
+    path = experiment.prepare_path(parse_config(ROTATION.format(n_nodes - 1, "const:1.5")), 1)
+    tracemalloc.start()
+    try:
+        assert verification.RotationCheck(path, scaled).report() is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n_nodes

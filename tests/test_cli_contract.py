@@ -232,6 +232,25 @@ def test_a_refused_run_takes_back_what_it_wrote(tmp_path, text, reason):
     assert sorted(p.relative_to(kept).as_posix() for p in kept.rglob("*")) == ["notes.txt", "seed2"]
 
 
+def test_a_refused_run_leaves_an_earlier_runs_outputs_as_they_were(tmp_path):
+    """Seed 2 of the earlier run is written again before seed 3 is refused: every file the
+    earlier manifest lists keeps its bytes, and no other file is left."""
+    out_dir = tmp_path / "d"
+
+    def run(text):
+        """The exit code, and every file under out_dir with its bytes."""
+        (tmp_path / "run.cfg").write_text(text)
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = cli.main(["run", str(tmp_path / "run.cfg"), "--out", str(out_dir)])
+        return code, {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in out_dir.rglob("*.*")}
+
+    code, earlier = run(LATER_SEED.replace("seeds=2,3", "seeds=2"))
+    listed = re.findall(r"^seed\.2\.file = (.*)$", earlier["manifest.txt"].decode(), re.MULTILINE)
+    assert code == 0 and listed == ["seed2/bound_t1.csv", "seed2/t1.csv", "seed2/x.csv"]
+    code, files = run(LATER_SEED)
+    assert code == 1 and files == earlier
+
+
 def test_figures_refuses_an_integral_of_x_against_dx_out_of_double_range(tmp_path):
     code, _, err, out_dir = assert_contract("figures", FIG6, tmp_path)
     assert code == 1

@@ -203,7 +203,8 @@ def test_end_to_end_outputs_match_per_cell_writer(tmp_path, monkeypatch):
     written = []
 
     def per_file_writer(directory, files):
-        written.extend(directory / name for name, _, _ in files)
+        # run writes each file under its name plus .partial, then renames it
+        written.extend(directory / name.removesuffix(".partial") for name, _, _ in files)
         return reference_write_batch(directory, files)
 
     monkeypatch.setattr(experiment, "write_csv_batch", per_file_writer)

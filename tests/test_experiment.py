@@ -130,6 +130,18 @@ class TestRunExperiment:
         assert manifest.files == ["seed1/x.csv", "seed2/x.csv"]
 
 
+    def test_a_run_removes_the_csvs_an_earlier_manifest_lists_and_it_did_not_write(self, tmp_path):
+        text = "t_max=1\nn_steps=8\na=const:1\nsigma=const:1\nu=const:1\nseeds=1\n"
+        earlier = run_experiment(parse_config(text), out_dir=tmp_path)
+        assert len(earlier.files) == 6
+        emit_figures(parse_config(text), out_dir=tmp_path)
+        (tmp_path / "seed1" / "notes.csv").write_text("not run's\n")
+        manifest = run_experiment(parse_config(text + "outputs=path\n"), out_dir=tmp_path)
+        assert manifest.files == ["seed1/x.csv"]
+        left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.*"))
+        assert left == sorted([*FIGURE_NAMES, "manifest.txt", "seed1/notes.csv", "seed1/x.csv"])
+
+
 class TestFloatFormat:
     def test_seventeen_digit_round_trip(self, tmp_path):
         cfg = parse_config(SMALL + "outputs=path\n")

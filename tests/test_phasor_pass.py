@@ -27,7 +27,7 @@ from rangebound.transforms import (
     transform_pair_recursive,
 )
 
-from checks import bounded_recursive, seeded_path
+from checks import bounded_recursive, rotation_sides, seeded_path
 
 const = rb.CoefficientSpec.constant
 B = transforms._RECURRENCE_BLOCK
@@ -523,7 +523,7 @@ def test_run_skips_the_scaled_rotation_beyond_double_range(tmp_path):
     assert not (tmp_path / "seed3" / "rotation_scaled.csv").exists()
     assert manifest.get("seed.3.rotation_scaled.residual") is None
     assert manifest.warnings == ["seed 3: scaled rotation skipped: its scale leaves double range"]
-    _, lhs, rhs = rb.unit_rotation_identity(prepare_path(cfg, 3))
+    _, lhs, rhs = rotation_sides(prepare_path(cfg, 3), scaled=False)
     lhs, rhs = complex(lhs[-1]), complex(rhs[-1])
     assert manifest.get("seed.3.rotation_unit.rhs_abs") == format(abs(rhs), ".17g")
     assert manifest.get("seed.3.rotation_unit.residual") == format(abs(lhs - rhs), ".17g")
@@ -536,7 +536,7 @@ def test_run_skips_the_scaled_rotation_beyond_double_range(tmp_path):
 def test_rotation_series_are_bit_exact():
     path = seeded_path(const(0), const(1.3), const(1), rb.build_grid(5.0, 1000), 4)
     phase = 1j * (path.x - path.x[0])
-    unit, _, _ = rb.unit_rotation_identity(path)
+    unit, _, _ = rotation_sides(path, scaled=False)
     assert unit.tobytes() == np.exp(phase).tobytes()
-    scaled, _, _ = rb.scaled_rotation_identity(path)
+    scaled, _, _ = rotation_sides(path, scaled=True)
     assert scaled.tobytes() == (1j * np.exp(phase + half_variance_sum(path))).tobytes()

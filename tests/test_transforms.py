@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rangebound as rb
-from rangebound import CoefficientSpec, experiment, transforms
+from rangebound import CoefficientSpec, experiment, transforms, verification
 from rangebound.config import parse_config
 from rangebound.transforms import RESCALE_THRESHOLD
 
@@ -18,6 +18,7 @@ from checks import (
     identity_sides,
     residual_norm,
     riemann_cumsum,
+    rotation_sides,
     seeded_path,
     whole_identity_sides,
 )
@@ -39,8 +40,8 @@ def weighted_recursive(path, rescale_threshold=RESCALE_THRESHOLD):
 def rotation_rows(sigma, n_steps, seed):
     """The rotation rows run and verify evaluate for the driftless path
     seeded_path(const(0), const(sigma), const(1), build_grid(5.0, n_steps), seed),
-    by check: each (|rhs|, bound, |lhs - rhs|), the bound being the unit rotation's
-    or the scaled rotation's scale.
+    by check: each (|rhs|, bound, |lhs - rhs|, tolerance), the bound being the unit
+    rotation's or the scaled rotation's scale.
     """
     cfg = parse_config(
         f"t_max=5\nn_steps={n_steps}\na=const:0\nsigma=const:{sigma}\nu=const:1\nseeds={seed}\n"
@@ -307,19 +308,19 @@ class TestRotationIdentities:
     def test_no_noise_degenerate(self):
         grid = rb.build_grid(5.0, 200)
         path = seeded_path(const(0), const(0), const(1), grid, seed=1)
-        U, lhs, rhs = rb.unit_rotation_identity(path)
+        U, lhs, rhs = rotation_sides(path, scaled=False)
         assert np.all(U == 1.0)
         assert lhs[-1] == 0.0 and rhs[-1] == 0.0
         assert rotation_rows(0, 200, 1)["rotation_unit"][1] == 2.0
-        scaled, lhs, rhs = rb.scaled_rotation_identity(path)
+        scaled, lhs, rhs = rotation_sides(path, scaled=True)
         assert np.all(scaled == 1.0j)
         assert lhs[-1] == 0.0 and rhs[-1] == 0.0
 
     def test_unit_modulus_and_bound_value(self):
         grid = rb.build_grid(5.0, 4096)
         path = seeded_path(const(0), const(1), const(1), grid, seed=3)
-        U, _, rhs = rb.unit_rotation_identity(path)
-        rhs_abs, bound, _ = rotation_rows(1, 4096, 3)["rotation_unit"]
+        U, _, rhs = rotation_sides(path, scaled=False)
+        rhs_abs, bound, _, _ = rotation_rows(1, 4096, 3)["rotation_unit"]
         assert rhs_abs == abs(complex(rhs[-1]))
         assert np.max(np.abs(np.abs(U) - 1.0)) < 1e-14
         assert abs(bound - 4.5) < 1e-12
@@ -328,7 +329,7 @@ class TestRotationIdentities:
     def test_scaled_modulus_matches_exponential(self):
         grid = rb.build_grid(5.0, 4096)
         path = seeded_path(const(0), const(1), const(1), grid, seed=3)
-        U, _, _ = rb.scaled_rotation_identity(path)
+        U, _, _ = rotation_sides(path, scaled=True)
         assert abs(abs(U[-1]) - math.exp(2.5)) < 1e-10 * math.exp(2.5)
         half_i = 0.5 * riemann_cumsum(path.sigma**2, grid)
         assert np.max(np.abs(np.abs(U) - np.exp(half_i))) < 1e-12 * math.exp(2.5)
@@ -337,19 +338,19 @@ class TestRotationIdentities:
         grid = rb.build_grid(1.0, 50)
         path = seeded_path(const(1), const(1), const(1), grid, seed=1)
         with pytest.raises(ValueError):
-            rb.unit_rotation_identity(path)
+            verification.RotationCheck(path, scaled=False)
         with pytest.raises(ValueError):
-            rb.scaled_rotation_identity(path)
+            verification.RotationCheck(path, scaled=True)
 
     def test_running_sides_end_matches_scalar_forms(self):
         grid = rb.build_grid(5.0, 1024)
         path = seeded_path(const(0), const(1), const(1), grid, seed=5)
-        _, lhs, rhs = rb.unit_rotation_identity(path)
+        _, lhs, rhs = rotation_sides(path, scaled=False)
         rows = rotation_rows(1, 1024, 5)
-        rhs_abs, _, residual = rows["rotation_unit"]
+        rhs_abs, _, residual, _ = rows["rotation_unit"]
         assert rhs_abs == abs(complex(rhs[-1]))
         assert residual == abs(complex(lhs[-1]) - complex(rhs[-1]))
-        _, lhs2, rhs2 = rb.scaled_rotation_identity(path)
+        _, lhs2, rhs2 = rotation_sides(path, scaled=True)
         assert rows["rotation_scaled"][2] == abs(complex(lhs2[-1]) - complex(rhs2[-1]))
 
     def test_residual_medians_shrink_under_refinement(self):
@@ -362,8 +363,8 @@ class TestRotationIdentities:
             p_coarse = rb.simulate_path(
                 const(0), const(1), const(1), coarse_grid, rb.coarsen_increments(dw, 2)
             )
-            fine.append(residual_norm(*rb.unit_rotation_identity(p_fine)[1:]))
-            coarse.append(residual_norm(*rb.unit_rotation_identity(p_coarse)[1:]))
+            fine.append(residual_norm(*rotation_sides(p_fine, scaled=False)[1:]))
+            coarse.append(residual_norm(*rotation_sides(p_coarse, scaled=False)[1:]))
         assert np.median(fine) < np.median(coarse)
 
 
@@ -383,6 +384,8 @@ RETIRED = (
     "DEFAULT_ORACLE_CEILING",
     "residual_norm",
     "SeedRecord",
+    "unit_rotation_identity",
+    "scaled_rotation_identity",
 )
 
 
@@ -408,10 +411,8 @@ def test_public_series_are_read_only():
     """Series are shared between outputs (identity_t2's rhs is t2's X), so none may be written."""
     grid = rb.build_grid(5.0, 64)
     path = seeded_path(const(0), const(1), const(1), grid, seed=3)
-    arrays = {
-        "unit_rotation_identity U": rb.unit_rotation_identity(path)[0],
-        "scaled_rotation_identity U": rb.scaled_rotation_identity(path)[0],
-    }
+    rotations = [verification.RotationCheck(path, scaled, keep=True) for scaled in (False, True)]
+    arrays = {f"RotationCheck scaled={check.scaled} U": check.kept[0] for check in rotations}
     for pair in (rb.transform_pair_recursive, rb.transform_pair_direct):
         for ts in pair(path):
             arrays[f"{pair.__name__} weighted={ts.weighted} X"] = ts.X
@@ -420,6 +421,8 @@ def test_public_series_are_read_only():
     envelope = rb.EnvelopeCheck(lambda k0, k1: path.u[k0:k1], grid, keep=True)
     bounded, weighted = (rb.IdentityCheck(path, flag, keep=True) for flag in (False, True))
     rb.reduce_pass(path, ([envelope, bounded], [weighted]))
+    for check in rotations:
+        check.report()
     for name, check in (("envelope", envelope), ("bounded", bounded), ("weighted", weighted)):
         for i, arr in enumerate(check.kept):
             arrays[f"{name} check kept[{i}]"] = arr
