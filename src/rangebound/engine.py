@@ -138,15 +138,15 @@ class CoefficientSpec:
 class PathRecord:
     """One simulated path plus everything needed to reproduce or transform it.
 
-    x has N+1 entries; dw, a, sigma, u have N entries sampled at left nodes.
-    The stored arrays are self-consistent: x[k+1] == x[k] + (a[k]*dt + sigma[k]*dw[k])
-    with exactly that association of operations.
+    x has N+1 entries; dw, sigma, u have N entries sampled at left nodes, and
+    x[k+1] == x[k] + (a[k]*dt + sigma[k]*dw[k]) bit for bit, a the drift at those
+    nodes. The drift is not kept: ``driftless`` says whether every a[k] is zero.
     """
 
     grid: TimeGrid
     x: np.ndarray
     dw: np.ndarray
-    a: np.ndarray
+    driftless: bool
     sigma: np.ndarray
     u: np.ndarray
     seed: int | None = None
@@ -155,21 +155,21 @@ class PathRecord:
         u = np.asarray(u, dtype=np.float64)
         if len(u) != self.grid.n_steps:
             raise ValueError(f"u must have {self.grid.n_steps} entries, got {len(u)}")
-        return PathRecord(self.grid, self.x, self.dw, self.a, self.sigma, u, self.seed)
+        return PathRecord(self.grid, self.x, self.dw, self.driftless, self.sigma, u, self.seed)
 
     def head(self, steps: int) -> "PathRecord":
         """The path's first ``steps`` steps, or the path itself when it has no more.
 
         Every sum built on the path is non-anticipating, so on the head it takes
-        the path's own values at nodes 0 .. steps. The grid keeps the path's dt,
-        and the arrays are copies: the head does not keep the whole path alive.
+        the path's own values at nodes 0 .. steps. The grid keeps dt, the arrays are
+        copies, and a drifting path's head is not driftless, even with no drift of its own.
         """
         if self.grid.n_steps <= steps:
             return self
         nodes, x = (arr[: steps + 1].copy() for arr in (self.grid.nodes, self.x))
-        dw, a, sigma, u = (arr[:steps].copy() for arr in (self.dw, self.a, self.sigma, self.u))
+        dw, sigma, u = (arr[:steps].copy() for arr in (self.dw, self.sigma, self.u))
         grid = TimeGrid(float(nodes[-1]), steps, self.grid.dt, nodes)
-        return PathRecord(grid, x, dw, a, sigma, u, self.seed)
+        return PathRecord(grid, x, dw, self.driftless, sigma, u, self.seed)
 
 
 def sample_wiener(grid: TimeGrid, seed: int) -> np.ndarray:
@@ -212,11 +212,13 @@ def simulate_path(
         x = _state_dependent_x(a_spec, sigma_spec, grid, dw, x0)
         a = a_spec.sample_series(grid, x_left=x[:-1])
         sigma = sigma_spec.sample_series(grid, x_left=x[:-1])
+    driftless = not np.any(a != 0.0)
+    del a  # decided on its values: the drift goes before u is sampled, and no stage holds it
 
     u = np.ascontiguousarray(u_spec.sample_series(grid, x_left=x[:-1]), dtype=np.float64)
-    for arr in (x, a, sigma, u):
+    for arr in (x, sigma, u):
         arr.setflags(write=False)
-    return PathRecord(grid=grid, x=x, dw=dw, a=a, sigma=sigma, u=u, seed=seed)
+    return PathRecord(grid=grid, x=x, dw=dw, driftless=driftless, sigma=sigma, u=u, seed=seed)
 
 
 def _state_dependent_x(

@@ -7,7 +7,7 @@ same CSV bytes and the same manifest (minus the created_utc line).
 from __future__ import annotations
 
 import re
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass, field
 from datetime import datetime, timezone
 from functools import partial
@@ -111,6 +111,35 @@ def write_csv_batch(directory: Path, files) -> list[Path]:
     return targets
 
 
+@contextmanager
+def _staged(directories):
+    """Yield the list _write_staged fills with the files written inside, named plus ``.partial``.
+
+    Once the block completes, each file takes its name. If it raises, every file listed is
+    removed, then each of ``directories`` that did not exist before, in the order given.
+    """
+    written, made = [], [directory for directory in directories if not directory.exists()]
+    try:
+        yield written
+    except BaseException:
+        for target in written:
+            target.unlink(missing_ok=True)
+        for directory in made:
+            if directory.exists():
+                directory.rmdir()
+        raise
+    for target in written:
+        target.replace(target.with_suffix(""))
+
+
+def _write_staged(directory: Path, files, written: list[Path]) -> None:
+    """write_csv_batch ``files`` under their names plus ``.partial``, listed in ``written``
+    before they are written, so that a write cut short is taken back too."""
+    files = [(f"{name}.partial", header, columns) for name, header, columns in files]
+    written.extend(directory / name for name, _, _ in files)
+    write_csv_batch(directory, files)
+
+
 def build_path(
     config: ExperimentConfig,
     grid: TimeGrid,
@@ -201,7 +230,7 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
     ORACLE_CEILING steps. Returns a row ``(check, label, outcome)`` per outcome:
     the check's values, or the reason it was skipped, a key of SKIP_WORDING. If
     ``out`` is given, series are written under it, each as its name plus
-    ``.partial``, and each file to ``written``.
+    ``.partial``, and each file to ``written``, a list of _staged.
     """
     if levels < 3:
         raise ConfigurationError(f"convergence needs at least 3 refinement levels, got {levels}")
@@ -211,14 +240,12 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
     keep = out is not None
 
     def send(name, header, *columns):
-        if keep:  # under a temporary name: run gives each file its own once every seed is done
-            pending.append((f"{name}.partial", header, [grid.nodes, *columns]))
+        if keep:
+            pending.append((name, header, [grid.nodes, *columns]))
 
     def flush():
         if pending:
-            # listed before they are written, so a write cut short is taken back too
-            written.extend(out / name for name, _, _ in pending)
-            write_csv_batch(out, pending)
+            _write_staged(out, pending, written)
             pending.clear()
 
     # one recurrence pass feeds every bound and identity check, and run
@@ -270,7 +297,7 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
     del gathered, envelopes, identities, consumers, group, parts, ts, bound, check
 
     rotations = [check for check in ("rotation_unit", "rotation_scaled") if check in wanted]
-    if rotations and np.any(path.a != 0.0):
+    if rotations and not path.driftless:
         rows.append(("remarks", None, "drift"))
         rotations = []
     for check in rotations:
@@ -296,8 +323,9 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
 
     if "convergence" in wanted:
         # the finest rung is this path, whose residuals are known; with none,
-        # no ladder can report, so no coarser rung is built
-        if grid.n_steps % 2 ** (levels - 1):
+        # no ladder can report, so no coarser rung is built. 2**(levels-1) divides n_steps iff
+        # levels is at most the place of its lowest set bit: no power is formed, however large
+        if (grid.n_steps & -grid.n_steps).bit_length() < levels:
             rows.append(("convergence", None, "levels"))
         elif all(residual is None for residual in residuals.values()):
             rows.append(("convergence", None, "residual"))
@@ -374,10 +402,8 @@ def run_experiment(
         wanted.add("oracle")
 
     warnings: list[str] = []
-    written: list[Path] = []
-    made = [root / f"seed{seed}" for seed in config.seeds] + [root, *root.parents]
-    made = [directory for directory in made if not directory.exists()]
-    try:
+    seed_dirs = [root / f"seed{seed}" for seed in config.seeds]
+    with _staged([*seed_dirs, root, *root.parents]) as written:  # named once every seed is done
         for seed in config.seeds:
             first, out = len(written), root / f"seed{seed}"
             rows = _evaluate_seed(config, seed, wanted, convergence_levels, out, written)
@@ -392,26 +418,20 @@ def run_experiment(
                     if name:
                         key = f"seed.{seed}.{prefix.format(label=label, t=t)}.{name}"
                         manifest.add(key, _text(value))
-    except BaseException:
-        for target in written:
-            target.unlink(missing_ok=True)
-        for directory in made:
-            if directory.exists():
-                directory.rmdir()
-        raise
 
     for warning in warnings:
         manifest.add("warning", warning)
 
-    # every seed is done: each file takes its name, and the files an earlier run's manifest
-    # lists that this run did not write go with it
-    for target in written:
-        target.replace(target.with_suffix(""))
+    # the files an earlier run's manifest lists that this run did not write go, and so does
+    # each seed directory they leave empty
     earlier = root / "manifest.txt"
     for line in earlier.read_text().splitlines() if earlier.exists() else ():
         listed = re.fullmatch(r"seed\.\d+\.file = (seed\d+/\w+\.csv)", line)
         if listed and listed[1] not in manifest.files:
-            (root / listed[1]).unlink(missing_ok=True)
+            stale = root / listed[1]
+            stale.unlink(missing_ok=True)
+            if stale.parent.is_dir() and not any(stale.parent.iterdir()):
+                stale.parent.rmdir()
 
     # root is made by the first CSV written or here, so a refusal before any write leaves none
     root.mkdir(parents=True, exist_ok=True)
@@ -434,7 +454,8 @@ def emit_figures(config: ExperimentConfig, out_dir: str | Path | None = None) ->
     """Emit the six reference series for the first configured seed.
 
     fig1 x(t); fig2/fig3 the transform components; fig4 the (X, Y) locus;
-    fig5 the modulus; fig6 the running integral of X against dx.
+    fig5 the modulus; fig6 the running integral of X against dx. The files take their names
+    once all six are written: a write that fails leaves an earlier run's figures as they were.
     """
     root = Path(out_dir if out_dir is not None else config.output_dir)
     path = prepare_path(config, config.seeds[0])
@@ -456,7 +477,9 @@ def emit_figures(config: ExperimentConfig, out_dir: str | Path | None = None) ->
         (FIGURE_NAMES[4], "t,value", [t, ts.modulus()]),
         (FIGURE_NAMES[5], "t,value", [t, running]),
     ]
-    return write_csv_batch(root, files)
+    with _staged([root, *root.parents]) as written:
+        _write_staged(root, files, written)
+    return [root / name for name in FIGURE_NAMES]
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ class RotationCheck(_BlockCheck):
     """
 
     def __init__(self, path: PathRecord, scaled: bool, keep: bool = False):
-        if np.any(path.a != 0.0):
+        if not path.driftless:
             raise ValueError("rotation identities require an identically zero drift")
         super().__init__(path.grid, (complex,) if keep else ())
         self.path, self.scaled = path, scaled
@@ -248,8 +248,9 @@ def convergence_ladder(
     fine = np.asarray(fine_increments, dtype=np.float64)
     if refinement_levels < 3:
         raise ValueError(f"refinement_levels must be >= 3, got {refinement_levels}")
-    span = 2 ** (refinement_levels - 1)
-    if len(fine) % span != 0:
+    # 2**(levels-1) divides the count iff levels is at most the place of its lowest set bit
+    if (len(fine) & -len(fine)).bit_length() < refinement_levels:
+        span = f"2**{refinement_levels - 1}"
         raise ValueError(f"finest increment count {len(fine)} is not divisible by {span}")
     sizes = tuple(len(fine) >> level for level in reversed(range(refinement_levels)))
     rungs = []  # identity -> residual, coarse to fine

@@ -95,7 +95,7 @@ def rotation_sides(path, scaled):
 
 def whole_rotation(path, scaled):
     """(U, lhs, rhs) of a rotation identity from whole-array sums, the reference for RotationCheck."""
-    if np.any(path.a != 0.0):
+    if not path.driftless:
         raise ValueError("rotation identities require an identically zero drift")
     prefix_sum = rb.transforms.prefix_sum
     with np.errstate(over="ignore", invalid="ignore"):  # past double range: inf and nan

@@ -159,7 +159,8 @@ def test_recurrences_on_the_head_are_the_paths_first_nodes(text, steps):
     path = experiment.prepare_path(parse_config(text), 3)
     head = path.head(steps)
     assert path.head(64) is path and head.grid.dt == path.grid.dt
-    for name in ("x", "dw", "a", "sigma", "u"):
+    assert head.driftless == path.driftless
+    for name in ("x", "dw", "sigma", "u"):
         assert not np.shares_memory(getattr(head, name), getattr(path, name))
     with pytest.MonkeyPatch.context() as mp:
         # blocks of 5 and segments of 3 nodes put boundaries inside every head
@@ -176,7 +177,7 @@ def verify_peak(n_steps):
     """Peak traced bytes of verify_suite and the bytes of the path it simulates."""
     config = parse_config(PSI.format(n_steps))
     path = experiment.prepare_path(config, 1)
-    path_bytes = sum(a.nbytes for a in (path.grid.nodes, path.x, path.dw, path.a, path.sigma, path.u))
+    path_bytes = sum(a.nbytes for a in (path.grid.nodes, path.x, path.dw, path.sigma, path.u))
     del path
     tracemalloc.start()
     try:
@@ -192,15 +193,18 @@ def verify_peak(n_steps):
 def test_verify_memory_grows_with_the_path_only():
     """Doubling the path grows verify's peak by the path's arrays and one more series.
 
-    The peak is the path (six series) plus one series: a temporary of the
-    simulation, or the half variance sum beside the recurrence. The scratch of
-    a block is the same at both sizes, so the difference leaves it out. A
-    whole transform, side or envelope held again would add at least one more
-    series to the difference: 8/6 of the path's growth against the 7/6 here.
+    The peak is the path (five series: nodes, x, dw, sigma, u) plus one series:
+    a temporary of the simulation, or the half variance sum beside the
+    recurrence. The scratch of a block is the same at both sizes, so the
+    difference leaves it out. A whole series held again, be it a transform, a
+    side, an envelope or the drift, would add at least one more series to the
+    difference: 7/5 of the path's growth against the 6/5 here.
     """
     small, small_path = verify_peak(200_000)
     large, large_path = verify_peak(400_000)
     assert large - small <= 1.25 * (large_path - small_path)
+    # the growth in whole node-series of the 200_000 steps doubled
+    assert (large - small) / (8 * 200_000) <= 6.5
 
 
 ROTATION = "t_max = 5\nn_steps = {}\na = const:0\nsigma = {}\nu = const:1\nseeds = 1\n"

@@ -211,11 +211,12 @@ def test_file_coefficients_are_decimated_on_coarse_grids(tmp_path, monkeypatch, 
         f"t_max=5\nn_steps={n_steps}\n{coefficients}seeds=1\noutput_dir={tmp_path / 'out'}\n"
     )
 
-    paths = []
+    paths, drifts = [], []
     original = experiment.simulate_path
 
     def recording(*args, **kwargs):
         paths.append(original(*args, **kwargs))
+        drifts.append(args[0])
         return paths[-1]
 
     monkeypatch.setattr(experiment, "simulate_path", recording)
@@ -228,7 +229,8 @@ def test_file_coefficients_are_decimated_on_coarse_grids(tmp_path, monkeypatch, 
     if n_steps > 4000:
         # the ladder's rungs carry the seed; the oracle's head is no new path
         assert any(p.grid.n_steps == n_steps // 2 and p.seed == 1 for p in paths)
-    for path in paths:
+    for path, a_spec in zip(paths, drifts):
         factor = n_steps // path.grid.n_steps
         for coefficient in sampled:
-            assert np.array_equal(getattr(path, coefficient), samples[coefficient][::factor])
+            got = a_spec.samples if coefficient == "a" else getattr(path, coefficient)
+            assert np.array_equal(got, samples[coefficient][::factor])

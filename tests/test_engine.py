@@ -1,13 +1,15 @@
 import math
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rangebound as rb
-from rangebound import CoefficientSpec
+from rangebound import CoefficientSpec, experiment, verification
+from rangebound.config import ExperimentConfig
 from rangebound.errors import ConfigurationError
 
 from checks import seeded_path
@@ -128,16 +130,17 @@ class TestSimulatePath:
         grid = rb.build_grid(5.0, 5000)
         path = seeded_path(const(2), const(1), const(1), grid, seed=3)
         dt = grid.dt
-        expected = path.x[:-1] + (path.a * dt + path.sigma * path.dw)
+        a = const(2).sample_series(grid)
+        expected = path.x[:-1] + (a * dt + path.sigma * path.dw)
         assert np.array_equal(path.x[1:], expected)
 
     def test_state_dependent_record_consistency(self):
         grid = rb.build_grid(2.0, 500)
-        path = seeded_path(
-            CoefficientSpec.state_bounded(2.0), const(1), const(1), grid, seed=5
-        )
-        assert np.array_equal(path.a, 2.0 / (1.0 + path.x[:-1] ** 2))
-        expected = path.x[:-1] + (path.a * grid.dt + path.sigma * path.dw)
+        a_spec = CoefficientSpec.state_bounded(2.0)
+        path = seeded_path(a_spec, const(1), const(1), grid, seed=5)
+        a = a_spec.sample_series(grid, x_left=path.x[:-1])
+        assert np.array_equal(a, 2.0 / (1.0 + path.x[:-1] ** 2))
+        expected = path.x[:-1] + (a * grid.dt + path.sigma * path.dw)
         assert np.array_equal(path.x[1:], expected)
 
     @settings(deadline=None, max_examples=40)
@@ -162,8 +165,60 @@ class TestSimulatePath:
         with np.errstate(over="ignore"):
             path = rb.simulate_path(a_spec, sigma_spec, const(1), grid, dw, x0)
             expected = reference_state_path(a_spec, sigma_spec, grid, dw, x0)
-        for got, want in zip((path.x, path.a, path.sigma), expected):
+            a = a_spec.sample_series(grid, x_left=path.x[:-1])
+        for got, want in zip((path.x, a, path.sigma), expected):
             assert got.tobytes() == want.tobytes()
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @example(drift="const:-0", c=1.0, sigma="const", n_steps=3, x0=0.0)
+    @example(drift="const:c", c=-1.5, sigma="state", n_steps=2, x0=1e200)
+    @example(drift="state:1e-300", c=1.0, sigma="state", n_steps=70, x0=1e200)
+    @example(drift="state:1e-300", c=1.0, sigma="const", n_steps=5, x0=0.0)
+    @example(drift="file:zeros,last", c=-2.0, sigma="state", n_steps=1, x0=0.0)
+    @example(drift="sin:0,0,c", c=3.0, sigma="state", n_steps=70, x0=1e200)
+    @given(
+        drift=st.sampled_from(
+            ["const:0", "const:-0", "const:c", "sin:0,0,c", "sin:9,c,c", "state:0"]
+            + ["state:1e-300", "file:zeros", "file:zeros,last"]
+        ),
+        c=signed.filter(lambda c: c != 0.0),
+        sigma=st.sampled_from(["const", "state"]),
+        n_steps=st.integers(min_value=1, max_value=70),
+        x0=st.sampled_from([0.0, 1e200]),
+    )
+    def test_driftless_is_decided_on_the_drift_values(self, drift, c, sigma, n_steps, x0):
+        """driftless is True exactly when every drift value at a left node is zero, and run's
+        remarks warning and RotationCheck's refusal follow it. At x0 = 1e200, state:1e-300
+        underflows to 0 at every node; -0.0 is zero; with "last", the last step alone drifts."""
+        kind, _, params = drift.partition(":")
+        if kind == "file":
+            samples = np.zeros(n_steps)
+            samples[-1] = c if params.endswith("last") else 0.0
+            a_spec = CoefficientSpec.from_samples(samples)
+        else:  # sin:9,c,c is at least 1 at every node
+            values = (c if p == "c" else float(p) for p in params.split(","))
+            a_spec = CoefficientSpec(kind, tuple(values))
+        sigma_spec = CoefficientSpec(sigma, (c,))
+        grid = rb.build_grid(2.0, n_steps)
+        dw = rb.sample_wiener(grid, 1)
+        with np.errstate(over="ignore"):
+            path = rb.simulate_path(a_spec, sigma_spec, const(1), grid, dw, x0)
+            a_ref = reference_state_path(a_spec, sigma_spec, grid, dw, x0)[1]
+        assert path.driftless is (not np.any(a_ref != 0.0))
+
+        for scaled in (False, True):
+            if path.driftless:
+                verification.RotationCheck(path, scaled)
+            else:
+                with pytest.raises(ValueError, match="identically zero drift"):
+                    verification.RotationCheck(path, scaled)
+        with tempfile.TemporaryDirectory() as out:
+            config = ExperimentConfig(
+                2.0, n_steps, a_spec, sigma_spec, const(1), x0=x0, outputs=frozenset({"remarks"})
+            )
+            warnings = experiment.run_experiment(config, out).warnings
+        drifting = "seed 1: remarks skipped: drift is not identically zero" in warnings
+        assert drifting is not path.driftless
 
     def test_state_dependent_loop_memory_is_flat(self):
         n = 200_000
@@ -181,13 +236,15 @@ class TestSimulatePath:
         grid = rb.build_grid(1.0, 17)
         path = seeded_path(const(1), const(1), const(1), grid, seed=2)
         assert len(path.x) == 18
-        assert len(path.dw) == len(path.a) == len(path.sigma) == len(path.u) == 17
+        a = const(1).sample_series(grid, x_left=path.x[:-1])
+        assert len(path.dw) == len(a) == len(path.sigma) == len(path.u) == 17
 
     def test_sinusoid_sampled_at_left_nodes(self):
         grid = rb.build_grid(3.0, 300)
         spec = CoefficientSpec.sinusoid(1.0, 0.5, 2.0)
         path = seeded_path(spec, const(1), spec, grid, seed=2)
-        assert np.allclose(path.a, 1.0 + 0.5 * np.sin(2.0 * grid.nodes[:-1]), atol=0, rtol=0)
+        a = spec.sample_series(grid, x_left=path.x[:-1])
+        assert np.allclose(a, 1.0 + 0.5 * np.sin(2.0 * grid.nodes[:-1]), atol=0, rtol=0)
 
     def test_increment_length_mismatch(self):
         grid = rb.build_grid(1.0, 10)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,42 @@ class TestRunExperiment:
         left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.*"))
         assert left == sorted([*FIGURE_NAMES, "manifest.txt", "seed1/notes.csv", "seed1/x.csv"])
 
+    @pytest.mark.parametrize("kept", [None, "notes.txt"])
+    def test_a_run_removes_the_seed_directories_it_empties(self, tmp_path, kept):
+        text = "t_max=1\nn_steps=8\na=const:1\nsigma=const:1\nu=const:1\nseeds=1\n"
+        assert len(run_experiment(parse_config(text), out_dir=tmp_path).files) == 6
+        if kept:
+            (tmp_path / "seed1" / kept).write_text("not run's\n")
+        manifest = run_experiment(parse_config(text.replace("seeds=1", "seeds=2")), tmp_path)
+        assert all(name.startswith("seed2/") for name in manifest.files)
+        seed1 = tmp_path / "seed1"
+        assert [p.name for p in seed1.iterdir()] == [kept] if kept else not seed1.exists()
+
+    def test_a_failed_figures_write_leaves_the_earlier_figures(self, tmp_path, monkeypatch):
+        emit_figures(parse_config(SMALL), out_dir=tmp_path)
+        earlier = {name: (tmp_path / name).read_bytes() for name in FIGURE_NAMES}
+        original = experiment.write_csv_batch
+
+        def three_then_fail(directory, files):
+            original(directory, files[:3])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(experiment, "write_csv_batch", three_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            emit_figures(parse_config(SMALL.replace("seeds=1", "seeds=2")), out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FIGURE_NAMES)
+        assert {name: (tmp_path / name).read_bytes() for name in FIGURE_NAMES} == earlier
+
+    def test_a_failed_figures_write_takes_back_the_directory_it_made(self, tmp_path, monkeypatch):
+        def fail(directory, files):
+            directory.mkdir(parents=True)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(experiment, "write_csv_batch", fail)
+        with pytest.raises(OSError, match="disk full"):
+            emit_figures(parse_config(SMALL), out_dir=tmp_path / "a" / "b")
+        assert not (tmp_path / "a").exists()
+
 
 class TestFloatFormat:
     def test_seventeen_digit_round_trip(self, tmp_path):
@@ -233,6 +271,21 @@ class TestVerifySuite:
 
 PSI_LADDER = "t_max=5\nn_steps=1024\na=const:2\nsigma=const:1\npsi=sin:1,0.5,2\nseeds=1\n"
 SINE_LADDER = "t_max=5\nn_steps=4096\nx0=0.3\na=sin:1,2,3\nsigma=sin:2,1,1\nu=const:1\nseeds=1\n"
+
+
+def test_a_huge_level_count_is_skipped_without_forming_its_power():
+    """2**(levels-1) > n_steps cannot divide it: the skip needs no power of that size."""
+    config = parse_config("t_max=1\nn_steps=8\na=const:1\nsigma=const:1\nu=const:1\nseeds=1\n")
+    note = "convergence seed=1: skipped, n_steps 8 does not support {} levels"
+    assert note.format(5) in verify_suite(config, convergence_levels=5).notes
+    tracemalloc.start()
+    try:
+        notes = verify_suite(config, convergence_levels=10**8).notes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert note.format(10**8) in notes
+    assert peak < 8 * 2**20
 
 
 def _note_value(notes, prefix, key):

@@ -154,6 +154,11 @@ class TestOrders:
         with pytest.raises(ValueError):
             ladder(np.zeros(1002), 1.0, const(0), const(1), const(1), 4)
 
+    def test_divisibility_names_the_power_at_any_level_count(self):
+        # 2**99999 has more decimal digits than int-to-str converts by default
+        with pytest.raises(ValueError, match=r"1024 is not divisible by 2\*\*99999$"):
+            ladder(np.zeros(1024), 1.0, const(0), const(1), const(1), 10**5)
+
     def test_minimum_levels(self):
         with pytest.raises(ValueError):
             ladder(np.zeros(1024), 1.0, const(0), const(1), const(1), 2)
