@@ -10,7 +10,7 @@ import re
 from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass, field
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +39,116 @@ from .verification import (
     convergence_ladder,
 )
 
-# rows per chunk of write_csv_batch; the text it holds is this many rows of
-# each distinct column in the batch
-CSV_CHUNK_ROWS = 2048
+# rows per chunk of write_csv_batch; it holds this many rows of each distinct
+# column of the batch as _CELL-byte cells
+CSV_CHUNK_ROWS = 512
+# a cell: separator, sign, a "0.000" prefix slot (6), 17 digit/point pairs and
+# an "e+ddd" exponent slot (6); the bytes a value does not use are NUL
+_CELL = 48
+# |v| where _scaled is exact to 1e-14 (no Dekker split overflows, every lo is a normal
+# double), the exponents of its tables, and how near 1/2 (a tie) a scaled fraction may be
+_EXACT_RANGE, _EXPONENTS, _TIE_MARGIN = (1e-280, 1e290), range(-284, 300), 1e-3
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def _fallback(values: np.ndarray) -> list[str]:
+    """``values`` as _fmt spells them, in one ``%``: the values _cells cannot settle."""
+    return ("%.17g\0" * len(values) % tuple(values.tolist())).split("\0")[:-1]
+
+
+def _masks(e: int, z: int) -> list[int]:
+    """A cell's byte mask over its prefix slot and pairs: exponent ``e``, ``z`` digits kept."""
+    point = e if -4 <= e <= 16 else 0  # the digit the point follows: %.17g's fixed range
+    kept = max(z, point + 1)
+    prefix = [255] * (1 - e) + [0] * (5 + e) if point < 0 else [0] * 6
+    return prefix + [255 * on for i in range(17) for on in (i < kept, i == point < kept - 1)]
+
+
+@cache
+def _tables():
+    """Built at the first CSV write. Per e of _EXPONENTS: 10**(16 - e) as ``hi + lo``, each
+    correctly rounded from integers, and its ``e+dd`` text; per 4-digit group: digit/point
+    pairs and trailing zeros; _masks for e in -5..17 (-5 and 17 stand for all beyond)."""
+    hi, lo = [], []
+    for k in range(16 - _EXPONENTS.start, 16 - _EXPONENTS.stop, -1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        n, d = (num / den).as_integer_ratio()
+        hi.append(num / den)
+        lo.append((num * d - n * den) / (den * d))
+    groups = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    pairs = np.dstack([groups, np.full_like(groups, ord("."))]).reshape(-1, 8)
+    zeros = (groups[:, ::-1] == ord("0")).cumprod(axis=1, dtype=np.int8).sum(axis=1, dtype=np.int8)
+    lead = np.array([b"0.000\0%d." % i for i in range(10)]).view(np.uint64)  # prefix text, lead digit
+    exps = np.array([b"" if -4 <= e <= 16 else b"e%+03d" % e for e in _EXPONENTS], "S8").view(np.uint64)
+    masks = np.array([_masks(e, z) for e in range(-5, 18) for z in range(18)], np.uint8).view(np.uint16)
+    return np.array(hi), np.array(lo), pairs.view(np.uint64).ravel(), zeros, lead, exps, masks
+
+
+def _scaled(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * (hi + lo)`` as ``p + t``: p the rounded product with hi, t its exact error by
+    Dekker's TwoProduct (Numer. Math. 18, 1971) plus ``a * lo``."""
+    ca, ch = a * np.float64(134217729.0), hi * np.float64(134217729.0)  # Dekker's split: 2**27 + 1
+    ah, hh = ca - (ca - a), ch - (ch - hi)
+    al, hl, p = a - ah, hi - hh, a * hi
+    return p, ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+
+
+def _shift(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per ``p + t``: -1 below 1e16, 1 from 1e17, else 0; exact wherever the sign could flip."""
+    return ((p - np.float64(1e17)) + t >= 0).astype(np.int64) - ((p - np.float64(1e16)) + t < 0)
+
+
+def _rounded(flat: np.ndarray, hi: np.ndarray, lo: np.ndarray):
+    """Per value: its 17 significant digits as an integer, the index of its exponent e in
+    _EXPONENTS (from log10, moved once where |v| * 10**(16 - e) leaves [1e16, 1e17)), and
+    whether _fallback must spell it."""
+    a = np.abs(flat)
+    fast = (a >= _EXACT_RANGE[0]) & (a < _EXACT_RANGE[1])
+    a[~fast] = 1.0
+    i = np.floor(np.log10(a)).astype(np.int64) - _EXPONENTS.start
+    p, t = _scaled(a, hi[i], lo[i])
+    shift = _shift(p, t)
+    moved = np.flatnonzero(shift)
+    i[moved] += shift[moved]
+    p[moved], t[moved] = _scaled(a[moved], hi[i[moved]], lo[i[moved]])
+    slow = ~fast | (np.abs(t - np.floor(t) - np.float64(0.5)) < _TIE_MARGIN) | (_shift(p, t) != 0)
+    digits = p.astype(np.int64) + np.floor(t + np.float64(0.5)).astype(np.int64)
+    carry = digits == 10**17
+    digits[slow | carry] = 10**16
+    return digits, i + carry, slow
+
+
+def _cells(values: np.ndarray, leads: np.ndarray) -> np.ndarray:
+    """Each value of the 2-D float64 ``values`` as a _CELL-byte cell: a newline in the rows
+    ``leads`` marks and a comma elsewhere, then the value as _fmt spells it: its _rounded
+    digits under the masks of its exponent and trailing zeros, or the _fallback text."""
+    hi, lo, pairs, zeros, lead, exps, masks = _tables()
+    flat = values.ravel()
+    digits, i, slow = _rounded(flat, hi, lo)
+    groups = [digits // np.int64(10**k) % np.int64(10**4) for k in (12, 8, 4, 0)]
+    source = np.empty((len(flat), 5), np.uint64)
+    source[:, 0] = lead[digits // np.int64(10**16)]
+    trailing = np.zeros(len(flat), np.int64)
+    for j, group in enumerate(groups):
+        source[:, j + 1] = pairs[group]
+        trailing += zeros[groups[3 - j]] * (trailing == 4 * j)
+    cells = np.empty((*values.shape, _CELL), np.uint8)
+    cells[..., 0] = np.where(leads, np.uint8(10), np.uint8(44))[:, None]
+    flat_cells = cells.reshape(-1, _CELL)
+    flat_cells[:, 1] = np.signbit(flat) * np.uint8(ord("-"))
+    words = flat_cells.view(np.uint16)
+    # mode="clip" lets take write into the strided slice without a buffer
+    form = np.clip(i + (_EXPONENTS.start + 5), 0, 22)  # the masks' e, clipped to -5..17
+    np.take(masks, 18 * form + 17 - trailing, axis=0, out=words[:, 1:21], mode="clip")
+    words[:, 1:21] &= source.view(np.uint16)
+    words[:, 21:24] = exps[i].view(np.uint16).reshape(-1, 4)[:, :3]
+    slow = np.flatnonzero(slow)
+    text = np.array(_fallback(flat[slow]), f"S{_CELL - 1}")
+    flat_cells[slow, 1:] = text.view(np.uint8).reshape(-1, _CELL - 1)
+    return cells
 
 
 @dataclass
@@ -76,11 +179,11 @@ def write_csv_batch(directory: Path, files) -> list[Path]:
     """Write each ``(name, header, columns)`` of ``files`` under ``directory``.
 
     Every column of the batch has one length. The files are walked in lockstep,
-    CSV_CHUNK_ROWS rows at a time, and per chunk each distinct column (by
-    identity and by whether it leads a row) is formatted once, with a single
-    ``%`` that spells every float exactly as ``_fmt`` does. Each cell carries
-    its separator: a row's first cell starts with the newline that ends the
-    previous row, so a file's chunk is the plain join of its cells in row order.
+    CSV_CHUNK_ROWS rows at a time, and per chunk the distinct columns (by
+    identity and by whether they lead a row) go through one _cells call, which
+    spells every float exactly as ``_fmt`` does. Each cell carries its
+    separator: a row's first cell starts with the newline that ends the
+    previous row, so a file's chunk is its cells in row order, NULs removed.
     """
     lengths = {len(col) for _, _, columns in files for col in columns}
     if len(lengths) > 1:
@@ -88,26 +191,23 @@ def write_csv_batch(directory: Path, files) -> list[Path]:
     length = lengths.pop() if lengths else 0
     directory.mkdir(parents=True, exist_ok=True)
     targets = [directory / name for name, _, _ in files]
+    distinct = {}  # (id(column), leads the row) -> (its row in a chunk's cells, column)
+    places = [
+        [distinct.setdefault((id(col), j == 0), (len(distinct), col))[0] for j, col in enumerate(cols)]
+        for _, _, cols in files
+    ]
+    leads = np.array([lead for _, lead in distinct], dtype=bool)
     with ExitStack() as stack:
-        handles = [stack.enter_context(open(target, "w", newline="\n")) for target in targets]
+        handles = [stack.enter_context(open(target, "wb")) for target in targets]
         for handle, (_, header, _) in zip(handles, files):
-            handle.write(header)
+            handle.write(header.encode())
         for start in range(0, length, CSV_CHUNK_ROWS):
-            rows = min(CSV_CHUNK_ROWS, length - start)
-            cells = {}  # (id(column), leads the row) -> the chunk's cells
-            for handle, (_, _, columns) in zip(handles, files):
-                width = len(columns)
-                text = [""] * (rows * width)
-                for j, col in enumerate(columns):
-                    key = (id(col), j == 0)
-                    if key not in cells:
-                        template = "\0".join(["\n%.17g" if j == 0 else ",%.17g"] * rows)
-                        values = tuple(col[start : start + rows].tolist())
-                        cells[key] = (template % values).split("\0")
-                    text[j::width] = cells[key]
-                handle.write("".join(text))
+            chunk = [col[start : start + CSV_CHUNK_ROWS] for _, col in distinct.values()]
+            cells = _cells(np.array(chunk, dtype=np.float64), leads)
+            for handle, place in zip(handles, places):
+                handle.write(cells[place].transpose(1, 0, 2).tobytes().translate(None, b"\0"))
         for handle in handles:
-            handle.write("\n")
+            handle.write(b"\n")
     return targets
 
 

@@ -1,9 +1,16 @@
 """CSV text contract: the lockstep batch writer spells every cell exactly as
 ``_fmt``, formats each distinct column once per chunk, and holds text for one
-chunk at a time."""
+chunk at a time. The digit formatter behind it, ``experiment._cells``, is
+checked byte for byte against ``_fmt`` on random and constructed values, and
+leaves only the values its error bound cannot settle to ``_fallback``."""
 
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +21,7 @@ from hypothesis import strategies as st
 from rangebound import experiment
 from rangebound.config import parse_config
 from rangebound.experiment import (
+    _EXACT_RANGE,
     CSV_CHUNK_ROWS,
     _fmt,
     emit_figures,
@@ -107,17 +115,18 @@ def test_columns_of_one_batch_share_one_length(tmp_path):
         write_csv_batch(tmp_path, files)
 
 
-def test_each_distinct_column_is_formatted_once_per_chunk(tmp_path):
+def test_each_distinct_column_is_formatted_once_per_chunk(tmp_path, monkeypatch):
     """Shaped like figures: t leads every file, X and Y appear twice."""
     calls = []
+    cells = experiment._cells
 
-    class Counted(np.ndarray):
-        def tolist(self):
-            calls.append(len(self))
-            return super().tolist()
+    def counted(values, leads):
+        calls.append((values.copy(), leads.tolist()))
+        return cells(values, leads)
 
+    monkeypatch.setattr(experiment, "_cells", counted)
     length = 2 * CSV_CHUNK_ROWS + 3
-    t, x, X, Y, m = (np.linspace(0.0, k + 1.0, length).view(Counted) for k in range(5))
+    t, x, X, Y, m = columns = [np.linspace(0.0, k + 1.0, length) for k in range(5)]
     write_csv_batch(
         tmp_path,
         [
@@ -128,7 +137,12 @@ def test_each_distinct_column_is_formatted_once_per_chunk(tmp_path):
             ("m.csv", "t,value", [t, m]),
         ],
     )
-    assert calls == [CSV_CHUNK_ROWS] * 10 + [3] * 5
+    # one call per chunk, one row per distinct (column, leads the row)
+    starts = [0, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS]
+    assert [values.shape for values, _ in calls] == [(5, CSV_CHUNK_ROWS)] * 2 + [(5, 3)]
+    for (values, leads), start in zip(calls, starts):
+        assert leads == [True, False, False, False, False]
+        assert np.array_equal(values, np.array(columns)[:, start : start + CSV_CHUNK_ROWS])
 
 
 def _write_peak(directory: Path, length: int) -> int:
@@ -217,3 +231,160 @@ def test_end_to_end_outputs_match_per_cell_writer(tmp_path, monkeypatch):
         assert csvs == sorted(file for file in written if root in file.parents)
         for name, data in reference.items():
             assert chunked[label][name] == data, f"{label}: {name} differs"
+
+
+def spelled(values) -> str:
+    """``values`` through _cells, each cell after a comma, NULs removed."""
+    values = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    return experiment._cells(values, np.array([False])).tobytes().translate(None, b"\0").decode()
+
+
+def assert_spelled_like_fmt(values):
+    values = np.asarray(values, dtype=np.float64).ravel()
+    got = spelled(values).split(",")[1:]
+    want = [_fmt(value) for value in values.tolist()]
+    wrong = [(value.hex(), g, w) for value, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+@pytest.fixture
+def fallback_takes(monkeypatch):
+    """The values each _fallback call receives."""
+    taken = []
+    fallback = experiment._fallback
+
+    def counted(values):
+        taken.append(values.copy())
+        return fallback(values)
+
+    monkeypatch.setattr(experiment, "_fallback", counted)
+    return taken
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=64))
+def test_raw_bit_patterns_spelled_like_fmt(patterns):
+    assert_spelled_like_fmt(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=64))
+def test_floats_spelled_like_fmt(values):
+    assert_spelled_like_fmt(values)
+
+
+def test_a_million_raw_bit_patterns_spelled_like_fmt():
+    rng = np.random.default_rng(20240611)
+    for _ in range(16):
+        patterns = rng.integers(0, 2**64, size=2**16, dtype=np.uint64)
+        assert_spelled_like_fmt(patterns.view(np.float64))
+
+
+def _ulps(values, count):
+    """``values`` and their neighbours up to ``count`` ulps away on either side."""
+    out = [np.asarray(values, dtype=np.float64)]
+    for direction in (-np.inf, np.inf):
+        near = out[0]
+        for _ in range(count):
+            near = np.nextafter(near, direction)
+            out.append(near)
+    return np.concatenate(out)
+
+
+POWERS = np.array([float(f"1e{k}") for k in range(-308, 309)])
+TIES = np.arange(10**15, 10**15 + 2000, dtype=np.float64)[:, None] + [0.25, 0.75]
+FAMILIES = {
+    # 16 integer digits and .25 or .75: an exact 18th digit 5, so %.17g rounds to even
+    "ties": np.concatenate([TIES, -TIES]),
+    # doubles below a power of ten whose 17 digits round up to it
+    "carries": [9.9999999999999999e16]
+    + [v for k, v in zip(range(-308, 309), POWERS) if Fraction(v) < Fraction(10) ** k],
+    "neighbours": _ulps([1e-5, 1e-4, 1e16, 1e17, -1e-5, -1e17], 64),
+    "powers": _ulps(np.concatenate([POWERS, -POWERS]), 1),
+    "range ends": _ulps([*_EXACT_RANGE, -_EXACT_RANGE[0], -_EXACT_RANGE[1]], 16),
+    "specials": np.concatenate([SPECIALS, 2.0**-1074 * np.arange(1, 64), [-(2.0**-1022) * 0.75]]),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_named_families_spelled_like_fmt(family):
+    assert_spelled_like_fmt(FAMILIES[family])
+
+
+def test_ties_are_left_to_the_fallback(fallback_takes):
+    ties = FAMILIES["ties"].ravel()
+    # exactly 18 significant digits, the last a 5
+    assert {Decimal(v).as_tuple().digits[17:] for v in ties.tolist()} == {(5,)}
+    assert_spelled_like_fmt(ties)
+    assert sum(len(values) for values in fallback_takes) == len(ties)
+
+
+@pytest.mark.parametrize("series", ["random walk", "k dt"])
+def test_smooth_series_rarely_take_the_fallback(series, fallback_takes):
+    """Shaped like paper_fig: a cumulative sum of Gaussian steps, and a time grid."""
+    n = 100_001
+    dt = 5 / (n - 1)
+    rng = np.random.default_rng(11)
+    if series == "k dt":
+        values = np.arange(n) * dt
+    else:
+        values = np.cumsum(rng.standard_normal(n) * dt**0.5)
+    assert_spelled_like_fmt(values)
+    assert 0 < sum(len(v) for v in fallback_takes) < 0.01 * n
+
+
+def test_exponents_next_to_powers_of_ten_are_corrected_not_left_to_the_fallback(fallback_takes):
+    """log10 misjudges the exponent of about half of these; one correction step settles them."""
+    values = _ulps(POWERS[(POWERS >= 1e-279) & (POWERS < 1e290)], 2)
+    assert_spelled_like_fmt(values)
+    assert sum(len(v) for v in fallback_takes) < 0.01 * len(values)
+
+
+def test_writer_peak_on_run_shaped_batch(tmp_path):
+    """11 distinct columns over 100001 rows, as run writes paper_fig, tables included:
+    the writer stays small beside verify's ~50 MB, which sets paper_fig's peak RSS."""
+    n = 100_001
+    rng = np.random.default_rng(5)
+    t = np.arange(n) * 5e-5
+    c = [np.cumsum(rng.standard_normal(n)) * 0.01 for _ in range(10)]
+    files = [
+        ("x.csv", "t,x", [t, c[0]]),
+        ("t1.csv", "t,X,Y", [t, c[1], c[2]]),
+        ("t2.csv", "t,X,Y", [t, c[3], c[4]]),
+        ("bound.csv", "t,modulus,envelope", [t, c[5], c[6]]),
+        ("identity_t1.csv", "t,lhs,rhs", [t, c[7], c[8]]),
+        ("identity_t2.csv", "t,lhs,rhs", [t, c[9], c[1]]),
+    ]
+    experiment._tables.cache_clear()
+    tracemalloc.start()
+    try:
+        write_csv_batch(tmp_path, files)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.7e6
+
+
+def test_run_and_figures_at_an_unpinned_seed_match_per_cell_writer(tmp_path, monkeypatch):
+    """paper_fig.cfg at seed 7: golden.json pins seed 1 only."""
+    text = (Path(__file__).resolve().parents[1] / "paper_fig.cfg").read_text()
+    config = parse_config(text).with_overrides(seeds=[7])
+    written = _emit_all(config, tmp_path / "new")
+    monkeypatch.setattr(experiment, "write_csv_batch", reference_write_batch)
+    reference = _emit_all(config, tmp_path / "ref")
+    assert sorted(written) == sorted(reference) and "figures/fig4_XY.csv" in written
+    for name, data in reference.items():
+        assert written[name] == data, name
+
+
+def test_importing_and_verify_build_no_table():
+    code = (
+        "from rangebound import experiment\n"
+        "from rangebound.config import parse_config\n"
+        f"experiment.verify_suite(parse_config({DRIFTLESS.format(n=2048)!r}))\n"
+        "print(experiment._tables.cache_info().misses)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(experiment.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0"]
