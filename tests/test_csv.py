@@ -44,6 +44,9 @@ SPECIALS = [
     1.7976931348623157e308,
 ]
 LENGTHS = [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3]
+# 2048 is a whole number of chunks for every power-of-two chunk size up to
+# 2048, so these lengths stay on and beside chunk edges if the size changes
+SHARED_LENGTHS = sorted(set(LENGTHS) | {2047, 2048, 2049, 4099})
 
 
 def reference_write_csv(directory: Path, name: str, header: str, columns) -> Path:
@@ -103,7 +106,7 @@ def test_batch_text_equals_per_file_text(pool, layout, length, seed):
         assert_batch_equals_per_file_text(Path(tmp), arrays, layout)
 
 
-@pytest.mark.parametrize("length", LENGTHS)
+@pytest.mark.parametrize("length", SHARED_LENGTHS)
 def test_shared_columns_equal_per_file_text(tmp_path, length):
     arrays = _arrays(np.array(SPECIALS, dtype=np.float64), length, seed=length)
     assert_batch_equals_per_file_text(tmp_path, arrays, SHARED_LAYOUT)
