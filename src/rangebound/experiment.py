@@ -7,7 +7,7 @@ same CSV bytes and the same manifest (minus the created_utc line).
 from __future__ import annotations
 
 import re
-from contextlib import ExitStack, contextmanager
+from contextlib import AbstractContextManager, ExitStack, contextmanager
 from dataclasses import astuple, dataclass, field
 from datetime import datetime, timezone
 from functools import cache, partial
@@ -25,12 +25,7 @@ from .engine import (
     simulate_path,
 )
 from .errors import ConfigurationError
-from .transforms import (
-    TransformSeries,
-    in_range,
-    reduce_pass,
-    variance_discounted_u,
-)
+from .transforms import in_range, reduce_pass, variance_discounted_u
 from .verification import (
     EnvelopeCheck,
     IdentityCheck,
@@ -39,9 +34,9 @@ from .verification import (
     convergence_ladder,
 )
 
-# rows per chunk of write_csv_batch; it holds this many rows of each distinct
-# column of the batch as _CELL-byte cells
-CSV_CHUNK_ROWS = 512
+# cells per _cells call: a CsvWriter formats CSV_CHUNK_CELLS // (its distinct columns) rows at
+# a time as _CELL-byte cells, 512 rows of run's 11 distinct columns over its writers
+CSV_CHUNK_CELLS = 5632
 # a cell: separator, sign, a "0.000" prefix slot (6), 17 digit/point pairs and
 # an "e+ddd" exponent slot (6); the bytes a value does not use are NUL
 _CELL = 48
@@ -175,45 +170,57 @@ class ExperimentManifest:
         return "".join(f"{k} = {v}\n" for k, v in self.entries)
 
 
-def write_csv_batch(directory: Path, files) -> list[Path]:
-    """Write each ``(name, header, columns)`` of ``files`` under ``directory``.
+class CsvWriter(AbstractContextManager):
+    """A consumer of reduce_pass that writes each ``(name, header, columns)`` of ``files`` under
+    ``directory``, named plus ``.partial`` and listed in ``written`` (of _staged) before it opens.
 
-    Every column of the batch has one length. The files are walked in lockstep,
-    CSV_CHUNK_ROWS rows at a time, and per chunk the distinct columns (by
-    identity and by whether they lead a row) go through one _cells call, which
-    spells every float exactly as ``_fmt`` does. Each cell carries its
-    separator: a row's first cell starts with the newline that ends the
-    previous row, so a file's chunk is its cells in row order, NULs removed.
+    A column is a function of the block: ``column(k0, k1, z)`` gives its values at the nodes
+    k0 .. k1-1. A feed writes those rows of every file in lockstep, CSV_CHUNK_CELLS cells at a
+    time: per chunk the distinct columns (by identity and by whether they lead a row) go through
+    one _cells call, which spells every float exactly as ``_fmt`` does. Each cell carries its
+    separator: a row's first cell starts with the newline that ends the previous row, so a
+    file's chunk is its cells in row order, NULs removed, wherever the blocks end.
     """
-    lengths = {len(col) for _, _, columns in files for col in columns}
-    if len(lengths) > 1:
-        raise ValueError(f"columns of one batch differ in length: {sorted(lengths)}")
-    length = lengths.pop() if lengths else 0
-    directory.mkdir(parents=True, exist_ok=True)
-    targets = [directory / name for name, _, _ in files]
-    distinct = {}  # (id(column), leads the row) -> (its row in a chunk's cells, column)
-    places = [
-        [distinct.setdefault((id(col), j == 0), (len(distinct), col))[0] for j, col in enumerate(cols)]
-        for _, _, cols in files
-    ]
-    leads = np.array([lead for _, lead in distinct], dtype=bool)
-    with ExitStack() as stack:
-        handles = [stack.enter_context(open(target, "wb")) for target in targets]
-        for handle, (_, header, _) in zip(handles, files):
-            handle.write(header.encode())
-        for start in range(0, length, CSV_CHUNK_ROWS):
-            chunk = [col[start : start + CSV_CHUNK_ROWS] for _, col in distinct.values()]
-            cells = _cells(np.array(chunk, dtype=np.float64), leads)
-            for handle, place in zip(handles, places):
+
+    def __init__(self, directory: Path, files, written: list[Path]):
+        directory.mkdir(parents=True, exist_ok=True)
+        self.targets = [directory / f"{name}.partial" for name, _, _ in files]
+        written.extend(self.targets)
+        self.columns = [columns for _, _, columns in files]
+        distinct = {}  # (column, leads the row) -> its row in a chunk's cells
+        self.places = [
+            [distinct.setdefault((col, j == 0), len(distinct)) for j, col in enumerate(cols)]
+            for cols in self.columns
+        ]
+        self.distinct = [column for column, _ in distinct]
+        self.leads = np.array([lead for _, lead in distinct], dtype=bool)
+        self.rows = max(1, CSV_CHUNK_CELLS // len(distinct))
+        with ExitStack() as stack:
+            self.handles = [stack.enter_context(open(target, "wb")) for target in self.targets]
+            for handle, (_, header, _) in zip(self.handles, files):
+                handle.write(header.encode())
+            self.opened = stack.pop_all()
+
+    def feed(self, k0: int, k1: int, z) -> None:
+        parts = [column(k0, k1, z) for column in self.distinct]
+        lengths = {len(part) for part in parts}
+        if lengths != {k1 - k0}:
+            raise ValueError(f"columns of {k1 - k0} nodes differ in length: {sorted(lengths)}")
+        for start in range(0, k1 - k0, self.rows):
+            chunk = np.array([part[start : start + self.rows] for part in parts], dtype=np.float64)
+            cells = _cells(chunk, self.leads)
+            for handle, place in zip(self.handles, self.places):
                 handle.write(cells[place].transpose(1, 0, 2).tobytes().translate(None, b"\0"))
-        for handle in handles:
-            handle.write(b"\n")
-    return targets
+
+    def __exit__(self, kind, *_) -> None:
+        with self.opened:
+            for handle in self.handles if kind is None else ():
+                handle.write(b"\n")
 
 
 @contextmanager
 def _staged(directories):
-    """Yield the list _write_staged fills with the files written inside, named plus ``.partial``.
+    """Yield the list the CsvWriters inside fill with the files they write, named plus ``.partial``.
 
     Once the block completes, each file takes its name. If it raises, every file listed is
     removed, then each of ``directories`` that did not exist before, in the order given.
@@ -230,14 +237,6 @@ def _staged(directories):
         raise
     for target in written:
         target.replace(target.with_suffix(""))
-
-
-def _write_staged(directory: Path, files, written: list[Path]) -> None:
-    """write_csv_batch ``files`` under their names plus ``.partial``, listed in ``written``
-    before they are written, so that a write cut short is taken back too."""
-    files = [(f"{name}.partial", header, columns) for name, header, columns in files]
-    written.extend(directory / name for name, _, _ in files)
-    write_csv_batch(directory, files)
 
 
 def build_path(
@@ -320,6 +319,83 @@ SKIP_WORDING = {
 }
 
 
+def _sides(check) -> list:
+    """The two series of ``check.block`` as columns of a CsvWriter fed after the check."""
+    return [lambda k0, k1, z: check.block[0], lambda k0, k1, z: check.block[1]]
+
+
+def _reduce_path(config, path, wanted, out, written) -> tuple[list[tuple], dict]:
+    """_evaluate_seed's rows of the checks that read the whole path, and each identity's residual.
+
+    One recurrence pass feeds the bound and identity checks and, given ``out``, a CsvWriter of
+    each transform's files after them; each rotation feeds its own. A file whose series leaves
+    double range is written, then taken back. What holds the path goes once this returns.
+    """
+    grid = path.grid
+    t, x = (lambda k0, k1, z: grid.nodes[k0:k1]), (lambda k0, k1, z: path.x[k0:k1])
+    re, im = (lambda k0, k1, z: z.real), (lambda k0, k1, z: z.imag)
+    integrands = {
+        "t1": lambda k0, k1: path.u[k0:k1],
+        "t2": lambda k0, k1: config.psi_spec.sample_series(grid, path.x[k0:k1], k0, k1),
+    }
+    asked = [check for check in ("rotation_unit", "rotation_scaled") if check in wanted]
+    rotations = asked if path.driftless else []
+    files = {check: [(f"{check}.csv", "t,re,im", [t, re, im])] for check in rotations}
+    files["path"] = [("x.csv", "t,x", [t, x])] if "path" in wanted else []
+    envelopes, identities = {}, {}
+    for label in SERIES.values():
+        weighted = label == "t2"
+        named = files[label] = [(f"{label}.csv", "t,X,Y", [t, re, im])] if label in wanted else []
+        # the integrand envelope bounds t2 once u is discounted
+        if f"bound_{label}" in wanted and (config.uses_discounted_u or not weighted):
+            envelopes[label] = bound = EnvelopeCheck(integrands[label], grid)
+            named.append((f"bound_{label}.csv", "t,modulus,envelope", [t, *_sides(bound)]))
+        if {"identities", "convergence"} & wanted:
+            identities[label] = check = IdentityCheck(path, weighted)
+            lhs, rhs = _sides(check)
+            if "identities" in wanted:  # the weighted rhs is X
+                named.append((f"identity_{label}.csv", "t,lhs,rhs", [t, lhs, re if weighted else rhs]))
+
+    rows, residuals, skipped = [], {}, set()  # skipped: the names of the files taken back
+    with ExitStack() as stack:
+        opened = lambda named: stack.enter_context(CsvWriter(out, named, written))
+        writers = {key: opened(named) for key, named in files.items() if named and out is not None}
+        if "path" in writers:
+            writers["path"].feed(0, grid.n_steps + 1, None)
+        consumers = [[c[n] for c in (envelopes, identities, writers) if n in c] for n in ("t1", "t2")]
+        for (which, label), group, ok in zip(SERIES.items(), consumers, reduce_pass(path, consumers)):
+            if group and not ok:
+                rows.append(("transform", which, "range"))
+            bound, check = (part.get(label) if ok else None for part in (envelopes, identities))
+            # past double range the envelope bounds nothing and its tolerance is inf
+            report = bound.report() if bound else None
+            if bound:
+                rows.append(("bound", which, report or "range"))
+            residual = residuals[which] = check.residual() if check else None
+            if "identities" in wanted:
+                skip = "range" if check else "transform"
+                rows.append(("identity", which, skip if residual is None else (residual,)))
+            gone = {"": not ok, "bound_": report is None, "identity_": residual is None}
+            skipped.update(f"{prefix}{label}.csv" for prefix, dropped in gone.items() if dropped)
+        if asked and not rotations:
+            rows.append(("remarks", None, "drift"))
+        for check in rotations:
+            rotation = RotationCheck(path, check == "rotation_scaled")
+            report = rotation.report([writers[check]] if check in writers else [])
+            rows.append((check, None, report or "range"))
+            if not report:
+                skipped.add(f"{check}.csv")
+
+    taken = [file for writer in writers.values() for file in writer.targets if file.stem in skipped]
+    for target in taken:
+        target.unlink()
+        written.remove(target)
+    # a seed directory they leave empty goes: the run wrote nothing there
+    if taken and not any(out.iterdir()):
+        out.rmdir()
+    return rows, residuals
+
+
 def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list[tuple]:
     """Simulate one seed and evaluate the series and checks ``wanted`` names.
 
@@ -336,78 +412,7 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
         raise ConfigurationError(f"convergence needs at least 3 refinement levels, got {levels}")
     path = prepare_path(config, seed)
     grid = path.grid
-    rows, pending = [], []
-    keep = out is not None
-
-    def send(name, header, *columns):
-        if keep:
-            pending.append((name, header, [grid.nodes, *columns]))
-
-    def flush():
-        if pending:
-            _write_staged(out, pending, written)
-            pending.clear()
-
-    # one recurrence pass feeds every bound and identity check, and run
-    # gathers what it writes
-    integrands = {
-        "t1": lambda k0, k1: path.u[k0:k1],
-        "t2": lambda k0, k1: config.psi_spec.sample_series(grid, path.x[k0:k1], k0, k1),
-    }
-    n_nodes = grid.n_steps + 1
-    gathered, envelopes, identities, consumers = {}, {}, {}, []
-    for label in ("t1", "t2"):
-        weighted = label == "t2"
-        if keep and (label in wanted or weighted and "identities" in wanted):
-            gathered[label] = TransformSeries(np.empty(n_nodes), np.empty(n_nodes), weighted)
-        # the integrand envelope bounds t2 once u is discounted
-        if f"bound_{label}" in wanted and (config.uses_discounted_u or not weighted):
-            envelopes[label] = EnvelopeCheck(integrands[label], grid, keep)
-        if {"identities", "convergence"} & wanted:
-            identities[label] = IdentityCheck(path, weighted, keep and "identities" in wanted)
-        consumers.append([c[label] for c in (gathered, envelopes, identities) if label in c])
-    alive = dict(zip(("t1", "t2"), reduce_pass(path, consumers)))
-
-    if "path" in wanted:
-        send("x.csv", "t,x", path.x)
-    residuals = {}  # on the seed's own path: the ladder's finest rung
-    for (which, label), group in zip(SERIES.items(), consumers):
-        if group and not alive[label]:
-            rows.append(("transform", which, "range"))
-        parts = (gathered, envelopes, identities) if alive[label] else ({}, {}, {})
-        ts, bound, check = (part.get(label) for part in parts)
-        if ts and label in wanted:
-            send(f"{label}.csv", "t,X,Y", ts.X, ts.Y)
-        if bound:
-            # past double range the envelope bounds nothing and its tolerance is inf
-            report = bound.report()
-            rows.append(("bound", which, report or "range"))
-            if report:
-                send(f"bound_{label}.csv", "t,modulus,envelope", *bound.kept)
-        if identities:
-            residual = residuals[which] = check.residual() if check else None
-            if check and check.kept and residual is not None:
-                rhs = ts.X if check.weighted else check.kept[1]
-                send(f"identity_{label}.csv", "t,lhs,rhs", check.kept[0], rhs)
-            if "identities" in wanted:
-                skip = "range" if check else "transform"
-                rows.append(("identity", which, skip if residual is None else (residual,)))
-    flush()
-    # the checks and what they gathered go before the rotations, the oracle and the ladder
-    del gathered, envelopes, identities, consumers, group, parts, ts, bound, check
-
-    rotations = [check for check in ("rotation_unit", "rotation_scaled") if check in wanted]
-    if rotations and not path.driftless:
-        rows.append(("remarks", None, "drift"))
-        rotations = []
-    for check in rotations:
-        rotation = RotationCheck(path, check == "rotation_scaled", keep)
-        report = rotation.report()
-        if report and keep:
-            send(f"{check}.csv", "t,re,im", rotation.kept[0].real, rotation.kept[0].imag)
-            flush()
-        rows.append((check, None, report or "range"))
-        del rotation  # the U run writes goes before the oracle and the ladder
+    rows, residuals = _reduce_path(config, path, wanted, out, written)
 
     # the oracle's head is a copy of at most ORACLE_CEILING steps and the ladder
     # needs the noise only: a longer path goes before the direct pass and the rungs
@@ -559,26 +564,19 @@ def emit_figures(config: ExperimentConfig, out_dir: str | Path | None = None) ->
     """
     root = Path(out_dir if out_dir is not None else config.output_dir)
     path = prepare_path(config, config.seeds[0])
-    n_nodes = path.grid.n_steps + 1
-    ts = TransformSeries(np.empty(n_nodes), np.empty(n_nodes), weighted=False)
     # the identity's lhs is fig6; its rhs may leave double range while fig6 does not
-    identity = IdentityCheck(path, weighted=False, keep=True)
-    if not reduce_pass(path, ([ts, identity], []))[0]:
-        raise ConfigurationError(f"seed {path.seed}: the bounded transform leaves double range")
-    running = in_range(lambda: identity.kept[0])
-    if running is None:
-        raise ConfigurationError(f"seed {path.seed}: the integral of X against dx leaves double range")
-    t = path.grid.nodes
-    files = [
-        (FIGURE_NAMES[0], "t,value", [t, path.x]),
-        (FIGURE_NAMES[1], "t,value", [t, ts.X]),
-        (FIGURE_NAMES[2], "t,value", [t, ts.Y]),
-        (FIGURE_NAMES[3], "t,X,Y", [t, ts.X, ts.Y]),
-        (FIGURE_NAMES[4], "t,value", [t, ts.modulus()]),
-        (FIGURE_NAMES[5], "t,value", [t, running]),
-    ]
-    with _staged([root, *root.parents]) as written:
-        _write_staged(root, files, written)
+    identity = IdentityCheck(path, weighted=False)
+    t, x = (lambda k0, k1, z: path.grid.nodes[k0:k1]), (lambda k0, k1, z: path.x[k0:k1])
+    X, Y = (lambda k0, k1, z: z.real), (lambda k0, k1, z: z.imag)
+    modulus = lambda k0, k1, z: np.hypot(z.real, z.imag)
+    cols = ([x], [X], [Y], [X, Y], [modulus], _sides(identity)[:1])
+    files = [(name, "t,value" if len(c) < 2 else "t,X,Y", [t, *c]) for name, c in zip(FIGURE_NAMES, cols)]
+    # the refusals are decided once the files are written, so a refused run takes them back
+    with _staged([root, *root.parents]) as written, CsvWriter(root, files, written) as writer:
+        if not reduce_pass(path, ([identity, writer], []))[0]:
+            raise ConfigurationError(f"seed {path.seed}: the bounded transform leaves double range")
+        if not np.isfinite(identity.block[0][-1]):
+            raise ConfigurationError(f"seed {path.seed}: the integral of X against dx leaves double range")
     return [root / name for name in FIGURE_NAMES]
 
 

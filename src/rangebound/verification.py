@@ -49,12 +49,12 @@ class _BlockCheck:
 
     ``feed(k0, k1, z)`` takes X + iY from reduce_pass, or x for a rotation, at the
     nodes k0 .. k1-1, k0 being where the blocks fed so far end; a verdict is read
-    once they reach node N. ``kept`` gathers series whole, one per dtype in ``keep``.
+    once they reach node N. ``block`` holds the series the last block reduced, at its
+    nodes, for a consumer fed after the check, such as run's CSV writer.
     """
 
-    def __init__(self, grid: TimeGrid, keep: tuple = ()):
-        self.grid, self.end = grid, 0
-        self.kept = tuple(np.empty(grid.n_steps + 1, dtype) for dtype in keep)
+    def __init__(self, grid: TimeGrid):
+        self.grid, self.end, self.block = grid, 0, ()
 
     def feed(self, k0: int, k1: int, z: np.ndarray) -> None:
         n_nodes = self.grid.n_steps + 1
@@ -64,9 +64,7 @@ class _BlockCheck:
                 f"{self.end} of {n_nodes}"
             )
         self.end = k1
-        for whole, part in zip(self.kept, self._reduce(k0, k1, z)):
-            whole[k0:k1] = part
-            whole.setflags(write=k1 < n_nodes)
+        self.block = self._reduce(k0, k1, z)
 
     def _complete(self) -> None:
         if self.end != self.grid.n_steps + 1:
@@ -79,11 +77,11 @@ class EnvelopeCheck(_BlockCheck):
     ``integrand(k0, k1)`` samples the integrand at the steps k0 .. k1-1. The
     envelope continues from block to block, bit for bit the whole series'; the
     worst margin, modulus minus envelope, and its index are those np.argmax
-    picks on the whole series. ``keep`` gathers the modulus and envelope.
+    picks on the whole series. Its ``block`` is the modulus and the envelope.
     """
 
-    def __init__(self, integrand, grid: TimeGrid, keep: bool = False):
-        super().__init__(grid, (float, float) if keep else ())
+    def __init__(self, integrand, grid: TimeGrid):
+        super().__init__(grid)
         self.integrand = integrand
         self.total = self.worst = None  # total: the envelope at the last node fed
         self.index = 0
@@ -115,12 +113,12 @@ class IdentityCheck(_BlockCheck):
     Bounded: lhs_k = sum_{j<k} X_j dx_j, rhs_k = Y_k + 0.5 sum_{j<k} sigma_j^2 Y_j dt.
     Weighted: lhs_k = -sum_{j<k} Y_j dx_j, rhs_k = X_k.
     They agree up to the scheme's discretization error. Both sums continue
-    from block to block, bit for bit the whole series'. ``keep`` gathers lhs,
-    and the bounded rhs (the weighted one is X).
+    from block to block, bit for bit the whole series'. Its ``block`` is lhs and
+    rhs.
     """
 
-    def __init__(self, path: PathRecord, weighted: bool, keep: bool = False):
-        super().__init__(path.grid, (float,) * (2 - weighted) if keep else ())
+    def __init__(self, path: PathRecord, weighted: bool):
+        super().__init__(path.grid)
         self.path, self.weighted = path, weighted
         self.sums = [None, None]  # lhs and the sigma^2 Y sum at the last node fed
         self.norm = 0.0
@@ -155,13 +153,14 @@ class RotationCheck(_BlockCheck):
     U_k - 1 + 0.5 sum_{j<k} sigma_j^2 U_j dt. Scaled: U_k = i F_k, F_k = e^{i(x_k - x_0)
     + I_k/2}, lhs_k = sum_{j<k} sigma_j U_j dw_j and rhs_k = F_k - 1. The sides agree up
     to the scheme's error. report() feeds x in segments of at most _SEGMENT_NODES nodes,
-    the dw sum and the dt sum (I, if scaled) continued bit for bit. ``keep`` gathers U.
+    the dw sum and the dt sum (I, if scaled) continued bit for bit. Its ``block`` is
+    U, lhs and rhs.
     """
 
-    def __init__(self, path: PathRecord, scaled: bool, keep: bool = False):
+    def __init__(self, path: PathRecord, scaled: bool):
         if not path.driftless:
             raise ValueError("rotation identities require an identically zero drift")
-        super().__init__(path.grid, (complex,) if keep else ())
+        super().__init__(path.grid)
         self.path, self.scaled = path, scaled
         self.sums = [None, None]  # the dw sum and the dt sum at the last node fed
         self.ends = None  # lhs and rhs at the last node fed
@@ -188,14 +187,16 @@ class RotationCheck(_BlockCheck):
         return U, lhs, rhs
 
     @np.errstate(over="ignore", invalid="ignore")
-    def report(self) -> tuple[float, float, float, float] | None:
+    def report(self, consumers=()) -> tuple[float, float, float, float] | None:
         """|rhs_N|, the bound, |lhs_N - rhs_N| and the bound's tolerance; None once one leaves
         double range. The unit bound, 2 + 0.5 sum sigma^2 dt, bounds |rhs|; the scaled one,
         e^{I_N/2} (1 + sum sigma |dw|), bounds U and both sides while sigma >= 0 only, so the
-        sides are judged too."""
+        sides are judged too. Each segment's U goes to ``consumers`` as ``feed(k0, k1, U)``."""
         path, n_nodes, step = self.path, self.grid.n_steps + 1, transforms._SEGMENT_NODES
         for k0 in range(self.end, n_nodes, step):
             self.feed(k0, min(k0 + step, n_nodes), path.x[k0 : k0 + step])
+            for consumer in consumers:
+                consumer.feed(k0, self.end, self.block[0])
         lhs, rhs = self.ends
         if self.scaled:
             bound = (1.0 + np.sum(path.sigma * np.abs(path.dw))) * np.exp(self.sums[1] * 0.5)

@@ -41,11 +41,23 @@ def riemann_cumsum(integrand, grid):
     return _left_sum(integrand * grid.dt)
 
 
+def block_series(check, run):
+    """``run()``'s value and each series of ``check.block`` joined over the blocks ``check``
+    is fed while it runs: a check keeps only its last block, so its series are gathered here."""
+    blocks, feed = [], check.feed
+    check.feed = lambda *block: blocks.append(feed(*block) or [np.copy(s) for s in check.block])
+    try:
+        value = run()
+    finally:
+        del check.feed
+    return value, tuple(np.concatenate(series) for series in zip(*blocks))
+
+
 def identity_sides(path, ts):
     """(lhs, rhs, residual) of ``ts``'s identity: IdentityCheck fed ``ts`` as one block."""
-    check = rb.IdentityCheck(path, ts.weighted, keep=True)
-    check.feed(0, len(ts.X), ts.X + 1j * ts.Y)
-    return check.kept[0], ts.X if ts.weighted else check.kept[1], check.residual()
+    check = rb.IdentityCheck(path, ts.weighted)
+    _, (lhs, rhs) = block_series(check, lambda: check.feed(0, len(ts.X), ts.X + 1j * ts.Y))
+    return lhs, ts.X if ts.weighted else rhs, check.residual()
 
 
 def residual_norm(lhs, rhs):
@@ -86,11 +98,7 @@ def whole_bound(ts, integrand, grid):
 def rotation_sides(path, scaled):
     """(U, lhs, rhs) of RotationCheck(path, scaled): the blocks report() reduces, joined."""
     check = verification.RotationCheck(path, scaled)
-    blocks = []
-    reduce = check._reduce
-    check._reduce = lambda *block: blocks.append(reduce(*block)) or blocks[-1]
-    check.report()
-    return tuple(np.concatenate(series) for series in zip(*blocks))
+    return block_series(check, check.report)[1]
 
 
 def whole_rotation(path, scaled):

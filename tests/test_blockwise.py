@@ -18,7 +18,7 @@ from rangebound import experiment, transforms, verification
 from rangebound.config import parse_config
 from rangebound.errors import ConfigurationError
 
-from checks import rotation_sides, whole_bound, whole_residual, whole_rotation, whole_rotation_report
+from checks import block_series, whole_bound, whole_residual, whole_rotation, whole_rotation_report
 
 BLOCKS = (1, 2, 5, 64)
 
@@ -173,21 +173,31 @@ def test_recurrences_on_the_head_are_the_paths_first_nodes(text, steps):
             assert getattr(part, name).tobytes() == getattr(full, name)[: steps + 1].tobytes()
 
 
-def verify_peak(n_steps):
-    """Peak traced bytes of verify_suite and the bytes of the path it simulates."""
+def traced_peak(n_steps, command):
+    """Peak traced bytes of ``command(config)`` on PSI at ``n_steps``, and the bytes of the path
+    it simulates."""
     config = parse_config(PSI.format(n_steps))
     path = experiment.prepare_path(config, 1)
     path_bytes = sum(a.nbytes for a in (path.grid.nodes, path.x, path.dw, path.sigma, path.u))
     del path
     tracemalloc.start()
     try:
-        # a small oracle ceiling keeps the O(N^2) reference cheap and out of the peak
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verification, "ORACLE_CEILING", 500)
-            assert not rb.verify_suite(config).failed
+        command(config)
         return tracemalloc.get_traced_memory()[1], path_bytes
     finally:
         tracemalloc.stop()
+
+
+def verify_peak(n_steps):
+    """Peak traced bytes of verify_suite and the bytes of the path it simulates."""
+
+    def verify(config):
+        assert not rb.verify_suite(config).failed
+
+    # a small oracle ceiling keeps the O(N^2) reference cheap and out of the peak
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "ORACLE_CEILING", 500)
+        return traced_peak(n_steps, verify)
 
 
 def test_verify_memory_grows_with_the_path_only():
@@ -204,6 +214,20 @@ def test_verify_memory_grows_with_the_path_only():
     large, large_path = verify_peak(400_000)
     assert large - small <= 1.25 * (large_path - small_path)
     # the growth in whole node-series of the 200_000 steps doubled
+    assert (large - small) / (8 * 200_000) <= 6.5
+
+
+def test_run_memory_grows_with_the_path_only(tmp_path):
+    """Doubling the path grows run's peak as it grows verify's: run writes every CSV as the
+    pass and the rotations feed it, and holds no whole series to write.
+
+    run builds the checks verify builds, and a CsvWriter after them formats one chunk at a
+    time. A series gathered whole to be written, or a check, writer or closure that kept the
+    path alive through the convergence ladder, would add a series or more to the difference.
+    """
+    small, small_path = traced_peak(200_000, lambda config: rb.run_experiment(config, tmp_path / "s"))
+    large, large_path = traced_peak(400_000, lambda config: rb.run_experiment(config, tmp_path / "l"))
+    assert large - small <= 1.25 * (large_path - small_path)
     assert (large - small) / (8 * 200_000) <= 6.5
 
 
@@ -229,12 +253,10 @@ def test_rotation_check_matches_whole_array_rotations(sigma, n_steps, segment, s
     path = experiment.prepare_path(parse_config(ROTATION.format(n_steps, sigma)), seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transforms, "_SEGMENT_NODES", segment)
-        series = rotation_sides(path, scaled)
-        check = verification.RotationCheck(path, scaled, keep=True)
-        report = check.report()
+        check = verification.RotationCheck(path, scaled)
+        report, series = block_series(check, check.report)
     want = whole_rotation(path, scaled)
     assert [part.tobytes() for part in series] == [part.tobytes() for part in want]
-    assert check.kept[0].tobytes() == want[0].tobytes()
     assert report == whole_rotation_report(path, scaled)
 
 

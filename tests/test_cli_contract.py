@@ -83,10 +83,16 @@ def assert_contract(name, text, root):
         assert not out_dir.exists(), (name, err)
     else:
         assert err == ""
-    written = [p for p in out_dir.rglob("*") if p.suffix in (".csv", ".txt")]
+    # a file taken back is written first, nan and inf included: none may be left, staged or not
+    written = [p for p in out_dir.rglob("*") if p.is_file()]
+    assert not [p for p in written if p.suffix == ".partial"], (name, written)
     for where, body in [("stdout", out)] + [(p.name, p.read_text()) for p in written]:
         # the temporary directory's random name may spell nan or inf itself
         assert not NON_FINITE.search(body.replace(str(root), "")), (name, where)
+    if name == "run" and code != 1:
+        listed = re.findall(r"^seed\.\d+\.file = (.*)$", (out_dir / "manifest.txt").read_text(), re.M)
+        csvs = [p.relative_to(out_dir).as_posix() for p in written if p.suffix == ".csv"]
+        assert sorted(listed) == sorted(csvs), (name, listed, csvs)
     for line in out.splitlines():
         if line.startswith("PASS"):
             assert math.isfinite(float(re.search(r"tolerance=(\S+)", line).group(1))), line

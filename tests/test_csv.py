@@ -1,8 +1,9 @@
-"""CSV text contract: the lockstep batch writer spells every cell exactly as
-``_fmt``, formats each distinct column once per chunk, and holds text for one
-chunk at a time. The digit formatter behind it, ``experiment._cells``, is
-checked byte for byte against ``_fmt`` on random and constructed values, and
-leaves only the values its error bound cannot settle to ``_fallback``."""
+"""CSV text contract: the streaming writer, ``experiment.CsvWriter``, spells
+every cell exactly as ``_fmt``, formats each distinct column once per chunk,
+holds text for one chunk at a time, and writes the same bytes wherever its
+blocks end. The digit formatter behind it, ``experiment._cells``, is checked
+byte for byte against ``_fmt`` on random and constructed values, and leaves
+only the values its error bound cannot settle to ``_fallback``."""
 
 import os
 import subprocess
@@ -15,18 +16,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rangebound import experiment
+from rangebound import experiment, transforms
 from rangebound.config import parse_config
+from rangebound.errors import ConfigurationError
 from rangebound.experiment import (
     _EXACT_RANGE,
-    CSV_CHUNK_ROWS,
+    CSV_CHUNK_CELLS,
+    CsvWriter,
     _fmt,
     emit_figures,
     run_experiment,
-    write_csv_batch,
 )
 
 SPECIALS = [
@@ -43,7 +45,10 @@ SPECIALS = [
     -1e308,
     1.7976931348623157e308,
 ]
-LENGTHS = [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3]
+# the batch tests set the writer's budget to CHUNK_ROWS rows of its distinct
+# columns, so these lengths sit on and beside its chunk edges
+CHUNK_ROWS = 512
+LENGTHS = [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3]
 # 2048 is a whole number of chunks for every power-of-two chunk size up to
 # 2048, so these lengths stay on and beside chunk edges if the size changes
 SHARED_LENGTHS = sorted(set(LENGTHS) | {2047, 2048, 2049, 4099})
@@ -64,6 +69,26 @@ def reference_write_batch(directory: Path, files) -> list[Path]:
     return [reference_write_csv(directory, *file) for file in files]
 
 
+def write_csv_batch(directory: Path, files) -> list[Path]:
+    """Each ``(name, header, arrays)`` of ``files`` as one feed of a CsvWriter, every column
+    giving its whole array (an array carried twice is one column), then named as given."""
+    length, columns, written = len(files[0][2][0]), {}, []
+    files = [
+        (name, header, [columns.setdefault(id(a), lambda k0, k1, z, a=a: a) for a in arrays])
+        for name, header, arrays in files
+    ]
+    with CsvWriter(directory, files, written) as writer:
+        writer.feed(0, length, None)
+    return [target.replace(target.with_suffix("")) for target in written]
+
+
+def per_cell_feed(writer, k0, k1, z):
+    """CsvWriter.feed as the per-cell writer: one ``_fmt`` per cell and one join per row."""
+    for handle, columns in zip(writer.handles, writer.columns):
+        values = [column(k0, k1, z) for column in columns]
+        handle.write("".join("\n" + ",".join(map(_fmt, row)) for row in zip(*values)).encode())
+
+
 # the first array twice in one file, at the first and a later position, in
 # several files, and beside array 3, which is a copy of it: equal values,
 # distinct identity
@@ -82,7 +107,10 @@ def assert_batch_equals_per_file_text(directory: Path, arrays, layout):
         (f"f{i}.csv", ",".join(f"c{k}" for k in cols), [arrays[k] for k in cols])
         for i, cols in enumerate(layout)
     ]
-    targets = write_csv_batch(directory / "batch", files)
+    distinct = {(k, j == 0) for cols in layout for j, k in enumerate(cols)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "CSV_CHUNK_CELLS", CHUNK_ROWS * len(distinct))
+        targets = write_csv_batch(directory / "batch", files)
     assert targets == [directory / "batch" / name for name, _, _ in files]
     references = reference_write_batch(directory / "ref", files)
     for target, reference in zip(targets, references):
@@ -128,7 +156,8 @@ def test_each_distinct_column_is_formatted_once_per_chunk(tmp_path, monkeypatch)
         return cells(values, leads)
 
     monkeypatch.setattr(experiment, "_cells", counted)
-    length = 2 * CSV_CHUNK_ROWS + 3
+    rows = CSV_CHUNK_CELLS // 5  # the rows of a chunk of five distinct columns
+    length = 2 * rows + 3
     t, x, X, Y, m = columns = [np.linspace(0.0, k + 1.0, length) for k in range(5)]
     write_csv_batch(
         tmp_path,
@@ -141,11 +170,11 @@ def test_each_distinct_column_is_formatted_once_per_chunk(tmp_path, monkeypatch)
         ],
     )
     # one call per chunk, one row per distinct (column, leads the row)
-    starts = [0, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS]
-    assert [values.shape for values, _ in calls] == [(5, CSV_CHUNK_ROWS)] * 2 + [(5, 3)]
+    starts = [0, rows, 2 * rows]
+    assert [values.shape for values, _ in calls] == [(5, rows)] * 2 + [(5, 3)]
     for (values, leads), start in zip(calls, starts):
         assert leads == [True, False, False, False, False]
-        assert np.array_equal(values, np.array(columns)[:, start : start + CSV_CHUNK_ROWS])
+        assert np.array_equal(values, np.array(columns)[:, start : start + rows])
 
 
 def _write_peak(directory: Path, length: int) -> int:
@@ -161,8 +190,9 @@ def _write_peak(directory: Path, length: int) -> int:
 
 
 def test_text_held_does_not_grow_with_rows(tmp_path):
-    short = _write_peak(tmp_path / "short", 4 * CSV_CHUNK_ROWS)
-    long = _write_peak(tmp_path / "long", 16 * CSV_CHUNK_ROWS)
+    rows = CSV_CHUNK_CELLS // 3  # the rows of a chunk of _write_peak's three distinct columns
+    short = _write_peak(tmp_path / "short", 4 * rows)
+    long = _write_peak(tmp_path / "long", 16 * rows)
     assert long <= 1.25 * short
 
 
@@ -192,9 +222,14 @@ PSI = "t_max=5\nn_steps={n}\na=const:2\nsigma=const:1\npsi=const:1\nseeds=1\n"
 
 
 def _emit_all(config, root: Path) -> dict[str, bytes]:
-    run_experiment(config, out_dir=root / "run")
-    emit_figures(config, out_dir=root / "figures")
+    """Every file run and figures write under ``root``, manifest.txt without its created_utc
+    line, and the message of each refusal."""
     out = {}
+    for name, command in (("run", run_experiment), ("figures", emit_figures)):
+        try:
+            command(config, out_dir=root / name)
+        except ConfigurationError as error:
+            out[f"{name} refused"] = str(error).encode()
     for file in sorted(root.rglob("*")):
         if file.is_file():
             data = file.read_bytes()
@@ -209,7 +244,7 @@ def _emit_all(config, root: Path) -> dict[str, bytes]:
 
 
 def test_end_to_end_outputs_match_per_cell_writer(tmp_path, monkeypatch):
-    n_steps = 2 * CSV_CHUNK_ROWS + 8
+    n_steps = 1032  # two chunks of a writer of six or more distinct columns
     configs = {"driftless": DRIFTLESS, "psi": PSI}
     chunked = {}
     for label, text in configs.items():
@@ -217,23 +252,93 @@ def test_end_to_end_outputs_match_per_cell_writer(tmp_path, monkeypatch):
     assert "run/seed3/rotation_unit.csv" in chunked["driftless"]
     assert "run/seed1/bound_t2.csv" in chunked["psi"]
 
-    written = []
+    written = set()
 
-    def per_file_writer(directory, files):
+    def per_cell_writer(writer, k0, k1, z):
         # run writes each file under its name plus .partial, then renames it
-        written.extend(directory / name.removesuffix(".partial") for name, _, _ in files)
-        return reference_write_batch(directory, files)
+        written.update(target.with_suffix("") for target in writer.targets)
+        per_cell_feed(writer, k0, k1, z)
 
-    monkeypatch.setattr(experiment, "write_csv_batch", per_file_writer)
+    monkeypatch.setattr(CsvWriter, "feed", per_cell_writer)
     for label, text in configs.items():
         reference = _emit_all(parse_config(text.format(n=n_steps)), tmp_path / "ref" / label)
         assert sorted(reference) == sorted(chunked[label])
-        # every CSV came from the per-file writer, none from the batch writer
+        # every CSV came from the per-cell writer, none from _cells
         root = tmp_path / "ref" / label
         csvs = sorted(root / name for name in reference if name.endswith(".csv"))
         assert csvs == sorted(file for file in written if root in file.parents)
         for name, data in reference.items():
             assert chunked[label][name] == data, f"{label}: {name} differs"
+
+
+# each leaves double range mid-pass when fed in segments of 3 nodes: the weighted transform
+# (after 20 of its 22 blocks), the bound's envelope and both identities (after 8 and 5 of 22),
+# and the scaled rotation (after 397 of 401); figures refuses the second, mid-pass too
+TRANSFORM_LEAVES = "t_max=1\nn_steps=64\na=const:1\nsigma=const:40\nu=const:1\nseeds=2\n"
+ENVELOPE_LEAVES = "t_max=5\nn_steps=64\na=const:40\nsigma=const:0\nu=const:1e308\nseeds=1\n"
+ROTATION_LEAVES = (
+    "t_max=1.2e-97\nn_steps=1200\na=const:0\nsigma=const:1e50\nu=const:1\nseeds=1\n"
+    "outputs=remarks\n"
+)
+# psi whose weighted transform rebases twice
+REBASES = "t_max=1\nn_steps=64\na=const:1\nsigma=const:30\npsi=sin:1,1,3\nseeds=1\n"
+
+
+def coefficient(scale):
+    """A const, sin or state token with parameters in [-scale, scale]."""
+    value = st.floats(-scale, scale)
+    return st.one_of(
+        value.map("const:{!r}".format),
+        st.tuples(value, value, st.floats(0.1, 8.0)).map(lambda p: "sin:" + ",".join(map(repr, p))),
+        value.map("state:{!r}".format),
+    )
+
+
+@st.composite
+def configs(draw):
+    """A config of 8 to 96 steps, half of them driftless, so that their rotations are written."""
+    integrand = draw(st.sampled_from(["u", "psi"]))
+    return (
+        f"t_max={draw(st.sampled_from([0.5, 1.0, 5.0]))!r}\nn_steps={draw(st.integers(8, 96))}\n"
+        f"a={draw(st.one_of(st.just('const:0'), coefficient(5.0)))}\n"
+        f"sigma={draw(coefficient(40.0))}\n{integrand}={draw(coefficient(3.0))}\n"
+        f"seeds={draw(st.integers(1, 1000))}\n"
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(text=TRANSFORM_LEAVES, segment=3, cells=1, block=None, threshold=None)
+@example(text=ENVELOPE_LEAVES, segment=3, cells=5, block=None, threshold=None)
+@example(text=ROTATION_LEAVES, segment=3, cells=2, block=None, threshold=None)
+@example(text=REBASES, segment=2, cells=7, block=None, threshold=None)
+@example(text=REBASES, segment=1, cells=40, block=5, threshold=40.0)
+@example(text=DRIFTLESS.format(n=70), segment=5, cells=1, block=None, threshold=None)
+@given(
+    text=configs(),
+    segment=st.sampled_from([1, 2, 3, 5]),
+    cells=st.sampled_from([1, 2, 7, 40]),
+    block=st.sampled_from([None, 4, 13]),
+    threshold=st.sampled_from([None, 3.0, 40.0]),
+)
+def test_file_bytes_do_not_depend_on_where_blocks_end(text, segment, cells, block, threshold):
+    """run's and figures' files and manifest, and their refusals, are the same bytes whatever
+    segments the pass and the rotations are fed in and however many cells a _cells call takes.
+
+    The recurrence's own blocks and rebases round its values, so _RECURRENCE_BLOCK and
+    RESCALE_THRESHOLD are drawn for both sides alike, the defaults at None; the default
+    _SEGMENT_NODES and CSV_CHUNK_CELLS give each file of up to 1201 rows in one block and
+    a few chunks, the small ones in many.
+    """
+    config = parse_config(text)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for name, value in (("_RECURRENCE_BLOCK", block), ("RESCALE_THRESHOLD", threshold)):
+            if value is not None:
+                mp.setattr(transforms, name, value)
+        want = _emit_all(config, Path(tmp) / "defaults")
+        mp.setattr(transforms, "_SEGMENT_NODES", segment)
+        mp.setattr(experiment, "CSV_CHUNK_CELLS", cells)
+        got = _emit_all(config, Path(tmp) / "small")
+    assert got == want
 
 
 def spelled(values) -> str:
@@ -373,7 +478,7 @@ def test_run_and_figures_at_an_unpinned_seed_match_per_cell_writer(tmp_path, mon
     text = (Path(__file__).resolve().parents[1] / "paper_fig.cfg").read_text()
     config = parse_config(text).with_overrides(seeds=[7])
     written = _emit_all(config, tmp_path / "new")
-    monkeypatch.setattr(experiment, "write_csv_batch", reference_write_batch)
+    monkeypatch.setattr(CsvWriter, "feed", per_cell_feed)
     reference = _emit_all(config, tmp_path / "ref")
     assert sorted(written) == sorted(reference) and "figures/fig4_XY.csv" in written
     for name, data in reference.items():

@@ -154,27 +154,38 @@ class TestRunExperiment:
         seed1 = tmp_path / "seed1"
         assert [p.name for p in seed1.iterdir()] == [kept] if kept else not seed1.exists()
 
+    def test_a_seed_whose_every_file_is_taken_back_leaves_no_directory(self, tmp_path):
+        """t2.csv is written as the weighted transform goes, 3 nodes a block, until it leaves
+        double range; the file is then taken back, and so is the seed directory made for it."""
+        text = "t_max=1\nn_steps=64\na=const:1\nsigma=const:40\nu=const:1\nseeds=2\noutputs=t2\n"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rb.transforms, "_SEGMENT_NODES", 3)
+            manifest = run_experiment(parse_config(text), out_dir=tmp_path)
+        assert manifest.files == []
+        assert manifest.warnings == ["seed 2: weighted transform skipped: its values leave double range"]
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.txt"]
+
     def test_a_failed_figures_write_leaves_the_earlier_figures(self, tmp_path, monkeypatch):
         emit_figures(parse_config(SMALL), out_dir=tmp_path)
         earlier = {name: (tmp_path / name).read_bytes() for name in FIGURE_NAMES}
-        original = experiment.write_csv_batch
+        original = experiment.CsvWriter.feed
 
-        def three_then_fail(directory, files):
-            original(directory, files[:3])
+        def one_block_then_fail(writer, k0, k1, z):
+            original(writer, k0, k1, z)
             raise OSError("disk full")
 
-        monkeypatch.setattr(experiment, "write_csv_batch", three_then_fail)
+        monkeypatch.setattr(experiment.CsvWriter, "feed", one_block_then_fail)
         with pytest.raises(OSError, match="disk full"):
             emit_figures(parse_config(SMALL.replace("seeds=1", "seeds=2")), out_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FIGURE_NAMES)
         assert {name: (tmp_path / name).read_bytes() for name in FIGURE_NAMES} == earlier
 
     def test_a_failed_figures_write_takes_back_the_directory_it_made(self, tmp_path, monkeypatch):
-        def fail(directory, files):
-            directory.mkdir(parents=True)
+        def fail(writer, k0, k1, z):
             raise OSError("disk full")
 
-        monkeypatch.setattr(experiment, "write_csv_batch", fail)
+        # the writer has made the directory and opened the six files when it is fed
+        monkeypatch.setattr(experiment.CsvWriter, "feed", fail)
         with pytest.raises(OSError, match="disk full"):
             emit_figures(parse_config(SMALL), out_dir=tmp_path / "a" / "b")
         assert not (tmp_path / "a").exists()

@@ -7,7 +7,8 @@ what paper_fig (pinned by perfbench/golden.json) does not:
 
 * driftless ``state:`` noise on two seeds at 20000 steps, so the rotation
   checks run and ``verify``'s oracle checks the path's first 4000 steps;
-* ``psi`` at 20480 steps, 40 CSV chunks and one row;
+* ``psi`` at 20480 steps, whose files the pass writes in segments of 8192,
+  8192 and 4097 rows;
 * a drifting ``u`` at 2048 steps, where the oracle of ``run`` and ``verify``
   checks the whole path.
 

@@ -14,6 +14,7 @@ from rangebound.config import parse_config
 from rangebound.transforms import RESCALE_THRESHOLD
 
 from checks import (
+    block_series,
     bounded_recursive,
     identity_sides,
     residual_norm,
@@ -231,14 +232,17 @@ class TestIdentities:
         grid = rb.build_grid(1.0, 100)
         path = seeded_path(const(1), const(1), rb.CoefficientSpec.sinusoid(0, 1, 5), grid, seed=1)
         ts = rb.transform_pair_recursive(path)[weighted]
-        check = rb.IdentityCheck(path, weighted, keep=True)
+        check = rb.IdentityCheck(path, weighted)
         z = ts.X + 1j * ts.Y
-        for k0, k1 in ((0, 1), (1, 2), (2, 37), (37, 38), (38, 101)):
-            check.feed(k0, k1, z[k0:k1])
+
+        def feed():
+            for k0, k1 in ((0, 1), (1, 2), (2, 37), (37, 38), (38, 101)):
+                check.feed(k0, k1, z[k0:k1])
+
+        _, sides = block_series(check, feed)
         lhs, rhs = whole_identity_sides(path, ts)
-        assert check.kept[0].tobytes() == lhs.tobytes()
-        if not weighted:
-            assert check.kept[1].tobytes() == rhs.tobytes()
+        assert sides[0].tobytes() == lhs.tobytes()
+        assert sides[1].tobytes() == rhs.tobytes()
         assert check.residual() == float(np.max(np.abs(lhs - rhs)))
 
     def test_residual_shrinks_under_refinement(self):
@@ -411,21 +415,11 @@ def test_public_series_are_read_only():
     """Series are shared between outputs (identity_t2's rhs is t2's X), so none may be written."""
     grid = rb.build_grid(5.0, 64)
     path = seeded_path(const(0), const(1), const(1), grid, seed=3)
-    rotations = [verification.RotationCheck(path, scaled, keep=True) for scaled in (False, True)]
-    arrays = {f"RotationCheck scaled={check.scaled} U": check.kept[0] for check in rotations}
+    arrays = {}
     for pair in (rb.transform_pair_recursive, rb.transform_pair_direct):
         for ts in pair(path):
             arrays[f"{pair.__name__} weighted={ts.weighted} X"] = ts.X
             arrays[f"{pair.__name__} weighted={ts.weighted} Y"] = ts.Y
-    # the series the checks keep, once the pass has fed them every node
-    envelope = rb.EnvelopeCheck(lambda k0, k1: path.u[k0:k1], grid, keep=True)
-    bounded, weighted = (rb.IdentityCheck(path, flag, keep=True) for flag in (False, True))
-    rb.reduce_pass(path, ([envelope, bounded], [weighted]))
-    for check in rotations:
-        check.report()
-    for name, check in (("envelope", envelope), ("bounded", bounded), ("weighted", weighted)):
-        for i, arr in enumerate(check.kept):
-            arrays[f"{name} check kept[{i}]"] = arr
-    assert len(arrays) == 15
+    assert len(arrays) == 8
     for name, arr in arrays.items():
         assert isinstance(arr, np.ndarray) and arr.flags.writeable is False, name
