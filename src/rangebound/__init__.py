@@ -26,10 +26,8 @@ from .experiment import (
     verify_suite,
 )
 from .transforms import (
-    TransformSeries,
     reduce_pass,
     transform_pair_direct,
-    transform_pair_recursive,
     variance_discounted_u,
 )
 from .verification import (
@@ -55,7 +53,6 @@ __all__ = [
     "OracleCostError",
     "PathRecord",
     "TimeGrid",
-    "TransformSeries",
     "build_grid",
     "coarsen_increments",
     "compare_oracle_pair",
@@ -70,7 +67,6 @@ __all__ = [
     "sample_wiener",
     "simulate_path",
     "transform_pair_direct",
-    "transform_pair_recursive",
     "variance_discounted_u",
     "verify_suite",
     "__version__",

@@ -28,6 +28,7 @@ from .errors import ConfigurationError
 from .transforms import in_range, reduce_pass, variance_discounted_u
 from .verification import (
     EnvelopeCheck,
+    HeadKeeper,
     IdentityCheck,
     RotationCheck,
     compare_oracle_pair,
@@ -324,12 +325,13 @@ def _sides(check) -> list:
     return [lambda k0, k1, z: check.block[0], lambda k0, k1, z: check.block[1]]
 
 
-def _reduce_path(config, path, wanted, out, written) -> tuple[list[tuple], dict]:
+def _reduce_path(config, path, wanted, out, written, keepers) -> tuple[list[tuple], dict]:
     """_evaluate_seed's rows of the checks that read the whole path, and each identity's residual.
 
-    One recurrence pass feeds the bound and identity checks and, given ``out``, a CsvWriter of
-    each transform's files after them; each rotation feeds its own. A file whose series leaves
-    double range is written, then taken back. What holds the path goes once this returns.
+    One recurrence pass feeds the bound and identity checks, ``keepers`` (t1 or t2 -> a
+    HeadKeeper) and, given ``out``, a CsvWriter of each transform's files after them; each
+    rotation feeds its own. A file whose series leaves double range is written, then taken back.
+    What holds the path goes once this returns.
     """
     grid = path.grid
     t, x = (lambda k0, k1, z: grid.nodes[k0:k1]), (lambda k0, k1, z: path.x[k0:k1])
@@ -362,7 +364,8 @@ def _reduce_path(config, path, wanted, out, written) -> tuple[list[tuple], dict]
         writers = {key: opened(named) for key, named in files.items() if named and out is not None}
         if "path" in writers:
             writers["path"].feed(0, grid.n_steps + 1, None)
-        consumers = [[c[n] for c in (envelopes, identities, writers) if n in c] for n in ("t1", "t2")]
+        parts = (envelopes, identities, keepers, writers)
+        consumers = [[c[n] for c in parts if n in c] for n in ("t1", "t2")]
         for (which, label), group, ok in zip(SERIES.items(), consumers, reduce_pass(path, consumers)):
             if group and not ok:
                 rows.append(("transform", which, "range"))
@@ -412,19 +415,24 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
         raise ConfigurationError(f"convergence needs at least 3 refinement levels, got {levels}")
     path = prepare_path(config, seed)
     grid = path.grid
-    rows, residuals = _reduce_path(config, path, wanted, out, written)
+    ceiling = verification.ORACLE_CEILING
+    oracle = "oracle_head" in wanted or "oracle" in wanted and grid.n_steps <= ceiling
+    # the pass keeps each transform's first nodes for the oracle, which compares them with
+    # the direct pass on the path's head: every sum is non-anticipating, so they are the
+    # head's own recurrence bit for bit
+    steps = min(grid.n_steps, ceiling)
+    keepers = {label: HeadKeeper(steps) for label in SERIES.values()} if oracle else {}
+    rows, residuals = _reduce_path(config, path, wanted, out, written, keepers)
+    if "oracle" in wanted and not oracle:
+        rows.append(("oracle", None, "ceiling"))
 
     # the oracle's head is a copy of at most ORACLE_CEILING steps and the ladder
     # needs the noise only: a longer path goes before the direct pass and the rungs
-    ceiling, head = verification.ORACLE_CEILING, None
-    if "oracle_head" in wanted or "oracle" in wanted and grid.n_steps <= ceiling:
-        head = path.head(ceiling)
-    elif "oracle" in wanted:
-        rows.append(("oracle", None, "ceiling"))
-    dw = path.dw
+    dw, head = path.dw, path.head(ceiling) if oracle else None
     del path
-    oracle = compare_oracle_pair(head).items() if head is not None else ()
-    rows += [("oracle", which, row or "range") for which, row in oracle]
+    if head is not None:
+        verdicts = compare_oracle_pair(head, [keeper.head() for keeper in keepers.values()])
+        rows += [("oracle", which, row or "range") for which, row in verdicts.items()]
 
     if "convergence" in wanted:
         # the finest rung is this path, whose residuals are known; with none,

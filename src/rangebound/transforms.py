@@ -8,7 +8,7 @@ Two variants are built from the same kernel e^{i(x_k - x_j)}:
   factor, I being the running left-sum of sigma^2.
 
 Both variants share their kernel, so one pass over a path evaluates it once
-for both, in two implementations with identical contracts: the direct O(N^2)
+for both, in two implementations of the same values: the direct O(N^2)
 convolution transform_pair_direct (the reference) and the O(N) recurrence
 reduce_pass, which exploits the separability
 e^{i(x_k - x_j)} = e^{i x_k} * e^{-i x_j} and feeds its series block by block
@@ -18,8 +18,6 @@ never leave double range even when the sigma^2 integral is large.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,29 +32,15 @@ _DIRECT_ROW_BLOCK = 256
 # rows of a direct block evaluated at once; bounds the direct pass's scratch
 _DIRECT_SUB_ROWS = 64
 
-# The O(N) recurrences run block by block so their scratch stays cache
-# resident; per-element cost is then flat from 1e4 to 1e7 nodes.
-_RECURRENCE_BLOCK = 32768
+# nodes between the restarts of the bounded chain's running sum, and at most between the
+# weighted chain's, which also restarts at each rebase. A restart begins the cumulative sum
+# afresh from the carried sum, which rounds differently from one continued sum, so retuning
+# this changes the transforms' bits, every transform CSV and perfbench/golden.json; the
+# scratch is bounded by _SEGMENT_NODES, not by this
+_RESTART_NODES = 32768
 # nodes per segment at most: a block is walked in segments of this size, which
 # leaves every value as it is and bounds the scratch of the pass and its checks
 _SEGMENT_NODES = 8192
-
-
-@dataclass(frozen=True, eq=False)
-class TransformSeries:
-    """Node-aligned (X, Y) component series; weighted marks the exp-weighted variant."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    weighted: bool
-
-    def modulus(self) -> np.ndarray:
-        return np.hypot(self.X, self.Y)
-
-    def feed(self, k0: int, k1: int, z: np.ndarray) -> None:
-        """Store a block of reduce_pass, X + iY at the nodes k0 .. k1-1."""
-        self.X[k0:k1] = z.real
-        self.Y[k0:k1] = z.imag
 
 
 def _variance_sum(sigma: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -100,12 +84,6 @@ def prefix_sum(terms: np.ndarray, carry=None) -> np.ndarray:
     return values
 
 
-def _series(X: np.ndarray, Y: np.ndarray, weighted: bool) -> TransformSeries:
-    for arr in (X, Y):
-        arr.setflags(write=False)
-    return TransformSeries(X=X, Y=Y, weighted=weighted)
-
-
 def _reduce_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """x mod 2pi into ``out``, bit-identical to np.mod(x, TWO_PI).
 
@@ -137,7 +115,7 @@ def in_range(compute, *args):
 
 def transform_pair_direct(
     path: PathRecord, bounded: bool = True, weighted: bool = True
-) -> tuple[TransformSeries | None, TransformSeries | None]:
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """O(N^2) references of both transforms from one evaluation of cos/sin(x_k - x_j).
 
     Bounded: X_k = sum_{j<k} cos(x_k - x_j) u_j dt, Y_k likewise with sin.
@@ -145,7 +123,8 @@ def transform_pair_direct(
     same sum with -sin; its weights are evaluated from exponent differences
     entry by entry, independently of the separated recurrence.
 
-    Returns (bounded, weighted); a variant not asked for is None. The sums turn
+    Returns (bounded, weighted), each X + iY at the nodes 0 .. N as a read-only
+    array; a variant not asked for is None. The sums turn
     to inf or nan once their scale or a phase difference leaves double range;
     compare_oracle_pair does not ask for them then.
 
@@ -182,15 +161,16 @@ def transform_pair_direct(
                 sin_part[s0:s1] = (sin_d * terms).sum(axis=1)
     series = {}
     for flag, cos_part, sin_part in parts:
-        X, Y = (-sin_part, cos_part) if flag else (cos_part, sin_part)
-        series[flag] = _series(X, Y, flag)
+        z = series[flag] = np.empty(n + 1, dtype=np.complex128)
+        z.real, z.imag = (-sin_part, cos_part) if flag else (cos_part, sin_part)
+        z.setflags(write=False)
     return series.get(False), series.get(True)
 
 
 class _Chain:
     """One transform's state in the shared recurrence loop.
 
-    The chain runs in blocks: the bounded one every _RECURRENCE_BLOCK nodes,
+    The chain runs in blocks: the bounded one every _RESTART_NODES nodes,
     the weighted one also whenever its scale must be rebased. A block starts
     its running sum from the carried sum ``acc`` times the scale change; a
     segment inside a block continues the block's cumulative sum from
@@ -218,8 +198,9 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
     consumers as ``consumer.feed(k0, k1, z)``. A block is scratch that the
     next segment overwrites, and a transform with no consumers is not
     computed. Returns whether each transform was computed and stayed in double
-    range; the consumers of one that left it are fed no further. Overflow on
-    the way raises no warning, as in in_range.
+    range; the consumers of one that leaves it are fed its nodes before its
+    first value out of double range, and no further. Overflow on the way raises
+    no warning, as in in_range.
 
     Segments end wherever either transform starts a block, and at most
     _SEGMENT_NODES nodes after they start. Each segment forms
@@ -235,7 +216,7 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
     alive = [bool(group) for group in consumers]
     bounded, weighted = alive
 
-    size = min(_SEGMENT_NODES, _RECURRENCE_BLOCK, n_nodes)
+    size = min(_SEGMENT_NODES, _RESTART_NODES, n_nodes)
     phase = np.empty(size)
     rot = np.empty(size, dtype=np.complex128)
     base = np.empty(size + 1, dtype=np.complex128)
@@ -254,11 +235,11 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
             if chain.weighted:
                 scale = half_i[k0]
                 k1 = int(np.searchsorted(half_i, scale + RESCALE_THRESHOLD, side="right"))
-                chain.end = max(min(k1, k0 + _RECURRENCE_BLOCK), k0 + 1)
+                chain.end = max(min(k1, k0 + _RESTART_NODES), k0 + 1)
                 factor = np.exp(scale - chain.scale)
             else:
                 scale, factor = 0.0, 1.0
-                chain.end = min(k0 + _RECURRENCE_BLOCK, n_nodes)
+                chain.end = min(k0 + _RESTART_NODES, n_nodes)
             # stored sums carry a factor e^{scale}; raising the scale multiplies
             # them up, and the reconstruction factor e^{h_k - scale} stays within
             # [1, e^threshold] so it can never overflow on its own
@@ -302,30 +283,14 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
                 lift = np.subtract(half_i[k0:k1], chain.scale, out=phase[:m])
                 z_blk *= np.exp(lift, out=lift)
                 z_blk *= 1j
-            alive[chain.weighted] = bool(np.isfinite(z_blk).all())
-            for consumer in consumers[chain.weighted] if alive[chain.weighted] else ():
-                consumer.feed(k0, k1, z_blk)
+            finite = np.isfinite(z_blk)
+            alive[chain.weighted] = ok = bool(finite.all())
+            end = k1 if ok else k0 + int(np.argmin(finite))  # the first node out of double range
+            for consumer in consumers[chain.weighted] if end > k0 else ():
+                consumer.feed(k0, end, z_blk[: end - k0])
         chains = [c for c in chains if alive[c.weighted]]
         k0 = k1
     return alive
-
-
-def transform_pair_recursive(
-    path: PathRecord, bounded: bool = True, weighted: bool = True
-) -> tuple[TransformSeries | None, TransformSeries | None]:
-    """Both O(N) recurrences of reduce_pass, gathered whole.
-
-    Returns (bounded, weighted); a variant not asked for is None, and so is a
-    series whose values leave double range. Each series is the one the pass
-    returns for that variant alone, bit for bit.
-    """
-    n_nodes = path.grid.n_steps + 1
-    gathers = [
-        [TransformSeries(np.empty(n_nodes), np.empty(n_nodes), bool(i))] if flag else []
-        for i, flag in enumerate((bounded, weighted))
-    ]
-    alive = reduce_pass(path, gathers)
-    return tuple(_series(g[0].X, g[0].Y, g[0].weighted) if ok else None for g, ok in zip(gathers, alive))
 
 
 def variance_discounted_u(psi, sigma, grid: TimeGrid) -> np.ndarray | None:

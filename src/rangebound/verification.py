@@ -17,7 +17,6 @@ from .transforms import (
     prefix_sum,
     reduce_pass,
     transform_pair_direct,
-    transform_pair_recursive,
 )
 
 BOUND_TOLERANCE_UNIT = 1e-9
@@ -207,6 +206,23 @@ class RotationCheck(_BlockCheck):
         return None if values is None else tuple(map(float, values))
 
 
+class HeadKeeper:
+    """A consumer of reduce_pass that keeps X + iY at the nodes 0 .. ``steps``, the recurrence's
+    side of compare_oracle_pair: ``steps + 1`` complex values, 64 KB at ORACLE_CEILING."""
+
+    def __init__(self, steps: int):
+        self.kept, self.end = np.empty(steps + 1, dtype=np.complex128), 0
+
+    def feed(self, k0: int, k1: int, z: np.ndarray) -> None:
+        self.kept[k0:k1] = z[: max(len(self.kept) - k0, 0)]
+        self.end = k1
+
+    def head(self) -> np.ndarray | None:
+        """The kept nodes; None unless the blocks fed reach node ``steps``, as they do not once
+        the transform leaves double range at or before it."""
+        return self.kept if self.end >= len(self.kept) else None
+
+
 def orders_from_residuals(residual_norms) -> tuple[float, ...] | None:
     """log2 decay rate per refinement pair, coarse to fine; None once one leaves double range.
 
@@ -271,10 +287,13 @@ def convergence_ladder(
     return reports
 
 
-def compare_oracle_pair(path: PathRecord) -> dict[str, tuple[float, float] | None]:
+def compare_oracle_pair(path: PathRecord, heads) -> dict[str, tuple[float, float] | None]:
     """Each transform's max |direct - recursive| over both components and all
-    nodes, with its tolerance, from one direct and one recursive pass.
+    nodes, with its tolerance, from one direct pass.
 
+    ``heads`` is the (bounded, weighted) pair of the recurrence's X + iY at the
+    nodes 0 .. N of ``path``, such as HeadKeeper.head() gives; one is None once
+    its recurrence left double range there.
     Refuses paths longer than ORACLE_CEILING: the direct reference is O(N^2).
     The tolerance is ORACLE_TOLERANCE_UNIT * (1 + scale), the scale being the
     total of |u| dt, times e^{I_N/2} for the weighted transform; a row is None,
@@ -287,20 +306,20 @@ def compare_oracle_pair(path: PathRecord) -> dict[str, tuple[float, float] | Non
         raise OracleCostError(
             f"direct reference refused: {n} steps exceeds the ceiling of {ORACLE_CEILING}"
         )
+    if any(head is not None and len(head) != n + 1 for head in heads):
+        raise ValueError(f"a recurrence head must hold the {n + 1} nodes of the path")
     scales = [None, None]
     if in_range(np.ptp, path.x) is not None:
         scales[0] = integral = in_range(lambda: float(np.sum(np.abs(path.u)) * path.grid.dt))
     if scales[0] is not None:
         scales[1] = in_range(lambda: integral * float(np.exp(half_variance_sum(path)[-1])))
-    asked = [scale is not None for scale in scales]
+    asked = [scale is not None and head is not None for scale, head in zip(scales, heads)]
     direct = transform_pair_direct(path, *asked) if any(asked) else (None, None)
-    fast = transform_pair_recursive(path, *asked)
     rows = {}
-    for which, scale, ref, ts in zip(("bounded", "weighted"), scales, direct, fast):
+    for which, scale, ref, head in zip(("bounded", "weighted"), scales, direct, heads):
         rows[which] = None
-        if ref is not None and ts is not None:
-            deviation = max(
-                float(np.max(np.abs(ref.X - ts.X))), float(np.max(np.abs(ref.Y - ts.Y)))
-            )
+        if ref is not None:
+            gap = ref - head
+            deviation = max(float(np.max(np.abs(gap.real))), float(np.max(np.abs(gap.imag))))
             rows[which] = (deviation, ORACLE_TOLERANCE_UNIT * (1 + scale))
     return rows

@@ -1,9 +1,10 @@
 """Whole-series views of the block checks, and the whole-array reductions they replace.
 
 The library's checks reduce the blocks of one recurrence pass and never hold a
-series whole. The helpers here feed them a whole series as one block, or
-compute the same reductions with whole-array numpy, the reference a blockwise
-reduction must match bit for bit.
+series whole, and the library gathers no transform whole either. The helpers
+here gather a pass's blocks into whole series, feed the checks a whole series
+as one block, or compute the same reductions with whole-array numpy, the
+reference a blockwise reduction must match bit for bit.
 """
 
 import numpy as np
@@ -19,9 +20,33 @@ def seeded_path(a_spec, sigma_spec, u_spec, grid, seed, x0=0.0):
     return rb.simulate_path(a_spec, sigma_spec, u_spec, grid, rb.sample_wiener(grid, seed), x0, seed)
 
 
+class Gather:
+    """A consumer of reduce_pass that copies each block it is fed, X + iY at nodes k0 .. k1-1."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def feed(self, k0, k1, z):
+        assert k0 == sum(len(block) for block in self.blocks) and len(z) == k1 - k0
+        self.blocks.append(np.copy(z))
+
+
+def recurrence_pair(path, bounded=True, weighted=True):
+    """(bounded, weighted), each transform's X + iY at every node gathered from the blocks of one
+    reduce_pass; a variant not asked for is None, and so is one whose values leave double range."""
+    gathers = [Gather() if flag else None for flag in (bounded, weighted)]
+    alive = rb.reduce_pass(path, [[g] if g else [] for g in gathers])
+    return tuple(np.concatenate(g.blocks) if ok else None for g, ok in zip(gathers, alive))
+
+
 def bounded_recursive(path):
-    """The bounded series of transform_pair_recursive alone."""
-    return rb.transform_pair_recursive(path, weighted=False)[0]
+    """The bounded series of recurrence_pair alone."""
+    return recurrence_pair(path, weighted=False)[0]
+
+
+def oracle_rows(path):
+    """compare_oracle_pair on ``path`` against its own recurrence pair, as verify runs it on a head."""
+    return rb.compare_oracle_pair(path, recurrence_pair(path))
 
 
 def _left_sum(terms):
@@ -53,11 +78,11 @@ def block_series(check, run):
     return value, tuple(np.concatenate(series) for series in zip(*blocks))
 
 
-def identity_sides(path, ts):
-    """(lhs, rhs, residual) of ``ts``'s identity: IdentityCheck fed ``ts`` as one block."""
-    check = rb.IdentityCheck(path, ts.weighted)
-    _, (lhs, rhs) = block_series(check, lambda: check.feed(0, len(ts.X), ts.X + 1j * ts.Y))
-    return lhs, ts.X if ts.weighted else rhs, check.residual()
+def identity_sides(path, z, weighted):
+    """(lhs, rhs, residual) of the identity of ``z``, X + iY: IdentityCheck fed ``z`` as one block."""
+    check = rb.IdentityCheck(path, weighted)
+    _, (lhs, rhs) = block_series(check, lambda: check.feed(0, len(z), z))
+    return lhs, z.real if weighted else rhs, check.residual()
 
 
 def residual_norm(lhs, rhs):
@@ -65,28 +90,33 @@ def residual_norm(lhs, rhs):
     return float(np.max(np.abs(np.subtract(lhs, rhs))))
 
 
-def whole_identity_sides(path, ts):
-    """Both sides of ``ts``'s identity with whole-array cumulative sums."""
-    if ts.weighted:
-        return -ito_cumsum(ts.Y[:-1], path), ts.X
-    correction = riemann_cumsum(path.sigma * path.sigma * ts.Y[:-1], path.grid)
-    return ito_cumsum(ts.X[:-1], path), ts.Y + 0.5 * correction
+def whole_identity_sides(path, z, weighted):
+    """Both sides of the identity of ``z``, X + iY, with whole-array cumulative sums."""
+    if weighted:
+        return -ito_cumsum(z.imag[:-1], path), z.real
+    correction = riemann_cumsum(path.sigma * path.sigma * z.imag[:-1], path.grid)
+    return ito_cumsum(z.real[:-1], path), z.imag + 0.5 * correction
 
 
-def whole_residual(path, ts):
+def whole_residual(path, z, weighted):
     """max |lhs - rhs| over the whole series, None once it or a side's last value leaves double range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs, rhs = whole_identity_sides(path, ts)
+        lhs, rhs = whole_identity_sides(path, z, weighted)
         residual = float(np.max(np.abs(lhs - rhs)))
     return residual if np.isfinite([lhs[-1], rhs[-1], residual]).all() else None
 
 
-def whole_bound(ts, integrand, grid):
-    """The BoundReport of ``ts`` against the left-sum of |integrand| dt, by np.argmax on the
-    whole margin; None once the envelope's total leaves double range."""
+def modulus(z):
+    """sqrt(X^2 + Y^2) of ``z``, X + iY, as the envelope check forms it."""
+    return np.hypot(z.real, z.imag)
+
+
+def whole_bound(z, integrand, grid):
+    """The BoundReport of ``z``, X + iY, against the left-sum of |integrand| dt, by np.argmax on
+    the whole margin; None once the envelope's total leaves double range."""
     with np.errstate(over="ignore", invalid="ignore"):
         envelope = riemann_cumsum(np.abs(integrand), grid)
-        margin = ts.modulus() - envelope
+        margin = modulus(z) - envelope
     if not np.isfinite(envelope[-1]):
         return None
     index = int(np.argmax(margin))

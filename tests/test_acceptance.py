@@ -24,7 +24,16 @@ import rangebound as rb
 from rangebound import CoefficientSpec
 from rangebound.errors import OracleCostError
 
-from checks import bounded_recursive, residual_norm, riemann_cumsum, rotation_sides, seeded_path
+from checks import (
+    bounded_recursive,
+    modulus,
+    oracle_rows,
+    recurrence_pair,
+    residual_norm,
+    riemann_cumsum,
+    rotation_sides,
+    seeded_path,
+)
 
 const = CoefficientSpec.constant
 
@@ -69,17 +78,17 @@ def test_criterion_01_bounded_envelope():
     worst_reference = -math.inf
     for seed in range(1, 101):
         path = seeded_path(const(2), const(1), const(1), grid, seed=seed)
-        ts = bounded_recursive(path)
-        worst_reference = max(worst_reference, float(np.max(ts.modulus())) - 5.0)
+        z = bounded_recursive(path)
+        worst_reference = max(worst_reference, float(np.max(modulus(z))) - 5.0)
 
     rng = np.random.default_rng(20260811)
     worst_swept = -math.inf
     for _ in range(100):
         path = random_instance(rng)
-        ts = bounded_recursive(path)
+        z = bounded_recursive(path)
         envelope = riemann_cumsum(np.abs(path.u), path.grid)
         tolerance = 1e-9 * (1.0 + envelope[-1])
-        worst_swept = max(worst_swept, float(np.max(ts.modulus() - envelope)) - tolerance)
+        worst_swept = max(worst_swept, float(np.max(modulus(z) - envelope)) - tolerance)
     elapsed = time.perf_counter() - started
 
     ok = worst_reference <= 1e-9 and worst_swept <= 0.0 and elapsed < 60.0
@@ -102,8 +111,8 @@ def test_criterion_02_discounted_envelope():
     for seed in range(1, 51):
         path = seeded_path(const(2), const(1), const(0), grid, seed=seed)
         path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
-        ts = rb.transform_pair_recursive(path, bounded=False)[1]
-        worst = max(worst, float(np.max(ts.modulus() - target)))
+        z = recurrence_pair(path, bounded=False)[1]
+        worst = max(worst, float(np.max(modulus(z) - target)))
     ok = worst <= 1e-9
     report(2, ok, f"max margin over log(1+t) envelope {worst:.3e} (<=1e-9), 50 seeds")
     assert worst <= 1e-9
@@ -116,7 +125,7 @@ def test_criterion_03_oracle_equivalence():
     for i in range(200):
         path = random_instance(rng, n_lo=100, n_hi=2000)
         which = "bounded" if i % 2 == 0 else "weighted"
-        deviation = rb.compare_oracle_pair(path)[which][0]
+        deviation = oracle_rows(path)[which][0]
         scale = 1.0 + float(np.sum(np.abs(path.u)) * path.grid.dt)
         if which == "weighted":
             scale = 1.0 + float(
@@ -140,10 +149,10 @@ def test_criterion_03_oracle_equivalence():
 def test_criterion_04_closed_form_degenerate():
     grid = rb.build_grid(5.0, 10_000)
     path = seeded_path(const(2), const(0), const(1), grid, seed=1)
-    ts = bounded_recursive(path)
+    z = bounded_recursive(path)
     t = grid.nodes
-    err_x = float(np.max(np.abs(ts.X - np.sin(2 * t) / 2)))
-    err_y = float(np.max(np.abs(ts.Y - (1 - np.cos(2 * t)) / 2)))
+    err_x = float(np.max(np.abs(z.real - np.sin(2 * t) / 2)))
+    err_y = float(np.max(np.abs(z.imag - (1 - np.cos(2 * t)) / 2)))
     ok = err_x <= 5 * grid.dt and err_y <= 5 * grid.dt
     report(4, ok, f"errX {err_x:.3e}, errY {err_y:.3e} (<= 5*dt = {5 * grid.dt:.3e})")
     assert err_x <= 5 * grid.dt
@@ -303,7 +312,7 @@ def test_criterion_09_linear_scaling():
     guard = seeded_path(const(2), const(1), const(1), rb.build_grid(5.0, 4001), seed=1)
     refused = False
     try:
-        rb.compare_oracle_pair(guard)
+        oracle_rows(guard)
     except OracleCostError:
         refused = True
 

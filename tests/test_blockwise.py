@@ -18,17 +18,25 @@ from rangebound import experiment, transforms, verification
 from rangebound.config import parse_config
 from rangebound.errors import ConfigurationError
 
-from checks import block_series, whole_bound, whole_residual, whole_rotation, whole_rotation_report
+from checks import (
+    Gather,
+    block_series,
+    recurrence_pair,
+    whole_bound,
+    whole_residual,
+    whole_rotation,
+    whole_rotation_report,
+)
 
 BLOCKS = (1, 2, 5, 64)
 
 
 def whole_rung_residuals(path):
     """verification._rung_residuals with whole series and whole-array sums."""
-    pair = rb.transform_pair_recursive(path)
+    pair = recurrence_pair(path)
     return {
-        identity: None if ts is None else whole_residual(path, ts)
-        for identity, ts in zip(("bounded", "weighted"), pair)
+        identity: None if z is None else whole_residual(path, z, weighted)
+        for weighted, (identity, z) in enumerate(zip(("bounded", "weighted"), pair))
     }
 
 
@@ -38,15 +46,15 @@ def whole_array_rows(config, seed):
     psi = None  # the weighted transform's envelope needs psi
     if config.uses_discounted_u:
         psi = config.psi_spec.sample_series(path.grid, x_left=path.x[:-1])
-    pair = rb.transform_pair_recursive(path)
+    pair = recurrence_pair(path)
     rows, residuals = [], {}
-    for which, ts, integrand in zip(("bounded", "weighted"), pair, (path.u, psi)):
-        residuals[which] = residual = None if ts is None else whole_residual(path, ts)
-        if ts is None:
+    for weighted, (which, z, integrand) in enumerate(zip(("bounded", "weighted"), pair, (path.u, psi))):
+        residuals[which] = residual = None if z is None else whole_residual(path, z, weighted)
+        if z is None:
             rows.append(("transform", which, "range"))
         elif integrand is not None:
-            rows.append(("bound", which, whole_bound(ts, integrand, path.grid) or "range"))
-        skip = "transform" if ts is None else "range"
+            rows.append(("bound", which, whole_bound(z, integrand, path.grid) or "range"))
+        skip = "transform" if z is None else "range"
         rows.append(("identity", which, skip if residual is None else (residual,)))
     if all(residual is None for residual in residuals.values()):
         return rows + [("convergence", None, "residual")]
@@ -114,7 +122,7 @@ def test_seed_record_matches_whole_array_reductions(text, block, seed):
     config = parse_config(text)
     with pytest.MonkeyPatch.context() as mp:
         # segments of 3 nodes also split the blocks of 5 and 64
-        mp.setattr(transforms, "_RECURRENCE_BLOCK", block)
+        mp.setattr(transforms, "_RESTART_NODES", block)
         mp.setattr(transforms, "_SEGMENT_NODES", 3)
         try:
             want = whole_array_rows(config, seed)
@@ -129,7 +137,7 @@ def test_examples_reach_their_edges():
     """The named examples hold what they are named for."""
     for block in BLOCKS:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(transforms, "_RECURRENCE_BLOCK", block)
+            mp.setattr(transforms, "_RESTART_NODES", block)
             [(check, _, tie)] = experiment._evaluate_seed(parse_config(TIE), 1, {"bound_t1"}, 4)
             wanted = experiment.VERIFY_WANTED - {"oracle_head"}
             leaves = experiment._evaluate_seed(parse_config(LEAVES_RANGE), 2, wanted, 4)
@@ -148,6 +156,24 @@ def test_examples_reach_their_edges():
 PSI = "t_max = 5\nn_steps = {}\na = sin:1,2,3\nsigma = sin:2,1,1\npsi = sin:1,0.5,2\nseeds = 1\n"
 
 
+def kept_heads(config, seed, ceiling):
+    """The path's head and the (bounded, weighted) X + iY that _evaluate_seed's one pass kept
+    at its nodes, as compare_oracle_pair is handed them with ORACLE_CEILING at ``ceiling``;
+    each is None where the pass did not keep every node of the head."""
+    seen, compare = [], experiment.compare_oracle_pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "ORACLE_CEILING", ceiling)
+        mp.setattr(experiment, "compare_oracle_pair", lambda *args: seen.append(args) or compare(*args))
+        experiment._evaluate_seed(config, seed, {"oracle_head", "identities"}, 4)
+    [(head, heads)] = seen
+    return head, heads
+
+
+def spelled(pair):
+    """Each series of ``pair`` by its bytes, None as None."""
+    return [None if z is None else z.tobytes() for z in pair]
+
+
 # on 63 steps of 5/63, nodes[7] / 7 and nodes[53] / 53 are not dt: a head whose
 # grid re-divided its t_max would differ there
 @pytest.mark.parametrize("steps", [1, 7, 33, 53])
@@ -155,22 +181,67 @@ PSI = "t_max = 5\nn_steps = {}\na = sin:1,2,3\nsigma = sin:2,1,1\npsi = sin:1,0.
     "text", [REBASES, REBASES.replace("psi", "u"), PSI.format(63)], ids=["rebases", "rebases_u", "psi"]
 )
 def test_recurrences_on_the_head_are_the_paths_first_nodes(text, steps):
-    """The oracle's head, path.head(c), gives the path's own first c + 1 nodes, bit for bit."""
-    path = experiment.prepare_path(parse_config(text), 3)
-    head = path.head(steps)
+    """The oracle's head, path.head(c), gives the path's own first c + 1 nodes, bit for bit, and
+    they are the nodes the path's one pass keeps for the oracle."""
+    config = parse_config(text)
+    path = experiment.prepare_path(config, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        # restarts every 5 and segments of 3 nodes put boundaries inside every head
+        mp.setattr(transforms, "_RESTART_NODES", 5)
+        mp.setattr(transforms, "_SEGMENT_NODES", 3)
+        head, kept = kept_heads(config, 3, steps)
+        whole = recurrence_pair(path)
+        first = recurrence_pair(head)
     assert path.head(64) is path and head.grid.dt == path.grid.dt
-    assert head.driftless == path.driftless
+    assert head.grid.n_steps == steps and head.driftless == path.driftless
     for name in ("x", "dw", "sigma", "u"):
         assert not np.shares_memory(getattr(head, name), getattr(path, name))
+    assert spelled(first) == spelled(z[: steps + 1] for z in whole) == spelled(kept)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(text=LEAVES_RANGE, ceiling=1, edge=0, restart=64, segment=64, threshold=None, seed=2)
+@example(text=LEAVES_RANGE, ceiling=1, edge=-1, restart=5, segment=64, threshold=None, seed=2)
+@example(text=LEAVES_RANGE, ceiling=1, edge=1, restart=64, segment=64, threshold=40.0, seed=2)
+@example(text=REBASES, ceiling=40, edge=None, restart=2, segment=3, threshold=3.0, seed=3)
+@given(
+    text=configs(),
+    ceiling=st.integers(1, 200),
+    edge=st.sampled_from([None, -1, 0, 1]),
+    restart=st.sampled_from([1, 2, 5, 13, 64]),
+    segment=st.sampled_from([1, 3, 5, 64]),
+    threshold=st.sampled_from([None, 3.0, 40.0]),
+    seed=st.integers(1, 1000),
+)
+def test_the_kept_head_is_the_heads_own_pass(text, ceiling, edge, restart, segment, threshold, seed):
+    """The nodes the path's pass keeps for the oracle are the head's own recurrence bit for bit,
+    and None just where it is, wherever the restarts, rebases and segments fall.
+
+    Given ``edge``, a path whose transform leaves double range at node k gets the ceiling
+    k - 1 + edge: edge 0 puts that node just past the head, where a pass that dropped the whole
+    segment holding it would keep too little, and edge 1 puts it inside the head.
+    """
+    config = parse_config(text)
     with pytest.MonkeyPatch.context() as mp:
-        # blocks of 5 and segments of 3 nodes put boundaries inside every head
-        mp.setattr(transforms, "_RECURRENCE_BLOCK", 5)
-        mp.setattr(transforms, "_SEGMENT_NODES", 3)
-        whole = rb.transform_pair_recursive(path)
-        first = rb.transform_pair_recursive(head)
-    for full, part in zip(whole, first):
-        for name in ("X", "Y"):
-            assert getattr(part, name).tobytes() == getattr(full, name)[: steps + 1].tobytes()
+        mp.setattr(transforms, "_RESTART_NODES", restart)
+        mp.setattr(transforms, "_SEGMENT_NODES", segment)
+        if threshold is not None:
+            mp.setattr(transforms, "RESCALE_THRESHOLD", threshold)
+        try:
+            path = experiment.prepare_path(config, seed)
+        except ConfigurationError:
+            return  # a path out of double range is refused before any pass
+        gathers = [Gather(), Gather()]
+        with pytest.MonkeyPatch.context() as one:
+            # segments of one node feed just the nodes before a transform's first out of range
+            one.setattr(transforms, "_SEGMENT_NODES", 1)
+            alive = transforms.reduce_pass(path, [[gather] for gather in gathers])
+        leaves = [sum(map(len, g.blocks)) for g, ok in zip(gathers, alive) if not ok]
+        if edge is not None and leaves:
+            ceiling = max(1, min(leaves) - 1 + edge)
+        head, kept = kept_heads(config, seed, ceiling)
+        own = recurrence_pair(head)
+    assert spelled(kept) == spelled(own)
 
 
 def traced_peak(n_steps, command):

@@ -324,14 +324,14 @@ def test_file_bytes_do_not_depend_on_where_blocks_end(text, segment, cells, bloc
     """run's and figures' files and manifest, and their refusals, are the same bytes whatever
     segments the pass and the rotations are fed in and however many cells a _cells call takes.
 
-    The recurrence's own blocks and rebases round its values, so _RECURRENCE_BLOCK and
+    The recurrence's restarts and rebases round its values, so _RESTART_NODES and
     RESCALE_THRESHOLD are drawn for both sides alike, the defaults at None; the default
     _SEGMENT_NODES and CSV_CHUNK_CELLS give each file of up to 1201 rows in one block and
     a few chunks, the small ones in many.
     """
     config = parse_config(text)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        for name, value in (("_RECURRENCE_BLOCK", block), ("RESCALE_THRESHOLD", threshold)):
+        for name, value in (("_RESTART_NODES", block), ("RESCALE_THRESHOLD", threshold)):
             if value is not None:
                 mp.setattr(transforms, name, value)
         want = _emit_all(config, Path(tmp) / "defaults")

@@ -5,23 +5,26 @@ Config A keeps both transforms finite but sums psi dt past DBL_MAX, so every
 envelope and oracle scale overflows. Config B's u dt sums overflow in the
 bounded transform itself. Config C's path itself leaves double range, and
 config D's sigma^2 does while sigma, the path and the bounded transform do not.
+Config E's weighted transform leaves it just past the oracle's head, inside the
+segment of the pass that holds the head's last node.
 """
 
 import warnings
 
+import numpy as np
 import pytest
 
-import rangebound as rb
-from rangebound import cli, verification
+from rangebound import cli, transforms, verification
 from rangebound.config import parse_config
 from rangebound.experiment import prepare_path
 
-from checks import bounded_recursive
+from checks import Gather, bounded_recursive, oracle_rows, recurrence_pair
 
 CONFIG_A = "t_max=5\nn_steps=512\na=const:2\nsigma=const:1\npsi=const:1e308\nseeds=1\n"
 CONFIG_B = "t_max=5\nn_steps=512\na=const:0\nsigma=const:1\nu=const:1e308\nseeds=1\n"
 CONFIG_C = "t_max=1\nn_steps=8\nx0=1e308\na=const:1e308\nsigma=const:1\nu=const:1\nseeds=1\n"
 CONFIG_D = "t_max=1\nn_steps=8\na=const:0\nsigma=const:1e200\nu=const:1\nseeds=1\n"
+CONFIG_E = "t_max=1\nn_steps=8192\na=const:1\nsigma=const:53.5\nu=const:1\nseeds=1\n"
 
 
 @pytest.fixture
@@ -155,9 +158,9 @@ def test_config_b_recurrence_and_oracle_give_no_bounded_series():
     path = prepare_path(parse_config(CONFIG_B), 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert rb.transform_pair_recursive(path) == (None, None)
+        assert recurrence_pair(path) == (None, None)
         assert bounded_recursive(path) is None
-        assert rb.compare_oracle_pair(path) == {"bounded": None, "weighted": None}
+        assert oracle_rows(path) == {"bounded": None, "weighted": None}
 
 
 @pytest.mark.parametrize("name", ["run", "verify", "figures"])
@@ -212,3 +215,32 @@ def test_config_d_rung_has_no_residual():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert verification._rung_residuals(path) == {"bounded": None, "weighted": None}
+
+
+def test_config_e_leaves_double_range_mid_segment_and_feeds_the_nodes_before_it():
+    """A transform's consumers get every node before its first value out of double range, as
+    segments of one node feed them, though the segment that holds that value starts before it."""
+    path = prepare_path(parse_config(CONFIG_E), 1)
+    fed = {}
+    for segment in (1, transforms._SEGMENT_NODES):
+        bounded, weighted = Gather(), Gather()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transforms, "_SEGMENT_NODES", segment)
+            assert transforms.reduce_pass(path, ([bounded], [weighted])) == [True, False]
+        fed[segment] = np.concatenate(weighted.blocks)
+    first = len(fed[1])  # the weighted transform's first node out of double range
+    assert fed[transforms._SEGMENT_NODES].tobytes() == fed[1].tobytes()
+    assert np.isfinite(fed[1]).all()
+    # the default segments: none starts at that node, nor between it and the head's last node
+    starts = np.cumsum([0] + [len(block) for block in bounded.blocks])
+    assert verification.ORACLE_CEILING < first < path.grid.n_steps
+    assert not ((verification.ORACLE_CEILING < starts) & (starts <= first)).any()
+
+
+def test_config_e_verify_checks_the_whole_weighted_head(command):
+    """The oracle reads the first 4001 nodes of the pass: they are all in double range, as the
+    head's own recurrence is, so the weighted row is checked rather than skipped."""
+    code, lines, err, _ = command("verify", CONFIG_E)
+    assert code == 0 and err == ""
+    assert "PASS oracle[weighted] seed=1 n=4000: deviation=3.123e+285 tolerance=1.479e+293" in lines
+    assert "NOTE identity[weighted] seed=1: values leave double range, skipped" in lines

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rangebound as rb
-from rangebound import transforms, verification
+from rangebound import experiment, transforms, verification
 from rangebound.config import parse_config
 from rangebound.experiment import emit_figures, prepare_path, run_experiment, verify_suite
 from rangebound.transforms import (
@@ -24,13 +24,12 @@ from rangebound.transforms import (
     _reduce_phase,
     half_variance_sum,
     transform_pair_direct,
-    transform_pair_recursive,
 )
 
-from checks import bounded_recursive, rotation_sides, seeded_path
+from checks import bounded_recursive, oracle_rows, recurrence_pair, rotation_sides, seeded_path
 
 const = rb.CoefficientSpec.constant
-B = transforms._RECURRENCE_BLOCK
+B = transforms._RESTART_NODES
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +50,7 @@ def reference_recurrence(path, half_i, rescale_threshold):
     u = path.u
     dt = path.grid.dt
     weighted = half_i is not None
-    block = transforms._RECURRENCE_BLOCK
+    block = transforms._RESTART_NODES
 
     out_x = np.empty(n_nodes)
     out_y = np.empty(n_nodes)
@@ -139,9 +138,9 @@ def reference_direct(path, weighted):
     return cos_part, sin_part
 
 
-def same_bits(ts, reference):
+def same_bits(z, reference):
     X, Y = reference
-    return ts.X.tobytes() == X.tobytes() and ts.Y.tobytes() == Y.tobytes()
+    return z.real.tobytes() == X.tobytes() and z.imag.tobytes() == Y.tobytes()
 
 
 def assert_recurrences_match(path, threshold=RESCALE_THRESHOLD):
@@ -150,7 +149,7 @@ def assert_recurrences_match(path, threshold=RESCALE_THRESHOLD):
     ref_weighted = reference_recurrence(path, half_i, threshold)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transforms, "RESCALE_THRESHOLD", threshold)
-        bounded, weighted = transform_pair_recursive(path)
+        bounded, weighted = recurrence_pair(path)
         assert same_bits(bounded_recursive(path), ref_bounded)
     assert same_bits(bounded, ref_bounded)
     if np.isfinite(ref_weighted).all():
@@ -165,7 +164,7 @@ def assert_recurrences_match(path, threshold=RESCALE_THRESHOLD):
 def weighted_alone(path, threshold=RESCALE_THRESHOLD):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transforms, "RESCALE_THRESHOLD", threshold)
-        return transform_pair_recursive(path, bounded=False)[1]
+        return recurrence_pair(path, bounded=False)[1]
 
 
 def with_zero_stretches(path, rng):
@@ -269,18 +268,21 @@ def test_pair_recurrence_matches_reference_on_dense_block_splits(
     if zeros:
         path = with_zero_stretches(path, np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transforms, "_RECURRENCE_BLOCK", block)
+        mp.setattr(transforms, "_RESTART_NODES", block)
         mp.setattr(transforms, "_SEGMENT_NODES", segment)
         assert_recurrences_match(path, threshold)
 
 
 def test_pair_recurrence_returns_only_what_is_asked():
+    """A transform with no consumers is not computed, and the other is the same bits alone."""
     path = seeded_path(const(1), const(1), const(1), rb.build_grid(1.0, 50), 1)
-    bounded, weighted = transform_pair_recursive(path, weighted=False)
-    assert weighted is None and not bounded.weighted
-    bounded, weighted = transform_pair_recursive(path, bounded=False)
-    assert bounded is None and weighted.weighted
-    assert transform_pair_recursive(path, bounded=False, weighted=False) == (None, None)
+    both = recurrence_pair(path)
+    bounded, weighted = recurrence_pair(path, weighted=False)
+    assert weighted is None and bounded.tobytes() == both[0].tobytes()
+    bounded, weighted = recurrence_pair(path, bounded=False)
+    assert bounded is None and weighted.tobytes() == both[1].tobytes()
+    assert both[0].tobytes() != both[1].tobytes()
+    assert rb.reduce_pass(path, ([], [])) == [False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +325,17 @@ def test_pair_direct_at_the_ceiling_is_exact_and_no_larger_than_one_reference():
 def test_oracle_pair_skips_weighted_direct_when_its_weights_overflow(phasor_counts):
     # the half-variance total reaches 718, beyond log(DBL_MAX) = 709.78
     path = seeded_path(const(0), const(1), const(1e-6), rb.build_grid(1436.0, 2000), 3)
-    _, directs = phasor_counts
+    _, directs, _ = phasor_counts
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = rb.compare_oracle_pair(path)
+        rows = oracle_rows(path)
         bounded, weighted = transforms.transform_pair_direct(path, weighted=False)
     assert directs == [(2000, True, False), (2000, True, False)]
     assert weighted is None
     assert same_bits(bounded, reference_direct(path, weighted=False))
     assert rows["weighted"] is None
     fast = bounded_recursive(path)
-    deviation = max(np.max(np.abs(bounded.X - fast.X)), np.max(np.abs(bounded.Y - fast.Y)))
+    deviation = max(np.max(np.abs(bounded.real - fast.real)), np.max(np.abs(bounded.imag - fast.imag)))
     integral = np.sum(np.abs(path.u)) * path.grid.dt
     assert rows["bounded"] == (deviation, 1e-10 * (1 + integral))
 
@@ -346,10 +348,12 @@ LADDER = "t_max=5\nn_steps=4096\na=sin:1,2,3\nsigma=sin:2,1,1\nu=const:1\nseeds=
 
 @pytest.fixture
 def phasor_counts(monkeypatch):
-    """Nodes reduced per path array, and the direct passes made through the
-    names compare_oracle_pair and ``transforms`` look them up by."""
-    reduced, directs = [], []
+    """Nodes reduced per path array, the direct passes made through the names
+    compare_oracle_pair and ``transforms`` look them up by, and the steps of each
+    reduce_pass the commands make."""
+    reduced, directs, passes = [], [], []
     reduce_phase, direct = transforms._reduce_phase, transforms.transform_pair_direct
+    reduce_pass = transforms.reduce_pass
 
     def counting_reduce(x, out):
         reduced.append((x.base if x.base is not None else x, len(x)))
@@ -359,9 +363,15 @@ def phasor_counts(monkeypatch):
         directs.append((path.grid.n_steps, bounded, weighted))
         return direct(path, bounded, weighted)
 
+    def counting_pass(path, consumers):
+        passes.append(path.grid.n_steps)
+        return reduce_pass(path, consumers)
+
     monkeypatch.setattr(transforms, "_reduce_phase", counting_reduce)
     for module in (transforms, verification):
         monkeypatch.setattr(module, "transform_pair_direct", counting_direct)
+    for module in (experiment, verification):
+        monkeypatch.setattr(module, "reduce_pass", counting_pass)
 
     def per_path():
         # the list keeps every array alive, so no id is reused
@@ -370,36 +380,38 @@ def phasor_counts(monkeypatch):
             totals[id(base)] = totals.get(id(base), 0) + m
         return sorted(totals.values())
 
-    return per_path, directs
+    return per_path, directs, passes
 
 
 @pytest.mark.parametrize("ceiling, oracle_n", [(4096, 4096), (4000, 4000)])
 def test_verify_reduces_each_path_once_per_pass(phasor_counts, ceiling, oracle_n):
-    """Each rung's phases are reduced once; the oracle's head once more by its own pass."""
-    per_path, directs = phasor_counts
+    """One pass on the seed's path, whose first nodes the oracle reads, and one per coarser rung:
+    the oracle makes no pass of its own, whether its head is the whole path or not."""
+    per_path, directs, passes = phasor_counts
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "ORACLE_CEILING", ceiling)
         summary = verify_suite(parse_config(LADDER), convergence_levels=4)
     assert not summary.failed
-    nodes = [513, 1025, 2049, 2 * 4097]
-    if oracle_n != 4096:
-        nodes = sorted([513, 1025, 2049, 4097, oracle_n + 1])
-    assert per_path() == nodes
+    assert passes == [4096, 512, 1024, 2048]
+    assert per_path() == [513, 1025, 2049, 4097]
     assert directs == [(oracle_n, True, True)]
 
 
 def test_run_reduces_each_path_once_per_pass(phasor_counts, tmp_path):
-    """Each rung's phases are reduced once, and the seed's path once more by the oracle's pass."""
-    per_path, directs = phasor_counts
+    """One pass on the seed's path, which feeds the checks, the writers and the oracle's head,
+    and one per coarser rung."""
+    per_path, directs, passes = phasor_counts
     cfg = parse_config(LADDER.replace("4096", "4000"))
     run_experiment(cfg, out_dir=tmp_path, convergence_levels=4)
-    assert per_path() == [501, 1001, 2001, 2 * 4001]
+    assert passes == [4000, 500, 1000, 2000]
+    assert per_path() == [501, 1001, 2001, 4001]
     assert directs == [(4000, True, True)]
 
 
 def test_figures_evaluates_the_phasor_once(phasor_counts, tmp_path):
-    per_path, directs = phasor_counts
+    per_path, directs, passes = phasor_counts
     emit_figures(parse_config(LADDER), out_dir=tmp_path)
+    assert passes == [4096]
     assert per_path() == [4097]
     assert directs == []
 
@@ -430,7 +442,7 @@ def test_pair_recurrence_gives_no_weighted_series_beyond_double_range():
     path = prepare_path(parse_config(WEIGHTED_OVERFLOW), 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bounded, weighted = transform_pair_recursive(path)
+        bounded, weighted = recurrence_pair(path)
         alone = weighted_alone(path)
     assert weighted is None and alone is None
     assert same_bits(bounded, reference_recurrence(path, None, RESCALE_THRESHOLD))

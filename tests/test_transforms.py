@@ -17,6 +17,9 @@ from checks import (
     block_series,
     bounded_recursive,
     identity_sides,
+    modulus,
+    oracle_rows,
+    recurrence_pair,
     residual_norm,
     riemann_cumsum,
     rotation_sides,
@@ -35,7 +38,7 @@ def weighted_recursive(path, rescale_threshold=RESCALE_THRESHOLD):
     """The weighted series alone, its scale rebased at ``rescale_threshold``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transforms, "RESCALE_THRESHOLD", rescale_threshold)
-        return rb.transform_pair_recursive(path, bounded=False)[1]
+        return recurrence_pair(path, bounded=False)[1]
 
 
 def rotation_rows(sigma, n_steps, seed):
@@ -80,40 +83,39 @@ def weighted_scale(path):
 
 
 def oracle_deviation(path, which):
-    return rb.compare_oracle_pair(path)[which][0]
+    return oracle_rows(path)[which][0]
 
 
 class TestBoundedTransform:
     def test_zero_integrand_gives_zero_series(self):
         grid = rb.build_grid(5.0, 400)
         path = seeded_path(const(2), const(1), const(0), grid, seed=1)
-        for ts in (bounded_direct(path), bounded_recursive(path)):
-            assert np.all(ts.X == 0.0)
-            assert np.all(ts.Y == 0.0)
-            assert not ts.weighted
+        for z in (bounded_direct(path), bounded_recursive(path)):
+            assert np.all(z.real == 0.0)
+            assert np.all(z.imag == 0.0)
 
     def test_deterministic_drift_closed_form(self):
         grid = rb.build_grid(5.0, 2000)
         path = seeded_path(const(2), const(0), const(1), grid, seed=1)
-        ts = bounded_direct(path)
+        z = bounded_direct(path)
         t = grid.nodes
-        assert np.max(np.abs(ts.X - np.sin(2 * t) / 2)) < 5 * grid.dt
-        assert np.max(np.abs(ts.Y - (1 - np.cos(2 * t)) / 2)) < 5 * grid.dt
+        assert np.max(np.abs(z.real - np.sin(2 * t) / 2)) < 5 * grid.dt
+        assert np.max(np.abs(z.imag - (1 - np.cos(2 * t)) / 2)) < 5 * grid.dt
 
     def test_quarter_period_endpoint(self):
         grid = rb.build_grid(math.pi / 2, 2048)
         path = seeded_path(const(2), const(0), const(1), grid, seed=1)
-        ts = bounded_recursive(path)
-        assert abs(ts.X[-1]) < 5 * grid.dt
-        assert abs(ts.Y[-1] - 1.0) < 5 * grid.dt
+        z = bounded_recursive(path)
+        assert abs(z.real[-1]) < 5 * grid.dt
+        assert abs(z.imag[-1] - 1.0) < 5 * grid.dt
 
     def test_modulus_stays_under_integrand_envelope(self):
         grid = rb.build_grid(5.0, 10_000)
         path = seeded_path(const(2), const(1), const(1), grid, seed=6)
-        ts = bounded_recursive(path)
+        z = bounded_recursive(path)
         envelope = riemann_cumsum(np.abs(path.u), grid)
-        assert np.max(ts.modulus() - envelope) <= 1e-12 * (1 + envelope[-1])
-        assert np.max(ts.modulus()) <= 5.0 + 1e-9
+        assert np.max(modulus(z) - envelope) <= 1e-12 * (1 + envelope[-1])
+        assert np.max(modulus(z)) <= 5.0 + 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
     def test_recursive_matches_direct(self, seed):
@@ -127,8 +129,8 @@ class TestBoundedTransform:
     def test_first_node_is_origin(self):
         grid = rb.build_grid(1.0, 64)
         path = seeded_path(const(1), const(1), const(1), grid, seed=9)
-        ts = bounded_recursive(path)
-        assert ts.X[0] == 0.0 and ts.Y[0] == 0.0
+        z = bounded_recursive(path)
+        assert z.real[0] == 0.0 and z.imag[0] == 0.0
 
     @settings(deadline=None, max_examples=25)
     @given(shift=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
@@ -136,8 +138,8 @@ class TestBoundedTransform:
         grid = rb.build_grid(2.0, 512)
         path = seeded_path(const(1), const(1), const(1), grid, seed=13)
         shifted = dataclasses.replace(path, x=path.x + shift)
-        base = bounded_recursive(path).modulus()
-        moved = bounded_recursive(shifted).modulus()
+        base = modulus(bounded_recursive(path))
+        moved = modulus(bounded_recursive(shifted))
         assert np.max(np.abs(base - moved)) < 1e-9 * (1 + u_scale(path))
 
 
@@ -145,9 +147,8 @@ class TestWeightedTransform:
     def test_zero_integrand_gives_zero_series(self):
         grid = rb.build_grid(5.0, 300)
         path = seeded_path(const(2), const(1), const(0), grid, seed=1)
-        ts = weighted_recursive(path)
-        assert np.all(ts.X == 0.0) and np.all(ts.Y == 0.0)
-        assert ts.weighted
+        z = weighted_recursive(path)
+        assert np.all(z.real == 0.0) and np.all(z.imag == 0.0)
 
     def test_degenerates_to_rotated_bounded_transform(self):
         grid = rb.build_grid(5.0, 2000)
@@ -155,8 +156,8 @@ class TestWeightedTransform:
         bounded = bounded_recursive(path)
         weighted = weighted_recursive(path)
         scale = 1e-12 * (1 + u_scale(path))
-        assert np.max(np.abs(weighted.X + bounded.Y)) < scale
-        assert np.max(np.abs(weighted.Y - bounded.X)) < scale
+        assert np.max(np.abs(weighted.real + bounded.imag)) < scale
+        assert np.max(np.abs(weighted.imag - bounded.real)) < scale
 
     @pytest.mark.parametrize("seed", range(6))
     def test_recursive_matches_direct(self, seed):
@@ -181,66 +182,65 @@ class TestWeightedTransform:
         scale = 1e-12 * (1 + weighted_scale(path))
         for threshold in (5.0, 20.0, 1e9):
             other = weighted_recursive(path, rescale_threshold=threshold)
-            assert np.max(np.abs(other.X - reference.X)) < scale
-            assert np.max(np.abs(other.Y - reference.Y)) < scale
+            assert np.max(np.abs(other.real - reference.real)) < scale
+            assert np.max(np.abs(other.imag - reference.imag)) < scale
 
     def test_survives_past_plain_double_range(self):
         # half-variance reaches 718, beyond exp overflow, so the split
         # factorization only works because of the rebasing
         grid = rb.build_grid(1436.0, 2000)
         path = seeded_path(const(0), const(1), const(1e-6), grid, seed=3)
-        ts = weighted_recursive(path)
-        assert np.all(np.isfinite(ts.X)) and np.all(np.isfinite(ts.Y))
+        z = weighted_recursive(path)
+        assert np.all(np.isfinite(z.real)) and np.all(np.isfinite(z.imag))
         other = weighted_recursive(path, rescale_threshold=100.0)
-        top = np.max(ts.modulus())
-        assert np.max(np.abs(ts.X - other.X)) < 1e-12 * top
+        top = np.max(modulus(z))
+        assert np.max(np.abs(z.real - other.real)) < 1e-12 * top
 
     def test_modulus_under_weighted_envelope(self):
         grid = rb.build_grid(5.0, 4000)
         path = seeded_path(const(2), const(1), const(1), grid, seed=2)
-        ts = weighted_recursive(path)
+        z = weighted_recursive(path)
         # triangle inequality predicts at most e^{total_variance/2} * integral of |u|
-        assert np.max(ts.modulus()) <= math.exp(2.5) * 5.0 * (1 + 1e-12)
+        assert np.max(modulus(z)) <= math.exp(2.5) * 5.0 * (1 + 1e-12)
 
 
 class TestIdentities:
     def test_bounded_identity_zero_integrand(self):
         grid = rb.build_grid(5.0, 300)
         path = seeded_path(const(2), const(1), const(0), grid, seed=1)
-        lhs, rhs, _ = identity_sides(path, bounded_recursive(path))
+        lhs, rhs, _ = identity_sides(path, bounded_recursive(path), weighted=False)
         assert np.all(lhs == 0.0) and np.all(rhs == 0.0)
 
     def test_weighted_identity_zero_integrand(self):
         grid = rb.build_grid(5.0, 300)
         path = seeded_path(const(2), const(1), const(0), grid, seed=1)
-        lhs, rhs, _ = identity_sides(path, weighted_recursive(path))
+        lhs, rhs, _ = identity_sides(path, weighted_recursive(path), weighted=True)
         assert np.all(lhs == 0.0) and np.all(rhs == 0.0)
 
     def test_bounded_identity_deterministic_drift(self):
         grid = rb.build_grid(5.0, 10_000)
         path = seeded_path(const(2), const(0), const(1), grid, seed=1)
-        assert identity_sides(path, bounded_recursive(path))[2] < 10 * grid.dt
+        assert identity_sides(path, bounded_recursive(path), weighted=False)[2] < 10 * grid.dt
 
     def test_weighted_identity_deterministic_drift(self):
         grid = rb.build_grid(5.0, 10_000)
         path = seeded_path(const(2), const(0), const(1), grid, seed=1)
-        assert identity_sides(path, weighted_recursive(path))[2] < 10 * grid.dt
+        assert identity_sides(path, weighted_recursive(path), weighted=True)[2] < 10 * grid.dt
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_identity_sides_match_whole_array_sums(self, weighted):
         """Fed in uneven blocks, IdentityCheck gives the whole-array sides bit for bit."""
         grid = rb.build_grid(1.0, 100)
         path = seeded_path(const(1), const(1), rb.CoefficientSpec.sinusoid(0, 1, 5), grid, seed=1)
-        ts = rb.transform_pair_recursive(path)[weighted]
+        z = recurrence_pair(path)[weighted]
         check = rb.IdentityCheck(path, weighted)
-        z = ts.X + 1j * ts.Y
 
         def feed():
             for k0, k1 in ((0, 1), (1, 2), (2, 37), (37, 38), (38, 101)):
                 check.feed(k0, k1, z[k0:k1])
 
         _, sides = block_series(check, feed)
-        lhs, rhs = whole_identity_sides(path, ts)
+        lhs, rhs = whole_identity_sides(path, z, weighted)
         assert sides[0].tobytes() == lhs.tobytes()
         assert sides[1].tobytes() == rhs.tobytes()
         assert check.residual() == float(np.max(np.abs(lhs - rhs)))
@@ -254,7 +254,7 @@ class TestIdentities:
             const(2), const(1), const(1), coarse_grid, rb.coarsen_increments(dw, 2)
         )
         r_coarse, r_fine = (
-            identity_sides(p, bounded_recursive(p))[2]
+            identity_sides(p, bounded_recursive(p), weighted=False)[2]
             for p in (coarse, fine)
         )
         assert 0.0 < r_fine < r_coarse
@@ -284,8 +284,8 @@ class TestVarianceDiscountedU:
         path = seeded_path(const(2), const(1), const(0), grid, seed=seed)
         psi = 1.0 / (1.0 + grid.nodes[:-1])
         path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
-        ts = weighted_recursive(path)
-        assert np.max(ts.modulus() - np.log1p(grid.nodes)) <= 1e-9
+        z = weighted_recursive(path)
+        assert np.max(modulus(z) - np.log1p(grid.nodes)) <= 1e-9
 
     def test_power_envelope_bound(self):
         grid = rb.build_grid(5.0, 4000)
@@ -293,9 +293,9 @@ class TestVarianceDiscountedU:
         alpha = 1.5
         psi = grid.nodes[:-1] ** (alpha - 1.0) / alpha
         path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
-        ts = weighted_recursive(path)
+        z = weighted_recursive(path)
         envelope = riemann_cumsum(np.abs(psi), grid)
-        assert np.max(ts.modulus() - envelope) <= 1e-12 * (1 + envelope[-1])
+        assert np.max(modulus(z) - envelope) <= 1e-12 * (1 + envelope[-1])
 
     def test_drift_sweep_keeps_envelope(self):
         grid = rb.build_grid(5.0, 1500)
@@ -303,9 +303,9 @@ class TestVarianceDiscountedU:
         for drift in (const(-10), const(10), CoefficientSpec.state_bounded(5.0)):
             path = seeded_path(drift, const(1), const(0), grid, seed=21)
             path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
-            ts = weighted_recursive(path)
+            z = weighted_recursive(path)
             envelope = riemann_cumsum(np.abs(psi), grid)
-            assert np.max(ts.modulus() - envelope) <= 1e-12 * (1 + envelope[-1])
+            assert np.max(modulus(z) - envelope) <= 1e-12 * (1 + envelope[-1])
 
 
 class TestRotationIdentities:
@@ -390,6 +390,9 @@ RETIRED = (
     "SeedRecord",
     "unit_rotation_identity",
     "scaled_rotation_identity",
+    "transform_pair_recursive",
+    "TransformSeries",
+    "_series",
 )
 
 
@@ -402,8 +405,7 @@ def test_public_names_resolve_and_retired_ones_are_gone():
             assert not hasattr(module, name), (module.__name__, name)
     with pytest.raises(ImportError):
         importlib.import_module("rangebound.quadrature")
-    for function in (rb.reduce_pass, rb.transform_pair_recursive):
-        assert "rescale_threshold" not in inspect.signature(function).parameters
+    assert "rescale_threshold" not in inspect.signature(rb.reduce_pass).parameters
     for function in (rb.run_experiment, rb.verify_suite, rb.compare_oracle_pair):
         assert not {"oracle_ceiling", "ceiling", "fast"} & set(inspect.signature(function).parameters)
     assert "source_text" not in {f.name for f in dataclasses.fields(rb.ExperimentConfig)}
@@ -412,14 +414,16 @@ def test_public_names_resolve_and_retired_ones_are_gone():
 
 
 def test_public_series_are_read_only():
-    """Series are shared between outputs (identity_t2's rhs is t2's X), so none may be written."""
+    """The direct references are the oracle's side of a comparison, so none may be written,
+    nor their X and Y components."""
     grid = rb.build_grid(5.0, 64)
     path = seeded_path(const(0), const(1), const(1), grid, seed=3)
     arrays = {}
-    for pair in (rb.transform_pair_recursive, rb.transform_pair_direct):
-        for ts in pair(path):
-            arrays[f"{pair.__name__} weighted={ts.weighted} X"] = ts.X
-            arrays[f"{pair.__name__} weighted={ts.weighted} Y"] = ts.Y
-    assert len(arrays) == 8
+    for weighted, z in enumerate(rb.transform_pair_direct(path)):
+        arrays[f"direct weighted={bool(weighted)}"] = z
+        arrays[f"direct weighted={bool(weighted)} X"] = z.real
+        arrays[f"direct weighted={bool(weighted)} Y"] = z.imag
+    assert len(arrays) == 6
     for name, arr in arrays.items():
         assert isinstance(arr, np.ndarray) and arr.flags.writeable is False, name
+    assert all(arrays[f"direct weighted={w}"].dtype == np.complex128 for w in (False, True))

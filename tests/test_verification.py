@@ -4,15 +4,14 @@ import pytest
 import rangebound as rb
 from rangebound import CoefficientSpec
 from rangebound.errors import OracleCostError
-from rangebound.transforms import TransformSeries
 
-from checks import bounded_recursive, identity_sides, seeded_path
+from checks import bounded_recursive, identity_sides, oracle_rows, recurrence_pair, seeded_path
 
 const = CoefficientSpec.constant
 
 
 def bounded_residual(path):
-    return identity_sides(path, bounded_recursive(path))[2]
+    return identity_sides(path, bounded_recursive(path), weighted=False)[2]
 
 
 def ladder(dw, t_max, a_spec, sigma_spec, u_spec, refinement_levels):
@@ -24,14 +23,14 @@ def ladder(dw, t_max, a_spec, sigma_spec, u_spec, refinement_levels):
     return rb.convergence_ladder(dw, t_max, rung, refinement_levels)
 
 
-def make_series(X, Y, weighted=False):
-    return TransformSeries(X=np.asarray(X, float), Y=np.asarray(Y, float), weighted=weighted)
+def make_series(X, Y):
+    """X + iY of two node-aligned component series."""
+    return np.asarray(X, float) + 1j * np.asarray(Y, float)
 
 
-def envelope_report(ts, integrand, grid, blocks=None):
-    """EnvelopeCheck fed ``ts`` in the node ranges ``blocks`` (one block by default)."""
+def envelope_report(z, integrand, grid, blocks=None):
+    """EnvelopeCheck fed ``z``, X + iY, in the node ranges ``blocks`` (one block by default)."""
     check = rb.EnvelopeCheck(lambda k0, k1: integrand[k0:k1], grid)
-    z = ts.X + 1j * ts.Y
     for k0, k1 in blocks or [(0, len(z))]:
         check.feed(k0, k1, z[k0:k1])
     return check.report()
@@ -48,10 +47,10 @@ class TestEnvelopeCheck:
     def test_corrupted_node_is_located(self):
         grid = rb.build_grid(5.0, 200)
         path = seeded_path(const(2), const(1), const(1), grid, seed=1)
-        ts = bounded_recursive(path)
-        X = ts.X.copy()
+        z = bounded_recursive(path)
+        X = z.real.copy()
         X[5] += 1.0
-        report = envelope_report(make_series(X, ts.Y), path.u, grid)
+        report = envelope_report(make_series(X, z.imag), path.u, grid)
         assert not report.passed
         assert report.violation_index == 5
         assert report.max_violation > 0.5
@@ -165,7 +164,7 @@ class TestOrders:
 
 
 def deviation(path, which):
-    return rb.compare_oracle_pair(path)[which][0]
+    return oracle_rows(path)[which][0]
 
 
 class TestCompareOracle:
@@ -189,6 +188,16 @@ class TestCompareOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rb.verification, "ORACLE_CEILING", 5000)
             assert deviation(path, "bounded") >= 0.0
+
+    def test_heads_must_hold_every_node_of_the_path(self):
+        grid = rb.build_grid(5.0, 100)
+        path = seeded_path(const(1), const(1), const(1), grid, seed=1)
+        bounded, weighted = recurrence_pair(path)
+        for heads in ((bounded[:-1], weighted), (bounded, np.append(weighted, 0j))):
+            with pytest.raises(ValueError, match="101 nodes"):
+                rb.compare_oracle_pair(path, heads)
+        assert rb.compare_oracle_pair(path, (None, None)) == {"bounded": None, "weighted": None}
+        assert rb.compare_oracle_pair(path, (bounded, None))["weighted"] is None
 
     def test_stress_weighted_finite(self):
         grid = rb.build_grid(50.0, 500)
