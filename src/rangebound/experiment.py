@@ -428,9 +428,11 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
 
     # the oracle's head is a copy of at most ORACLE_CEILING steps and the ladder
     # needs the noise only: a longer path goes before the direct pass and the rungs
-    dw, head = path.dw, path.head(ceiling) if oracle else None
+    dw = path.dw
+    if oracle:
+        head = path.head(ceiling)
     del path
-    if head is not None:
+    if oracle:
         verdicts = compare_oracle_pair(head, [keeper.head() for keeper in keepers.values()])
         rows += [("oracle", which, row or "range") for which, row in verdicts.items()]
 

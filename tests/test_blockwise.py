@@ -189,13 +189,16 @@ def test_recurrences_on_the_head_are_the_paths_first_nodes(text, steps):
         # restarts every 5 and segments of 3 nodes put boundaries inside every head
         mp.setattr(transforms, "_RESTART_NODES", 5)
         mp.setattr(transforms, "_SEGMENT_NODES", 3)
+        own = path.head(steps)
         head, kept = kept_heads(config, 3, steps)
         whole = recurrence_pair(path)
-        first = recurrence_pair(head)
-    assert path.head(64) is path and head.grid.dt == path.grid.dt
-    assert head.grid.n_steps == steps and head.driftless == path.driftless
+        first = recurrence_pair(own)
+    assert path.head(64) is path and own.grid.dt == head.grid.dt == path.grid.dt
+    assert own.grid.n_steps == steps and own.driftless == path.driftless
     for name in ("x", "dw", "sigma", "u"):
-        assert not np.shares_memory(getattr(head, name), getattr(path, name))
+        # _evaluate_seed drops the path and keeps its head: the head copies
+        assert not np.shares_memory(getattr(own, name), getattr(path, name))
+        assert getattr(head, name).tobytes() == getattr(own, name).tobytes()
     assert spelled(first) == spelled(z[: steps + 1] for z in whole) == spelled(kept)
 
 
