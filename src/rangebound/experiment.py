@@ -320,30 +320,41 @@ SKIP_WORDING = {
 }
 
 
+def _columns(path) -> tuple:
+    """CsvWriter columns of ``path``: t, x, and X and Y, the real and imaginary parts of the block."""
+    t, x = (lambda k0, k1, z: path.grid.nodes[k0:k1]), (lambda k0, k1, z: path.x[k0:k1])
+    return t, x, (lambda k0, k1, z: z.real), (lambda k0, k1, z: z.imag)
+
+
 def _sides(check) -> list:
     """The two series of ``check.block`` as columns of a CsvWriter fed after the check."""
     return [lambda k0, k1, z: check.block[0], lambda k0, k1, z: check.block[1]]
+
+
+def _u_columns(check) -> list:
+    """The real and imaginary parts of U, a RotationCheck's first ``block`` series, as columns."""
+    return [lambda k0, k1, z: check.block[0].real, lambda k0, k1, z: check.block[0].imag]
 
 
 def _reduce_path(config, path, wanted, out, written, keepers) -> tuple[list[tuple], dict]:
     """_evaluate_seed's rows of the checks that read the whole path, and each identity's residual.
 
     One recurrence pass feeds the bound and identity checks, ``keepers`` (t1 or t2 -> a
-    HeadKeeper) and, given ``out``, a CsvWriter of each transform's files after them; each
-    rotation feeds its own. A file whose series leaves double range is written, then taken back.
-    What holds the path goes once this returns.
+    HeadKeeper) and, given ``out``, a CsvWriter of each transform's files after them; its path
+    lane feeds the rotation checks and a CsvWriter of x.csv and their files after them. A file
+    whose series leaves double range is written, then taken back. What holds the path goes once
+    this returns.
     """
     grid = path.grid
-    t, x = (lambda k0, k1, z: grid.nodes[k0:k1]), (lambda k0, k1, z: path.x[k0:k1])
-    re, im = (lambda k0, k1, z: z.real), (lambda k0, k1, z: z.imag)
+    t, x, re, im = _columns(path)
     integrands = {
         "t1": lambda k0, k1: path.u[k0:k1],
         "t2": lambda k0, k1: config.psi_spec.sample_series(grid, path.x[k0:k1], k0, k1),
     }
     asked = [check for check in ("rotation_unit", "rotation_scaled") if check in wanted]
-    rotations = asked if path.driftless else []
-    files = {check: [(f"{check}.csv", "t,re,im", [t, re, im])] for check in rotations}
-    files["path"] = [("x.csv", "t,x", [t, x])] if "path" in wanted else []
+    rotations = {c: RotationCheck(path, c == "rotation_scaled") for c in asked if path.driftless}
+    files = {"x": [("x.csv", "t,x", [t, x])] if "path" in wanted else []}
+    files["x"] += [(f"{check}.csv", "t,re,im", [t, *_u_columns(r)]) for check, r in rotations.items()]
     envelopes, identities = {}, {}
     for label in SERIES.values():
         weighted = label == "t2"
@@ -362,10 +373,9 @@ def _reduce_path(config, path, wanted, out, written, keepers) -> tuple[list[tupl
     with ExitStack() as stack:
         opened = lambda named: stack.enter_context(CsvWriter(out, named, written))
         writers = {key: opened(named) for key, named in files.items() if named and out is not None}
-        if "path" in writers:
-            writers["path"].feed(0, grid.n_steps + 1, None)
         parts = (envelopes, identities, keepers, writers)
-        consumers = [[c[n] for c in parts if n in c] for n in ("t1", "t2")]
+        consumers = [[c[n] for c in parts if n in c] for n in ("t1", "t2", "x")]
+        consumers[2][:0] = rotations.values()  # before the writer that reads their blocks
         for (which, label), group, ok in zip(SERIES.items(), consumers, reduce_pass(path, consumers)):
             if group and not ok:
                 rows.append(("transform", which, "range"))
@@ -382,9 +392,8 @@ def _reduce_path(config, path, wanted, out, written, keepers) -> tuple[list[tupl
             skipped.update(f"{prefix}{label}.csv" for prefix, dropped in gone.items() if dropped)
         if asked and not rotations:
             rows.append(("remarks", None, "drift"))
-        for check in rotations:
-            rotation = RotationCheck(path, check == "rotation_scaled")
-            report = rotation.report([writers[check]] if check in writers else [])
+        for check, rotation in rotations.items():
+            report = rotation.report()
             rows.append((check, None, report or "range"))
             if not report:
                 skipped.add(f"{check}.csv")
@@ -576,8 +585,7 @@ def emit_figures(config: ExperimentConfig, out_dir: str | Path | None = None) ->
     path = prepare_path(config, config.seeds[0])
     # the identity's lhs is fig6; its rhs may leave double range while fig6 does not
     identity = IdentityCheck(path, weighted=False)
-    t, x = (lambda k0, k1, z: path.grid.nodes[k0:k1]), (lambda k0, k1, z: path.x[k0:k1])
-    X, Y = (lambda k0, k1, z: z.real), (lambda k0, k1, z: z.imag)
+    t, x, X, Y = _columns(path)
     modulus = lambda k0, k1, z: np.hypot(z.real, z.imag)
     cols = ([x], [X], [Y], [X, Y], [modulus], _sides(identity)[:1])
     files = [(name, "t,value" if len(c) < 2 else "t,X,Y", [t, *c]) for name, c in zip(FIGURE_NAMES, cols)]

@@ -172,8 +172,8 @@ class _Chain:
 
     The chain runs in blocks: the bounded one every _RESTART_NODES nodes,
     the weighted one also whenever its scale must be rebased. A block starts
-    its running sum from the carried sum ``acc`` times the scale change; a
-    segment inside a block continues the block's cumulative sum from
+    its running sum from the carried sum, ``partial + rebased``, times the scale
+    change; a segment inside a block continues the block's cumulative sum from
     ``partial``, so splitting a block does not change a single bit.
     """
 
@@ -184,9 +184,8 @@ class _Chain:
         self.terms = terms
         self.end = 0  # first node of the next block
         self.scale = 0.0
-        self.acc = complex(0.0, -0.0)  # C - iS of the empty sums C = S = 0
-        self.rebased = 0j
-        self.partial = None  # None at the first segment of a block
+        self.partial = complex(-0.0, -0.0)  # -0.0 + v is v: a block's cumsum starts from nothing
+        self.rebased = complex(0.0, -0.0)  # partial + rebased: C - iS of the empty sums C = S = 0
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -200,11 +199,13 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
     computed. Returns whether each transform was computed and stayed in double
     range; the consumers of one that leaves it are fed its nodes before its
     first value out of double range, and no further. Overflow on the way raises
-    no warning, as in in_range.
+    no warning, as in in_range. An optional third list is the path's own lane:
+    each segment's x[k0:k1] goes to it after the transforms' consumers, through
+    node N whatever the transforms do.
 
     Segments end wherever either transform starts a block, and at most
-    _SEGMENT_NODES nodes after they start. Each segment forms
-    the phasors once and feeds the terms e^{-i x_j} w_j u_j dt into both
+    _SEGMENT_NODES nodes after they start. Each segment with a transform alive
+    forms the phasors once and feeds the terms e^{-i x_j} w_j u_j dt into both
     running sums, w_j being 1 for the bounded transform and e^{-(h_j - scale)}
     for the weighted one, whose scale is rebased between its blocks so no
     intermediate can overflow.
@@ -213,7 +214,8 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
     x = path.x
     u = path.u
     dt = path.grid.dt
-    alive = [bool(group) for group in consumers]
+    lane = consumers[2] if len(consumers) > 2 else ()
+    alive = [bool(group) for group in consumers[:2]]
     bounded, weighted = alive
 
     size = min(_SEGMENT_NODES, _RESTART_NODES, n_nodes)
@@ -228,7 +230,7 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
 
     k0 = 0
     half_i = half_variance_sum(path) if weighted else None
-    while chains and k0 < n_nodes:
+    while k0 < n_nodes:
         for chain in chains:
             if chain.end != k0:
                 continue
@@ -243,21 +245,22 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
             # stored sums carry a factor e^{scale}; raising the scale multiplies
             # them up, and the reconstruction factor e^{h_k - scale} stays within
             # [1, e^threshold] so it can never overflow on its own
-            chain.rebased = complex(chain.acc) * factor
+            chain.rebased = complex(chain.partial + chain.rebased) * factor
             chain.scale = scale
-            chain.partial = None
-        k1 = min(k0 + size, *(chain.end for chain in chains))
+            chain.partial = complex(-0.0, -0.0)
+        k1 = min(k0 + size, n_nodes, *(chain.end for chain in chains))
         m = k1 - k0
         j_hi = min(k1, n_nodes - 1)
         mj = j_hi - k0
 
-        ph = _reduce_phase(x[k0:k1], phase[:m])
-        rot_blk = rot[:m]
-        np.cos(ph, out=rot_blk.real)
-        np.sin(ph, out=rot_blk.imag)
-        np.conjugate(rot_blk[:mj], out=base[1 : mj + 1])
-        base[1 : mj + 1] *= u[k0:j_hi]
-        base[1 : mj + 1] *= dt
+        if chains:
+            ph = _reduce_phase(x[k0:k1], phase[:m])
+            rot_blk = rot[:m]
+            np.cos(ph, out=rot_blk.real)
+            np.sin(ph, out=rot_blk.imag)
+            np.conjugate(rot_blk[:mj], out=base[1 : mj + 1])
+            base[1 : mj + 1] *= u[k0:j_hi]
+            base[1 : mj + 1] *= dt
 
         for chain in chains:
             terms = chain.terms
@@ -266,17 +269,10 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
                 np.negative(w, out=w)
                 np.exp(w, out=w)
                 np.multiply(base[1 : mj + 1], w, out=terms[1 : mj + 1])
-            if chain.partial is None:
-                run[0] = chain.rebased
-                np.cumsum(terms[1 : mj + 1], out=run[1 : mj + 1])
-                first = 1
-            else:
-                terms[0] = chain.partial
-                np.cumsum(terms[: mj + 1], out=run[: mj + 1])
-                first = 0
+            terms[0] = chain.partial
+            np.cumsum(terms[: mj + 1], out=run[: mj + 1])
             chain.partial = run[mj]
-            run[first : mj + 1] += chain.rebased
-            chain.acc = run[mj]
+            run[: mj + 1] += chain.rebased
 
             z_blk = np.multiply(rot_blk, run[:m], out=chain.z[:m])
             if chain.weighted:
@@ -288,6 +284,8 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
             end = k1 if ok else k0 + int(np.argmin(finite))  # the first node out of double range
             for consumer in consumers[chain.weighted] if end > k0 else ():
                 consumer.feed(k0, end, z_blk[: end - k0])
+        for consumer in lane:
+            consumer.feed(k0, k1, x[k0:k1])
         chains = [c for c in chains if alive[c.weighted]]
         k0 = k1
     return alive

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import transforms
 from .engine import PathRecord, TimeGrid, build_grid, coarsen_increments
 from .errors import OracleCostError
 from .transforms import (
@@ -46,10 +45,10 @@ class ConvergenceReport:
 class _BlockCheck:
     """A reduction of one series fed in blocks in node order.
 
-    ``feed(k0, k1, z)`` takes X + iY from reduce_pass, or x for a rotation, at the
-    nodes k0 .. k1-1, k0 being where the blocks fed so far end; a verdict is read
-    once they reach node N. ``block`` holds the series the last block reduced, at its
-    nodes, for a consumer fed after the check, such as run's CSV writer.
+    ``feed(k0, k1, z)`` takes X + iY from reduce_pass, or x, on the path's lane, for a rotation,
+    at the nodes k0 .. k1-1, k0 being where the blocks fed so far end; a verdict is read once
+    they reach node N. ``block`` holds the series the last block reduced, at its nodes, for a
+    consumer fed after the check, such as run's CSV writer.
     """
 
     def __init__(self, grid: TimeGrid):
@@ -151,9 +150,8 @@ class RotationCheck(_BlockCheck):
     Unit: U_k = e^{i(x_k - x_0)}, lhs_k = i sum_{j<k} sigma_j U_j dw_j and rhs_k =
     U_k - 1 + 0.5 sum_{j<k} sigma_j^2 U_j dt. Scaled: U_k = i F_k, F_k = e^{i(x_k - x_0)
     + I_k/2}, lhs_k = sum_{j<k} sigma_j U_j dw_j and rhs_k = F_k - 1. The sides agree up
-    to the scheme's error. report() feeds x in segments of at most _SEGMENT_NODES nodes,
-    the dw sum and the dt sum (I, if scaled) continued bit for bit. Its ``block`` is
-    U, lhs and rhs.
+    to the scheme's error. reduce_pass feeds it x on the path's lane, the dw sum and the
+    dt sum (I, if scaled) continued bit for bit. Its ``block`` is U, lhs and rhs.
     """
 
     def __init__(self, path: PathRecord, scaled: bool):
@@ -162,7 +160,6 @@ class RotationCheck(_BlockCheck):
         super().__init__(path.grid)
         self.path, self.scaled = path, scaled
         self.sums = [None, None]  # the dw sum and the dt sum at the last node fed
-        self.ends = None  # lhs and rhs at the last node fed
 
     def _reduce(self, k0: int, k1: int, x: np.ndarray):
         path, m = self.path, k1 - k0
@@ -182,21 +179,16 @@ class RotationCheck(_BlockCheck):
         lhs = prefix_sum(sigma * U[: j1 - k0] * path.dw[k0:j1], self.sums[0])
         self.sums[0] = lhs[-1]
         lhs = lhs[:m] if self.scaled else 1j * lhs[:m]
-        self.ends = lhs[-1], rhs[-1]
         return U, lhs, rhs
 
     @np.errstate(over="ignore", invalid="ignore")
-    def report(self, consumers=()) -> tuple[float, float, float, float] | None:
+    def report(self) -> tuple[float, float, float, float] | None:
         """|rhs_N|, the bound, |lhs_N - rhs_N| and the bound's tolerance; None once one leaves
         double range. The unit bound, 2 + 0.5 sum sigma^2 dt, bounds |rhs|; the scaled one,
         e^{I_N/2} (1 + sum sigma |dw|), bounds U and both sides while sigma >= 0 only, so the
-        sides are judged too. Each segment's U goes to ``consumers`` as ``feed(k0, k1, U)``."""
-        path, n_nodes, step = self.path, self.grid.n_steps + 1, transforms._SEGMENT_NODES
-        for k0 in range(self.end, n_nodes, step):
-            self.feed(k0, min(k0 + step, n_nodes), path.x[k0 : k0 + step])
-            for consumer in consumers:
-                consumer.feed(k0, self.end, self.block[0])
-        lhs, rhs = self.ends
+        sides are judged too."""
+        self._complete()
+        path, lhs, rhs = self.path, self.block[1][-1], self.block[2][-1]  # at node N
         if self.scaled:
             bound = (1.0 + np.sum(path.sigma * np.abs(path.dw))) * np.exp(self.sums[1] * 0.5)
         else:

@@ -126,9 +126,10 @@ def whole_bound(z, integrand, grid):
 
 
 def rotation_sides(path, scaled):
-    """(U, lhs, rhs) of RotationCheck(path, scaled): the blocks report() reduces, joined."""
+    """(U, lhs, rhs) of RotationCheck(path, scaled): the blocks it reduces on the path's lane of
+    reduce_pass, joined."""
     check = verification.RotationCheck(path, scaled)
-    return block_series(check, check.report)[1]
+    return block_series(check, lambda: rb.reduce_pass(path, ([], [], [check])))[1]
 
 
 def whole_rotation(path, scaled):

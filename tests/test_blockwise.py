@@ -328,15 +328,15 @@ def test_rotation_check_matches_whole_array_rotations(sigma, n_steps, segment, s
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transforms, "_SEGMENT_NODES", segment)
         check = verification.RotationCheck(path, scaled)
-        report, series = block_series(check, check.report)
+        _, series = block_series(check, lambda: transforms.reduce_pass(path, ([], [], [check])))
     want = whole_rotation(path, scaled)
     assert [part.tobytes() for part in series] == [part.tobytes() for part in want]
-    assert report == whole_rotation_report(path, scaled)
+    assert check.report() == whole_rotation_report(path, scaled)
 
 
 @pytest.mark.parametrize("scaled", [False, True], ids=["unit", "scaled"])
 def test_rotation_check_holds_no_whole_series(scaled):
-    """A report's peak is the bound's one whole-array sum, 8 bytes per node.
+    """The pass and the report peak at the bound's one whole-array sum, 8 bytes per node.
 
     The whole-array rotations took 80 (unit) and 64 (scaled) bytes per node.
     """
@@ -344,7 +344,9 @@ def test_rotation_check_holds_no_whole_series(scaled):
     path = experiment.prepare_path(parse_config(ROTATION.format(n_nodes - 1, "const:1.5")), 1)
     tracemalloc.start()
     try:
-        assert verification.RotationCheck(path, scaled).report() is not None
+        check = verification.RotationCheck(path, scaled)
+        transforms.reduce_pass(path, ([], [], [check]))
+        assert check.report() is not None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -280,6 +280,9 @@ ROTATION_LEAVES = (
     "t_max=1.2e-97\nn_steps=1200\na=const:0\nsigma=const:1e50\nu=const:1\nseeds=1\n"
     "outputs=remarks\n"
 )
+# both transforms leave double range near node 9000, past the first default segment, and the
+# path's lane walks on to node N: x.csv and both rotations keep all their rows
+LANE_OUTLIVES = "t_max=4\nn_steps=20000\na=const:0\nsigma=const:1\nu=const:1e308\nseeds=3\n"
 # psi whose weighted transform rebases twice
 REBASES = "t_max=1\nn_steps=64\na=const:1\nsigma=const:30\npsi=sin:1,1,3\nseeds=1\n"
 
@@ -313,6 +316,7 @@ def configs(draw):
 @example(text=REBASES, segment=2, cells=7, block=None, threshold=None)
 @example(text=REBASES, segment=1, cells=40, block=5, threshold=40.0)
 @example(text=DRIFTLESS.format(n=70), segment=5, cells=1, block=None, threshold=None)
+@example(text=LANE_OUTLIVES, segment=4096, cells=600, block=None, threshold=None)
 @given(
     text=configs(),
     segment=st.sampled_from([1, 2, 3, 5]),
@@ -322,7 +326,8 @@ def configs(draw):
 )
 def test_file_bytes_do_not_depend_on_where_blocks_end(text, segment, cells, block, threshold):
     """run's and figures' files and manifest, and their refusals, are the same bytes whatever
-    segments the pass and the rotations are fed in and however many cells a _cells call takes.
+    segments the pass and the rotations are fed in and however many cells a _cells call takes;
+    every file kept holds its header and the nodes 0 .. N, one a row.
 
     The recurrence's restarts and rebases round its values, so _RESTART_NODES and
     RESCALE_THRESHOLD are drawn for both sides alike, the defaults at None; the default
@@ -339,6 +344,8 @@ def test_file_bytes_do_not_depend_on_where_blocks_end(text, segment, cells, bloc
         mp.setattr(experiment, "CSV_CHUNK_CELLS", cells)
         got = _emit_all(config, Path(tmp) / "small")
     assert got == want
+    rows = {name: data.count(b"\n") - 1 for name, data in got.items() if name.endswith(".csv")}
+    assert set(rows.values()) <= {config.n_steps + 1}, rows
 
 
 def spelled(values) -> str:

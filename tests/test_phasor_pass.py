@@ -416,6 +416,62 @@ def test_figures_evaluates_the_phasor_once(phasor_counts, tmp_path):
     assert directs == []
 
 
+def feeds_in_passes(monkeypatch, *kinds):
+    """Each feed of a consumer of ``kinds`` as (kind, k0, k1, n_steps of each reduce_pass open
+    then), through experiment.reduce_pass as the commands call it."""
+    feeds, walking = [], []
+    walk = experiment.reduce_pass
+
+    def open_pass(path, consumers):
+        walking.append(path.grid.n_steps)
+        try:
+            return walk(path, consumers)
+        finally:
+            walking.pop()
+
+    monkeypatch.setattr(experiment, "reduce_pass", open_pass)
+    for kind in kinds:
+
+        def counted(self, k0, k1, z, kind=kind, feed=kind.feed):
+            feeds.append((kind.__name__, k0, k1, list(walking)))
+            return feed(self, k0, k1, z)
+
+        monkeypatch.setattr(kind, "feed", counted)
+    return feeds
+
+
+DRIFTLESS_LADDER = LADDER.replace("a=sin:1,2,3", "a=const:0")
+
+
+def test_run_of_the_path_lane_alone_evaluates_no_phasor(phasor_counts, monkeypatch, tmp_path):
+    """x.csv and the rotations with no transform asked for: one pass per seed walks the path's
+    lane to node N, and no phasor is formed."""
+    per_path, directs, passes = phasor_counts
+    feeds = feeds_in_passes(monkeypatch, verification.RotationCheck, experiment.CsvWriter)
+    cfg = parse_config(DRIFTLESS_LADDER.replace("seeds=1", "seeds=1,2") + "outputs=path,remarks\n")
+    manifest = run_experiment(cfg, out_dir=tmp_path)
+    assert passes == [4096, 4096]
+    assert per_path() == [] and directs == []
+    names = ["x.csv", "rotation_scaled.csv", "rotation_unit.csv"]
+    assert sorted(manifest.files) == sorted(f"seed{s}/{name}" for s in (1, 2) for name in names)
+    assert {kind for kind, *_ in feeds} == {"RotationCheck", "CsvWriter"}
+    assert all(walking == [4096] for *_, walking in feeds)
+    assert sum(k1 - k0 for kind, k0, k1, _ in feeds if kind == "CsvWriter") == 2 * 4097
+
+
+def test_driftless_verify_walks_the_seed_path_once(phasor_counts, monkeypatch):
+    """The unit rotation reads the lane of the seed path's one pass and makes no walk of its own."""
+    per_path, directs, passes = phasor_counts
+    feeds = feeds_in_passes(monkeypatch, verification.RotationCheck)
+    summary = verify_suite(parse_config(DRIFTLESS_LADDER), convergence_levels=4)
+    assert not summary.failed
+    assert any(check.name == "bound[rotation] seed=1" for check in summary.checks)
+    assert passes == [4096, 512, 1024, 2048]
+    assert per_path() == [513, 1025, 2049, 4097]
+    assert feeds and all(walking == [4096] for *_, walking in feeds)
+    assert sum(k1 - k0 for _, k0, k1, _ in feeds) == 4097
+
+
 # ---------------------------------------------------------------------------
 # The weighted oracle is skipped, not failed, once its scale leaves double range.
 
