@@ -19,6 +19,10 @@ never leave double range even when the sigma^2 integral is large.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+
 import numpy as np
 
 from .engine import PathRecord, TimeGrid
@@ -28,9 +32,10 @@ TWO_PI = 2.0 * np.pi
 # Rebase once the oldest retained term is about 1e-150 of the current scale.
 RESCALE_THRESHOLD = 345.0
 
+# rows of a direct block, each summed over the columns before the block's last row (so this
+# sets the oracle's bits), and the rows of it one worker evaluates at once (only the scratch)
 _DIRECT_ROW_BLOCK = 256
-# rows of a direct block evaluated at once; bounds the direct pass's scratch
-_DIRECT_SUB_ROWS = 64
+_DIRECT_SUB_ROWS = 16
 
 # nodes between the restarts of the bounded chain's running sum, and at most between the
 # weighted chain's, which also restarts at each rebase. A restart begins the cumulative sum
@@ -113,6 +118,12 @@ def in_range(compute, *args):
     return value if np.isfinite(ends).all() else None
 
 
+def _direct_workers() -> int:
+    """Threads of the direct pass: the CPUs this process may run on, at most 64 // _DIRECT_SUB_ROWS."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, 64 // _DIRECT_SUB_ROWS))
+
+
 def transform_pair_direct(
     path: PathRecord, bounded: bool = True, weighted: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -130,39 +141,57 @@ def transform_pair_direct(
 
     A block of _DIRECT_ROW_BLOCK rows sums over the columns j < r1 - 1 of its
     last row. A row's pairwise sum depends on that extent, so it is kept while
-    the block is worked through _DIRECT_SUB_ROWS rows at a time.
+    the block is worked through _DIRECT_SUB_ROWS rows at a time, which the caller and
+    _direct_workers() - 1 threads take in turn in the caller's numpy error state: no
+    value depends on the worker count, and the first error of any is raised after all join.
     """
     n = path.grid.n_steps
     x = path.x
     udt = path.u * path.grid.dt
     half_i = half_variance_sum(path) if weighted else None
-    # (weighted, cos sums, sin sums); the weighted variant goes last because
-    # it scales the shared terms in place
-    parts = [
-        (flag, np.zeros(n + 1), np.zeros(n + 1))
-        for flag in (False, True)
-        if (weighted if flag else bounded)
-    ]
-    cols = np.arange(n)
+    # X + iY of each variant asked for, summed in place; the weighted variant goes last
+    # because it scales the shared terms in place, and holds its sine sum as X until the end
+    series = {flag: np.zeros(n + 1, dtype=complex) for flag in (False, True) if (bounded, weighted)[flag]}
+    blocks = []
     for r0 in range(1, n + 1, _DIRECT_ROW_BLOCK):
         r1 = min(r0 + _DIRECT_ROW_BLOCK, n + 1)
-        j_hi = r1 - 1
-        for s0 in range(r0, r1, _DIRECT_SUB_ROWS):
-            s1 = min(s0 + _DIRECT_SUB_ROWS, r1)
-            sin_d = x[s0:s1, None] - x[None, :j_hi]
-            cos_d = np.cos(sin_d)
-            np.sin(sin_d, out=sin_d)
-            terms = udt[None, :j_hi] * (cols[None, :j_hi] < np.arange(s0, s1)[:, None])
-            for flag, cos_part, sin_part in parts:
-                if flag:
-                    w = half_i[s0:s1, None] - half_i[None, :j_hi]
-                    terms *= np.exp(w, out=w)
-                cos_part[s0:s1] = (cos_d * terms).sum(axis=1)
-                sin_part[s0:s1] = (sin_d * terms).sum(axis=1)
-    series = {}
-    for flag, cos_part, sin_part in parts:
-        z = series[flag] = np.empty(n + 1, dtype=np.complex128)
-        z.real, z.imag = (-sin_part, cos_part) if flag else (cos_part, sin_part)
+        blocks += [(s0, min(s0 + _DIRECT_SUB_ROWS, r1), r1 - 1) for s0 in range(r0, r1, _DIRECT_SUB_ROWS)]
+    cols = np.arange(n)
+    errors = []
+
+    def work(share, scratch):
+        try:
+            for s0, s1, j_hi in share:
+                sin_d, cos_d, terms, prod = (a[: (s1 - s0) * j_hi].reshape(-1, j_hi) for a in scratch)
+                np.subtract(x[s0:s1, None], x[None, :j_hi], out=sin_d)
+                np.cos(sin_d, out=cos_d)
+                np.sin(sin_d, out=sin_d)
+                np.less(cols[None, :j_hi], np.arange(s0, s1)[:, None], out=terms)
+                terms *= udt[:j_hi]
+                for flag, z in series.items():
+                    if flag:
+                        terms *= np.exp(np.subtract.outer(half_i[s0:s1], half_i[:j_hi], out=prod), out=prod)
+                    cos_sums, sin_sums = (z.imag, z.real) if flag else (z.real, z.imag)
+                    np.multiply(cos_d, terms, out=prod).sum(axis=1, out=cos_sums[s0:s1])
+                    np.multiply(sin_d, terms, out=prod).sum(axis=1, out=sin_sums[s0:s1])
+        except BaseException as exc:
+            errors.append(exc)
+
+    # this thread allocates the scratch: a thread's own frees would stay in its malloc arena
+    workers = min(_direct_workers(), len(blocks))
+    rows = min(_DIRECT_SUB_ROWS, _DIRECT_ROW_BLOCK, n)
+    shares = [(blocks[i::workers], np.empty((4, rows * n))) for i in range(workers)]
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, *s)) for s in shares[1:]]
+    for thread in threads:
+        thread.start()
+    work(*shares[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    for flag, z in series.items():
+        if flag:
+            np.negative(z.real, out=z.real)
         z.setflags(write=False)
     return series.get(False), series.get(True)
 

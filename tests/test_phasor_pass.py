@@ -289,18 +289,32 @@ def test_pair_recurrence_returns_only_what_is_asked():
 # Fused direct pass against the one-transform reference.
 
 
+def split_direct(mp, workers, rows):
+    """Run the direct pass on ``workers`` threads, caller included, ``rows`` rows at a time."""
+    mp.setattr(transforms, "_direct_workers", lambda: workers)
+    mp.setattr(transforms, "_DIRECT_SUB_ROWS", rows)
+
+
+SPLITS = [(workers, rows) for workers in (1, 2, 3, 4) for rows in (1, 5, 16, 64)]
+
+
 @pytest.mark.parametrize("n_steps", [1, 2, 63, 64, 65, 255, 256, 257, 600])
 def test_pair_direct_matches_reference(n_steps):
+    """Bit for bit, at every worker count and sub-block size."""
     grid = rb.build_grid(50.0, n_steps)
     path = seeded_path(const(0.5), const(3), rb.CoefficientSpec.sinusoid(1, 1, 2), grid, 7)
     path = with_zero_stretches(path, np.random.default_rng(n_steps))
-    bounded, weighted = transform_pair_direct(path)
-    assert same_bits(bounded, reference_direct(path, weighted=False))
-    assert same_bits(weighted, reference_direct(path, weighted=True))
-    alone = transform_pair_direct(path, weighted=False)[0]
-    assert same_bits(alone, reference_direct(path, weighted=False))
-    alone = transform_pair_direct(path, bounded=False)[1]
-    assert same_bits(alone, reference_direct(path, weighted=True))
+    ref_bounded, ref_weighted = (reference_direct(path, weighted) for weighted in (False, True))
+    for workers, rows in SPLITS:
+        with pytest.MonkeyPatch.context() as mp:
+            split_direct(mp, workers, rows)
+            bounded, weighted = transform_pair_direct(path)
+            alone_bounded = transform_pair_direct(path, weighted=False)[0]
+            alone_weighted = transform_pair_direct(path, bounded=False)[1]
+        assert same_bits(bounded, ref_bounded), (workers, rows)
+        assert same_bits(weighted, ref_weighted), (workers, rows)
+        assert same_bits(alone_bounded, ref_bounded), (workers, rows)
+        assert same_bits(alone_weighted, ref_weighted), (workers, rows)
 
 
 def _peak_bytes(fn):
@@ -312,19 +326,57 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_pair_direct_at_the_ceiling_is_exact_and_no_larger_than_one_reference():
+def test_pair_direct_at_the_ceiling_is_exact_and_no_larger_than_one_reference(monkeypatch):
+    """tracemalloc traces every thread, so the workers' scratch counts at 4 workers too."""
     grid = rb.build_grid(5.0, verification.ORACLE_CEILING)
     path = seeded_path(const(2), const(1), const(1), grid, 1)
     reference, reference_peak = _peak_bytes(lambda: reference_direct(path, weighted=True))
-    (bounded, weighted), peak = _peak_bytes(lambda: transform_pair_direct(path))
-    assert same_bits(weighted, reference)
-    assert same_bits(bounded, reference_direct(path, weighted=False))
-    assert peak <= reference_peak
+    bounded_reference = reference_direct(path, weighted=False)
+    for workers in (transforms._direct_workers(), 4):
+        monkeypatch.setattr(transforms, "_direct_workers", lambda: workers)
+        (bounded, weighted), peak = _peak_bytes(lambda: transform_pair_direct(path))
+        assert same_bits(weighted, reference)
+        assert same_bits(bounded, bounded_reference)
+        assert peak <= reference_peak, workers
+
+
+def overflowing_path():
+    """The half-variance total reaches 718, beyond log(DBL_MAX) = 709.78, so the
+    weighted weights of the last rows, 1978 on, overflow."""
+    return seeded_path(const(0), const(1), const(1e-6), rb.build_grid(1436.0, 2000), 3)
+
+
+# At 256 rows a sub-block is a whole row block, and only the last of the eight, a
+# thread's at 2, 3 or 4 workers, overflows; at 16 rows both the caller and a thread meet it.
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_pair_direct_runs_every_worker_in_the_callers_error_state(workers):
+    path = overflowing_path()
+    for rows in (16, 256):
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            split_direct(mp, workers, rows)
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                bounded, weighted = transform_pair_direct(path)
+                reference = reference_direct(path, weighted=True)
+        assert not np.isfinite(weighted[-1])
+        assert same_bits(weighted, reference), rows
+        assert same_bits(bounded, reference_direct(path, weighted=False)), rows
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_pair_direct_raises_a_workers_overflow_in_the_caller(workers):
+    """As the serial pass does, whichever worker meets it."""
+    path = overflowing_path()
+    for rows in (16, 256):
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            split_direct(mp, workers, rows)
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                transform_pair_direct(path)
 
 
 def test_oracle_pair_skips_weighted_direct_when_its_weights_overflow(phasor_counts):
-    # the half-variance total reaches 718, beyond log(DBL_MAX) = 709.78
-    path = seeded_path(const(0), const(1), const(1e-6), rb.build_grid(1436.0, 2000), 3)
+    path = overflowing_path()
     _, directs, _ = phasor_counts
     with warnings.catch_warnings():
         warnings.simplefilter("error")
