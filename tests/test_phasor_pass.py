@@ -5,6 +5,7 @@ reference copies of the one-transform-per-pass implementations they replaced,
 and the commands are checked to evaluate each path's phasor once.
 """
 
+import sys
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -298,9 +299,18 @@ def split_direct(mp, workers, rows):
 SPLITS = [(workers, rows) for workers in (1, 2, 3, 4) for rows in (1, 5, 16, 64)]
 
 
+@pytest.fixture
+def fast_switching():
+    """Threads take turns every microsecond, so a row lost or written twice would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("n_steps", [1, 2, 63, 64, 65, 255, 256, 257, 600])
-def test_pair_direct_matches_reference(n_steps):
-    """Bit for bit, at every worker count and sub-block size."""
+def test_pair_direct_matches_reference(n_steps, fast_switching):
+    """Bit for bit, at one to four workers and every sub-block size."""
     grid = rb.build_grid(50.0, n_steps)
     path = seeded_path(const(0.5), const(3), rb.CoefficientSpec.sinusoid(1, 1, 2), grid, 7)
     path = with_zero_stretches(path, np.random.default_rng(n_steps))
