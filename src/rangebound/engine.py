@@ -122,7 +122,11 @@ class CoefficientSpec:
             return np.full(len(t), self.params[0])
         if self.kind == "sin":
             c0, c1, omega = self.params
-            return c0 + c1 * np.sin(omega * t)
+            values = np.multiply(omega, t)  # c0 + c1 sin(omega t), in this one buffer
+            np.sin(values, out=values)
+            values *= c1
+            values += c0
+            return values
         if self.kind == "state":
             if x_left is None:
                 raise ValueError("state-dependent coefficient needs the path values")
@@ -201,18 +205,19 @@ def simulate_path(
     if a_spec.time_only and sigma_spec.time_only:
         a = np.ascontiguousarray(a_spec.sample_series(grid), dtype=np.float64)
         sigma = np.ascontiguousarray(sigma_spec.sample_series(grid), dtype=np.float64)
-        # cumsum is sequential for float64, so the stored path satisfies the
-        # step recurrence bit-exactly
+        driftless = not np.any(a != 0.0)  # on a itself: a * dt may round to 0
+        # sigma dw + a dt is a dt + sigma dw bit for bit, with a scaled in its own array unless
+        # it views samples; cumsum is sequential for float64, so x satisfies the step recurrence
         x = np.empty(n + 1)
         x[0] = x0
-        steps = np.multiply(a, dt, out=x[1:])
-        steps += sigma * dw
+        steps = np.multiply(sigma, dw, out=x[1:])
+        steps += np.multiply(a, dt, out=a if a.flags.owndata else None)
         np.cumsum(x, out=x)
     else:
         x = _state_dependent_x(a_spec, sigma_spec, grid, dw, x0)
         a = a_spec.sample_series(grid, x_left=x[:-1])
         sigma = sigma_spec.sample_series(grid, x_left=x[:-1])
-    driftless = not np.any(a != 0.0)
+        driftless = not np.any(a != 0.0)
     del a  # decided on its values: the drift goes before u is sampled, and no stage holds it
 
     u = np.ascontiguousarray(u_spec.sample_series(grid, x_left=x[:-1]), dtype=np.float64)

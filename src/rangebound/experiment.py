@@ -261,7 +261,10 @@ def build_path(
         path = simulate_path(*specs, grid, dw, config.x0, seed)
     if not config.uses_discounted_u:
         return path
-    u = variance_discounted_u(path.u, path.sigma, grid)
+    # u is discounted in place: psi's own array, or a copy of the samples it views
+    psi = path.u if path.u.flags.owndata else path.u.copy()
+    psi.setflags(write=True)
+    u = variance_discounted_u(psi, path.sigma, grid, out=psi)
     # on a path out of double range the discount is moot: prepare_path refuses the path
     if u is None and in_range(lambda: path.x) is not None:
         raise ConfigurationError(f"seed {seed}: the variance integral leaves double range")
@@ -423,13 +426,13 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
     if levels < 3:
         raise ConfigurationError(f"convergence needs at least 3 refinement levels, got {levels}")
     path = prepare_path(config, seed)
-    grid = path.grid
+    n_steps = path.grid.n_steps  # not the grid: its nodes go with the path
     ceiling = verification.ORACLE_CEILING
-    oracle = "oracle_head" in wanted or "oracle" in wanted and grid.n_steps <= ceiling
+    oracle = "oracle_head" in wanted or "oracle" in wanted and n_steps <= ceiling
     # the pass keeps each transform's first nodes for the oracle, which compares them with
     # the direct pass on the path's head: every sum is non-anticipating, so they are the
     # head's own recurrence bit for bit
-    steps = min(grid.n_steps, ceiling)
+    steps = min(n_steps, ceiling)
     keepers = {label: HeadKeeper(steps) for label in SERIES.values()} if oracle else {}
     rows, residuals = _reduce_path(config, path, wanted, out, written, keepers)
     if "oracle" in wanted and not oracle:
@@ -449,7 +452,7 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
         # the finest rung is this path, whose residuals are known; with none,
         # no ladder can report, so no coarser rung is built. 2**(levels-1) divides n_steps iff
         # levels is at most the place of its lowest set bit: no power is formed, however large
-        if (grid.n_steps & -grid.n_steps).bit_length() < levels:
+        if (n_steps & -n_steps).bit_length() < levels:
             rows.append(("convergence", None, "levels"))
         elif all(residual is None for residual in residuals.values()):
             rows.append(("convergence", None, "residual"))

@@ -41,28 +41,71 @@ _DIRECT_SUB_ROWS = 16
 # weighted chain's, which also restarts at each rebase. A restart begins the cumulative sum
 # afresh from the carried sum, which rounds differently from one continued sum, so retuning
 # this changes the transforms' bits, every transform CSV and perfbench/golden.json; the
-# scratch is bounded by _SEGMENT_NODES, not by this
+# scratch is bounded by _SEGMENT_NODES, and the weighted chain's I/2 window by the two
 _RESTART_NODES = 32768
 # nodes per segment at most: a block is walked in segments of this size, which
 # leaves every value as it is and bounds the scratch of the pass and its checks
 _SEGMENT_NODES = 8192
 
 
-def _variance_sum(sigma: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """I_k, the running left-sum of sigma^2 dt, formed in its own buffer."""
-    values = np.empty(grid.n_steps + 1)
-    values[0] = 0.0
-    terms = np.multiply(sigma, sigma, out=values[1:])
-    terms *= grid.dt
-    np.cumsum(terms, out=terms)
-    return values
-
-
 def half_variance_sum(path: PathRecord) -> np.ndarray:
-    """I_k / 2, I being the running left-sum of sigma^2 dt."""
-    half = _variance_sum(path.sigma, path.grid)
-    half *= 0.5
+    """I_k / 2, I being the running left-sum of sigma^2 dt, formed whole."""
+    half = np.zeros(path.grid.n_steps + 1)
+    for k0, values in _variance_blocks(path.sigma, path.grid.dt):
+        np.multiply(values[1:], 0.5, out=half[k0 + 1 : k0 + len(values)])
     return half
+
+
+def _variance_blocks(sigma: np.ndarray, dt: float):
+    """(k0, I at the nodes k0 .. k1) per block of at most _SEGMENT_NODES steps k0 .. k1-1, in
+    scratch the next block overwrites: the left-sum of sigma^2 dt carried from block to block,
+    the one sequential sum bit for bit."""
+    values = np.empty(min(len(sigma), _SEGMENT_NODES) + 1)
+    carry = 0.0  # 0.0 + t is t: sigma^2 dt is never -0.0
+    for k0 in range(0, len(sigma), _SEGMENT_NODES):
+        steps = sigma[k0 : k0 + _SEGMENT_NODES]
+        block = values[: len(steps) + 1]
+        block[0] = carry
+        np.multiply(steps, steps, out=block[1:])
+        block[1:] *= dt
+        np.cumsum(block, out=block)
+        carry = block[-1]
+        yield k0, block
+
+
+class _HalfVariance:
+    """I_k / 2 in a window of nodes sliding left to right, as _variance_blocks carries I.
+
+    I is nondecreasing (nan sorts last), so a weighted block's end, the first node where I/2
+    passes its start's by RESCALE_THRESHOLD, is where searchsorted puts it in the window from
+    the block's start on. The window grows only while that node is not in it, and keeps the
+    nodes from the block's start, which its segments read: every node is summed once.
+    """
+
+    def __init__(self, sigma: np.ndarray, dt: float):
+        self.n_nodes = len(sigma) + 1
+        self.blocks = _variance_blocks(sigma, dt)
+        self.half = np.zeros(min(_RESTART_NODES + _SEGMENT_NODES, self.n_nodes))
+        self.start, self.stop = 0, 1  # the nodes in the window; I_0 = 0
+
+    def __getitem__(self, nodes: slice) -> np.ndarray:
+        return self.half[nodes.start - self.start : nodes.stop - self.start]
+
+    def block(self, k0: int) -> tuple[float, int]:
+        """The scale I_k0 / 2 of a block starting at k0, and the node where it ends."""
+        while True:
+            ahead = self[k0 : self.stop]
+            k1 = k0 + int(ahead.searchsorted(ahead[0] + RESCALE_THRESHOLD, side="right"))
+            # found, or capped with the next block's first node in the window, or at node N
+            if k1 < self.stop or self.stop > min(k0 + _RESTART_NODES, self.n_nodes - 1):
+                return ahead[0], max(min(k1, k0 + _RESTART_NODES), k0 + 1)
+            _, values = next(self.blocks)
+            stop = self.stop + len(values) - 1
+            if stop - self.start > len(self.half):
+                self.half[: self.stop - k0] = ahead
+                self.start = k0
+            np.multiply(values[1:], 0.5, out=self[self.stop : stop])
+            self.stop = stop
 
 
 def prefix_sum(terms: np.ndarray, carry=None) -> np.ndarray:
@@ -258,15 +301,13 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
         chains.append(_Chain(size, np.empty(size + 1, dtype=np.complex128), weighted=True))
 
     k0 = 0
-    half_i = half_variance_sum(path) if weighted else None
+    half_i = _HalfVariance(path.sigma, dt) if weighted else None
     while k0 < n_nodes:
         for chain in chains:
             if chain.end != k0:
                 continue
             if chain.weighted:
-                scale = half_i[k0]
-                k1 = int(np.searchsorted(half_i, scale + RESCALE_THRESHOLD, side="right"))
-                chain.end = max(min(k1, k0 + _RESTART_NODES), k0 + 1)
+                scale, chain.end = half_i.block(k0)
                 factor = np.exp(scale - chain.scale)
             else:
                 scale, factor = 0.0, 1.0
@@ -294,7 +335,8 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
         for chain in chains:
             terms = chain.terms
             if chain.weighted:
-                w = np.subtract(half_i[k0:j_hi], chain.scale, out=decay[:mj])
+                half = half_i[k0:k1]
+                w = np.subtract(half[:mj], chain.scale, out=decay[:mj])
                 np.negative(w, out=w)
                 np.exp(w, out=w)
                 np.multiply(base[1 : mj + 1], w, out=terms[1 : mj + 1])
@@ -305,7 +347,7 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
 
             z_blk = np.multiply(rot_blk, run[:m], out=chain.z[:m])
             if chain.weighted:
-                lift = np.subtract(half_i[k0:k1], chain.scale, out=phase[:m])
+                lift = np.subtract(half, chain.scale, out=phase[:m])
                 z_blk *= np.exp(lift, out=lift)
                 z_blk *= 1j
             finite = np.isfinite(z_blk)
@@ -320,25 +362,33 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
     return alive
 
 
-def variance_discounted_u(psi, sigma, grid: TimeGrid) -> np.ndarray | None:
+def variance_discounted_u(
+    psi, sigma, grid: TimeGrid, out: np.ndarray | None = None
+) -> np.ndarray | None:
     """Discount psi by the variance remaining to the horizon.
 
     u_k = exp(-0.5 * (I_N - I_k)) * psi_k with I the sigma^2 left-sum. Feeding
     this u into the weighted transform keeps its modulus under the running
     left-sum of |psi| at every node. None once I_N leaves double range: the
-    discount is then undefined.
+    discount is then undefined. u is written block by block into ``out``, a new
+    array unless given; psi is left as it is unless it is ``out``. I is summed
+    twice, once for I_N and once as u is written, and nothing is written on None.
     """
     psi = np.asarray(psi, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     n = grid.n_steps
     if len(psi) != n or len(sigma) != n:
         raise ValueError(f"psi and sigma must have {n} entries, got {len(psi)} and {len(sigma)}")
-    variance_sum = in_range(_variance_sum, sigma, grid)
-    if variance_sum is None:
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, values in _variance_blocks(sigma, grid.dt):
+            total = values[-1]
+    if not np.isfinite(total):
         return None
-    u = np.subtract(variance_sum[-1], variance_sum[:-1], out=variance_sum[:-1])
-    u *= -0.5
-    np.exp(u, out=u)
-    u *= psi
-    return u
-
+    out = np.empty(n) if out is None else out
+    for k0, values in _variance_blocks(sigma, grid.dt):
+        block = np.subtract(total, values[:-1], out=values[:-1])
+        block *= -0.5
+        np.exp(block, out=block)
+        np.multiply(block, psi[k0 : k0 + len(block)], out=out[k0 : k0 + len(block)])
+    return out

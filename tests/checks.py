@@ -139,7 +139,7 @@ def whole_rotation(path, scaled):
     prefix_sum = rb.transforms.prefix_sum
     with np.errstate(over="ignore", invalid="ignore"):  # past double range: inf and nan
         if scaled:
-            F = np.exp(1j * (path.x - path.x[0]) + rb.transforms.half_variance_sum(path))
+            F = np.exp(1j * (path.x - path.x[0]) + whole_half_variance(path))
             rhs = F - 1.0
             U = np.multiply(F, 1j, out=F)
             return U, prefix_sum(path.sigma * U[:-1] * path.dw), rhs
@@ -155,7 +155,7 @@ def whole_rotation_report(path, scaled):
     with np.errstate(over="ignore", invalid="ignore"):
         U, lhs, rhs = whole_rotation(path, scaled)
         if scaled:
-            half = rb.transforms.half_variance_sum(path)[-1]
+            half = whole_half_variance(path)[-1]
             bound = (1.0 + np.sum(path.sigma * np.abs(path.dw))) * np.exp(half)
         else:
             bound = 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt
@@ -164,3 +164,63 @@ def whole_rotation_report(path, scaled):
         return None
     lhs, rhs = complex(lhs[-1]), complex(rhs[-1])
     return abs(rhs), float(bound), abs(lhs - rhs), BOUND_TOLERANCE_UNIT * (1.0 + float(bound))
+
+
+def whole_half_variance(path):
+    """I_k / 2, I the left-sum of sigma^2 dt, in one cumsum over the whole path."""
+    half = _left_sum(path.sigma * path.sigma * path.grid.dt)
+    half *= 0.5
+    return half
+
+
+def whole_weighted(path):
+    """The weighted transform's X + iY at every node as reduce_pass forms it, from whole arrays:
+    each block ends where searchsorted puts its start's I/2 plus RESCALE_THRESHOLD in
+    whole_half_variance, at most _RESTART_NODES on, and sums its terms in one cumsum. Past double
+    range the values are inf or nan; reduce_pass feeds the nodes before the first of them."""
+    transforms = rb.transforms
+    half = whole_half_variance(path)
+    n_nodes, dt = len(half), path.grid.dt
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phase = transforms._reduce_phase(path.x, np.empty(n_nodes))
+        rot = np.empty(n_nodes, dtype=complex)
+        np.cos(phase, out=rot.real)
+        np.sin(phase, out=rot.imag)
+        base = np.conjugate(rot[:-1])
+        base *= path.u
+        base *= dt
+        z = np.empty(n_nodes, dtype=complex)
+        partial, rebased, prior = complex(-0.0, -0.0), complex(0.0, -0.0), 0.0
+        b0 = 0
+        while b0 < n_nodes:
+            scale = half[b0]
+            k1 = int(np.searchsorted(half, scale + transforms.RESCALE_THRESHOLD, side="right"))
+            b1 = max(min(k1, b0 + transforms._RESTART_NODES), b0 + 1)
+            rebased, prior = complex(partial + rebased) * np.exp(scale - prior), scale
+            j1 = min(b1, n_nodes - 1)
+            terms = np.empty(j1 - b0 + 1, dtype=complex)
+            terms[0] = complex(-0.0, -0.0)
+            terms[1:] = base[b0:j1] * np.exp(-(half[b0:j1] - scale))
+            run = np.cumsum(terms)
+            partial = run[-1]
+            run += rebased
+            block = rot[b0:b1] * run[: b1 - b0]
+            block *= np.exp(half[b0:b1] - scale)
+            block *= 1j
+            z[b0:b1] = block
+            b0 = b1
+    return z
+
+
+def whole_discount(psi, sigma, grid):
+    """exp(-0.5 * (I_N - I_k)) * psi_k from I formed whole, as one array; None once I_N leaves
+    double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = _left_sum(sigma * sigma * grid.dt)
+    if not np.isfinite(variance[-1]):
+        return None
+    u = np.subtract(variance[-1], variance[:-1])
+    u *= -0.5
+    np.exp(u, out=u)
+    u *= psi
+    return u

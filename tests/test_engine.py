@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import rangebound as rb
 from rangebound import CoefficientSpec, experiment, verification
-from rangebound.config import ExperimentConfig
+from rangebound.config import ExperimentConfig, parse_config
 from rangebound.errors import ConfigurationError
 
 from checks import seeded_path
@@ -219,6 +219,27 @@ class TestSimulatePath:
             warnings = experiment.run_experiment(config, out).warnings
         drifting = "seed 1: remarks skipped: drift is not identically zero" in warnings
         assert drifting is not path.driftless
+
+    def test_driftless_is_decided_before_the_drift_is_scaled(self):
+        """a = 5e-324 is not zero, but a * dt rounds to 0 at dt <= 0.5: the path drifts, its
+        steps are sigma dw alone, and the rotations are skipped with the drift remark."""
+        text = "t_max = 1\nn_steps = 8\na = const:5e-324\nsigma = const:1\nu = const:1\nseeds = 1\n"
+        config = parse_config(text)
+        path = experiment.prepare_path(config, 1)
+        assert 5e-324 * path.grid.dt == 0.0 and path.driftless is False
+        assert np.array_equal(path.x, np.cumsum(np.r_[0.0, path.sigma * path.dw]))
+        rows = experiment._evaluate_seed(config, 1, {"rotation_unit", "rotation_scaled"}, 4)
+        assert rows == [("remarks", None, "drift")]
+
+    def test_samples_read_are_left_as_they_are(self):
+        """A drift or psi that views samples is not scaled or discounted in the samples' own
+        array, even where they are writable."""
+        a, psi = np.linspace(-1.0, 2.0, 16), np.linspace(3.0, 1.0, 16)
+        kept = a.copy(), psi.copy()
+        a_spec, psi_spec = (CoefficientSpec("samples", samples=values) for values in (a, psi))
+        path = experiment.prepare_path(ExperimentConfig(1.0, 16, a_spec, const(2), psi_spec=psi_spec), 1)
+        assert a.tobytes() == kept[0].tobytes() and psi.tobytes() == kept[1].tobytes()
+        assert path.u.tobytes() == rb.variance_discounted_u(psi, path.sigma, path.grid).tobytes()
 
     def test_state_dependent_loop_memory_is_flat(self):
         n = 200_000

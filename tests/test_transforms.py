@@ -24,6 +24,7 @@ from checks import (
     riemann_cumsum,
     rotation_sides,
     seeded_path,
+    whole_discount,
     whole_identity_sides,
 )
 
@@ -277,6 +278,34 @@ class TestVarianceDiscountedU:
         grid = rb.build_grid(1.0, 10)
         with pytest.raises(ValueError):
             rb.variance_discounted_u(np.ones(9), np.ones(10), grid)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_steps=st.integers(1, 40),
+        segment=st.sampled_from([1, 3, 7, 64]),
+        scale=st.sampled_from([0.0, 1.0, 30.0, 1e160]),
+        seed=st.integers(0, 1000),
+    )
+    def test_leaves_psi_and_gives_the_whole_formulas_bits(self, n_steps, segment, scale, seed):
+        """Summed in blocks of any size, the discount is the whole-array formula's bit for bit,
+        in an array of its own, psi not written, or in psi's own array when it is ``out``;
+        at scale 1e160 I_N leaves double range, and nothing is written."""
+        rng = np.random.default_rng(seed)
+        psi, sigma = rng.standard_normal(n_steps), scale * rng.standard_normal(n_steps)
+        grid = rb.build_grid(1.0, n_steps)
+        kept, own = psi.copy(), psi.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transforms, "_SEGMENT_NODES", segment)
+            u = rb.variance_discounted_u(psi, sigma, grid)
+            in_place = rb.variance_discounted_u(own, sigma, grid, out=own)
+        want = whole_discount(psi, sigma, grid)
+        assert psi.tobytes() == kept.tobytes()
+        assert (u is None) is (want is None) is (in_place is None)
+        if u is None:
+            assert own.tobytes() == kept.tobytes()
+        else:
+            assert u.tobytes() == want.tobytes() == own.tobytes() and not np.shares_memory(u, psi)
+            assert in_place is own
 
     @pytest.mark.parametrize("seed", range(4))
     def test_log_envelope_bound(self, seed):
