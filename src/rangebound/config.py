@@ -207,13 +207,9 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
 
 def coefficient_token(spec: CoefficientSpec) -> str:
     """Canonical config token for a coefficient (samples render as inline length)."""
-    if spec.kind == "const":
-        return f"const:{spec.params[0]:.17g}"
-    if spec.kind == "sin":
-        return "sin:" + ",".join(format(p, ".17g") for p in spec.params)
-    if spec.kind == "state":
-        return f"state:{spec.params[0]:.17g}"
-    return f"samples[{len(spec.samples)}]"
+    if spec.kind == "samples":
+        return f"samples[{len(spec.samples)}]"
+    return f"{spec.kind}:" + ",".join(format(p, ".17g") for p in spec.params)
 
 
 def config_echo_lines(config: ExperimentConfig) -> list[str]:
@@ -225,10 +221,9 @@ def config_echo_lines(config: ExperimentConfig) -> list[str]:
         f"config.a = {coefficient_token(config.a_spec)}",
         f"config.sigma = {coefficient_token(config.sigma_spec)}",
     ]
-    if config.u_spec is not None:
-        lines.append(f"config.u = {coefficient_token(config.u_spec)}")
-    if config.psi_spec is not None:
-        lines.append(f"config.psi = {coefficient_token(config.psi_spec)}")
+    for key, spec in (("u", config.u_spec), ("psi", config.psi_spec)):
+        if spec is not None:
+            lines.append(f"config.{key} = {coefficient_token(spec)}")
     lines.append("config.seeds = " + ",".join(str(s) for s in config.seeds))
     lines.append("config.outputs = " + ",".join(sorted(config.outputs)))
     lines.append(f"config.output_dir = {config.output_dir}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from contextlib import AbstractContextManager, ExitStack, contextmanager
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cache, partial
 from pathlib import Path
@@ -25,7 +25,7 @@ from .engine import (
     simulate_path,
 )
 from .errors import ConfigurationError
-from .transforms import in_range, reduce_pass, variance_discounted_u
+from .transforms import reduce_pass
 from .verification import (
     EnvelopeCheck,
     HeadKeeper,
@@ -259,16 +259,12 @@ def build_path(
     # a step past double range leaves x inf or nan from there on: prepare_path refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         path = simulate_path(*specs, grid, dw, config.x0, seed)
-    if not config.uses_discounted_u:
-        return path
-    # u is discounted in place: psi's own array, or a copy of the samples it views
-    psi = path.u if path.u.flags.owndata else path.u.copy()
-    psi.setflags(write=True)
-    u = variance_discounted_u(psi, path.sigma, grid, out=psi)
-    # on a path out of double range the discount is moot: prepare_path refuses the path
-    if u is None and in_range(lambda: path.x) is not None:
+    # I_N out of double range leaves the discount undefined; on a path out of double range
+    # it is moot: prepare_path refuses the path
+    discounted = config.uses_discounted_u and bool(np.isfinite(path.marks[-1]))
+    if config.uses_discounted_u and not discounted and np.isfinite(path.x[-1]):
         raise ConfigurationError(f"seed {seed}: the variance integral leaves double range")
-    return path if u is None else path.with_u(u)
+    return replace(path, discounted=discounted)
 
 
 def prepare_path(config: ExperimentConfig, seed: int) -> PathRecord:
@@ -325,7 +321,7 @@ SKIP_WORDING = {
 
 def _columns(path) -> tuple:
     """CsvWriter columns of ``path``: t, x, and X and Y, the real and imaginary parts of the block."""
-    t, x = (lambda k0, k1, z: path.grid.nodes[k0:k1]), (lambda k0, k1, z: path.x[k0:k1])
+    t, x = (lambda k0, k1, z: path.grid.nodes_at(k0, k1)), (lambda k0, k1, z: path.x[k0:k1])
     return t, x, (lambda k0, k1, z: z.real), (lambda k0, k1, z: z.imag)
 
 
@@ -351,7 +347,7 @@ def _reduce_path(config, path, wanted, out, written, keepers) -> tuple[list[tupl
     grid = path.grid
     t, x, re, im = _columns(path)
     integrands = {
-        "t1": lambda k0, k1: path.u[k0:k1],
+        "t1": path.u_at,
         "t2": lambda k0, k1: config.psi_spec.sample_series(grid, path.x[k0:k1], k0, k1),
     }
     asked = [check for check in ("rotation_unit", "rotation_scaled") if check in wanted]
@@ -426,7 +422,7 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
     if levels < 3:
         raise ConfigurationError(f"convergence needs at least 3 refinement levels, got {levels}")
     path = prepare_path(config, seed)
-    n_steps = path.grid.n_steps  # not the grid: its nodes go with the path
+    n_steps = path.grid.n_steps
     ceiling = verification.ORACLE_CEILING
     oracle = "oracle_head" in wanted or "oracle" in wanted and n_steps <= ceiling
     # the pass keeps each transform's first nodes for the oracle, which compares them with

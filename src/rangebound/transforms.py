@@ -25,7 +25,8 @@ import threading
 
 import numpy as np
 
-from .engine import PathRecord, TimeGrid
+from . import engine
+from .engine import PathRecord, TimeGrid, discount, left_variance
 
 TWO_PI = 2.0 * np.pi
 
@@ -48,64 +49,24 @@ _RESTART_NODES = 32768
 _SEGMENT_NODES = 8192
 
 
-def half_variance_sum(path: PathRecord) -> np.ndarray:
-    """I_k / 2, I being the running left-sum of sigma^2 dt, formed whole."""
-    half = np.zeros(path.grid.n_steps + 1)
-    for k0, values in _variance_blocks(path.sigma, path.grid.dt):
-        np.multiply(values[1:], 0.5, out=half[k0 + 1 : k0 + len(values)])
-    return half
+def _block_end(path: PathRecord, k0: int) -> tuple[float, int]:
+    """The scale I_k0 / 2 of a weighted block starting at k0, and the node where it ends.
 
-
-def _variance_blocks(sigma: np.ndarray, dt: float):
-    """(k0, I at the nodes k0 .. k1) per block of at most _SEGMENT_NODES steps k0 .. k1-1, in
-    scratch the next block overwrites: the left-sum of sigma^2 dt carried from block to block,
-    the one sequential sum bit for bit."""
-    values = np.empty(min(len(sigma), _SEGMENT_NODES) + 1)
-    carry = 0.0  # 0.0 + t is t: sigma^2 dt is never -0.0
-    for k0 in range(0, len(sigma), _SEGMENT_NODES):
-        steps = sigma[k0 : k0 + _SEGMENT_NODES]
-        block = values[: len(steps) + 1]
-        block[0] = carry
-        np.multiply(steps, steps, out=block[1:])
-        block[1:] *= dt
-        np.cumsum(block, out=block)
-        carry = block[-1]
-        yield k0, block
-
-
-class _HalfVariance:
-    """I_k / 2 in a window of nodes sliding left to right, as _variance_blocks carries I.
-
-    I is nondecreasing (nan sorts last), so a weighted block's end, the first node where I/2
-    passes its start's by RESCALE_THRESHOLD, is where searchsorted puts it in the window from
-    the block's start on. The window grows only while that node is not in it, and keeps the
-    nodes from the block's start, which its segments read: every node is summed once.
+    That is the first node where I/2 passes the scale by RESCALE_THRESHOLD, at most
+    _RESTART_NODES on and at most node N. I is nondecreasing (nan sorts last), so
+    searchsorted finds it in the first chunk from a mark of I (cut at the cap) that holds
+    it; each chunk is read whole, as the pass's segments read it.
     """
-
-    def __init__(self, sigma: np.ndarray, dt: float):
-        self.n_nodes = len(sigma) + 1
-        self.blocks = _variance_blocks(sigma, dt)
-        self.half = np.zeros(min(_RESTART_NODES + _SEGMENT_NODES, self.n_nodes))
-        self.start, self.stop = 0, 1  # the nodes in the window; I_0 = 0
-
-    def __getitem__(self, nodes: slice) -> np.ndarray:
-        return self.half[nodes.start - self.start : nodes.stop - self.start]
-
-    def block(self, k0: int) -> tuple[float, int]:
-        """The scale I_k0 / 2 of a block starting at k0, and the node where it ends."""
-        while True:
-            ahead = self[k0 : self.stop]
-            k1 = k0 + int(ahead.searchsorted(ahead[0] + RESCALE_THRESHOLD, side="right"))
-            # found, or capped with the next block's first node in the window, or at node N
-            if k1 < self.stop or self.stop > min(k0 + _RESTART_NODES, self.n_nodes - 1):
-                return ahead[0], max(min(k1, k0 + _RESTART_NODES), k0 + 1)
-            _, values = next(self.blocks)
-            stop = self.stop + len(values) - 1
-            if stop - self.start > len(self.half):
-                self.half[: self.stop - k0] = ahead
-                self.start = k0
-            np.multiply(values[1:], 0.5, out=self[self.stop : stop])
-            self.stop = stop
+    every, scale = engine.STATE_CHUNK_STEPS, None
+    cap = min(k0 + _RESTART_NODES, path.grid.n_steps + 1)
+    for c0 in range(k0 - k0 % every, cap, every):
+        start = max(k0, c0)
+        half = path.half_variance_at(c0, min(c0 + every, cap))[start - c0 :]
+        scale = half[0] if scale is None else scale
+        k1 = start + int(half.searchsorted(scale + RESCALE_THRESHOLD, side="right"))
+        if k1 < start + len(half):
+            break
+    return scale, max(min(k1, cap), k0 + 1)
 
 
 def prefix_sum(terms: np.ndarray, carry=None) -> np.ndarray:
@@ -191,7 +152,7 @@ def transform_pair_direct(
     n = path.grid.n_steps
     x = path.x
     udt = path.u * path.grid.dt
-    half_i = half_variance_sum(path) if weighted else None
+    half_i = path.half_variance_at(0, n + 1) if weighted else None
     # X + iY of each variant asked for, summed in place; the weighted variant goes last
     # because it scales the shared terms in place, and holds its sine sum as X until the end
     series = {flag: np.zeros(n + 1, dtype=complex) for flag in (False, True) if (bounded, weighted)[flag]}
@@ -275,7 +236,8 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
     each segment's x[k0:k1] goes to it after the transforms' consumers, through
     node N whatever the transforms do.
 
-    Segments end wherever either transform starts a block, and at most
+    Segments end wherever either transform starts a block, at each mark of the path's I
+    (so that a segment reads I from one chunk the path formed), and at most
     _SEGMENT_NODES nodes after they start. Each segment with a transform alive
     forms the phasors once and feeds the terms e^{-i x_j} w_j u_j dt into both
     running sums, w_j being 1 for the bounded transform and e^{-(h_j - scale)}
@@ -284,7 +246,6 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
     """
     n_nodes = path.grid.n_steps + 1
     x = path.x
-    u = path.u
     dt = path.grid.dt
     lane = consumers[2] if len(consumers) > 2 else ()
     alive = [bool(group) for group in consumers[:2]]
@@ -301,13 +262,12 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
         chains.append(_Chain(size, np.empty(size + 1, dtype=np.complex128), weighted=True))
 
     k0 = 0
-    half_i = _HalfVariance(path.sigma, dt) if weighted else None
     while k0 < n_nodes:
         for chain in chains:
             if chain.end != k0:
                 continue
             if chain.weighted:
-                scale, chain.end = half_i.block(k0)
+                scale, chain.end = _block_end(path, k0)
                 factor = np.exp(scale - chain.scale)
             else:
                 scale, factor = 0.0, 1.0
@@ -318,7 +278,8 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
             chain.rebased = complex(chain.partial + chain.rebased) * factor
             chain.scale = scale
             chain.partial = complex(-0.0, -0.0)
-        k1 = min(k0 + size, n_nodes, *(chain.end for chain in chains))
+        mark = k0 - k0 % engine.STATE_CHUNK_STEPS + engine.STATE_CHUNK_STEPS
+        k1 = min(k0 + size, n_nodes, mark, *(chain.end for chain in chains))
         m = k1 - k0
         j_hi = min(k1, n_nodes - 1)
         mj = j_hi - k0
@@ -329,13 +290,13 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
             np.cos(ph, out=rot_blk.real)
             np.sin(ph, out=rot_blk.imag)
             np.conjugate(rot_blk[:mj], out=base[1 : mj + 1])
-            base[1 : mj + 1] *= u[k0:j_hi]
+            base[1 : mj + 1] *= path.u_at(k0, j_hi)
             base[1 : mj + 1] *= dt
 
         for chain in chains:
             terms = chain.terms
             if chain.weighted:
-                half = half_i[k0:k1]
+                half = path.half_variance_at(k0, k1)
                 w = np.subtract(half[:mj], chain.scale, out=decay[:mj])
                 np.negative(w, out=w)
                 np.exp(w, out=w)
@@ -362,33 +323,19 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
     return alive
 
 
-def variance_discounted_u(
-    psi, sigma, grid: TimeGrid, out: np.ndarray | None = None
-) -> np.ndarray | None:
+def variance_discounted_u(psi, sigma, grid: TimeGrid) -> np.ndarray | None:
     """Discount psi by the variance remaining to the horizon.
 
     u_k = exp(-0.5 * (I_N - I_k)) * psi_k with I the sigma^2 left-sum. Feeding
     this u into the weighted transform keeps its modulus under the running
     left-sum of |psi| at every node. None once I_N leaves double range: the
-    discount is then undefined. u is written block by block into ``out``, a new
-    array unless given; psi is left as it is unless it is ``out``. I is summed
-    twice, once for I_N and once as u is written, and nothing is written on None.
+    discount is then undefined. A path made ``discounted`` forms its u so, segment
+    by segment, bit for bit this array's.
     """
     psi = np.asarray(psi, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     n = grid.n_steps
     if len(psi) != n or len(sigma) != n:
         raise ValueError(f"psi and sigma must have {n} entries, got {len(psi)} and {len(sigma)}")
-    total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, values in _variance_blocks(sigma, grid.dt):
-            total = values[-1]
-    if not np.isfinite(total):
-        return None
-    out = np.empty(n) if out is None else out
-    for k0, values in _variance_blocks(sigma, grid.dt):
-        block = np.subtract(total, values[:-1], out=values[:-1])
-        block *= -0.5
-        np.exp(block, out=block)
-        np.multiply(block, psi[k0 : k0 + len(block)], out=out[k0 : k0 + len(block)])
-    return out
+    variance = left_variance(sigma, grid.dt)
+    return discount(psi, variance[:-1], variance[-1]) if np.isfinite(variance[-1]) else None

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PathRecord, TimeGrid, build_grid, coarsen_increments
+from .engine import STATE_CHUNK_STEPS, PathRecord, TimeGrid, build_grid, coarsen_increments
 from .errors import OracleCostError
 from .transforms import (
-    half_variance_sum,
     in_range,
     prefix_sum,
     reduce_pass,
@@ -131,7 +130,7 @@ class IdentityCheck(_BlockCheck):
         if self.weighted:
             sides = -lhs[:m], X
         else:
-            sigma = path.sigma[k0:j1]
+            sigma = path.sigma_at(k0, j1)
             correction = prefix_sum(sigma * sigma * Y[: j1 - k0] * path.grid.dt, self.sums[1])
             self.sums[1] = correction[-1]
             sides = lhs[:m], Y + 0.5 * correction[:m]
@@ -150,8 +149,9 @@ class RotationCheck(_BlockCheck):
     Unit: U_k = e^{i(x_k - x_0)}, lhs_k = i sum_{j<k} sigma_j U_j dw_j and rhs_k =
     U_k - 1 + 0.5 sum_{j<k} sigma_j^2 U_j dt. Scaled: U_k = i F_k, F_k = e^{i(x_k - x_0)
     + I_k/2}, lhs_k = sum_{j<k} sigma_j U_j dw_j and rhs_k = F_k - 1. The sides agree up
-    to the scheme's error. reduce_pass feeds it x on the path's lane, the dw sum and the
-    dt sum (I, if scaled) continued bit for bit. Its ``block`` is U, lhs and rhs.
+    to the scheme's error. reduce_pass feeds it x on the path's lane; the dw sum and the
+    unit dt sum are continued bit for bit, and I is the path's own. Its ``block`` is U, lhs
+    and rhs.
     """
 
     def __init__(self, path: PathRecord, scaled: bool):
@@ -159,16 +159,16 @@ class RotationCheck(_BlockCheck):
             raise ValueError("rotation identities require an identically zero drift")
         super().__init__(path.grid)
         self.path, self.scaled = path, scaled
-        self.sums = [None, None]  # the dw sum and the dt sum at the last node fed
+        self.sums = [None, None]  # the dw sum and the dt sum (I/2, if scaled) at the last node fed
 
     def _reduce(self, k0: int, k1: int, x: np.ndarray):
         path, m = self.path, k1 - k0
         j1 = min(k1, path.grid.n_steps)
-        sigma = path.sigma[k0:j1]
+        sigma = path.sigma_at(k0, j1)
         if self.scaled:
-            variance = prefix_sum(sigma * sigma * path.grid.dt, self.sums[1])
-            self.sums[1] = variance[-1]
-            F = np.exp(1j * (x - path.x[0]) + variance[:m] * 0.5)
+            half = path.half_variance_at(k0, k1)
+            self.sums[1] = half[-1]  # I/2 at the last node fed
+            F = np.exp(1j * (x - path.x[0]) + half)
             rhs = F - 1.0
             U = np.multiply(F, 1j, out=F)
         else:
@@ -189,10 +189,16 @@ class RotationCheck(_BlockCheck):
         sides are judged too."""
         self._complete()
         path, lhs, rhs = self.path, self.block[1][-1], self.block[2][-1]  # at node N
+        # sigma |dw| or sigma^2 at every step, formed segment by segment in one array
+        n, terms = path.grid.n_steps, np.empty(path.grid.n_steps)
+        for k0 in range(0, n, STATE_CHUNK_STEPS):
+            k1 = min(k0 + STATE_CHUNK_STEPS, n)
+            sigma = path.sigma_at(k0, k1)
+            np.multiply(sigma, np.abs(path.dw[k0:k1]) if self.scaled else sigma, out=terms[k0:k1])
         if self.scaled:
-            bound = (1.0 + np.sum(path.sigma * np.abs(path.dw))) * np.exp(self.sums[1] * 0.5)
+            bound = (1.0 + np.sum(terms)) * np.exp(self.sums[1])
         else:
-            bound = 2.0 + 0.5 * np.sum(path.sigma * path.sigma) * path.grid.dt
+            bound = 2.0 + 0.5 * np.sum(terms) * path.grid.dt
         tolerance = BOUND_TOLERANCE_UNIT * (1.0 + bound)
         values = in_range(lambda: (abs(rhs), bound, abs(lhs - rhs), tolerance))
         return None if values is None else tuple(map(float, values))
@@ -268,8 +274,9 @@ def convergence_ladder(
         if factor == 1 and finest is not None:
             rungs.append(finest)
             continue
-        path = build_rung(build_grid(t_max, n), coarsen_increments(fine, factor), factor)
-        rungs.append(_rung_residuals(path))
+        # the rung goes straight to its pass, so none is held while the next is built
+        grid = build_grid(t_max, n)
+        rungs.append(_rung_residuals(build_rung(grid, coarsen_increments(fine, factor), factor)))
     reports = {}
     for identity in ("bounded", "weighted"):
         norms = tuple(rung[identity] for rung in rungs)
@@ -304,7 +311,7 @@ def compare_oracle_pair(path: PathRecord, heads) -> dict[str, tuple[float, float
     if in_range(np.ptp, path.x) is not None:
         scales[0] = integral = in_range(lambda: float(np.sum(np.abs(path.u)) * path.grid.dt))
     if scales[0] is not None:
-        scales[1] = in_range(lambda: integral * float(np.exp(half_variance_sum(path)[-1])))
+        scales[1] = in_range(lambda: integral * float(np.exp(path.half_variance_at(n, n + 1)[0])))
     asked = [scale is not None and head is not None for scale, head in zip(scales, heads)]
     direct = transform_pair_direct(path, *asked) if any(asked) else (None, None)
     rows = {}

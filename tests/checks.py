@@ -173,6 +173,27 @@ def whole_half_variance(path):
     return half
 
 
+def whole_nodes(grid):
+    """The grid's nodes k dt, node N set to t_max, as one array."""
+    nodes = grid.dt * np.arange(grid.n_steps + 1, dtype=np.float64)
+    nodes[-1] = grid.t_max
+    return nodes
+
+
+def whole_coefficient(spec, grid, x_left):
+    """``spec`` at every left node of ``grid``, x_left being x there, from whole arrays."""
+    t = whole_nodes(grid)[:-1]
+    if spec.kind == "const":
+        return np.full(len(t), spec.params[0])
+    if spec.kind == "sin":
+        c0, c1, omega = spec.params
+        return c0 + c1 * np.sin(omega * t)
+    if spec.kind == "state":
+        with np.errstate(over="ignore"):
+            return spec.params[0] / (1.0 + x_left * x_left)
+    return spec.samples
+
+
 def whole_weighted(path):
     """The weighted transform's X + iY at every node as reduce_pass forms it, from whole arrays:
     each block ends where searchsorted puts its start's I/2 plus RESCALE_THRESHOLD in

@@ -14,16 +14,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rangebound as rb
-from rangebound import experiment, transforms, verification
-from rangebound.config import parse_config
+from rangebound import CoefficientSpec, engine, experiment, transforms, verification
+from rangebound.config import ExperimentConfig, parse_config
 from rangebound.errors import ConfigurationError
 
 from checks import (
     Gather,
     block_series,
     recurrence_pair,
+    riemann_cumsum,
     whole_bound,
+    whole_coefficient,
+    whole_discount,
     whole_half_variance,
+    whole_nodes,
     whole_residual,
     whole_rotation,
     whole_rotation_report,
@@ -115,17 +119,25 @@ LEAVES_RANGE = "t_max = 1\nn_steps = 64\na = const:1\nsigma = const:40\nu = cons
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@example(text=TIE, block=5, seed=1)
-@example(text=REBASES, block=2, seed=3)
-@example(text=REBASES.replace("psi", "u"), block=64, seed=3)
-@example(text=LEAVES_RANGE, block=5, seed=2)
-@given(text=configs(), block=st.sampled_from(BLOCKS), seed=st.integers(1, 1000))
-def test_seed_record_matches_whole_array_reductions(text, block, seed):
+@example(text=TIE, block=5, chunk=8192, seed=1)
+@example(text=REBASES, block=2, chunk=8192, seed=3)
+@example(text=REBASES.replace("psi", "u"), block=64, chunk=8192, seed=3)
+@example(text=LEAVES_RANGE, block=5, chunk=8192, seed=2)
+@example(text=REBASES, block=64, chunk=3, seed=3)
+@given(
+    text=configs(),
+    block=st.sampled_from(BLOCKS),
+    chunk=st.sampled_from([3, 8192]),
+    seed=st.integers(1, 1000),
+)
+def test_seed_record_matches_whole_array_reductions(text, block, chunk, seed):
     config = parse_config(text)
     with pytest.MonkeyPatch.context() as mp:
-        # segments of 3 nodes also split the blocks of 5 and 64
+        # segments of 3 nodes also split the blocks of 5 and 64, and marks of I 3 nodes apart
+        # end segments of their own
         mp.setattr(transforms, "_RESTART_NODES", block)
         mp.setattr(transforms, "_SEGMENT_NODES", 3)
+        mp.setattr(engine, "STATE_CHUNK_STEPS", chunk)
         try:
             want = whole_array_rows(config, seed)
         except ConfigurationError:
@@ -149,7 +161,7 @@ def test_examples_reach_their_edges():
         assert skipped == [("transform", "weighted", "range")]
         assert ("identity", "weighted", "transform") in leaves
     path = experiment.prepare_path(parse_config(REBASES), 3)
-    assert transforms.half_variance_sum(path)[-1] > 1.2 * transforms.RESCALE_THRESHOLD
+    assert whole_half_variance(path)[-1] > 1.2 * transforms.RESCALE_THRESHOLD
     segments = []
     transforms.reduce_pass(path, ([], [SimpleNamespace(feed=lambda k0, k1, z: segments.append(k0))]))
     assert len(segments) > 1  # 65 nodes in one block but for the rebase
@@ -170,27 +182,32 @@ def rebasing_configs(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@example(text=REBASES, restart=5, segment=3, threshold=3.0, seed=3)
-@example(text=REBASES, restart=64, segment=1, threshold=0.5, seed=3)
-@example(text=REBASES.replace("30", "400"), restart=13, segment=5, threshold=40.0, seed=1)
-@example(text=LEAVES_RANGE, restart=2, segment=3, threshold=3.0, seed=2)
+@example(text=REBASES, restart=5, segment=3, threshold=3.0, chunk=8192, seed=3)
+@example(text=REBASES, restart=64, segment=1, threshold=0.5, chunk=8192, seed=3)
+@example(text=REBASES.replace("30", "400"), restart=13, segment=5, threshold=40.0, chunk=7, seed=1)
+@example(text=LEAVES_RANGE, restart=2, segment=3, threshold=3.0, chunk=8192, seed=2)
+@example(text=REBASES, restart=64, segment=64, threshold=3.0, chunk=2, seed=3)
 @given(
     text=rebasing_configs(),
     restart=st.sampled_from([1, 2, 5, 13, 64]),
     segment=st.sampled_from([1, 3, 5, 64]),
     threshold=st.sampled_from([0.5, 3.0, 40.0, 345.0]),
+    chunk=st.sampled_from([1, 2, 7, 8192]),
     seed=st.integers(1, 1000),
 )
-def test_the_carried_half_variance_gives_the_whole_arrays_blocks(text, restart, segment, threshold, seed):
-    """The weighted pass, whose block ends are found ahead in a window of I/2 carried segment by
-    segment, is bit for bit the recurrence whose blocks end where searchsorted puts them in the
-    whole-array I/2, and is fed just the nodes before its first out of double range; and
-    half_variance_sum, I/2 carried in blocks and kept whole, is that I/2 bit for bit."""
+def test_the_carried_half_variance_gives_the_whole_arrays_blocks(
+    text, restart, segment, threshold, chunk, seed
+):
+    """The weighted pass, whose block ends are searched chunk by chunk in the I/2 the path forms
+    from its marks of I, ``chunk`` nodes apart, is bit for bit the recurrence whose blocks end
+    where searchsorted puts them in the whole-array I/2, and is fed just the nodes before its
+    first out of double range; and the path's I/2, read whole, is that I/2 bit for bit."""
     config = parse_config(text)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transforms, "_RESTART_NODES", restart)
         mp.setattr(transforms, "_SEGMENT_NODES", segment)
         mp.setattr(transforms, "RESCALE_THRESHOLD", threshold)
+        mp.setattr(engine, "STATE_CHUNK_STEPS", chunk)
         try:
             path = experiment.prepare_path(config, seed)
         except ConfigurationError:
@@ -198,7 +215,8 @@ def test_the_carried_half_variance_gives_the_whole_arrays_blocks(text, restart, 
         gathers = [Gather(), Gather()]
         alive = transforms.reduce_pass(path, [[gather] for gather in gathers])
         want = whole_weighted(path)
-        assert transforms.half_variance_sum(path).tobytes() == whole_half_variance(path).tobytes()
+        half = path.half_variance_at(0, path.grid.n_steps + 1)
+        assert half.tobytes() == whole_half_variance(path).tobytes()
     finite = np.isfinite(want)
     end = len(want) if finite.all() else int(np.argmin(finite))
     assert alive[1] is bool(finite.all())
@@ -299,12 +317,131 @@ def test_the_kept_head_is_the_heads_own_pass(text, ceiling, edge, restart, segme
     assert spelled(kept) == spelled(own)
 
 
+@st.composite
+def coefficient_specs(draw, n_steps, scale):
+    """A const, sin, state or samples coefficient with values in [-scale, scale]."""
+    kind, value = draw(st.sampled_from(engine.COEFFICIENT_KINDS)), st.floats(-scale, scale)
+    if kind == "sin":
+        return CoefficientSpec.sinusoid(draw(value), draw(value), draw(st.floats(0.1, 8.0)))
+    if kind == "samples":
+        return CoefficientSpec.from_samples(draw(st.lists(value, min_size=n_steps, max_size=n_steps)))
+    return CoefficientSpec(kind, (draw(value),))
+
+
+def read_segments(path, cuts):
+    """sigma_at, u_at, variance_at, half_variance_at and the grid's nodes_at read over the nodes
+    split at ``cuts``, each joined into one array, as a pass reads them segment by segment."""
+    n = path.grid.n_steps
+    bounds = sorted({0, n + 1, *(cut for cut in cuts if cut <= n)})
+    got = {"sigma": [], "u": [], "variance": [], "half": [], "nodes": []}
+    for k0, k1 in zip(bounds, bounds[1:]):
+        got["nodes"].append(path.grid.nodes_at(k0, k1))
+        got["variance"].append(path.variance_at(k0, k1))
+        got["half"].append(path.half_variance_at(k0, k1))
+        got["sigma"].append(path.sigma_at(k0, min(k1, n)))
+        got["u"].append(path.u_at(k0, min(k1, n)))
+    return {name: np.concatenate(parts).tobytes() for name, parts in got.items()}
+
+
+@st.composite
+def coefficient_setups(draw):
+    """t_max, n_steps and the a, sigma and u (or psi) coefficients of a config."""
+    n_steps = draw(st.integers(1, 90))
+    specs = (draw(coefficient_specs(n_steps, scale)) for scale in (3.0, 30.0, 3.0))
+    return draw(st.sampled_from([1.0, 5.0, 0.3])), n_steps, *specs
+
+
+SIN = CoefficientSpec.sinusoid(1.0, 0.5, 2.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+# dt * N is not t_max on 49 steps of 1/49 nor on 77 of 5/77: node N must be set to it
+@example(
+    setup=(1.0, 49, SIN, CoefficientSpec.state_bounded(2.0), SIN),
+    psi=True, chunk=4, cuts=[[3, 17, 18, 48], [9, 49]], steps=20, seed=1,
+)
+@example(
+    setup=(5.0, 77, SIN, CoefficientSpec.from_samples(np.linspace(-3.0, 3.0, 77)), SIN),
+    psi=True, chunk=7, cuts=[[40, 77], [1, 2, 3]], steps=30, seed=2,
+)
+@given(
+    setup=coefficient_setups(),
+    psi=st.booleans(),
+    chunk=st.sampled_from([1, 4, 7, engine.STATE_CHUNK_STEPS]),
+    cuts=st.lists(st.lists(st.integers(1, 90), max_size=12), min_size=2, max_size=2),
+    steps=st.integers(1, 90),
+    seed=st.integers(1, 1000),
+)
+def test_segments_are_the_whole_arrays_bits(setup, psi, chunk, cuts, steps, seed):
+    """sigma, u, I and the nodes a path forms segment by segment, over any split of its nodes and
+    again over a second split that its kept segments partly serve, are bit for bit the whole
+    arrays: the coefficients sampled on the whole grid, I summed in one cumsum, u discounted by
+    I_N, and node N = t_max. So are its whole series, and a head's are the path's first steps,
+    its u discounted by the path's I_N and its samples, as of a file: coefficient, the path's."""
+    t_max, n_steps, a_spec, sigma_spec, integrand = setup
+    integrands = {"psi_spec" if psi else "u_spec": integrand}
+    config = ExperimentConfig(t_max, n_steps, a_spec, sigma_spec, **integrands)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "STATE_CHUNK_STEPS", chunk)  # the marks of I, chunk nodes apart
+        try:
+            path = experiment.prepare_path(config, seed)
+        except ConfigurationError:
+            return  # a path out of double range is refused before any segment is read
+        grid = path.grid
+        sigma = whole_coefficient(sigma_spec, grid, path.x[:-1])
+        variance = riemann_cumsum(sigma * sigma, grid)
+        u = whole_coefficient(integrand, grid, path.x[:-1])
+        u = whole_discount(u, sigma, grid) if psi else u
+        half = np.multiply(variance, 0.5)
+        want = {"sigma": sigma, "u": u, "variance": variance, "half": half, "nodes": whole_nodes(grid)}
+        want = {name: series.tobytes() for name, series in want.items()}
+        assert [read_segments(path, split) for split in cuts] == [want, want]
+        whole = {"sigma": path.sigma, "u": path.u, "nodes": grid.nodes}
+        whole["variance"] = path.variance_at(0, n_steps + 1)
+        whole["half"] = path.half_variance_at(0, n_steps + 1)
+        assert {name: series.tobytes() for name, series in whole.items()} == want
+        assert grid.nodes[-1] == grid.t_max
+        head, at_nodes = path.head(steps), ("variance", "half", "nodes")
+        cut = {name: series[: steps + (name in at_nodes)] for name, series in whole.items()}
+        assert read_segments(head, cuts[0]) == {name: series.tobytes() for name, series in cut.items()}
+
+
+FREQUENT_REBASES = REBASES.replace("30", "400").replace("64", "{}")  # a rebase every ~280 nodes
+
+
+@pytest.mark.parametrize("text", [PSI, FREQUENT_REBASES], ids=["psi", "rebases"])
+def test_each_step_is_formed_once_per_pass(text):
+    """A pass with both identity checks forms sigma and I once per step: its readers, u's
+    discount and the weighted transform's search for its block ends among them, share each
+    segment the path formed, and a segment after a rebase ends at the next mark of I."""
+    n_steps = 2**16
+    path = experiment.prepare_path(parse_config(text.format(n_steps)), 1)
+    steps = {"sigma": 0, "variance": 0}
+    sample, variance = CoefficientSpec.sample_series, engine.left_variance
+
+    def counted_sample(spec, grid, x_left=None, start=0, stop=None):
+        values = sample(spec, grid, x_left, start, stop)
+        steps["sigma"] += len(values) if spec is path.sigma_spec else 0
+        return values
+
+    def counted_variance(sigma, dt, carry=0.0):
+        steps["variance"] += len(sigma)
+        return variance(sigma, dt, carry)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CoefficientSpec, "sample_series", counted_sample)
+        mp.setattr(engine, "left_variance", counted_variance)
+        checks = [verification.IdentityCheck(path, weighted) for weighted in (False, True)]
+        assert transforms.reduce_pass(path, [[check] for check in checks]) == [True, True]
+    assert steps == {"sigma": n_steps, "variance": n_steps}
+
+
 def traced_peak(n_steps, command):
     """Peak traced bytes of ``command(config)`` on PSI at ``n_steps``, and the bytes of the path
-    it simulates."""
+    it simulates, x and dw."""
     config = parse_config(PSI.format(n_steps))
     path = experiment.prepare_path(config, 1)
-    path_bytes = sum(a.nbytes for a in (path.grid.nodes, path.x, path.dw, path.sigma, path.u))
+    path_bytes = path.x.nbytes + path.dw.nbytes
     del path
     tracemalloc.start()
     try:
@@ -329,25 +466,26 @@ def verify_peak(n_steps):
 def test_verify_memory_grows_with_the_path_only():
     """Doubling the path grows verify's peak by the path's arrays alone.
 
-    The peak is the path, five series: nodes, x, dw, sigma and u. The simulation
-    forms its steps in x and scales the drift and samples psi each in its own
-    array, the discount is written over psi, the pass carries I/2 segment by
-    segment, and the fine grid goes with the path before the ladder. The scratch
-    of a block is the same at both sizes, so the difference leaves it out. A
-    whole series held beside the path, be it a temporary, the half variance sum,
-    a transform, a side, an envelope or the drift, would add one more series to
-    the difference: 6/5 of the path's growth against the 5/5 here.
+    The peak is the path, two series: x and dw. sigma, u (psi discounted by the I
+    the path records every STATE_CHUNK_STEPS nodes) and the nodes are formed segment by
+    segment, the simulation forms x chunk by chunk, the Wiener increments are scaled in
+    their own array, and each convergence rung goes before the next is built. The
+    scratch of a segment is the same at both sizes, so the difference leaves it out. A
+    whole series held beside the path, be it sigma, u, the nodes, a temporary, I/2, a
+    transform, a side, an envelope or the drift, would add one more series to the
+    difference: 3/2 of the path's growth against the 2/2 here.
     """
     small, small_path = verify_peak(200_000)
     large, large_path = verify_peak(400_000)
     assert large - small <= 1.05 * (large_path - small_path)
     # the growth in whole node-series of the 200_000 steps doubled
-    assert (large - small) / (8 * 200_000) <= 5.5
+    assert (large - small) / (8 * 200_000) <= 2.5
 
 
 def test_run_memory_grows_with_the_path_only(tmp_path):
     """Doubling the path grows run's peak as it grows verify's, by the path's arrays alone: run
-    writes every CSV as the pass and the rotations feed it, and holds no whole series to write.
+    writes every CSV as the pass and the rotations feed it, its t column formed per segment,
+    and holds no whole series to write.
 
     run builds the checks verify builds, and a CsvWriter after them formats one chunk at a
     time. A series gathered whole to be written, or a check, writer or closure that kept the
@@ -356,7 +494,36 @@ def test_run_memory_grows_with_the_path_only(tmp_path):
     small, small_path = traced_peak(200_000, lambda config: rb.run_experiment(config, tmp_path / "s"))
     large, large_path = traced_peak(400_000, lambda config: rb.run_experiment(config, tmp_path / "l"))
     assert large - small <= 1.05 * (large_path - small_path)
-    assert (large - small) / (8 * 200_000) <= 5.5
+    assert (large - small) / (8 * 200_000) <= 2.5
+
+
+def ladder_peak(n_steps):
+    """Peak traced bytes of the convergence ladder on PSI at ``n_steps``, its fine dw drawn while
+    traced; the fine rung's residuals are given, as _evaluate_seed gives them."""
+    config = parse_config(PSI.format(n_steps))
+    rung = lambda grid, dw, factor: experiment.build_path(config, grid, dw, factor, seed=1)
+    with pytest.MonkeyPatch.context() as mp:
+        # segments of 1024 nodes keep the pass's scratch below a quarter of the 2^16-step rung
+        mp.setattr(transforms, "_SEGMENT_NODES", 1024)
+        mp.setattr(engine, "STATE_CHUNK_STEPS", 1024)
+        tracemalloc.start()
+        try:
+            dw = rb.sample_wiener(rb.build_grid(config.t_max, n_steps), 1)
+            finest = {"bounded": 1.0, "weighted": 1.0}
+            rb.convergence_ladder(dw, config.t_max, rung, 4, finest=finest)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_the_ladder_drops_each_rung_before_it_builds_the_next():
+    """On 2^18 steps the ladder peaks at the fine dw and two coarse series, x and dw of the
+    2^17-step rung: each rung goes before the next is built. Doubling the steps grows the peak
+    by 8 + 2 * 4 bytes per fine step; the 2^16-step rung held while the 2^17-step one is built
+    would add 2 * 2 more, and a rung keeping sigma or u whole 4 more each."""
+    ladder_peak(2**12)  # what the first ladder of a process allocates once is not the ladder's
+    small, large = ladder_peak(2**17), ladder_peak(2**18)
+    assert large - small <= 1.05 * 16 * (2**18 - 2**17)
 
 
 ROTATION = "t_max = 5\nn_steps = {}\na = const:0\nsigma = {}\nu = const:1\nseeds = 1\n"

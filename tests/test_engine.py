@@ -109,6 +109,23 @@ class TestSampleWiener:
         dw = rb.sample_wiener(grid, 12345)
         assert abs(np.var(dw) / grid.dt - 1.0) < 0.05
 
+    def test_scales_in_place(self):
+        """The increments are scaled in the array the generator fills, one series of 8 bytes a
+        step where a scaled copy took 16, and keep the scaled copy's bits. Where numpy reuses
+        the copy's temporary in place itself, as numpy 2 does on Linux, a copy passes too."""
+        n = 2**18
+        grid = rb.build_grid(5.0, n)
+        rb.sample_wiener(grid, 3)  # what a first draw sets up once is not the draw's
+        tracemalloc.start()
+        try:
+            dw = rb.sample_wiener(grid, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 4096
+        rng = np.random.Generator(np.random.Philox(key=3))
+        assert dw.tobytes() == (rng.standard_normal(n) * np.sqrt(grid.dt)).tobytes()
+
 
 class TestSimulatePath:
     def test_constant_path(self):

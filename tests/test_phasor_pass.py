@@ -23,11 +23,17 @@ from rangebound.transforms import (
     RESCALE_THRESHOLD,
     TWO_PI,
     _reduce_phase,
-    half_variance_sum,
     transform_pair_direct,
 )
 
-from checks import bounded_recursive, oracle_rows, recurrence_pair, rotation_sides, seeded_path
+from checks import (
+    bounded_recursive,
+    oracle_rows,
+    recurrence_pair,
+    rotation_sides,
+    seeded_path,
+    whole_half_variance,
+)
 
 const = rb.CoefficientSpec.constant
 B = transforms._RESTART_NODES
@@ -121,7 +127,7 @@ def reference_direct(path, weighted):
     n = path.grid.n_steps
     x = path.x
     udt = path.u * path.grid.dt
-    half_i = half_variance_sum(path) if weighted else None
+    half_i = whole_half_variance(path) if weighted else None
     cos_part = np.zeros(n + 1)
     sin_part = np.zeros(n + 1)
     cols = np.arange(n)
@@ -145,7 +151,7 @@ def same_bits(z, reference):
 
 
 def assert_recurrences_match(path, threshold=RESCALE_THRESHOLD):
-    half_i = half_variance_sum(path)
+    half_i = whole_half_variance(path)
     ref_bounded = reference_recurrence(path, None, threshold)
     ref_weighted = reference_recurrence(path, half_i, threshold)
     with pytest.MonkeyPatch.context() as mp:
@@ -669,4 +675,4 @@ def test_rotation_series_are_bit_exact():
     unit, _, _ = rotation_sides(path, scaled=False)
     assert unit.tobytes() == np.exp(phase).tobytes()
     scaled, _, _ = rotation_sides(path, scaled=True)
-    assert scaled.tobytes() == (1j * np.exp(phase + half_variance_sum(path))).tobytes()
+    assert scaled.tobytes() == (1j * np.exp(phase + whole_half_variance(path))).tobytes()

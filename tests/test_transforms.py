@@ -288,24 +288,19 @@ class TestVarianceDiscountedU:
     )
     def test_leaves_psi_and_gives_the_whole_formulas_bits(self, n_steps, segment, scale, seed):
         """Summed in blocks of any size, the discount is the whole-array formula's bit for bit,
-        in an array of its own, psi not written, or in psi's own array when it is ``out``;
-        at scale 1e160 I_N leaves double range, and nothing is written."""
+        in an array of its own, psi not written; at scale 1e160 I_N leaves double range."""
         rng = np.random.default_rng(seed)
         psi, sigma = rng.standard_normal(n_steps), scale * rng.standard_normal(n_steps)
         grid = rb.build_grid(1.0, n_steps)
-        kept, own = psi.copy(), psi.copy()
+        kept = psi.copy()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transforms, "_SEGMENT_NODES", segment)
             u = rb.variance_discounted_u(psi, sigma, grid)
-            in_place = rb.variance_discounted_u(own, sigma, grid, out=own)
         want = whole_discount(psi, sigma, grid)
         assert psi.tobytes() == kept.tobytes()
-        assert (u is None) is (want is None) is (in_place is None)
-        if u is None:
-            assert own.tobytes() == kept.tobytes()
-        else:
-            assert u.tobytes() == want.tobytes() == own.tobytes() and not np.shares_memory(u, psi)
-            assert in_place is own
+        assert (u is None) is (want is None)
+        if u is not None:
+            assert u.tobytes() == want.tobytes() and not np.shares_memory(u, psi)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_log_envelope_bound(self, seed):
