@@ -503,7 +503,7 @@ def ladder_peak(n_steps):
     config = parse_config(PSI.format(n_steps))
     rung = lambda grid, dw, factor: experiment.build_path(config, grid, dw, factor, seed=1)
     with pytest.MonkeyPatch.context() as mp:
-        # segments of 1024 nodes keep the pass's scratch (~0.35 MB) below the x and dw of the
+        # segments of 1024 nodes keep the pass's scratch (~0.5 MB) below the x and dw of the
         # 2^16-step rung (1 MB), so that rung held while the next is built would set the peak
         mp.setattr(transforms, "_SEGMENT_NODES", 1024)
         mp.setattr(engine, "STATE_CHUNK_STEPS", 1024)
