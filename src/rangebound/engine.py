@@ -182,7 +182,8 @@ class PathRecord:
     sigma and u at the left nodes k0 .. k1-1, ``variance_at(k0, k1)`` I at the nodes k0 ..
     k1-1 and ``half_variance_at`` I/2, read-only; ``sigma`` and ``u`` give all N of them.
     ``discounted`` makes u ``u_spec``, psi, discounted by e^{-(I_N - I_k)/2}, I_N being the
-    last mark. The drift is not kept: ``driftless`` says whether every a[k] is zero.
+    last mark; ``psi_at`` gives ``u_spec``'s own values, the segments u discounts. The drift
+    is not kept: ``driftless`` says whether every a[k] is zero.
     """
 
     grid: TimeGrid
@@ -207,10 +208,10 @@ class PathRecord:
             return left_variance(sigma, self.grid.dt, mark)[k0 - start : k1 - start]
         if name == "half_variance":
             return np.multiply(self.variance_at(k0, k1), 0.5)
-        values = getattr(self, f"{name}_spec").sample_series(self.grid, self.x[k0:k1], k0, k1)
         if name == "u" and self.discounted:
-            return discount(values, self.variance_at(k0, k1), self.marks[-1])
-        return values
+            return discount(self.psi_at(k0, k1), self.variance_at(k0, k1), self.marks[-1])
+        spec = self.u_spec if name == "psi" else getattr(self, f"{name}_spec")
+        return spec.sample_series(self.grid, self.x[k0:k1], k0, k1)
 
     def _kept(self, name: str, k0: int, k1: int) -> np.ndarray:
         kept = self.formed.setdefault(name, deque(maxlen=6))
@@ -225,6 +226,7 @@ class PathRecord:
 
     sigma_at = partialmethod(_kept, "sigma")
     u_at = partialmethod(_kept, "u")
+    psi_at = partialmethod(_kept, "psi")
     variance_at = partialmethod(_kept, "variance")
     half_variance_at = partialmethod(_kept, "half_variance")
     sigma = property(lambda self: self.sigma_at(0, self.grid.n_steps))
@@ -258,10 +260,17 @@ def sample_wiener(grid: TimeGrid, seed: int) -> np.ndarray:
 
     The same (grid, seed) pair always yields the same bits.
     """
+    return next(wiener_chunks(grid, seed, grid.n_steps))
+
+
+def wiener_chunks(grid: TimeGrid, seed: int, steps: int):
+    """sample_wiener's increments, ``steps`` at a time: each draw continues the seed's Philox
+    stream where the last ended, so the chunks are its bits."""
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    dw = rng.standard_normal(grid.n_steps)
-    dw *= np.sqrt(grid.dt)
-    return dw
+    for k0 in range(0, grid.n_steps, steps):
+        dw = rng.standard_normal(min(steps, grid.n_steps - k0))
+        dw *= np.sqrt(grid.dt)
+        yield dw
 
 
 def simulate_path(
@@ -339,8 +348,6 @@ def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
     factor = int(factor)
     if len(dw) % factor != 0:
         raise ValueError(f"factor {factor} does not divide increment count {len(dw)}")
-    if factor == 1:
-        return dw.copy()
     groups = dw.reshape(-1, factor)
     out = groups[:, 0].copy()
     for j in range(1, factor):

@@ -6,7 +6,11 @@ same CSV bytes and the same manifest (minus the created_utc line).
 
 from __future__ import annotations
 
+import os
+import pickle
 import re
+import sys
+import threading
 from contextlib import AbstractContextManager, ExitStack, contextmanager
 from dataclasses import astuple, dataclass, field, replace
 from datetime import datetime, timezone
@@ -23,6 +27,7 @@ from .engine import (
     build_grid,
     sample_wiener,
     simulate_path,
+    wiener_chunks,
 )
 from .errors import ConfigurationError
 from .transforms import reduce_pass
@@ -32,7 +37,6 @@ from .verification import (
     IdentityCheck,
     RotationCheck,
     compare_oracle_pair,
-    convergence_ladder,
 )
 
 # cells per _cells call: a CsvWriter formats CSV_CHUNK_CELLS // (its distinct columns) rows at
@@ -346,10 +350,7 @@ def _reduce_path(config, path, wanted, out, written, keepers) -> tuple[list[tupl
     """
     grid = path.grid
     t, x, re, im = _columns(path)
-    integrands = {
-        "t1": path.u_at,
-        "t2": lambda k0, k1: config.psi_spec.sample_series(grid, path.x[k0:k1], k0, k1),
-    }
+    integrands = {"t1": path.u_at, "t2": path.psi_at}  # psi: the segments u's discount formed
     asked = [check for check in ("rotation_unit", "rotation_scaled") if check in wanted]
     rotations = {c: RotationCheck(path, c == "rotation_scaled") for c in asked if path.driftless}
     files = {"x": [("x.csv", "t,x", [t, x])] if "path" in wanted else []}
@@ -407,6 +408,67 @@ def _reduce_path(config, path, wanted, out, written, keepers) -> tuple[list[tupl
     return rows, residuals
 
 
+# fine steps from which a seed's coarse rungs run in a forked child, beside its pass on another
+# CPU; below it the fork gains little (paper_fig's 10^5 steps)
+LADDER_FORK_STEPS = 2**18
+
+
+@contextmanager
+def _ladder_rungs(config, seed, levels, fork):
+    """Yield a function giving verification.coarse_rungs of the seed, its noise drawn anew. Given
+    ``fork``, on Linux with two CPUs or more, one thread and LADDER_FORK_STEPS steps or more, a
+    child forked here computes them beside the seed's pass, and the function reads them, raises
+    the exception it sent, or computes them if it died first. It dies with this process, and is
+    killed and reaped on exit."""
+    grid, rung = build_grid(config.t_max, config.n_steps), partial(build_path, config, seed=seed)
+    draw = partial(wiener_chunks, grid, seed)
+    compute = partial(verification.coarse_rungs, draw, grid, rung, levels)
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    pid = None  # the child's, once one is forked
+    if fork and cpus > 1 and threading.active_count() == 1 and config.n_steps >= LADDER_FORK_STEPS:
+        parent, (read, write) = os.getpid(), os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no memory or process left for a child: the rungs run inline
+            os.close(read)
+            os.close(write)
+    if pid is None:
+        yield compute
+        return
+    import signal
+    if pid == 0:
+        try:  # the child: it never returns, flushes or runs atexit
+            import ctypes
+            os.close(read)
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+            prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+            if os.getppid() == parent:  # else the parent died before that took
+                try:
+                    sent = compute()
+                except Exception as exc:
+                    sent = exc
+                with open(write, "wb") as pipe:
+                    pipe.write(pickle.dumps(sent))
+        finally:
+            os._exit(0)
+    os.close(write)
+
+    def received(pipe):
+        sent = pipe.read()  # nothing if the child died before it wrote
+        sent = pickle.loads(sent) if sent else compute()
+        if isinstance(sent, Exception):
+            raise sent
+        return sent
+
+    try:
+        with open(read, "rb") as pipe:
+            yield partial(received, pipe)
+    finally:
+        os.kill(pid, signal.SIGKILL)  # until reaped the pid is the child's; a zombie ignores it
+        os.waitpid(pid, 0)
+
+
 def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list[tuple]:
     """Simulate one seed and evaluate the series and checks ``wanted`` names.
 
@@ -421,40 +483,39 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
     """
     if levels < 3:
         raise ConfigurationError(f"convergence needs at least 3 refinement levels, got {levels}")
-    path = prepare_path(config, seed)
-    n_steps = path.grid.n_steps
-    ceiling = verification.ORACLE_CEILING
-    oracle = "oracle_head" in wanted or "oracle" in wanted and n_steps <= ceiling
-    # the pass keeps each transform's first nodes for the oracle, which compares them with
-    # the direct pass on the path's head: every sum is non-anticipating, so they are the
-    # head's own recurrence bit for bit
-    steps = min(n_steps, ceiling)
-    keepers = {label: HeadKeeper(steps) for label in SERIES.values()} if oracle else {}
-    rows, residuals = _reduce_path(config, path, wanted, out, written, keepers)
-    if "oracle" in wanted and not oracle:
-        rows.append(("oracle", None, "ceiling"))
+    # 2**(levels-1) divides n_steps iff levels is at most the place of its lowest set bit: no
+    # power is formed, however large
+    n_steps = config.n_steps
+    ladder = "convergence" in wanted and (n_steps & -n_steps).bit_length() >= levels
+    with _ladder_rungs(config, seed, levels, fork=ladder) as rungs:
+        path = prepare_path(config, seed)
+        ceiling = verification.ORACLE_CEILING
+        oracle = "oracle_head" in wanted or "oracle" in wanted and n_steps <= ceiling
+        # the pass keeps each transform's first nodes for the oracle, which compares them with
+        # the direct pass on the path's head: every sum is non-anticipating, so they are the
+        # head's own recurrence bit for bit
+        steps = min(n_steps, ceiling)
+        keepers = {label: HeadKeeper(steps) for label in SERIES.values()} if oracle else {}
+        rows, residuals = _reduce_path(config, path, wanted, out, written, keepers)
+        if "oracle" in wanted and not oracle:
+            rows.append(("oracle", None, "ceiling"))
 
-    # the oracle's head is a copy of at most ORACLE_CEILING steps and the ladder
-    # needs the noise only: a longer path goes before the direct pass and the rungs
-    dw = path.dw
-    if oracle:
-        head = path.head(ceiling)
-    del path
-    if oracle:
-        verdicts = compare_oracle_pair(head, [keeper.head() for keeper in keepers.values()])
-        rows += [("oracle", which, row or "range") for which, row in verdicts.items()]
+        # the oracle's head is a copy of at most ORACLE_CEILING steps and the rungs draw their
+        # own noise: a longer path goes before the direct pass and the rungs
+        head = path.head(ceiling) if oracle else None
+        del path
+        if oracle:
+            verdicts = compare_oracle_pair(head, [keeper.head() for keeper in keepers.values()])
+            rows += [("oracle", which, row or "range") for which, row in verdicts.items()]
 
-    if "convergence" in wanted:
-        # the finest rung is this path, whose residuals are known; with none,
-        # no ladder can report, so no coarser rung is built. 2**(levels-1) divides n_steps iff
-        # levels is at most the place of its lowest set bit: no power is formed, however large
-        if (n_steps & -n_steps).bit_length() < levels:
+        # the finest rung is this path, whose residuals are known; with none, no ladder can
+        # report, so no coarser rung is built
+        if "convergence" in wanted and not ladder:
             rows.append(("convergence", None, "levels"))
-        elif all(residual is None for residual in residuals.values()):
+        elif ladder and all(residual is None for residual in residuals.values()):
             rows.append(("convergence", None, "residual"))
-        else:
-            rung = partial(build_path, config, seed=seed)
-            reports = convergence_ladder(dw, config.t_max, rung, levels, finest=residuals)
+        elif ladder:
+            reports = verification.ladder_reports(n_steps, [*rungs(), residuals])
             rows += [("convergence", which, report) for which, report in reports.items()]
             # an identity with a residual here and no report has no finite order
             ordered = [which for which, residual in residuals.items() if residual is not None]

@@ -267,16 +267,34 @@ def convergence_ladder(
     if (len(fine) & -len(fine)).bit_length() < refinement_levels:
         span = f"2**{refinement_levels - 1}"
         raise ValueError(f"finest increment count {len(fine)} is not divisible by {span}")
-    sizes = tuple(len(fine) >> level for level in reversed(range(refinement_levels)))
-    rungs = []  # identity -> residual, coarse to fine
-    for n in sizes:
-        factor = len(fine) // n
-        if factor == 1 and finest is not None:
-            rungs.append(finest)
-            continue
-        # the rung goes straight to its pass, so none is held while the next is built
-        grid = build_grid(t_max, n)
-        rungs.append(_rung_residuals(build_rung(grid, coarsen_increments(fine, factor), factor)))
+    grid = build_grid(t_max, len(fine))
+    chunks = lambda steps: (fine[k0 : k0 + steps] for k0 in range(0, len(fine), steps))
+    rungs = coarse_rungs(chunks, grid, build_rung, refinement_levels)
+    finest = _rung_residuals(build_rung(grid, fine, 1)) if finest is None else finest
+    return ladder_reports(len(fine), [*rungs, finest])
+
+
+def coarse_rungs(chunks, grid: TimeGrid, build_rung, refinement_levels: int) -> list[dict]:
+    """Both identity residuals on every rung of convergence_ladder but the finest, ``grid``,
+    coarse to fine. ``chunks(steps)`` yields the fine increments in order, ``steps`` at a time:
+    each rung's are coarsened chunk by chunk, bit for bit coarsen_increments on the whole, and
+    go with the rung once its pass is done."""
+    factors = [1 << level for level in range(refinement_levels - 1, 0, -1)]
+    coarse = {factor: np.empty(grid.n_steps // factor) for factor in factors}
+    k0 = 0
+    for chunk in chunks(max(1 << 16, factors[0])):
+        for factor, dw in coarse.items():
+            dw[k0 // factor : (k0 + len(chunk)) // factor] = coarsen_increments(chunk, factor)
+        k0 += len(chunk)
+    # the rung goes straight to its pass, so none is held while the next is built
+    grids = [build_grid(grid.t_max, grid.n_steps // factor) for factor in factors]
+    return [_rung_residuals(build_rung(g, coarse.pop(f), f)) for g, f in zip(grids, factors)]
+
+
+def ladder_reports(n_steps: int, rungs: list[dict]) -> dict[str, ConvergenceReport]:
+    """Each identity's ConvergenceReport from ``rungs``, its residuals (identity -> residual)
+    coarse to fine, the last on ``n_steps`` steps and each one before on half the next's."""
+    sizes = tuple(n_steps >> level for level in reversed(range(len(rungs))))
     reports = {}
     for identity in ("bounded", "weighted"):
         norms = tuple(rung[identity] for rung in rungs)

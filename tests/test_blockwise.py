@@ -411,17 +411,20 @@ FREQUENT_REBASES = REBASES.replace("30", "400").replace("64", "{}")  # a rebase 
 
 @pytest.mark.parametrize("text", [PSI, FREQUENT_REBASES], ids=["psi", "rebases"])
 def test_each_step_is_formed_once_per_pass(text):
-    """A pass with both identity checks forms sigma and I once per step: its readers, u's
-    discount and the weighted transform's search for its block ends among them, share each
-    segment the path formed, and a segment after a rebase ends at the next mark of I."""
+    """A pass with both identity checks and the weighted envelope forms sigma, I and psi once
+    per step: its readers, u's discount, the envelope's integrand and the weighted transform's
+    search for its block ends among them, share each segment the path formed, and a segment
+    after a rebase ends at the next mark of I."""
     n_steps = 2**16
-    path = experiment.prepare_path(parse_config(text.format(n_steps)), 1)
-    steps = {"sigma": 0, "variance": 0}
+    config = parse_config(text.format(n_steps))
+    path = experiment.prepare_path(config, 1)
+    steps = {"sigma": 0, "variance": 0, "psi": 0}
     sample, variance = CoefficientSpec.sample_series, engine.left_variance
 
     def counted_sample(spec, grid, x_left=None, start=0, stop=None):
         values = sample(spec, grid, x_left, start, stop)
-        steps["sigma"] += len(values) if spec is path.sigma_spec else 0
+        for name, counted in (("sigma", config.sigma_spec), ("psi", config.psi_spec)):
+            steps[name] += len(values) if spec is counted else 0
         return values
 
     def counted_variance(sigma, dt, carry=0.0):
@@ -431,24 +434,29 @@ def test_each_step_is_formed_once_per_pass(text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CoefficientSpec, "sample_series", counted_sample)
         mp.setattr(engine, "left_variance", counted_variance)
-        checks = [verification.IdentityCheck(path, weighted) for weighted in (False, True)]
-        assert transforms.reduce_pass(path, [[check] for check in checks]) == [True, True]
-    assert steps == {"sigma": n_steps, "variance": n_steps}
+        wanted = {"bound_t2", "convergence"}  # the envelope of t2 and both identity checks
+        rows, residuals = experiment._reduce_path(config, path, wanted, None, [], {})
+    assert [row[:2] for row in rows] == [("bound", "weighted")]
+    assert None not in residuals.values()
+    assert steps == {"sigma": n_steps, "variance": n_steps, "psi": n_steps}
 
 
 def traced_peak(n_steps, command):
     """Peak traced bytes of ``command(config)`` on PSI at ``n_steps``, and the bytes of the path
-    it simulates, x and dw."""
+    it simulates, x and dw. The ladder runs inline, in this process: a forked child's
+    allocations are not traced here."""
     config = parse_config(PSI.format(n_steps))
     path = experiment.prepare_path(config, 1)
     path_bytes = path.x.nbytes + path.dw.nbytes
     del path
-    tracemalloc.start()
-    try:
-        command(config)
-        return tracemalloc.get_traced_memory()[1], path_bytes
-    finally:
-        tracemalloc.stop()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "LADDER_FORK_STEPS", 2**62)
+        tracemalloc.start()
+        try:
+            command(config)
+            return tracemalloc.get_traced_memory()[1], path_bytes
+        finally:
+            tracemalloc.stop()
 
 
 def verify_peak(n_steps):
@@ -469,7 +477,9 @@ def test_verify_memory_grows_with_the_path_only():
     The peak is the path, two series: x and dw. sigma, u (psi discounted by the I
     the path records every STATE_CHUNK_STEPS nodes) and the nodes are formed segment by
     segment, the simulation forms x chunk by chunk, the Wiener increments are scaled in
-    their own array, and each convergence rung goes before the next is built. The
+    their own array, and each convergence rung goes before the next is built. 400_000
+    steps are above LADDER_FORK_STEPS: traced_peak pins the ladder inline, so its rungs,
+    which draw the noise again chunk by chunk, are measured too. The
     scratch of a segment is the same at both sizes, so the difference leaves it out. A
     whole series held beside the path, be it sigma, u, the nodes, a temporary, I/2, a
     transform, a side, an envelope or the drift, would add one more series to the
@@ -490,6 +500,7 @@ def test_run_memory_grows_with_the_path_only(tmp_path):
     run builds the checks verify builds, and a CsvWriter after them formats one chunk at a
     time. A series gathered whole to be written, or a check, writer or closure that kept the
     path alive through the convergence ladder, would add a series or more to the difference.
+    As for verify, the ladder is pinned inline, in the traced process.
     """
     small, small_path = traced_peak(200_000, lambda config: rb.run_experiment(config, tmp_path / "s"))
     large, large_path = traced_peak(400_000, lambda config: rb.run_experiment(config, tmp_path / "l"))
@@ -518,10 +529,11 @@ def ladder_peak(n_steps):
 
 
 def test_the_ladder_drops_each_rung_before_it_builds_the_next():
-    """On 2^18 steps the ladder peaks at the fine dw and two coarse series, x and dw of the
-    2^17-step rung: each rung goes before the next is built. Doubling the steps grows the peak
-    by 8 + 2 * 4 bytes per fine step; the 2^16-step rung held while the 2^17-step one is built
-    would add 2 * 2 more, and a rung keeping sigma or u whole 4 more each."""
+    """On 2^18 steps the ladder peaks at the fine dw and one fine series' worth of coarse ones:
+    the dw of every coarse rung not yet run and the x of the rung running, 7/8 + 1/8, 2/4 + 2/8
+    and 2 * 1/2 of a series; each rung goes with its dw once its pass is done. Doubling the
+    steps grows the peak by 8 + 8 bytes per fine step; the 2^16-step rung held while the
+    2^17-step one is built would add 2 * 2 more, and a rung keeping sigma or u whole 4 more each."""
     ladder_peak(2**12)  # what the first ladder of a process allocates once is not the ladder's
     small, large = ladder_peak(2**17), ladder_peak(2**18)
     assert large - small <= 1.05 * 16 * (2**18 - 2**17)
