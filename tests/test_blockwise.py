@@ -530,7 +530,7 @@ def ladder_peak(n_steps):
 
 def test_the_ladder_drops_each_rung_before_it_builds_the_next():
     """On 2^18 steps the ladder peaks at the fine dw and one fine series' worth of coarse ones:
-    the dw of every coarse rung not yet run and the x of the rung running, 7/8 + 1/8, 2/4 + 2/8
+    the dw of every coarse rung not yet run and the x of the rung running, 7/8 + 1/8, 3/4 + 1/4
     and 2 * 1/2 of a series; each rung goes with its dw once its pass is done. Doubling the
     steps grows the peak by 8 + 8 bytes per fine step; the 2^16-step rung held while the
     2^17-step one is built would add 2 * 2 more, and a rung keeping sigma or u whole 4 more each."""
