@@ -21,14 +21,7 @@ import numpy as np
 
 from . import __version__, verification
 from .config import ExperimentConfig, config_echo_lines
-from .engine import (
-    PathRecord,
-    TimeGrid,
-    build_grid,
-    sample_wiener,
-    simulate_path,
-    wiener_chunks,
-)
+from .engine import Increments, PathRecord, TimeGrid, build_grid, simulate_path
 from .errors import ConfigurationError
 from .transforms import reduce_pass
 from .verification import (
@@ -247,37 +240,58 @@ def _staged(directories):
 def build_path(
     config: ExperimentConfig,
     grid: TimeGrid,
-    dw: np.ndarray,
+    dw,
     factor: int = 1,
     seed: int | None = None,
 ) -> PathRecord:
-    """The config's path on ``grid``, driven by the increments ``dw``.
+    """The config's path on ``grid``, driven by the increments ``dw``, an array or Increments.
 
     ``grid`` is ``factor`` times coarser than the config grid; sampled
     coefficients are decimated to its left nodes. When psi is set, u is the
     variance-discounted psi; a variance integral out of double range leaves
-    it undefined, and the config is refused.
+    it undefined, and the config is refused, unless the path leaves double range too: that
+    refusal wins, and the pass makes it (see _refuse_out_of_range).
     """
     u_spec = config.psi_spec if config.uses_discounted_u else config.u_spec
     specs = (spec.coarsened(factor) for spec in (config.a_spec, config.sigma_spec, u_spec))
-    # a step past double range leaves x inf or nan from there on: prepare_path refuses it
+    # a step past double range leaves x inf or nan from there on, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         path = simulate_path(*specs, grid, dw, config.x0, seed)
-    # I_N out of double range leaves the discount undefined; on a path out of double range
-    # it is moot: prepare_path refuses the path
-    discounted = config.uses_discounted_u and bool(np.isfinite(path.marks[-1]))
-    if config.uses_discounted_u and not discounted and np.isfinite(path.x[-1]):
+    if not config.uses_discounted_u:
+        return path
+    total = path.total_variance()
+    if np.isfinite(total):
+        return replace(path, discounted_by=total)
+    if np.isfinite(path.x_at(grid.n_steps, grid.n_steps + 1)[0]):
         raise ConfigurationError(f"seed {seed}: the variance integral leaves double range")
-    return replace(path, discounted=discounted)
+    return path
 
 
 def prepare_path(config: ExperimentConfig, seed: int) -> PathRecord:
-    """Simulate one seed's path on the config grid; one that leaves double range is refused."""
+    """One seed's path on the config grid, its noise drawn as the path is read.
+
+    A grid so large that one whole series of it (``path.x``, ``grid.nodes``) could not be
+    mapped is refused with a MemoryError, the CLI's exit 1. The probe maps that series' bytes
+    and unmaps them untouched: it takes no memory, and no pass takes more than a few chunks.
+    """
+    import mmap
+
     grid = build_grid(config.t_max, config.n_steps)
-    path = build_path(config, grid, sample_wiener(grid, seed), seed=seed)
-    if not np.isfinite(path.x[-1]):
-        raise ConfigurationError(f"seed {seed}: the path leaves double range")
-    return path
+    size = 8 * (grid.n_steps + 1)
+    try:
+        mmap.mmap(-1, size).close()
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"Unable to allocate {size} bytes for a series of {grid.n_steps} steps") from exc
+    return build_path(config, grid, Increments.drawn(grid, seed), seed=seed)
+
+
+def _refuse_out_of_range(path: PathRecord) -> None:
+    """Refuse ``path`` if it left double range. The path is formed as its pass reads it, so
+    this is known at node N, once the pass is done: the refusal then wins over every outcome
+    of the pass, and the files it wrote are taken back."""
+    n = path.grid.n_steps
+    if not np.isfinite(path.x_at(n, n + 1)[0]):
+        raise ConfigurationError(f"seed {path.seed}: the path leaves double range")
 
 
 SERIES = {"bounded": "t1", "weighted": "t2"}  # each transform and its series
@@ -325,7 +339,7 @@ SKIP_WORDING = {
 
 def _columns(path) -> tuple:
     """CsvWriter columns of ``path``: t, x, and X and Y, the real and imaginary parts of the block."""
-    t, x = (lambda k0, k1, z: path.grid.nodes_at(k0, k1)), (lambda k0, k1, z: path.x[k0:k1])
+    t, x = (lambda k0, k1, z: path.grid.nodes_at(k0, k1)), (lambda k0, k1, z: path.x_at(k0, k1))
     return t, x, (lambda k0, k1, z: z.real), (lambda k0, k1, z: z.imag)
 
 
@@ -376,7 +390,9 @@ def _reduce_path(config, path, wanted, out, written, keepers) -> tuple[list[tupl
         parts = (envelopes, identities, keepers, writers)
         consumers = [[c[n] for c in parts if n in c] for n in ("t1", "t2", "x")]
         consumers[2][:0] = rotations.values()  # before the writer that reads their blocks
-        for (which, label), group, ok in zip(SERIES.items(), consumers, reduce_pass(path, consumers)):
+        alive = reduce_pass(path, consumers)
+        _refuse_out_of_range(path)
+        for (which, label), group, ok in zip(SERIES.items(), consumers, alive):
             if group and not ok:
                 rows.append(("transform", which, "range"))
             bound, check = (part.get(label) if ok else None for part in (envelopes, identities))
@@ -421,8 +437,7 @@ def _ladder_rungs(config, seed, levels, fork):
     the exception it sent, or computes them if it died first. It dies with this process, and is
     killed and reaped on exit."""
     grid, rung = build_grid(config.t_max, config.n_steps), partial(build_path, config, seed=seed)
-    draw = partial(wiener_chunks, grid, seed)
-    compute = partial(verification.coarse_rungs, draw, grid, rung, levels)
+    compute = partial(verification.coarse_rungs, Increments.drawn(grid, seed), grid, rung, levels)
     cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
     pid = None  # the child's, once one is forked
     if fork and cpus > 1 and threading.active_count() == 1 and config.n_steps >= LADDER_FORK_STEPS:
@@ -500,8 +515,8 @@ def _evaluate_seed(config, seed, wanted, levels, out=None, written=None) -> list
         if "oracle" in wanted and not oracle:
             rows.append(("oracle", None, "ceiling"))
 
-        # the oracle's head is a copy of at most ORACLE_CEILING steps and the rungs draw their
-        # own noise: a longer path goes before the direct pass and the rungs
+        # the oracle's head, at most ORACLE_CEILING steps, draws its own noise, and so do the
+        # rungs: a longer path goes before the direct pass and the rungs
         head = path.head(ceiling) if oracle else None
         del path
         if oracle:
@@ -651,7 +666,9 @@ def emit_figures(config: ExperimentConfig, out_dir: str | Path | None = None) ->
     files = [(name, "t,value" if len(c) < 2 else "t,X,Y", [t, *c]) for name, c in zip(FIGURE_NAMES, cols)]
     # the refusals are decided once the files are written, so a refused run takes them back
     with _staged([root, *root.parents]) as written, CsvWriter(root, files, written) as writer:
-        if not reduce_pass(path, ([identity, writer], []))[0]:
+        alive = reduce_pass(path, ([identity, writer], []))
+        _refuse_out_of_range(path)
+        if not alive[0]:
             raise ConfigurationError(f"seed {path.seed}: the bounded transform leaves double range")
         if not np.isfinite(identity.block[0][-1]):
             raise ConfigurationError(f"seed {path.seed}: the integral of X against dx leaves double range")

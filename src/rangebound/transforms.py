@@ -25,7 +25,6 @@ import threading
 
 import numpy as np
 
-from . import engine
 from .engine import PathRecord, TimeGrid, discount, left_variance
 
 TWO_PI = 2.0 * np.pi
@@ -54,10 +53,10 @@ def _block_end(path: PathRecord, k0: int) -> tuple[float, int]:
 
     That is the first node where I/2 passes the scale by RESCALE_THRESHOLD, at most
     _RESTART_NODES on and at most node N. I is nondecreasing (nan sorts last), so
-    searchsorted finds it in the first chunk from a mark of I (cut at the cap) that holds
-    it; each chunk is read whole, as the pass's segments read it.
+    searchsorted finds it in the first chunk of the path's simulation (cut at the cap) that
+    holds it; each chunk is read whole, as the pass's segments read it.
     """
-    every, scale = engine.STATE_CHUNK_STEPS, None
+    every, scale = path.chunk_steps, None
     cap = min(k0 + _RESTART_NODES, path.grid.n_steps + 1)
     for c0 in range(k0 - k0 % every, cap, every):
         start = max(k0, c0)
@@ -233,11 +232,12 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
     range; the consumers of one that leaves it are fed its nodes before its
     first value out of double range, and no further. Overflow on the way raises
     no warning, as in in_range. An optional third list is the path's own lane:
-    each segment's x[k0:k1] goes to it after the transforms' consumers, through
+    each segment's x at k0 .. k1-1 goes to it after the transforms' consumers, through
     node N whatever the transforms do.
 
-    Segments end wherever either transform starts a block, at each mark of the path's I
-    (so that a segment reads I from one chunk the path formed), and at most
+    The path is simulated as the segments read it. Segments end wherever either transform
+    starts a block, at the end of each chunk of the simulation (so that a segment reads one
+    chunk the path formed), and at most
     _SEGMENT_NODES nodes after they start. Each segment with a transform alive
     forms the phasors once and feeds the terms e^{-i x_j} w_j u_j dt into both
     running sums, w_j being 1 for the bounded transform and e^{-(h_j - scale)}
@@ -245,7 +245,6 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
     intermediate can overflow.
     """
     n_nodes = path.grid.n_steps + 1
-    x = path.x
     dt = path.grid.dt
     lane = consumers[2] if len(consumers) > 2 else ()
     alive = [bool(group) for group in consumers[:2]]
@@ -278,14 +277,15 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
             chain.rebased = complex(chain.partial + chain.rebased) * factor
             chain.scale = scale
             chain.partial = complex(-0.0, -0.0)
-        mark = k0 - k0 % engine.STATE_CHUNK_STEPS + engine.STATE_CHUNK_STEPS
-        k1 = min(k0 + size, n_nodes, mark, *(chain.end for chain in chains))
+        chunk_end = k0 - k0 % path.chunk_steps + path.chunk_steps
+        k1 = min(k0 + size, n_nodes, chunk_end, *(chain.end for chain in chains))
         m = k1 - k0
         j_hi = min(k1, n_nodes - 1)
         mj = j_hi - k0
+        x = path.x_at(k0, k1) if chains or lane else None
 
         if chains:
-            ph = _reduce_phase(x[k0:k1], phase[:m])
+            ph = _reduce_phase(x, phase[:m])
             rot_blk = rot[:m]
             np.cos(ph, out=rot_blk.real)
             np.sin(ph, out=rot_blk.imag)
@@ -317,7 +317,7 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
             for consumer in consumers[chain.weighted] if end > k0 else ():
                 consumer.feed(k0, end, z_blk[: end - k0])
         for consumer in lane:
-            consumer.feed(k0, k1, x[k0:k1])
+            consumer.feed(k0, k1, x)
         chains = [c for c in chains if alive[c.weighted]]
         k0 = k1
     return alive
@@ -329,8 +329,8 @@ def variance_discounted_u(psi, sigma, grid: TimeGrid) -> np.ndarray | None:
     u_k = exp(-0.5 * (I_N - I_k)) * psi_k with I the sigma^2 left-sum. Feeding
     this u into the weighted transform keeps its modulus under the running
     left-sum of |psi| at every node. None once I_N leaves double range: the
-    discount is then undefined. A path made ``discounted`` forms its u so, segment
-    by segment, bit for bit this array's.
+    discount is then undefined. A path ``discounted_by`` I_N forms its u so, chunk by
+    chunk, bit for bit this array's.
     """
     psi = np.asarray(psi, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import STATE_CHUNK_STEPS, PathRecord, TimeGrid, build_grid, coarsen_increments
+from .engine import Increments, PathRecord, TimeGrid, build_grid
 from .errors import OracleCostError
 from .transforms import (
     in_range,
@@ -124,7 +124,7 @@ class IdentityCheck(_BlockCheck):
         path, m = self.path, k1 - k0
         j1 = min(k1, path.grid.n_steps)
         X, Y = z.real, z.imag
-        dx = np.diff(path.x[k0 : j1 + 1])
+        dx = np.diff(path.x_at(k0, j1 + 1))
         lhs = prefix_sum((Y if self.weighted else X)[: j1 - k0] * dx, self.sums[0])
         self.sums[0] = lhs[-1]
         if self.weighted:
@@ -151,7 +151,8 @@ class RotationCheck(_BlockCheck):
     + I_k/2}, lhs_k = sum_{j<k} sigma_j U_j dw_j and rhs_k = F_k - 1. The sides agree up
     to the scheme's error. reduce_pass feeds it x on the path's lane; the dw sum and the
     unit dt sum are continued bit for bit, and I is the path's own. Its ``block`` is U, lhs
-    and rhs.
+    and rhs. The bound's terms, sigma |dw| or sigma^2 at every step, go into one array for
+    its one whole-array sum.
     """
 
     def __init__(self, path: PathRecord, scaled: bool):
@@ -160,23 +161,25 @@ class RotationCheck(_BlockCheck):
         super().__init__(path.grid)
         self.path, self.scaled = path, scaled
         self.sums = [None, None]  # the dw sum and the dt sum (I/2, if scaled) at the last node fed
+        self.terms = np.empty(path.grid.n_steps)
 
     def _reduce(self, k0: int, k1: int, x: np.ndarray):
         path, m = self.path, k1 - k0
         j1 = min(k1, path.grid.n_steps)
-        sigma = path.sigma_at(k0, j1)
+        sigma, dw = path.sigma_at(k0, j1), path.dw_at(k0, j1)
+        np.multiply(sigma, np.abs(dw) if self.scaled else sigma, out=self.terms[k0:j1])
         if self.scaled:
             half = path.half_variance_at(k0, k1)
             self.sums[1] = half[-1]  # I/2 at the last node fed
-            F = np.exp(1j * (x - path.x[0]) + half)
+            F = np.exp(1j * (x - path.x0) + half)
             rhs = F - 1.0
             U = np.multiply(F, 1j, out=F)
         else:
-            U = np.exp(1j * (x - path.x[0]))
+            U = np.exp(1j * (x - path.x0))
             correction = prefix_sum(sigma * sigma * U[: j1 - k0] * path.grid.dt, self.sums[1])
             self.sums[1] = correction[-1]
             rhs = U - 1.0 + 0.5 * correction[:m]
-        lhs = prefix_sum(sigma * U[: j1 - k0] * path.dw[k0:j1], self.sums[0])
+        lhs = prefix_sum(sigma * U[: j1 - k0] * dw, self.sums[0])
         self.sums[0] = lhs[-1]
         lhs = lhs[:m] if self.scaled else 1j * lhs[:m]
         return U, lhs, rhs
@@ -188,17 +191,11 @@ class RotationCheck(_BlockCheck):
         e^{I_N/2} (1 + sum sigma |dw|), bounds U and both sides while sigma >= 0 only, so the
         sides are judged too."""
         self._complete()
-        path, lhs, rhs = self.path, self.block[1][-1], self.block[2][-1]  # at node N
-        # sigma |dw| or sigma^2 at every step, formed segment by segment in one array
-        n, terms = path.grid.n_steps, np.empty(path.grid.n_steps)
-        for k0 in range(0, n, STATE_CHUNK_STEPS):
-            k1 = min(k0 + STATE_CHUNK_STEPS, n)
-            sigma = path.sigma_at(k0, k1)
-            np.multiply(sigma, np.abs(path.dw[k0:k1]) if self.scaled else sigma, out=terms[k0:k1])
+        lhs, rhs = self.block[1][-1], self.block[2][-1]  # at node N
         if self.scaled:
-            bound = (1.0 + np.sum(terms)) * np.exp(self.sums[1])
+            bound = (1.0 + np.sum(self.terms)) * np.exp(self.sums[1])
         else:
-            bound = 2.0 + 0.5 * np.sum(terms) * path.grid.dt
+            bound = 2.0 + 0.5 * np.sum(self.terms) * self.grid.dt
         tolerance = BOUND_TOLERANCE_UNIT * (1.0 + bound)
         values = in_range(lambda: (abs(rhs), bound, abs(lhs - rhs), tolerance))
         return None if values is None else tuple(map(float, values))
@@ -250,17 +247,17 @@ def convergence_ladder(
     """Track how each identity's residual shrinks on a ladder of coarsened grids.
 
     The finest increment count must be divisible by 2**(refinement_levels-1).
-    Every coarser rung reuses the fine noise through pairwise coarsening, so
-    residual decay reflects discretization error only. Each rung's path is
-    ``build_rung(grid, increments, factor)`` and is built once for both
-    identities, its two transforms coming from one recurrence pass. When
+    Every coarser rung reuses the fine noise, an array or engine.Increments, through pairwise
+    coarsening, so residual decay reflects discretization error only. Each rung's path is
+    ``build_rung(grid, increments, factor)``, the increments an engine.Increments, and is
+    built once for both identities, its two transforms coming from one recurrence pass. When
     ``finest`` maps both identities to their residuals on the path of the fine
     increments, the finest rung is taken from it instead. An identity gets no
     report when orders_from_residuals finds no order: a residual None on some
     rung, its values out of double range, or zero, or two rungs' ratio out of
     double range.
     """
-    fine = np.asarray(fine_increments, dtype=np.float64)
+    fine = Increments.of(fine_increments)
     if refinement_levels < 3:
         raise ValueError(f"refinement_levels must be >= 3, got {refinement_levels}")
     # 2**(levels-1) divides the count iff levels is at most the place of its lowest set bit
@@ -268,27 +265,18 @@ def convergence_ladder(
         span = f"2**{refinement_levels - 1}"
         raise ValueError(f"finest increment count {len(fine)} is not divisible by {span}")
     grid = build_grid(t_max, len(fine))
-    chunks = lambda steps: (fine[k0 : k0 + steps] for k0 in range(0, len(fine), steps))
-    rungs = coarse_rungs(chunks, grid, build_rung, refinement_levels)
+    rungs = coarse_rungs(fine, grid, build_rung, refinement_levels)
     finest = _rung_residuals(build_rung(grid, fine, 1)) if finest is None else finest
     return ladder_reports(len(fine), [*rungs, finest])
 
 
-def coarse_rungs(chunks, grid: TimeGrid, build_rung, refinement_levels: int) -> list[dict]:
+def coarse_rungs(increments: Increments, grid: TimeGrid, build_rung, refinement_levels: int) -> list[dict]:
     """Both identity residuals on every rung of convergence_ladder but the finest, ``grid``,
-    coarse to fine. ``chunks(steps)`` yields the fine increments in order, ``steps`` at a time:
-    each rung's are coarsened chunk by chunk, bit for bit coarsen_increments on the whole, and
-    go with the rung once its pass is done."""
+    coarse to fine, ``increments`` being the fine ones. Each rung's pass draws them anew and
+    coarsens them chunk by chunk as it reads them, so no rung holds a whole series."""
     factors = [1 << level for level in range(refinement_levels - 1, 0, -1)]
-    coarse = {factor: np.empty(grid.n_steps // factor) for factor in factors}
-    k0 = 0
-    for chunk in chunks(max(1 << 16, factors[0])):
-        for factor, dw in coarse.items():
-            dw[k0 // factor : (k0 + len(chunk)) // factor] = coarsen_increments(chunk, factor)
-        k0 += len(chunk)
-    # the rung goes straight to its pass, so none is held while the next is built
     grids = [build_grid(grid.t_max, grid.n_steps // factor) for factor in factors]
-    return [_rung_residuals(build_rung(g, coarse.pop(f), f)) for g, f in zip(grids, factors)]
+    return [_rung_residuals(build_rung(g, increments.coarsened(f), f)) for g, f in zip(grids, factors)]
 
 
 def ladder_reports(n_steps: int, rungs: list[dict]) -> dict[str, ConvergenceReport]:

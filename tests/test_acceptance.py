@@ -15,6 +15,7 @@ whole refinement ladder per seed.
 import functools
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +111,8 @@ def test_criterion_02_discounted_envelope():
     worst = -math.inf
     for seed in range(1, 51):
         path = seeded_path(const(2), const(1), const(0), grid, seed=seed)
-        path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
+        u = rb.variance_discounted_u(psi, path.sigma, grid)
+        path = replace(path, u_spec=CoefficientSpec.from_samples(u))
         z = recurrence_pair(path, bounded=False)[1]
         worst = max(worst, float(np.max(modulus(z) - target)))
     ok = worst <= 1e-9

@@ -2,7 +2,7 @@
 
 Every scalar it records must be, bit for bit, what whole-array reductions give
 on the same transforms, wherever the blocks fall; and its memory must grow
-with the path's own arrays, not with whole copies of the series it checks.
+with the scratch of a segment, not with the path or whole copies of the series it checks.
 """
 
 import tracemalloc
@@ -266,7 +266,7 @@ def test_recurrences_on_the_head_are_the_paths_first_nodes(text, steps):
     assert path.head(64) is path and own.grid.dt == head.grid.dt == path.grid.dt
     assert own.grid.n_steps == steps and own.driftless == path.driftless
     for name in ("x", "dw", "sigma", "u"):
-        # _evaluate_seed drops the path and keeps its head: the head copies
+        # _evaluate_seed drops the path and keeps its head: the head draws its own noise
         assert not np.shares_memory(getattr(own, name), getattr(path, name))
         assert getattr(head, name).tobytes() == getattr(own, name).tobytes()
     assert spelled(first) == spelled(z[: steps + 1] for z in whole) == spelled(kept)
@@ -442,25 +442,21 @@ def test_each_step_is_formed_once_per_pass(text):
 
 
 def traced_peak(n_steps, command):
-    """Peak traced bytes of ``command(config)`` on PSI at ``n_steps``, and the bytes of the path
-    it simulates, x and dw. The ladder runs inline, in this process: a forked child's
-    allocations are not traced here."""
+    """Peak traced bytes of ``command(config)`` on PSI at ``n_steps``. The ladder runs inline, in
+    this process: a forked child's allocations are not traced here."""
     config = parse_config(PSI.format(n_steps))
-    path = experiment.prepare_path(config, 1)
-    path_bytes = path.x.nbytes + path.dw.nbytes
-    del path
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiment, "LADDER_FORK_STEPS", 2**62)
         tracemalloc.start()
         try:
             command(config)
-            return tracemalloc.get_traced_memory()[1], path_bytes
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
 
 def verify_peak(n_steps):
-    """Peak traced bytes of verify_suite and the bytes of the path it simulates."""
+    """Peak traced bytes of verify_suite."""
 
     def verify(config):
         assert not rb.verify_suite(config).failed
@@ -472,71 +468,68 @@ def verify_peak(n_steps):
 
 
 def test_verify_memory_grows_with_the_path_only():
-    """Doubling the path grows verify's peak by the path's arrays alone.
+    """Doubling the path leaves verify's peak where it was, within a quarter of one series.
 
-    The peak is the path, two series: x and dw. sigma, u (psi discounted by the I
-    the path records every STATE_CHUNK_STEPS nodes) and the nodes are formed segment by
-    segment, the simulation forms x chunk by chunk, the Wiener increments are scaled in
-    their own array, and each convergence rung goes before the next is built. 400_000
-    steps are above LADDER_FORK_STEPS: traced_peak pins the ladder inline, so its rungs,
-    which draw the noise again chunk by chunk, are measured too. The
-    scratch of a segment is the same at both sizes, so the difference leaves it out. A
-    whole series held beside the path, be it sigma, u, the nodes, a temporary, I/2, a
-    transform, a side, an envelope or the drift, would add one more series to the
-    difference: 3/2 of the path's growth against the 2/2 here.
+    The pass simulates the path as it reads it: x, dw, sigma, u (psi discounted by I_N, summed
+    from sigma before the pass) and I are formed chunk by chunk from the seed's Philox stream,
+    the last few chunks kept, and every convergence rung draws that stream again and coarsens
+    it chunk by chunk. So no series is held whole, and the peak is the scratch of one segment
+    and of the few chunks a path keeps, 5 of 8192 steps, at any size: both sizes are above
+    LADDER_FORK_STEPS, and large enough that the coarsest rung, of 1/8 the steps, keeps as
+    many chunks as the fine path. traced_peak pins the ladder inline, so its rungs are
+    measured too. A whole series held anywhere, be it x, dw, sigma, u, the nodes, a temporary,
+    I/2, a transform, a side, an envelope, the drift or a rung's noise, would grow the peak by
+    one series of the 400_000 steps or more: four times the bound.
     """
-    small, small_path = verify_peak(200_000)
-    large, large_path = verify_peak(400_000)
-    assert large - small <= 1.05 * (large_path - small_path)
-    # the growth in whole node-series of the 200_000 steps doubled
-    assert (large - small) / (8 * 200_000) <= 2.5
+    small, large = verify_peak(400_000), verify_peak(800_000)
+    # the growth in whole node-series of the 400_000 steps doubled
+    assert (large - small) / (8 * 400_000) <= 0.25
 
 
 def test_run_memory_grows_with_the_path_only(tmp_path):
-    """Doubling the path grows run's peak as it grows verify's, by the path's arrays alone: run
-    writes every CSV as the pass and the rotations feed it, its t column formed per segment,
-    and holds no whole series to write.
+    """Doubling the path leaves run's peak where it was, as it leaves verify's: run writes every
+    CSV as the pass and the rotations feed it, its t column formed per segment, and holds no
+    whole series to write.
 
     run builds the checks verify builds, and a CsvWriter after them formats one chunk at a
-    time. A series gathered whole to be written, or a check, writer or closure that kept the
-    path alive through the convergence ladder, would add a series or more to the difference.
-    As for verify, the ladder is pinned inline, in the traced process.
+    time. A series gathered whole to be written, or a check, writer or closure that kept one
+    alive through the convergence ladder, would add a series or more to the difference. As for
+    verify, the ladder is pinned inline, in the traced process.
     """
-    small, small_path = traced_peak(200_000, lambda config: rb.run_experiment(config, tmp_path / "s"))
-    large, large_path = traced_peak(400_000, lambda config: rb.run_experiment(config, tmp_path / "l"))
-    assert large - small <= 1.05 * (large_path - small_path)
-    assert (large - small) / (8 * 200_000) <= 2.5
+    small = traced_peak(400_000, lambda config: rb.run_experiment(config, tmp_path / "s"))
+    large = traced_peak(800_000, lambda config: rb.run_experiment(config, tmp_path / "l"))
+    assert (large - small) / (8 * 400_000) <= 0.25
 
 
 def ladder_peak(n_steps):
-    """Peak traced bytes of the convergence ladder on PSI at ``n_steps``, its fine dw drawn while
-    traced; the fine rung's residuals are given, as _evaluate_seed gives them."""
+    """Peak traced bytes of the convergence ladder on PSI at ``n_steps``, its fine noise drawn
+    chunk by chunk while traced; the fine rung's residuals are given, as _evaluate_seed gives
+    them."""
     config = parse_config(PSI.format(n_steps))
+    fine = engine.Increments.drawn(rb.build_grid(config.t_max, n_steps), 1)
     rung = lambda grid, dw, factor: experiment.build_path(config, grid, dw, factor, seed=1)
     with pytest.MonkeyPatch.context() as mp:
-        # segments of 1024 nodes keep the pass's scratch (~0.5 MB) below the x and dw of the
-        # 2^16-step rung (1 MB), so that rung held while the next is built would set the peak
+        # segments and chunks of 1024 nodes keep the scratch of a pass (~0.5 MB at most) small
         mp.setattr(transforms, "_SEGMENT_NODES", 1024)
         mp.setattr(engine, "STATE_CHUNK_STEPS", 1024)
         tracemalloc.start()
         try:
-            dw = rb.sample_wiener(rb.build_grid(config.t_max, n_steps), 1)
             finest = {"bounded": 1.0, "weighted": 1.0}
-            rb.convergence_ladder(dw, config.t_max, rung, 4, finest=finest)
+            rb.convergence_ladder(fine, config.t_max, rung, 4, finest=finest)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
 
 def test_the_ladder_drops_each_rung_before_it_builds_the_next():
-    """On 2^18 steps the ladder peaks at the fine dw and one fine series' worth of coarse ones:
-    the dw of every coarse rung not yet run and the x of the rung running, 7/8 + 1/8, 3/4 + 1/4
-    and 2 * 1/2 of a series; each rung goes with its dw once its pass is done. Doubling the
-    steps grows the peak by 8 + 8 bytes per fine step; the 2^16-step rung held while the
-    2^17-step one is built would add 2 * 2 more, and a rung keeping sigma or u whole 4 more each."""
+    """Each rung draws the fine noise anew and coarsens it chunk by chunk as its pass reads it, so
+    the ladder peaks at a few chunks and one segment's scratch, whatever the steps. Doubling them
+    from 2^17 to 2^18 moves the peak by less than 64 KB, half the dw of the coarsest rung at 2^17
+    (2^14 steps): a rung that held any series whole, or was kept past its pass, would add that
+    dw's 128 KB or more."""
     ladder_peak(2**12)  # what the first ladder of a process allocates once is not the ladder's
     small, large = ladder_peak(2**17), ladder_peak(2**18)
-    assert large - small <= 1.05 * 16 * (2**18 - 2**17)
+    assert large - small <= 8 * 2**17 / 16
 
 
 ROTATION = "t_max = 5\nn_steps = {}\na = const:0\nsigma = {}\nu = const:1\nseeds = 1\n"
@@ -568,20 +561,26 @@ def test_rotation_check_matches_whole_array_rotations(sigma, n_steps, segment, s
     assert check.report() == whole_rotation_report(path, scaled)
 
 
-@pytest.mark.parametrize("scaled", [False, True], ids=["unit", "scaled"])
-def test_rotation_check_holds_no_whole_series(scaled):
-    """The pass and the report peak at the bound's one whole-array sum, 8 bytes per node.
-
-    The whole-array rotations took 80 (unit) and 64 (scaled) bytes per node.
-    """
-    n_nodes = 2**18
+def rotation_peak(n_nodes, scaled):
+    """Peak traced bytes of a RotationCheck's pass and report on a driftless path of ``n_nodes``."""
     path = experiment.prepare_path(parse_config(ROTATION.format(n_nodes - 1, "const:1.5")), 1)
     tracemalloc.start()
     try:
         check = verification.RotationCheck(path, scaled)
         transforms.reduce_pass(path, ([], [], [check]))
         assert check.report() is not None
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * n_nodes
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unit", "scaled"])
+def test_rotation_check_holds_no_whole_series(scaled):
+    """Doubling the path grows the pass and the report by the bound's one whole-array sum alone,
+    8 bytes per node. The pass simulates the path as it reads it, so the peak also holds the
+    chunks the path keeps, but those are the same at both sizes. The whole-array rotations took
+    80 (unit) and 64 (scaled) bytes per node, and one more series of doubles held whole would
+    take 8 more.
+    """
+    small, large = rotation_peak(2**18, scaled), rotation_peak(2**19, scaled)
+    assert large - small <= 12 * 2**18

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rangebound import cli, transforms, verification
+from rangebound import cli, experiment, transforms, verification
 from rangebound.config import parse_config
 from rangebound.experiment import prepare_path
 
@@ -169,6 +169,40 @@ def test_config_c_path_out_of_range_is_a_configuration_error(command, name):
     assert code == 1 and lines == []
     assert err == "configuration error: seed 1: the path leaves double range\n"
     assert not list(out.rglob("*.csv"))
+
+
+# x reaches 1.8e308 only at step 17977, past two 8192-step chunks of the pass
+MID_PASS = "t_max=20000\nn_steps=20000\na=const:1e304\nsigma=const:1\nu=const:1\nseeds=1\n"
+# the path leaves double range, and so does psi's variance integral
+BOTH = "t_max=1\nn_steps=8\nx0=1e308\na=const:1e308\nsigma=const:1e200\npsi=const:1\nseeds=1\n"
+
+
+@pytest.mark.parametrize("name", ["run", "verify", "figures"])
+def test_a_path_that_leaves_double_range_mid_pass_is_refused_at_node_n(
+    command, monkeypatch, tmp_path, name
+):
+    """The path is simulated as its pass reads it, so its refusal comes once the pass reaches
+    node N: the same message and exit code as a refusal before any check, every file the pass
+    wrote taken back."""
+    written, refuse = [], experiment._refuse_out_of_range
+
+    def refusing(path):
+        written.extend(p.name for p in (tmp_path / name).rglob("*.partial"))
+        return refuse(path)
+
+    monkeypatch.setattr(experiment, "_refuse_out_of_range", refusing)
+    code, lines, err, out = command(name, MID_PASS)
+    assert code == 1 and lines == []
+    assert err == "configuration error: seed 1: the path leaves double range\n"
+    assert bool(written) is (name != "verify") and not out.exists()
+
+
+@pytest.mark.parametrize("name", ["run", "verify", "figures"])
+def test_the_path_refusal_wins_over_the_variance_integral_refusal(command, name):
+    code, lines, err, out = command(name, BOTH)
+    assert code == 1 and lines == []
+    assert err == "configuration error: seed 1: the path leaves double range\n"
+    assert not out.exists()
 
 
 def test_config_d_run_skips_the_bounded_identity_and_the_rotations(command):

@@ -168,22 +168,30 @@ def test_the_chunks_are_the_whole_draws_bits():
         assert np.concatenate(chunks).tobytes() == whole.tobytes()
 
 
-def test_the_forked_child_peaks_below_its_parent(tmp_path):
-    """On 2^21 psi steps, above the floor, the parent holds the path, x and dw (32 MB), through
-    the pass, and the child seven eighths of one series, the coarse rungs' dw, and at most one
-    rung's x beside them. The child's peak, RUSAGE_CHILDREN, stays below its parent's."""
-    (tmp_path / "c.cfg").write_text(PSI.format(2**21, 1))
+def test_the_forked_child_and_its_parent_peak_near_the_import(tmp_path):
+    """On 2^22 psi steps, above the floor, the parent and the child each peak within 24 MB of
+    what importing rangebound took, below the 32 MB of one whole series of the path.
+
+    Both simulate their paths as their passes read them, a few chunks at a time: the parent the
+    fine path, the child each coarse rung from the noise drawn anew. Neither holds a series
+    whole, so neither peak grows with the steps, and child < parent no longer says anything:
+    both are the interpreter, the import and a few MB (measured on 2 CPUs: the parent 11 MB
+    above the import, its oracle's scratch included, and the child 5 MB). The parent's peak is
+    RUSAGE_SELF and the child's RUSAGE_CHILDREN.
+    """
+    (tmp_path / "c.cfg").write_text(PSI.format(2**22, 1))
     script = (
         "import resource, sys, rangebound as rb; "
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
         "assert not rb.verify_suite(rb.parse_config(open(sys.argv[1]).read())).failed; "
-        "print(*(resource.getrusage(w).ru_maxrss for w in (resource.RUSAGE_SELF, "
+        "print(base, *(resource.getrusage(w).ru_maxrss for w in (resource.RUSAGE_SELF, "
         "resource.RUSAGE_CHILDREN)))"
     )
     argv = [sys.executable, "-c", script, tmp_path / "c.cfg"]
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=120)
-    parent, child = map(int, done.stdout.split())
-    assert 0 < child < parent
+    base, parent, child = map(int, done.stdout.split())  # KB
+    assert 0 < child and parent <= base + 24 * 1024 and child <= base + 24 * 1024
 
 
 def children_file(pid):

@@ -8,7 +8,7 @@ and the commands are checked to evaluate each path's phasor once.
 import sys
 import tracemalloc
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -181,7 +181,7 @@ def with_zero_stretches(path, rng):
     for _ in range(4):
         start = int(rng.integers(0, n))
         u[start : start + int(rng.integers(1, max(2, n // 3)))] = rng.choice([0.0, -0.0])
-    return path.with_u(u)
+    return replace(path, u_spec=rb.CoefficientSpec.from_samples(u))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def test_pair_recurrence_matches_reference_at_block_edges(n_steps):
 def test_pair_recurrence_matches_reference_with_zero_integrand():
     path = seeded_path(const(0), const(1), const(0), rb.build_grid(5.0, 2 * B + 3), 1)
     assert_recurrences_match(path)
-    assert_recurrences_match(path.with_u(-path.u), 5.0)
+    assert_recurrences_match(replace(path, u_spec=rb.CoefficientSpec.from_samples(-path.u)), 5.0)
 
 
 @settings(deadline=None, max_examples=60)

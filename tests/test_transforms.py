@@ -31,6 +31,11 @@ from checks import (
 const = CoefficientSpec.constant
 
 
+def with_u(path, u):
+    """``path`` with u the samples ``u``."""
+    return dataclasses.replace(path, u_spec=CoefficientSpec.from_samples(u))
+
+
 def bounded_direct(path):
     return rb.transform_pair_direct(path, weighted=False)[0]
 
@@ -138,7 +143,7 @@ class TestBoundedTransform:
     def test_modulus_invariant_under_phase_shift(self, shift):
         grid = rb.build_grid(2.0, 512)
         path = seeded_path(const(1), const(1), const(1), grid, seed=13)
-        shifted = dataclasses.replace(path, x=path.x + shift)
+        shifted = dataclasses.replace(path, x0=path.x0 + shift)
         base = modulus(bounded_recursive(path))
         moved = modulus(bounded_recursive(shifted))
         assert np.max(np.abs(base - moved)) < 1e-9 * (1 + u_scale(path))
@@ -307,7 +312,7 @@ class TestVarianceDiscountedU:
         grid = rb.build_grid(5.0, 4000)
         path = seeded_path(const(2), const(1), const(0), grid, seed=seed)
         psi = 1.0 / (1.0 + grid.nodes[:-1])
-        path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
+        path = with_u(path, rb.variance_discounted_u(psi, path.sigma, grid))
         z = weighted_recursive(path)
         assert np.max(modulus(z) - np.log1p(grid.nodes)) <= 1e-9
 
@@ -316,7 +321,7 @@ class TestVarianceDiscountedU:
         path = seeded_path(const(-3), const(1), const(0), grid, seed=11)
         alpha = 1.5
         psi = grid.nodes[:-1] ** (alpha - 1.0) / alpha
-        path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
+        path = with_u(path, rb.variance_discounted_u(psi, path.sigma, grid))
         z = weighted_recursive(path)
         envelope = riemann_cumsum(np.abs(psi), grid)
         assert np.max(modulus(z) - envelope) <= 1e-12 * (1 + envelope[-1])
@@ -326,7 +331,7 @@ class TestVarianceDiscountedU:
         psi = 1.0 / (1.0 + grid.nodes[:-1])
         for drift in (const(-10), const(10), CoefficientSpec.state_bounded(5.0)):
             path = seeded_path(drift, const(1), const(0), grid, seed=21)
-            path = path.with_u(rb.variance_discounted_u(psi, path.sigma, grid))
+            path = with_u(path, rb.variance_discounted_u(psi, path.sigma, grid))
             z = weighted_recursive(path)
             envelope = riemann_cumsum(np.abs(psi), grid)
             assert np.max(modulus(z) - envelope) <= 1e-12 * (1 + envelope[-1])
