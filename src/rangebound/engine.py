@@ -315,7 +315,7 @@ class PathRecord:
     steps k0 .. k1-1, x[k+1] == x[k] + (a[k]*dt + sigma[k]*dw[k]) bit for bit, a the drift at
     the left nodes; ``sigma_at`` and ``u_at`` give sigma and u at the left nodes k0 .. k1-1,
     ``variance_at`` I, the left-sum of sigma^2 dt, at the nodes k0 .. k1-1 and
-    ``half_variance_at`` I/2, each read-only. They are simulated ``chunk_steps`` steps at a
+    ``half_variance_at`` I/2, each read-only. They are simulated STATE_CHUNK_STEPS steps at a
     time from ``increments`` (see _step) by a forward cursor, which keeps the last few chunks:
     the readers of a segment of a pass, and the weighted transform's search for its block end
     ahead of it, share one simulation. A read behind the kept chunks simulates the path again
@@ -335,7 +335,6 @@ class PathRecord:
     seed: int | None = None
     driftless: bool | None = None
     discounted_by: float | None = None
-    chunk_steps: int = field(default_factory=lambda: STATE_CHUNK_STEPS)
     cursor: _Cursor = field(default_factory=_Cursor, init=False, repr=False)
 
     def __post_init__(self):
@@ -344,10 +343,10 @@ class PathRecord:
 
     def _chunks(self):
         """The path chunk by chunk, simulated from a fresh draw of its increments."""
-        return _simulation(self.a_spec, self.sigma_spec, self.grid, self.increments, self.x0, self.chunk_steps)
+        return _simulation(self.a_spec, self.sigma_spec, self.grid, self.increments, self.x0, STATE_CHUNK_STEPS)
 
     def _time_series(self, spec: CoefficientSpec):
-        n, steps = self.grid.n_steps, self.chunk_steps
+        n, steps = self.grid.n_steps, STATE_CHUNK_STEPS
         return (spec.sample_series(self.grid, None, k0, min(k0 + steps, n)) for k0 in range(0, n, steps))
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -406,7 +405,7 @@ class PathRecord:
         raise IndexError(f"no chunk of the path starts at node {c0}")
 
     def _at(self, name: str, k0: int, k1: int) -> np.ndarray:
-        n, size = self.grid.n_steps, self.chunk_steps
+        n, size = self.grid.n_steps, STATE_CHUNK_STEPS
         c0 = min(k0, n - 1) // size * size  # the chunk holding node k0, node N in the last
         if k1 <= min(c0 + size, n) + (name in _NODE_SERIES):
             return self._series(self._chunk(c0), name)[k0 - c0 : k1 - c0]

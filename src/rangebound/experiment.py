@@ -6,6 +6,7 @@ same CSV bytes and the same manifest (minus the created_utc line).
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import re
@@ -274,8 +275,6 @@ def prepare_path(config: ExperimentConfig, seed: int) -> PathRecord:
     mapped is refused with a MemoryError, the CLI's exit 1. The probe maps that series' bytes
     and unmaps them untouched: it takes no memory, and no pass takes more than a few chunks.
     """
-    import mmap
-
     grid = build_grid(config.t_max, config.n_steps)
     size = 8 * (grid.n_steps + 1)
     try:

@@ -25,6 +25,7 @@ import threading
 
 import numpy as np
 
+from . import engine
 from .engine import PathRecord, TimeGrid, discount, left_variance
 
 TWO_PI = 2.0 * np.pi
@@ -56,7 +57,7 @@ def _block_end(path: PathRecord, k0: int) -> tuple[float, int]:
     searchsorted finds it in the first chunk of the path's simulation (cut at the cap) that
     holds it; each chunk is read whole, as the pass's segments read it.
     """
-    every, scale = path.chunk_steps, None
+    every, scale = engine.STATE_CHUNK_STEPS, None
     cap = min(k0 + _RESTART_NODES, path.grid.n_steps + 1)
     for c0 in range(k0 - k0 % every, cap, every):
         start = max(k0, c0)
@@ -277,7 +278,7 @@ def reduce_pass(path: PathRecord, consumers) -> list[bool]:
             chain.rebased = complex(chain.partial + chain.rebased) * factor
             chain.scale = scale
             chain.partial = complex(-0.0, -0.0)
-        chunk_end = k0 - k0 % path.chunk_steps + path.chunk_steps
+        chunk_end = k0 - k0 % engine.STATE_CHUNK_STEPS + engine.STATE_CHUNK_STEPS
         k1 = min(k0 + size, n_nodes, chunk_end, *(chain.end for chain in chains))
         m = k1 - k0
         j_hi = min(k1, n_nodes - 1)
